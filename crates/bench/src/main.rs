@@ -525,8 +525,8 @@ struct SessionsBench {
 /// Run single session-scale cells under a wall-clock timer (the workload
 /// crate itself never looks at the real clock). The 1K-session pair is
 /// the tentpole's headline: identical spec and answers, one run
-/// broadcasting device events to up to 1K solo scan drivers, the other
-/// riding one shared circular cursor.
+/// driving up to 1K solo scan drivers, the other riding one shared
+/// circular cursor.
 fn bench_sessions() -> SessionsBench {
     let cfg = SessionScaleConfig::default();
     let (exp, model) = session_scale_fixture(&cfg);

@@ -21,7 +21,6 @@
 
 use pioqo_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// CPU geometry and hyper-threading efficiency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,6 +67,9 @@ const COMPLETE_EPS: f64 = 1e-4;
 
 #[derive(Debug)]
 struct Task {
+    id: TaskId,
+    /// Caller-chosen routing tag, handed back on completion.
+    tag: u64,
     /// Remaining work in core-microseconds.
     remaining: f64,
 }
@@ -76,7 +78,10 @@ struct Task {
 #[derive(Debug)]
 pub struct CpuScheduler {
     cfg: CpuConfig,
-    tasks: BTreeMap<TaskId, Task>,
+    /// Runnable tasks in ascending id order: ids are handed out
+    /// monotonically and removal keeps the order, so completions come out
+    /// id-sorted without a tree or a sort.
+    tasks: Vec<Task>,
     next_id: u64,
     /// Time at which `remaining` values were last brought current.
     last_update: SimTime,
@@ -87,7 +92,7 @@ impl CpuScheduler {
     pub fn new(cfg: CpuConfig) -> CpuScheduler {
         CpuScheduler {
             cfg,
-            tasks: BTreeMap::new(),
+            tasks: Vec::new(),
             next_id: 0,
             last_update: SimTime::ZERO,
         }
@@ -118,7 +123,7 @@ impl CpuScheduler {
         if dt_us > 0.0 {
             let rate = self.rate();
             if rate > 0.0 {
-                for t in self.tasks.values_mut() {
+                for t in &mut self.tasks {
                     t.remaining -= dt_us * rate;
                 }
             }
@@ -128,15 +133,21 @@ impl CpuScheduler {
 
     /// Submit a compute task of `work_us` core-microseconds at time `now`.
     pub fn submit(&mut self, now: SimTime, work_us: f64) -> TaskId {
+        self.submit_tagged(now, work_us, 0)
+    }
+
+    /// [`CpuScheduler::submit`] with a caller-chosen routing `tag` that
+    /// [`CpuScheduler::advance`] hands back beside the finished id (`0` is
+    /// the untagged default).
+    pub fn submit_tagged(&mut self, now: SimTime, work_us: f64, tag: u64) -> TaskId {
         self.settle(now);
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        self.tasks.insert(
+        self.tasks.push(Task {
             id,
-            Task {
-                remaining: work_us.max(0.0),
-            },
-        );
+            tag,
+            remaining: work_us.max(0.0),
+        });
         id
     }
 
@@ -149,7 +160,7 @@ impl CpuScheduler {
         }
         let min_remaining = self
             .tasks
-            .values()
+            .iter()
             .map(|t| t.remaining)
             .fold(f64::INFINITY, f64::min);
         if min_remaining <= COMPLETE_EPS {
@@ -168,20 +179,17 @@ impl CpuScheduler {
         Some(self.last_update + dt)
     }
 
-    /// Advance to `now`, appending finished task ids to `out`.
-    pub fn advance(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
+    /// Advance to `now`, appending the `(id, tag)` of every finished task
+    /// to `out` in ascending id order.
+    pub fn advance(&mut self, now: SimTime, out: &mut Vec<(TaskId, u64)>) {
         self.settle(now);
-        let mut finished: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|(_, t)| t.remaining <= COMPLETE_EPS)
-            .map(|(&id, _)| id)
-            .collect();
-        finished.sort_unstable();
-        for id in &finished {
-            self.tasks.remove(id);
-        }
-        out.extend(finished);
+        self.tasks.retain(|t| {
+            let finished = t.remaining <= COMPLETE_EPS;
+            if finished {
+                out.push((t.id, t.tag));
+            }
+            !finished
+        });
     }
 }
 
@@ -193,7 +201,7 @@ mod tests {
         CpuScheduler::new(CpuConfig::paper_xeon())
     }
 
-    fn run_to_idle(cpu: &mut CpuScheduler) -> (SimTime, Vec<TaskId>) {
+    fn run_to_idle(cpu: &mut CpuScheduler) -> (SimTime, Vec<(TaskId, u64)>) {
         let mut done = Vec::new();
         let mut now = SimTime::ZERO;
         while let Some(t) = cpu.next_event() {
@@ -268,14 +276,14 @@ mod tests {
         let t1 = cpu.next_event().expect("busy");
         cpu.advance(t1, &mut done);
         // a finishes after 50 more core-us at rate 1/2 -> t = 150.
-        assert_eq!(done, vec![a]);
+        assert_eq!(done, vec![(a, 0)]);
         assert!((t1.as_micros_f64() - 150.0).abs() < 1e-6);
         let t2 = cpu.next_event().expect("b still running");
         done.clear();
         cpu.advance(t2, &mut done);
         // b: progresses 50 core-us by t=150 (rate 1/2), then runs alone at
         // full speed for its remaining 50 -> finishes at t=200.
-        assert_eq!(done, vec![b]);
+        assert_eq!(done, vec![(b, 0)]);
         assert!((t2.as_micros_f64() - 200.0).abs() < 1e-6);
     }
 
@@ -295,5 +303,155 @@ mod tests {
         let cpu = xeon();
         assert_eq!(cpu.next_event(), None);
         assert_eq!(cpu.runnable(), 0);
+    }
+
+    #[test]
+    fn tags_come_back_with_their_tasks_in_id_order() {
+        let mut cpu = xeon();
+        let a = cpu.submit_tagged(SimTime::ZERO, 10.0, 7);
+        let b = cpu.submit(SimTime::ZERO, 10.0);
+        let c = cpu.submit_tagged(SimTime::ZERO, 10.0, 9);
+        let (_, done) = run_to_idle(&mut cpu);
+        assert_eq!(done, vec![(a, 7), (b, 0), (c, 9)]);
+    }
+
+    /// The scheduler this one replaced, kept as the reference: tasks in a
+    /// `BTreeMap`, finished ids collected and sorted on every advance. The
+    /// per-task arithmetic is the same expression for expression, so the
+    /// two must agree to the bit.
+    struct TreeModel {
+        cfg: CpuConfig,
+        tasks: std::collections::BTreeMap<TaskId, f64>,
+        next_id: u64,
+        last_update: SimTime,
+    }
+
+    impl TreeModel {
+        fn rate(&self) -> f64 {
+            let n = self.tasks.len();
+            if n == 0 {
+                return 0.0;
+            }
+            self.cfg.capacity(n) / n as f64
+        }
+
+        fn settle(&mut self, now: SimTime) {
+            let dt_us = now.since(self.last_update).as_micros_f64();
+            if dt_us > 0.0 {
+                let rate = self.rate();
+                if rate > 0.0 {
+                    for r in self.tasks.values_mut() {
+                        *r -= dt_us * rate;
+                    }
+                }
+            }
+            self.last_update = now;
+        }
+
+        fn submit(&mut self, now: SimTime, work_us: f64) -> TaskId {
+            self.settle(now);
+            let id = TaskId(self.next_id);
+            self.next_id += 1;
+            self.tasks.insert(id, work_us.max(0.0));
+            id
+        }
+
+        fn next_event(&self) -> Option<SimTime> {
+            let rate = self.rate();
+            if rate == 0.0 {
+                return None;
+            }
+            let min_remaining = self.tasks.values().copied().fold(f64::INFINITY, f64::min);
+            if min_remaining <= COMPLETE_EPS {
+                return Some(self.last_update);
+            }
+            let dt = SimDuration::from_micros_f64(min_remaining / rate);
+            let dt = if dt.is_zero() {
+                SimDuration::from_nanos(1)
+            } else {
+                dt
+            };
+            Some(self.last_update + dt)
+        }
+
+        fn advance(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
+            self.settle(now);
+            let mut finished: Vec<TaskId> = self
+                .tasks
+                .iter()
+                .filter(|(_, r)| **r <= COMPLETE_EPS)
+                .map(|(&id, _)| id)
+                .collect();
+            finished.sort_unstable();
+            for id in &finished {
+                self.tasks.remove(id);
+            }
+            out.extend(finished);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Seeded submit/advance interleavings: every `next_event` time is
+        /// bit-equal to the tree model's and tasks complete in the same
+        /// order.
+        #[test]
+        fn dense_scheduler_matches_the_tree_model(
+            seed in proptest::prelude::any::<u64>(),
+            physical in 1u32..6,
+            smt in 0u32..6,
+            steps in 20usize..200,
+        ) {
+            let cfg = CpuConfig { physical, logical: physical + smt, ht_efficiency: 0.25 };
+            let mut dense = CpuScheduler::new(cfg.clone());
+            let mut tree = TreeModel {
+                cfg,
+                tasks: std::collections::BTreeMap::new(),
+                next_id: 0,
+                last_update: SimTime::ZERO,
+            };
+            let mut rng = pioqo_simkit::SimRng::seeded(seed);
+            let mut now = SimTime::ZERO;
+            let (mut done_dense, mut done_tree) = (Vec::new(), Vec::new());
+            for _ in 0..steps {
+                let a = dense.next_event();
+                let b = tree.next_event();
+                proptest::prop_assert_eq!(a, b);
+                // Either a burst of submissions part-way to the next
+                // completion, or the completion itself.
+                match a {
+                    Some(t) if rng.below(3) > 0 => {
+                        now = t;
+                        dense.advance(now, &mut done_dense);
+                        tree.advance(now, &mut done_tree);
+                    }
+                    _ => {
+                        let gap = a.map_or(50_000, |t| t.since(now).as_nanos());
+                        now += SimDuration::from_nanos(rng.below(gap + 1));
+                        for _ in 0..1 + rng.below(4) {
+                            // Mostly short page-sized work, some zero-work
+                            // startups, some long sorts.
+                            let work = match rng.below(8) {
+                                0 => 0.0,
+                                1 => 2_000.0 * rng.unit(),
+                                _ => 20.0 * rng.unit(),
+                            };
+                            let tag = rng.below(5);
+                            let x = dense.submit_tagged(now, work, tag);
+                            let y = tree.submit(now, work);
+                            proptest::prop_assert_eq!(x, y);
+                        }
+                    }
+                }
+                let left: Vec<(TaskId, u64)> =
+                    dense.tasks.iter().map(|t| (t.id, t.remaining.to_bits())).collect();
+                let right: Vec<(TaskId, u64)> =
+                    tree.tasks.iter().map(|(&id, r)| (id, r.to_bits())).collect();
+                proptest::prop_assert_eq!(left, right);
+            }
+            let ids: Vec<TaskId> = done_dense.iter().map(|d| d.0).collect();
+            proptest::prop_assert_eq!(ids, done_tree);
+        }
     }
 }

@@ -4,12 +4,21 @@
 //! A `QueryDriver` is one query's state machine, decoupled from the event
 //! loop that feeds it: [`QueryDriver::start`] issues the initial I/O and
 //! compute, and [`QueryDriver::on_event`] advances the machine on each
-//! [`Event`] delivered by [`SimContext::step`]. Drivers track exactly which
-//! I/O handles, compute tasks and timers belong to them and *silently
-//! ignore everything else*, which is what lets many drivers share one
-//! context: the multi-query engine broadcasts every event to every active
-//! driver in session order, and only the owner reacts. A driver returns an
-//! error only for a failure on I/O it issued itself.
+//! [`Event`] delivered by [`SimContext::step`].
+//!
+//! Many drivers share one context. The multi-query engine runs each
+//! driver's `start` / `on_event` under [`SimContext::with_owner`] with the
+//! session's tag, the context stamps every read, write and compute task
+//! declared inside, and a completion is delivered to the sessions whose tag
+//! it carries — several for a page read two queries deduplicated onto —
+//! never to the rest. Drivers do no tagging themselves; the single-query
+//! [`crate::execute`] loop runs untagged and hands its one driver every
+//! event. What a driver must still do is *ignore handles it did not issue*:
+//! a session's next query inherits the session's tag and can be handed a
+//! stray completion (outstanding prefetch) of the query before it. So
+//! drivers keep their io→worker and task→worker maps — needed anyway to
+//! find who was waiting — and treat a miss as "not mine". A driver returns
+//! an error only for a failure on I/O it issued itself.
 //!
 //! Determinism: drivers hold ordered collections only, never consult
 //! wall-clock time, and react to events in the order the context delivers
@@ -55,7 +64,7 @@ pub trait QueryDriver {
     fn start(&mut self, ctx: &mut SimContext<'_>) -> Result<(), ExecError>;
 
     /// React to one context event. Events for I/O, compute or timers the
-    /// driver does not own must be ignored (return `Ok`); an error on the
+    /// driver did not issue must be ignored (return `Ok`); an error on the
     /// driver's own I/O surfaces as `Err`.
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError>;
 

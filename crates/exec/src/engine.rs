@@ -1,6 +1,10 @@
 //! The simulation context shared by all operators: one event loop binding a
 //! device, the CPU scheduler and the buffer pool, with single-page read
 //! deduplication and queue-depth profiling.
+//! I/O and compute are stamped with the owner tag current when they were
+//! declared ([`SimContext::with_owner`]) and completions report it
+//! ([`SimContext::event_owners`]), so a loop running many queries on one
+//! context can hand each event to the queries that asked for it.
 
 use crate::cpu::{CpuConfig, CpuScheduler, TaskId};
 use pioqo_bufpool::{BufferPool, PoolEvent};
@@ -218,6 +222,25 @@ struct LogicalIo {
     issue_time: SimTime,
     /// A backoff retry is scheduled; the timeout must not also re-issue.
     pending_retry: bool,
+    /// Owner tag current when the read was declared (`0` = untagged).
+    owner: u64,
+    /// Further distinct tags that joined a deduplicated page read, in join
+    /// order. Stays unallocated unless a second owner shows up.
+    joined: Vec<u64>,
+}
+
+impl LogicalIo {
+    /// Record the (nonzero) `tag` as an owner; a repeat join is a no-op.
+    fn join(&mut self, tag: u64) {
+        if tag == self.owner || self.joined.contains(&tag) {
+            return;
+        }
+        if self.owner == 0 {
+            self.owner = tag;
+        } else {
+            self.joined.push(tag);
+        }
+    }
 }
 
 /// An event delivered by [`SimContext::step`].
@@ -320,7 +343,13 @@ pub struct SimContext<'a> {
     timer_queue: EventQueue<(u64, u64)>, // (timer id, routing tag)
     next_timer: u64,
     io_buf: Vec<IoCompletion>,
-    cpu_buf: Vec<TaskId>,
+    cpu_buf: Vec<(TaskId, u64)>,
+    /// The current-owner register stamped on new I/O and compute.
+    owner: u64,
+    /// Owner tags of the events the last `step` appended, flattened;
+    /// `ev_owner_end[i]` closes event `i`'s run.
+    ev_owners: Vec<u64>,
+    ev_owner_end: Vec<u32>,
     depth: TimeWeighted,
     latency_sum_us: f64,
     pages_read: u64,
@@ -373,6 +402,9 @@ impl<'a> SimContext<'a> {
             next_timer: 0,
             io_buf: Vec::new(),
             cpu_buf: Vec::new(),
+            owner: 0,
+            ev_owners: Vec::new(),
+            ev_owner_end: Vec::new(),
             depth: TimeWeighted::new(SimTime::ZERO, 0.0),
             latency_sum_us: 0.0,
             pages_read: 0,
@@ -401,6 +433,40 @@ impl<'a> SimContext<'a> {
     /// The CPU cost constants.
     pub fn costs(&self) -> &CpuCosts {
         &self.costs
+    }
+
+    /// Run `f` with `tag` in the current-owner register: every read, write
+    /// and compute task `f` declares is stamped with it (a deduplicated
+    /// [`SimContext::read_page`] records every distinct tag that joined)
+    /// and [`SimContext::event_owners`] reports the stamps on completion.
+    /// The I/O-side twin of [`SimContext::schedule_timer_tagged`]: an
+    /// event loop wraps each query's `start` / `on_event` in it, so drivers
+    /// carry no tagging code. Outside any `with_owner` the register is `0`
+    /// (untagged) — what single-query loops run with.
+    pub fn with_owner<R>(&mut self, tag: u64, f: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.owner, tag);
+        let r = f(self);
+        self.owner = outer;
+        r
+    }
+
+    /// Owner tags of the `i`-th event appended by the most recent
+    /// [`SimContext::step`], in the order they joined. Empty for timers
+    /// (their tag travels on the event), for work declared untagged, and
+    /// for an out-of-range `i`.
+    pub fn event_owners(&self, i: usize) -> &[u64] {
+        let Some(&end) = self.ev_owner_end.get(i) else {
+            return &[];
+        };
+        let start = if i == 0 { 0 } else { self.ev_owner_end[i - 1] };
+        &self.ev_owners[start as usize..end as usize]
+    }
+
+    /// Append `ev`, closing its run of owner tags (whatever was pushed onto
+    /// `ev_owners` since the previous event).
+    fn push_event(&mut self, events: &mut Vec<Event>, ev: Event) {
+        events.push(ev);
+        self.ev_owner_end.push(self.ev_owners.len() as u32);
     }
 
     /// Install a retry/timeout policy (the default policy does neither).
@@ -669,6 +735,11 @@ impl<'a> SimContext<'a> {
     /// and a demand read) share one physical I/O.
     pub fn read_page(&mut self, device_page: u64) -> u64 {
         if let Some(&io) = self.inflight_page.get(&device_page) {
+            if self.owner != 0 {
+                if let Some(st) = self.ios.get_mut(&io) {
+                    st.join(self.owner);
+                }
+            }
             return io;
         }
         let io = self.next_io;
@@ -727,6 +798,8 @@ impl<'a> SimContext<'a> {
                 started: self.now,
                 issue_time: self.now,
                 pending_retry: false,
+                owner: self.owner,
+                joined: Vec::new(),
             },
         );
         self.submit_physical(io);
@@ -768,7 +841,7 @@ impl<'a> SimContext<'a> {
 
     /// Submit `work_us` core-microseconds of compute.
     pub fn submit_cpu(&mut self, work_us: f64) -> TaskId {
-        self.cpu.submit(self.now, work_us)
+        self.cpu.submit_tagged(self.now, work_us, self.owner)
     }
 
     /// Arm a virtual-time timer that fires as [`Event::Timer`] once `after`
@@ -814,6 +887,8 @@ impl<'a> SimContext<'a> {
             // virtual time moves on (pool calls are synchronous at `now`).
             self.pump_pool_events();
         }
+        self.ev_owners.clear();
+        self.ev_owner_end.clear();
         let mut t: Option<SimTime> = None;
         for cand in [
             self.device.next_event(),
@@ -898,14 +973,19 @@ impl<'a> SimContext<'a> {
             let Some((_, (id, tag))) = self.timer_queue.pop() else {
                 break;
             };
-            events.push(Event::Timer { id, tag });
+            self.push_event(events, Event::Timer { id, tag });
         }
 
-        self.cpu_buf.clear();
-        self.cpu.advance(t, &mut self.cpu_buf);
-        for &id in &self.cpu_buf {
-            events.push(Event::Cpu(id));
+        let mut cpu_buf = std::mem::take(&mut self.cpu_buf);
+        cpu_buf.clear();
+        self.cpu.advance(t, &mut cpu_buf);
+        for &(id, tag) in &cpu_buf {
+            if tag != 0 {
+                self.ev_owners.push(tag);
+            }
+            self.push_event(events, Event::Cpu(id));
         }
+        self.cpu_buf = cpu_buf;
         true
     }
 
@@ -992,31 +1072,37 @@ impl<'a> SimContext<'a> {
         self.hists
             .retries
             .record(st.attempts.saturating_sub(1) as u64);
-        match st.meta {
+        if st.owner != 0 {
+            self.ev_owners.push(st.owner);
+            self.ev_owners.extend_from_slice(&st.joined);
+        }
+        let attempts = st.attempts;
+        let ev = match st.meta {
             IoMeta::Page { device_page } => {
                 self.inflight_page.remove(&device_page);
-                events.push(Event::IoPage {
+                Event::IoPage {
                     io,
                     device_page,
                     status,
-                    attempts: st.attempts,
-                });
+                    attempts,
+                }
             }
-            IoMeta::Block { start, len } => events.push(Event::IoBlock {
+            IoMeta::Block { start, len } => Event::IoBlock {
                 io,
                 start,
                 len,
                 status,
-                attempts: st.attempts,
-            }),
-            IoMeta::Write { start, len } => events.push(Event::IoWrite {
+                attempts,
+            },
+            IoMeta::Write { start, len } => Event::IoWrite {
                 io,
                 start,
                 len,
                 status,
-                attempts: st.attempts,
-            }),
-        }
+                attempts,
+            },
+        };
+        self.push_event(events, ev);
     }
 
     /// Let the context's own in-flight I/O finish (without emitting events)
@@ -1119,6 +1205,160 @@ mod tests {
         // After completion the page may be read again with a fresh I/O.
         let d = ctx.read_page(100);
         assert_ne!(a, d);
+    }
+
+    /// Step to quiescence, returning each event with its owner tags.
+    fn drain_with_owners(ctx: &mut SimContext<'_>) -> Vec<(Event, Vec<u64>)> {
+        let mut out = Vec::new();
+        let mut events = Vec::new();
+        loop {
+            events.clear();
+            if !ctx.step(&mut events) {
+                return out;
+            }
+            for (i, e) in events.iter().enumerate() {
+                out.push((*e, ctx.event_owners(i).to_vec()));
+            }
+        }
+    }
+
+    fn page_owners(done: &[(Event, Vec<u64>)], want: u64) -> Vec<Vec<u64>> {
+        done.iter()
+            .filter_map(|(e, owners)| match e {
+                Event::IoPage { io, .. } if *io == want => Some(owners.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn joined_page_read_reports_every_owner_in_join_order() {
+        let mut dev = consumer_pcie_ssd(1 << 16, 1);
+        let mut pool = BufferPool::new(64);
+        let mut ctx = SimContext::new(
+            &mut dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        let a = ctx.with_owner(9, |ctx| ctx.read_page(100));
+        let b = ctx.with_owner(4, |ctx| ctx.read_page(100));
+        // Repeat joins (a second worker of the same query) add nothing.
+        let c = ctx.with_owner(9, |ctx| ctx.read_page(100));
+        assert_eq!([b, c], [a, a], "one physical read serves all three");
+        let solo = ctx.with_owner(4, |ctx| ctx.read_page(101));
+        let task = ctx.with_owner(7, |ctx| ctx.submit_cpu(1.0));
+        let blk = ctx.with_owner(5, |ctx| ctx.read_block(200, 4));
+        let wr = ctx.with_owner(6, |ctx| ctx.write_page(300));
+        let done = drain_with_owners(&mut ctx);
+        assert_eq!(page_owners(&done, a), vec![vec![9, 4]]);
+        assert_eq!(page_owners(&done, solo), vec![vec![4]]);
+        for (e, owners) in &done {
+            match e {
+                Event::Cpu(t) if *t == task => assert_eq!(owners, &[7]),
+                Event::IoBlock { io, .. } if *io == blk => assert_eq!(owners, &[5]),
+                Event::IoWrite { io, .. } if *io == wr => assert_eq!(owners, &[6]),
+                _ => {}
+            }
+        }
+        assert_eq!(done.len(), 5);
+    }
+
+    #[test]
+    fn untagged_issuer_yields_no_owner() {
+        let mut dev = consumer_pcie_ssd(1 << 16, 1);
+        let mut pool = BufferPool::new(64);
+        let mut ctx = SimContext::new(
+            &mut dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        let plain = ctx.read_page(100);
+        ctx.submit_cpu(1.0);
+        ctx.schedule_timer_tagged(SimDuration::from_micros_f64(1.0), 3);
+        // An untagged issuer joined by a tagged one: only the tag shows.
+        let mixed = ctx.read_page(101);
+        assert_eq!(ctx.with_owner(8, |ctx| ctx.read_page(101)), mixed);
+        let done = drain_with_owners(&mut ctx);
+        assert_eq!(done.len(), 4);
+        for (e, owners) in &done {
+            match e {
+                Event::IoPage { io, .. } if *io == mixed => assert_eq!(owners, &[8]),
+                Event::IoPage { io, .. } => {
+                    assert_eq!(*io, plain);
+                    assert!(owners.is_empty());
+                }
+                // A timer's tag travels on the event itself.
+                _ => assert!(owners.is_empty(), "{e:?}"),
+            }
+        }
+        assert!(ctx.event_owners(99).is_empty(), "out of range is empty");
+    }
+
+    #[test]
+    fn owners_survive_a_backoff_retry() {
+        let inner = consumer_pcie_ssd(1 << 16, 1);
+        let mut dev = pioqo_device::Faulty::new(
+            inner,
+            pioqo_device::FaultPlan::Transient {
+                p: 1.0,
+                attempts: 2,
+                seed: 7,
+            },
+        );
+        let mut pool = BufferPool::new(64);
+        let mut ctx = SimContext::new(
+            &mut dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        ctx.set_retry_policy(RetryPolicy::attempts(4));
+        let io = ctx.with_owner(2, |ctx| ctx.read_page(42));
+        // Joins while the first attempt is in flight...
+        ctx.with_owner(3, |ctx| ctx.read_page(42));
+        let mut events = Vec::new();
+        while ctx.resilience().retries == 0 {
+            assert!(ctx.step(&mut events));
+        }
+        // ...and while a retry is.
+        assert_eq!(ctx.with_owner(5, |ctx| ctx.read_page(42)), io);
+        let done = drain_with_owners(&mut ctx);
+        assert_eq!(page_owners(&done, io), vec![vec![2, 3, 5]]);
+        assert_eq!(ctx.resilience().retries, 2);
+    }
+
+    #[test]
+    fn owners_survive_a_timeout_hedge() {
+        let mut dev = pioqo_device::presets::hdd_7200(1 << 20, 1);
+        let mut pool = BufferPool::new(64);
+        let mut ctx = SimContext::new(
+            &mut dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        ctx.set_retry_policy(RetryPolicy {
+            max_attempts: 2,
+            backoff: SimDuration::from_micros_f64(100.0),
+            timeout: Some(SimDuration::from_micros_f64(500.0)),
+        });
+        let ios: Vec<u64> = (0..8u64)
+            .map(|i| ctx.with_owner(10 + i, |ctx| ctx.read_page(i * 100_000)))
+            .collect();
+        ctx.with_owner(99, |ctx| ctx.read_page(7 * 100_000));
+        let done = drain_with_owners(&mut ctx);
+        assert!(ctx.resilience().timeouts > 0, "some reads were hedged");
+        for (i, &io) in ios.iter().enumerate() {
+            let mut want = vec![10 + i as u64];
+            if i == 7 {
+                want.push(99);
+            }
+            // Exactly one event per logical read, hedged or not, and the
+            // hedge's duplicate completion carries nobody.
+            assert_eq!(page_owners(&done, io), vec![want]);
+        }
     }
 
     #[test]

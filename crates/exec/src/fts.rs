@@ -24,7 +24,7 @@ use crate::query::{row_fingerprint, Col, RowAcc, RowEval};
 use pioqo_device::IoStatus;
 use pioqo_storage::HeapTable;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Table-scan configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,10 +77,9 @@ pub struct FtsDriver<'q> {
     pf_next: u64,
     /// io id -> workers waiting on it (demand or prefetch coverage).
     waiters: BTreeMap<u64, Vec<usize>>,
-    /// device page -> in-flight prefetch io covering it.
+    /// device page -> in-flight prefetch io covering it. Also what tells
+    /// this driver's block reads from a predecessor's stray ones.
     pf_cover: BTreeMap<u64, u64>,
-    /// Block I/O this driver issued (prefetch); everything else is foreign.
-    my_blocks: BTreeSet<u64>,
     task_owner: BTreeMap<TaskId, usize>,
     acc: RowAcc,
     op_track: u32,
@@ -109,7 +108,6 @@ impl<'q> FtsDriver<'q> {
             pf_next: 0,
             waiters: BTreeMap::new(),
             pf_cover: BTreeMap::new(),
-            my_blocks: BTreeSet::new(),
             task_owner: BTreeMap::new(),
             acc: RowAcc::default(),
             op_track: 0,
@@ -142,7 +140,6 @@ impl<'q> FtsDriver<'q> {
             let all_resident = (0..len as u64).all(|i| ctx.pool.contains(first_dp + i));
             if !all_resident {
                 let io = ctx.read_block(first_dp, len);
-                self.my_blocks.insert(io);
                 for i in 0..len as u64 {
                     self.pf_cover.insert(first_dp + i, io);
                 }
@@ -247,8 +244,8 @@ impl QueryDriver for FtsDriver<'_> {
                 status,
                 attempts,
             } => {
-                if !self.my_blocks.remove(&io) {
-                    return Ok(()); // another query's prefetch
+                if self.pf_cover.get(&start) != Some(&io) {
+                    return Ok(()); // not a prefetch this driver issued
                 }
                 if status == IoStatus::Error {
                     return Err(io_failure("fts", start, attempts));

@@ -6,18 +6,24 @@
 //! range-MAX queries separated by seeded think time — on **one**
 //! [`SimContext`]: one device, one buffer pool, one CPU scheduler.
 //!
-//! The scheduler is O(1) per event: sessions live in a dense slab keyed by
-//! their index, think-time wakeups ride tagged virtual timers through the
-//! context's calendar queue (`tag = 1 + session`, so a wakeup routes to
-//! its owner without a side table or a scan), and machine events are
-//! delivered only to the dense list of queries actually running solo.
-//! Queries attached to the shared-scan hub ([`crate::shared::ScanHub`],
-//! enabled by [`WorkloadSpec::shared_scans`]) never appear on that list at
-//! all: one circular cursor serves every attached consumer, so a
-//! 100K-session workload costs one stream of device events rather than
-//! 100K per-session broadcasts. Drivers own their I/O handles and compute
-//! tasks and ignore the rest (see [`crate::driver`]), so the interleaving
-//! is exact and byte-deterministic for a given [`WorkloadSpec`] seed.
+//! Event delivery is routed, so an event costs the same whether 8 or 100K
+//! sessions are open. Sessions live in a dense slab keyed by their index.
+//! Think-time wakeups ride tagged virtual timers (`tag = 1 + session`), and
+//! I/O and compute carry the same tag: the engine wraps every
+//! [`QueryDriver::start`] / [`QueryDriver::on_event`] in
+//! [`SimContext::with_owner`], and each completion comes back with the tags
+//! of the sessions that declared it ([`SimContext::event_owners`]) —
+//! several for a page read two queries deduplicated onto. It is delivered
+//! to those sessions only, in the order they sit on the dense list of
+//! queries running solo; a completion whose owner has since finished
+//! (stray prefetch) reaches no driver and only warms the pool. Queries
+//! attached to the shared-scan hub ([`crate::shared::ScanHub`], enabled by
+//! [`WorkloadSpec::shared_scans`]) are not on that list: one untagged
+//! circular cursor serves every attached consumer. A session's next query
+//! can still be handed a completion its predecessor left behind, so drivers
+//! ignore handles they did not issue (see [`crate::driver`]); the
+//! interleaving is exact and byte-deterministic for a given
+//! [`WorkloadSpec`] seed.
 //!
 //! Plan choice is delegated to an [`AdmissionPlanner`]: the engine tells it
 //! how many queries are already running when a new one arrives, and the
@@ -420,9 +426,9 @@ struct AttachedQuery {
 enum SessState<'q> {
     /// Waiting on a tagged think timer.
     Thinking,
-    /// Running a dedicated driver (on the dense broadcast list).
+    /// Running a dedicated driver (on the dense running-solo list).
     Running(ActiveQuery<'q>),
-    /// Attached to the shared-scan hub (off the broadcast list).
+    /// Attached to the shared-scan hub (off the running-solo list).
     Attached(AttachedQuery),
     Finished,
 }
@@ -456,8 +462,8 @@ struct RunState {
     plan_counts: BTreeMap<String, u64>,
     query_latency: Histogram,
     last_complete: SimTime,
-    /// Dense list of sessions whose query is running solo: the only
-    /// sessions machine events are broadcast to.
+    /// Dense list of sessions whose query is running solo. A session's
+    /// position on it (`Sess::run_idx`) orders same-event deliveries.
     running_solo: Vec<u32>,
     /// Hub consumer slot -> owning session.
     attached_owner: Vec<u32>,
@@ -472,6 +478,8 @@ struct RunState {
     label_buf: String,
     /// Reusable shared-completion drain buffer.
     completions_buf: Vec<(u32, QueryAnswer)>,
+    /// Reusable copy of one event's owner tags still to be served.
+    owners_buf: Vec<u64>,
 }
 
 /// The concurrent multi-query engine. See the module docs.
@@ -609,6 +617,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             cursor_active: false,
             label_buf: String::new(),
             completions_buf: Vec::new(),
+            owners_buf: Vec::new(),
         };
         let mut events: Vec<Event> = Vec::new();
         let mut background_active = false;
@@ -626,7 +635,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                     detail: "multi-query engine stalled with sessions outstanding",
                 });
             }
-            for &ev in &events {
+            for (ev_idx, &ev) in events.iter().enumerate() {
                 // The write system sees every event first; a `true` return
                 // means the event was one of its own timers, which sessions
                 // must never interpret as theirs.
@@ -687,7 +696,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                     continue;
                 }
                 // The shared cursor's own I/O and evaluation completions
-                // never reach the broadcast list.
+                // never reach a solo driver.
                 if let Some(h) = hub.as_mut() {
                     if h.on_event(ctx, &ev)? {
                         let mut comps = std::mem::take(&mut st.completions_buf);
@@ -704,28 +713,37 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                         continue;
                     }
                 }
-                // Broadcast to the dense running-solo list; only owners
-                // react (shared reads can have several owners). When entry
-                // `i` completes it is swap-removed and the element swapped
-                // in from the end still needs this event, so `i` does not
-                // advance on completion.
-                let mut i = 0;
-                while i < st.running_solo.len() {
+                // Deliver to the sessions that declared this I/O or compute
+                // (tag = 1 + session; a deduplicated page read can carry
+                // several), in dense-list order re-read after each
+                // delivery: a completing query is swap-removed and the
+                // entry swapped into its place comes next, as in a sweep of
+                // the whole list. Same-instant resubmissions, and so every
+                // simulated result, depend on that order. An owner no
+                // longer running solo has no driver to wake: dropped.
+                let mut owners = std::mem::take(&mut st.owners_buf);
+                owners.clear();
+                owners.extend_from_slice(ctx.event_owners(ev_idx));
+                while let Some((i, k)) = owners
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, &tag)| {
+                        let sess = sessions.get((tag as usize).checked_sub(1)?)?;
+                        (sess.run_idx != u32::MAX).then_some((sess.run_idx as usize, k))
+                    })
+                    .min()
+                {
+                    owners.swap_remove(k);
                     let s = st.running_solo[i] as usize;
-                    let done = {
-                        let SessState::Running(q) = &mut sessions[s].state else {
-                            i += 1;
-                            continue;
-                        };
-                        q.driver.on_event(ctx, &ev)?;
-                        q.driver.done()
+                    let SessState::Running(q) = &mut sessions[s].state else {
+                        continue;
                     };
-                    if done {
+                    ctx.with_owner(1 + s as u64, |ctx| q.driver.on_event(ctx, &ev))?;
+                    if q.driver.done() {
                         self.complete_solo(ctx, &mut sessions, &mut st, i);
-                    } else {
-                        i += 1;
                     }
                 }
+                st.owners_buf = owners;
             }
         }
 
@@ -885,7 +903,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
         let mut driver = make_driver(&q)?;
         let plan = q.plan;
         ctx.trace_span_begin(sessions[s].track, "query");
-        driver.start(ctx)?;
+        ctx.with_owner(1 + s as u64, |ctx| driver.start(ctx))?;
         let plan_label = if (st.records.len() as u64) < cap {
             st.label_buf.clone()
         } else {

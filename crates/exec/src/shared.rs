@@ -360,7 +360,7 @@ impl<'q> ScanHub<'q> {
     }
 
     /// Feed one engine event to the hub. Returns `Ok(true)` when the event
-    /// belonged to the shared cursor (the caller must not broadcast it to
+    /// belonged to the shared cursor (the caller must not pass it on to
     /// solo queries), `Ok(false)` otherwise.
     pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<bool, ExecError> {
         match *ev {

@@ -22,7 +22,7 @@
 use crate::concurrency::{QdBudget, QdLease};
 use crate::cost::QdttCost;
 use crate::join::{choose_join, join_plan_to_spec, JoinMethod, JoinStats};
-use crate::optimizer::{AccessMethod, Optimizer, OptimizerConfig, Plan};
+use crate::optimizer::{AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
 use crate::stats::TableStats;
 use pioqo_bufpool::BufferPool;
 use pioqo_core::Qdtt;
@@ -133,8 +133,9 @@ pub struct QdttAdmission<'a> {
     /// the live lease — cloned once at construction, mutated in place on
     /// every admission instead of cloning the degree list per query.
     run_cfg: OptimizerConfig,
-    /// Reused candidate buffer for `Optimizer::choose_into`.
-    plan_scratch: Vec<Plan>,
+    /// Reused across admissions by `Optimizer::choose_into`: the candidate
+    /// buffer and the Yao memo (one table, a finite selectivity cycle).
+    scratch: ChooseScratch,
     budget: QdBudget,
     leases: BTreeMap<u32, QdLease>,
     /// The lease held on behalf of the shared-scan cursor, while one is
@@ -172,7 +173,7 @@ impl<'a> QdttAdmission<'a> {
             model: QdttCost(model),
             cfg,
             run_cfg,
-            plan_scratch: Vec::new(),
+            scratch: ChooseScratch::default(),
             budget,
             leases: BTreeMap::new(),
             cursor: None,
@@ -228,6 +229,38 @@ impl<'a> QdttAdmission<'a> {
     pub fn into_decisions(self) -> Vec<AdmissionDecision> {
         self.decisions
     }
+
+    /// The cheapest dedicated plan for selectivity `sel` with the queue
+    /// depth capped at `depth` (a lease's, granted or hypothetical).
+    fn best_solo(&mut self, stats: &TableStats, sel: f64, depth: u32) -> Plan {
+        self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(depth);
+        Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(stats, sel, &mut self.scratch)
+    }
+
+    /// Admit `q` on `plan`, which was costed under `lease`: lower it,
+    /// journal the decision, hold the lease until the query completes.
+    fn grant(&mut self, q: &QueryAdmission, lease: QdLease, plan: &Plan) -> PlanSpec {
+        let spec = plan_to_spec(plan, &self.cfg);
+        self.decisions.push(AdmissionDecision {
+            session: q.session,
+            query_index: q.query_index,
+            active: q.active,
+            lease_depth: lease.depth,
+            selectivity: q.selectivity,
+            method: plan.method,
+            degree: plan.degree,
+            queue_depth: plan.queue_depth,
+            plan: spec.label(),
+            attached: false,
+        });
+        // The engine pairs every admit with one complete, so a session can
+        // never hold two leases; release defensively if it somehow does.
+        if let Some(stale) = self.leases.insert(q.session, lease) {
+            debug_assert!(false, "session {} admitted twice", q.session);
+            self.budget.release(stale);
+        }
+        spec
+    }
 }
 
 impl AdmissionPlanner for QdttAdmission<'_> {
@@ -262,34 +295,8 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         }
         let lease = self.budget.acquire();
         let stats = TableStats::gather(self.table, self.index, pool);
-        self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(lease.depth);
-        let mut scratch = std::mem::take(&mut self.plan_scratch);
-        let plan = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(
-            &stats,
-            q.selectivity,
-            &mut scratch,
-        );
-        self.plan_scratch = scratch;
-        let spec = plan_to_spec(&plan, &self.run_cfg);
-        self.decisions.push(AdmissionDecision {
-            session: q.session,
-            query_index: q.query_index,
-            active: q.active,
-            lease_depth: lease.depth,
-            selectivity: q.selectivity,
-            method: plan.method,
-            degree: plan.degree,
-            queue_depth: plan.queue_depth,
-            plan: spec.label(),
-            attached: false,
-        });
-        // The engine pairs every admit with one complete, so a session can
-        // never hold two leases; release defensively if it somehow does.
-        if let Some(stale) = self.leases.insert(q.session, lease) {
-            debug_assert!(false, "session {} admitted twice", q.session);
-            self.budget.release(stale);
-        }
-        spec
+        let plan = self.best_solo(&stats, q.selectivity, lease.depth);
+        self.grant(q, lease, &plan)
     }
 
     fn admit_shared(
@@ -307,14 +314,7 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         // Cost the best solo plan under the lease this query WOULD get if
         // it were admitted on its own (hypothetical: no lease is taken).
         let depth = self.budget.share_at(self.budget.active() as u32 + 1);
-        self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(depth);
-        let mut scratch = std::mem::take(&mut self.plan_scratch);
-        let solo = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(
-            &stats,
-            q.selectivity,
-            &mut scratch,
-        );
-        self.plan_scratch = scratch;
+        let solo = self.best_solo(&stats, q.selectivity, depth);
         // With a cursor already streaming, attach whenever riding it is
         // cheaper than the best dedicated plan. With no cursor, attach
         // exactly when a table scan would win anyway — the first consumer
@@ -338,8 +338,14 @@ impl AdmissionPlanner for QdttAdmission<'_> {
                 attached: true,
             });
             SharedChoice::Attach
-        } else {
+        } else if self.join.is_some() {
             SharedChoice::Solo(self.admit(q, pool))
+        } else {
+            // The lease now taken is the share `solo` was costed under, so
+            // the plan stands as it is.
+            let lease = self.budget.acquire();
+            debug_assert_eq!(lease.depth, depth);
+            SharedChoice::Solo(self.grant(q, lease, &solo))
         }
     }
 
@@ -522,6 +528,98 @@ mod tests {
         assert_eq!(adm.budget().active(), 0);
         adm.background_release(); // releasing while idle is a no-op
         assert_eq!(adm.budget().active(), 0);
+    }
+
+    #[test]
+    fn a_long_lived_planner_decides_like_a_fresh_one_per_admission() {
+        // The planner remembers the Yao term between admissions. Pool
+        // residency and the lease move between them and must not be
+        // remembered with it: a planner that has seen every earlier
+        // admission journals what a brand-new planner would.
+        let (table, index) = fixture();
+        let mut pool = BufferPool::new(4096);
+        let cfg = OptimizerConfig::fine_grained();
+        let mut veteran = QdttAdmission::new(&table, &index, ssd_model(), cfg.clone());
+        // k = 100, 1 000 and 4 000 sit on Yao's exact (memoized) path,
+        // 5 000 on the closed form; the cycle repeats every key.
+        let cycle = [0.001, 0.04, 0.01, 0.05];
+        let mut next_page = 0;
+        for i in 0..24u32 {
+            let mut fresh = QdttAdmission::new(&table, &index, ssd_model(), cfg.clone());
+            // 0, 1 or 2 leases already out, without costing anything.
+            for adm in [&mut veteran, &mut fresh] {
+                if i % 3 >= 1 {
+                    adm.background_acquire();
+                }
+                if i % 3 == 2 {
+                    adm.cursor_start(&pool);
+                }
+            }
+            let q = QueryAdmission {
+                query_index: i,
+                ..admission(i, i % 3, cycle[i as usize % cycle.len()])
+            };
+            // Alternate the two entry points; with no cursor streaming and
+            // an index plan winning, `admit_shared` takes its solo path.
+            let (a, b) = if i % 2 == 0 {
+                (veteran.admit(&q, &pool), fresh.admit(&q, &pool))
+            } else {
+                let solo = |c| match c {
+                    SharedChoice::Solo(p) => p,
+                    SharedChoice::Attach => panic!("selective query attached"),
+                };
+                (
+                    solo(veteran.admit_shared(&q, &pool, false)),
+                    solo(fresh.admit_shared(&q, &pool, false)),
+                )
+            };
+            assert_eq!(a.label(), b.label());
+            let journaled = veteran.decisions().last().expect("journaled");
+            assert_eq!(
+                format!("{journaled:?}"),
+                format!("{:?}", fresh.decisions()[0]),
+                "admission {i}"
+            );
+            assert_eq!(fresh.decisions().len(), 1, "one admission, one row");
+            veteran.complete(i);
+            veteran.background_release();
+            veteran.cursor_stop();
+            assert_eq!(veteran.budget().active(), 0);
+            // More of the table turns resident before the next admission.
+            for _ in 0..100 {
+                pool.admit_prefetched(table.device_page(next_page))
+                    .expect("pool has room");
+                next_page += 1;
+            }
+        }
+        let d = veteran.decisions();
+        assert_eq!(d.len(), 24);
+        assert!(
+            d.iter().any(|x| x.lease_depth != d[0].lease_depth),
+            "the lease must have moved"
+        );
+    }
+
+    #[test]
+    fn solo_fallback_of_admit_shared_costs_once_and_journals_like_admit() {
+        let (table, index) = fixture();
+        let pool = BufferPool::new(4096);
+        let cfg = OptimizerConfig::fine_grained();
+        let mut via_shared = QdttAdmission::new(&table, &index, ssd_model(), cfg.clone());
+        let mut via_admit = QdttAdmission::new(&table, &index, ssd_model(), cfg);
+        for s in 0..6 {
+            let q = admission(s, s, 0.002);
+            let SharedChoice::Solo(a) = via_shared.admit_shared(&q, &pool, s % 2 == 1) else {
+                panic!("a 0.2% query must not ride a table scan");
+            };
+            let b = via_admit.admit(&q, &pool);
+            assert_eq!(a.label(), b.label());
+        }
+        assert_eq!(via_shared.budget().active(), 6, "one lease per admission");
+        assert_eq!(
+            format!("{:?}", via_shared.decisions()),
+            format!("{:?}", via_admit.decisions())
+        );
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   size, re-references start missing and total fetches can exceed the
 //!   table size.
 
+use std::collections::BTreeMap;
+
 /// Yao's formula: expected distinct pages touched selecting `k` of `n`
 /// records uniformly at random (without replacement) from `m` pages.
 ///
@@ -27,15 +29,12 @@ pub fn yao_pages(m: u64, n: u64, k: u64) -> f64 {
     }
     let per_page = n as f64 / m_f;
     let n_f = n as f64;
-    let k = k.min(n);
     let k_f = k as f64;
 
     // P(one specific page untouched) = C(n - n/m, k) / C(n, k).
-    // For large k the O(k) product would dominate plan costing (the
-    // optimizer evaluates this per candidate plan), so switch to the
-    // closed form via ln-gamma: lnΓ(a+1) − lnΓ(a−k+1) − lnΓ(n+1) +
+    // For large k the O(k) product would dominate plan costing, so switch
+    // to the closed form via ln-gamma: lnΓ(a+1) − lnΓ(a−k+1) − lnΓ(n+1) +
     // lnΓ(n−k+1), with a = n − n/m (fractional a is fine).
-    const EXACT_K_LIMIT: u64 = 4096;
     let log_p = if k > EXACT_K_LIMIT {
         let a = n_f - per_page;
         if a - k_f + 1.0 <= 0.0 {
@@ -64,6 +63,34 @@ pub fn yao_pages(m: u64, n: u64, k: u64) -> f64 {
         return m_f;
     }
     m_f * (1.0 - log_p.exp())
+}
+
+/// Largest `k` for which [`yao_pages`] runs its exact O(k) product.
+const EXACT_K_LIMIT: u64 = 4096;
+
+/// [`yao_pages`] remembered per distinct `(m, n, k)`, for a caller that
+/// re-costs the same few queries many times (the admission planner: one
+/// table, a finite selectivity cycle). Only the exact O(k) branch is
+/// remembered — the closed form above [`EXACT_K_LIMIT`] is already O(1) —
+/// so the memo holds at most that many entries per table. The value is a
+/// pure function of the key: nothing that moves between admissions (pool
+/// residency, the queue-depth lease) enters it.
+#[derive(Debug, Default)]
+pub struct YaoMemo {
+    exact: BTreeMap<(u64, u64, u64), f64>,
+}
+
+impl YaoMemo {
+    /// `yao_pages(m, n, k)`, bit for bit.
+    pub fn pages(&mut self, m: u64, n: u64, k: u64) -> f64 {
+        if k > EXACT_K_LIMIT {
+            return yao_pages(m, n, k);
+        }
+        *self
+            .exact
+            .entry((m, n, k))
+            .or_insert_with(|| yao_pages(m, n, k))
+    }
 }
 
 /// Natural log of the gamma function for positive arguments (Lanczos

@@ -38,5 +38,5 @@ pub use join::{
     choose_join, cost_hash, cost_inl, enumerate_joins, join_plan_to_spec, JoinMethod, JoinPlan,
     JoinStats,
 };
-pub use optimizer::{AccessMethod, Optimizer, OptimizerConfig, Plan};
+pub use optimizer::{AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
 pub use stats::{IndexStats, TableStats};

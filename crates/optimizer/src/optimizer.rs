@@ -12,7 +12,7 @@
 //! so the slower resource bounds the runtime, and parallelism pays a
 //! per-worker coordination overhead.
 
-use crate::card::{leaf_pages_touched, mackert_lohman_fetches, yao_pages};
+use crate::card::{leaf_pages_touched, mackert_lohman_fetches, yao_pages, YaoMemo};
 use crate::cost::{EstCpuCosts, IoCostModel};
 use crate::stats::TableStats;
 use pioqo_exec::CpuConfig;
@@ -125,6 +125,45 @@ impl OptimizerConfig {
     }
 }
 
+/// The cardinality terms of one `(stats, sel)` costing. None of them
+/// depends on the candidate's degree or queue depth, so they are worked out
+/// once per costing call and shared by every candidate; what does move
+/// between calls on one table — `cached_pages`, the queue-depth cap — is
+/// applied by the per-candidate costing on top.
+struct CardTerms {
+    /// Qualifying rows.
+    k: u64,
+    /// Distinct data pages touched (Yao).
+    distinct: f64,
+    /// Data-page fetches through the LRU pool (Mackert–Lohman).
+    fetches_lru: f64,
+    /// Index leaf pages touched.
+    leaves: f64,
+}
+
+impl CardTerms {
+    /// `yao` is [`yao_pages`] or a memo of it.
+    fn new(stats: &TableStats, sel: f64, yao: impl FnOnce(u64, u64, u64) -> f64) -> CardTerms {
+        let k = (sel.clamp(0.0, 1.0) * stats.rows as f64).ceil() as u64;
+        CardTerms {
+            k,
+            distinct: yao(stats.pages, stats.rows, k),
+            fetches_lru: mackert_lohman_fetches(stats.pages, k, stats.buffer_frames),
+            leaves: leaf_pages_touched(k, stats.index.leaf_fanout) as f64,
+        }
+    }
+}
+
+/// Caller-owned state [`Optimizer::choose_into`] reuses across calls: the
+/// candidate buffer (one allocation for any number of admissions) and a
+/// [`YaoMemo`], so re-costing a query whose cardinality was seen before
+/// skips the O(k) Yao product.
+#[derive(Debug, Default)]
+pub struct ChooseScratch {
+    plans: Vec<Plan>,
+    yao: YaoMemo,
+}
+
 /// The access-path optimizer. Generic over the I/O cost model — the same
 /// code is the paper's old optimizer with [`DttCost`](crate::cost::DttCost)
 /// and the new one with [`QdttCost`](crate::cost::QdttCost).
@@ -167,38 +206,41 @@ impl<'m> Optimizer<'m> {
     /// Enumerate every candidate plan for the query
     /// `SELECT MAX(C1) FROM t WHERE C2 BETWEEN …` with selectivity `sel`.
     pub fn enumerate(&self, stats: &TableStats, sel: f64) -> Vec<Plan> {
-        let sel = sel.clamp(0.0, 1.0);
         let mut plans = Vec::new();
+        self.enumerate_into(stats, &CardTerms::new(stats, sel, yao_pages), &mut plans);
+        plans
+    }
+
+    fn enumerate_into(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) {
+        plans.clear();
         for &d in &self.cfg.degrees {
             plans.push(self.cost_fts(stats, d));
-            plans.push(self.cost_is(stats, sel, d));
+            plans.push(self.cost_is(stats, terms, d));
         }
         if self.cfg.consider_sorted_is {
-            plans.push(self.cost_sorted_is(stats, sel));
+            plans.push(self.cost_sorted_is(stats, terms));
         }
-        plans
     }
 
     /// Pick the cheapest plan (ties break toward lower degree, which the
     /// enumeration order guarantees).
     pub fn choose(&self, stats: &TableStats, sel: f64) -> Plan {
-        let mut scratch = Vec::new();
-        self.choose_into(stats, sel, &mut scratch)
+        let mut plans = Vec::new();
+        self.cheapest(stats, &CardTerms::new(stats, sel, yao_pages), &mut plans)
     }
 
-    /// [`choose`](Self::choose) writing candidates into a caller-owned
-    /// scratch vector, so repeated admissions reuse one allocation.
-    pub fn choose_into(&self, stats: &TableStats, sel: f64, scratch: &mut Vec<Plan>) -> Plan {
-        let sel = sel.clamp(0.0, 1.0);
-        scratch.clear();
-        for &d in &self.cfg.degrees {
-            scratch.push(self.cost_fts(stats, d));
-            scratch.push(self.cost_is(stats, sel, d));
-        }
-        if self.cfg.consider_sorted_is {
-            scratch.push(self.cost_sorted_is(stats, sel));
-        }
-        scratch
+    /// [`choose`](Self::choose) for a caller that re-costs many times (the
+    /// admission planner): same pick, bit for bit, with the candidate
+    /// buffer and the Yao term reused through `scratch`.
+    pub fn choose_into(&self, stats: &TableStats, sel: f64, scratch: &mut ChooseScratch) -> Plan {
+        let yao = &mut scratch.yao;
+        let terms = CardTerms::new(stats, sel, |m, n, k| yao.pages(m, n, k));
+        self.cheapest(stats, &terms, &mut scratch.plans)
+    }
+
+    fn cheapest(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) -> Plan {
+        self.enumerate_into(stats, terms, plans);
+        plans
             .iter()
             .min_by(|a, b| {
                 a.est_total_us
@@ -221,8 +263,12 @@ impl<'m> Optimizer<'m> {
     ) -> Plan {
         match method {
             AccessMethod::TableScan => self.cost_fts(stats, degree),
-            AccessMethod::IndexScan => self.cost_is(stats, sel.clamp(0.0, 1.0), degree),
-            AccessMethod::SortedIndexScan => self.cost_sorted_is(stats, sel.clamp(0.0, 1.0)),
+            AccessMethod::IndexScan => {
+                self.cost_is(stats, &CardTerms::new(stats, sel, yao_pages), degree)
+            }
+            AccessMethod::SortedIndexScan => {
+                self.cost_sorted_is(stats, &CardTerms::new(stats, sel, yao_pages))
+            }
         }
     }
 
@@ -261,20 +307,22 @@ impl<'m> Optimizer<'m> {
 
     /// Index scan with `degree` workers: random I/O over the table extent,
     /// Yao distinct pages, Mackert–Lohman refetch through the buffer pool.
-    fn cost_is(&self, stats: &TableStats, sel: f64, degree: u32) -> Plan {
-        let k = (sel * stats.rows as f64).ceil() as u64;
+    fn cost_is(&self, stats: &TableStats, terms: &CardTerms, degree: u32) -> Plan {
+        let &CardTerms {
+            k,
+            distinct,
+            fetches_lru,
+            leaves,
+        } = terms;
         let qd = (degree * self.cfg.is_prefetch_depth.max(1)).min(self.cfg.max_queue_depth);
         let band = stats.extent.pages;
 
         // Data-page fetches: distinct pages by Yao, inflated by LRU
         // refetches when the buffer is smaller than the touched set,
         // discounted by the already-cached fraction.
-        let distinct = yao_pages(stats.pages, stats.rows, k);
-        let fetches_lru = mackert_lohman_fetches(stats.pages, k, stats.buffer_frames);
         let data_fetches = distinct.max(fetches_lru) * (1.0 - stats.cached_fraction());
 
         // Index I/O: root path + qualifying leaves.
-        let leaves = leaf_pages_touched(k, stats.index.leaf_fanout) as f64;
         let index_fetches = (leaves + stats.index.height.saturating_sub(1) as f64).max(1.0);
 
         let io = data_fetches * self.model.page_cost_us(band, qd)
@@ -294,12 +342,11 @@ impl<'m> Optimizer<'m> {
 
     /// Sorted index scan (extension): each distinct page fetched once, deep
     /// prefetch ring, plus the rid sort.
-    fn cost_sorted_is(&self, stats: &TableStats, sel: f64) -> Plan {
-        let k = (sel * stats.rows as f64).ceil() as u64;
+    fn cost_sorted_is(&self, stats: &TableStats, terms: &CardTerms) -> Plan {
+        let &CardTerms { k, leaves, .. } = terms;
         let qd = self.cfg.max_queue_depth;
         let band = stats.extent.pages;
-        let distinct = yao_pages(stats.pages, stats.rows, k) * (1.0 - stats.cached_fraction());
-        let leaves = leaf_pages_touched(k, stats.index.leaf_fanout) as f64;
+        let distinct = terms.distinct * (1.0 - stats.cached_fraction());
         let io = distinct * self.model.page_cost_us(band, qd)
             + leaves * self.model.page_cost_us(stats.index.extent.pages.max(1), qd);
         let k_f = k as f64;
@@ -503,6 +550,82 @@ mod tests {
             methods.contains(&AccessMethod::SortedIndexScan),
             "sorted IS should win somewhere in the midrange: {methods:?}"
         );
+    }
+
+    /// `choose_into` shares the cardinality terms between candidates and
+    /// takes Yao from a memo; `cost_access` works each candidate out from
+    /// scratch. Same expressions, so the same bits — including where the
+    /// memo is hit again under a different residency and cap.
+    #[test]
+    fn choose_into_equals_the_per_candidate_arg_min_bit_for_bit() {
+        let model = QdttCost(pioqo_core::Qdtt::new(
+            vec![1, 1 << 20],
+            vec![1, 2, 4, 8, 16, 32],
+            vec![
+                100.0, 9000.0, 50.0, 4600.0, 25.0, 2400.0, 12.0, 1300.0, 6.0, 700.0, 3.0, 400.0,
+            ],
+        ));
+        let bits = |p: &Plan| {
+            (
+                (p.method, p.degree, p.queue_depth, p.band),
+                [
+                    p.est_page_fetches.to_bits(),
+                    p.est_io_us.to_bits(),
+                    p.est_cpu_us.to_bits(),
+                    p.est_total_us.to_bits(),
+                ],
+            )
+        };
+        let mut scratch = ChooseScratch::default();
+        let mut cells = 0;
+        for cap in [32, 5, 1] {
+            for base in [OptimizerConfig::default(), OptimizerConfig::fine_grained()] {
+                let cfg = OptimizerConfig {
+                    max_queue_depth: cap,
+                    ..base
+                };
+                let opt = Optimizer::with_cfg(&model, &cfg);
+                // Enumeration order; the first strict minimum wins.
+                let mut candidates: Vec<(AccessMethod, u32)> = cfg
+                    .degrees
+                    .iter()
+                    .flat_map(|&d| [(AccessMethod::TableScan, d), (AccessMethod::IndexScan, d)])
+                    .collect();
+                if cfg.consider_sorted_is {
+                    candidates.push((AccessMethod::SortedIndexScan, 1));
+                }
+                // 300 x 33 (every k on the exact path), 5 000 x 33 and
+                // 3 000 x 500 (k on both sides of the 4 096 switch).
+                for (pages, rpp, buffer) in [(300, 33, 128), (5_000, 33, 2_048), (3_000, 500, 64)] {
+                    for cached in [0, pages / 3, pages] {
+                        let mut st = stats(pages, rpp, buffer);
+                        st.cached_pages = cached;
+                        let rows = st.rows as f64;
+                        for k in [0.0, 1.0, 40.0, 3_960.0, 4_095.0, 4_096.0, 4_097.0, 60_000.0] {
+                            let sel = k / rows;
+                            let mut want: Option<Plan> = None;
+                            for &(m, d) in &candidates {
+                                let p = opt.cost_access(&st, sel, m, d);
+                                if want
+                                    .as_ref()
+                                    .is_none_or(|w| p.est_total_us < w.est_total_us)
+                                {
+                                    want = Some(p);
+                                }
+                            }
+                            let want = want.expect("serial plans are always costed");
+                            let got = opt.choose_into(&st, sel, &mut scratch);
+                            assert_eq!(bits(&got), bits(&want), "{pages}x{rpp} k={k} cap={cap}");
+                            assert_eq!(bits(&opt.choose(&st, sel)), bits(&want));
+                            let listed = opt.enumerate(&st, sel);
+                            assert!(listed.iter().any(|p| bits(p) == bits(&want)));
+                            cells += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, 3 * 2 * 3 * 3 * 8);
     }
 
     #[test]

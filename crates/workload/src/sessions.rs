@@ -52,9 +52,12 @@ pub struct SessionScaleConfig {
     /// at 100K sessions the full record vector dominates memory.
     pub record_limit: Option<u64>,
     /// Largest session count that still runs an *unshared* cell. Without
-    /// sharing, every device completion polls every running scan driver,
-    /// so unshared wall-clock grows with sessions² — the 10K baseline
-    /// alone costs ~10 minutes of harness time. `None` removes the cap.
+    /// sharing every session runs its own scan, so thousands of compute
+    /// tasks are runnable at once and the processor-sharing
+    /// `CpuScheduler` touches each of them on every step: unshared
+    /// wall-clock still grows faster than the session count (0.09 s at 1K,
+    /// 2.8 s at 4K, ~16 s for the 10K baseline). The cap also pins the rows
+    /// of `session_scale.csv`. `None` removes it.
     pub unshared_cap: Option<u32>,
     /// Master seed.
     pub seed: u64,

@@ -10,8 +10,16 @@
 //! charge exactly one queue-depth lease per shared cursor, and the
 //! [`ScanHub`] itself must survive property-tested late joins (wrap
 //! around the table end) and mid-lap detach/reattach.
+//!
+//! The routing tests sit in between: completions go to the sessions that
+//! declared the I/O, so a page read two sessions deduplicated onto must
+//! wake both (hedged or not), and a prefetch that outlives its query must
+//! not disturb the session's next one.
 
-use pioqo::exec::{Event, QueryAnswer, QueryRecord, ScanHub};
+use pioqo::exec::{
+    AdmissionPlanner, Event, FixedPlanner, QueryAdmission, QueryAnswer, QueryRecord, ScanHub,
+};
+use pioqo::obs::EventKind;
 use pioqo::prelude::*;
 use pioqo::storage::range_for_selectivity;
 use pioqo::workload::{
@@ -176,7 +184,7 @@ fn session_scale_sweep_is_byte_identical_and_fair_at_1k_and_10k() {
         "session-scale sweep must not depend on the harness thread count"
     );
     // 1K runs both modes; 10K is shared-only (the unshared baseline is
-    // capped: without sharing every completion polls every scan driver).
+    // capped by `SessionScaleConfig::unshared_cap`).
     assert_eq!(t1.len(), 3);
     for c in &t1 {
         assert_eq!(
@@ -286,6 +294,201 @@ fn shared_cursor_is_charged_exactly_one_lease() {
         assert_eq!(a.queue_depth, 0);
         assert_eq!(a.plan, "FTS+shared");
     }
+}
+
+// ---------------------------------------------------------------------
+// Owner-routed completions.
+// ---------------------------------------------------------------------
+
+fn routing_experiment(rows: u64, device: DeviceKind) -> Experiment {
+    Experiment::build(ExperimentConfig {
+        name: "ROUTE".to_string(),
+        table: "T33".to_string(),
+        rows_per_page: 33,
+        rows,
+        device,
+        // Everything fits: a page is read once, by whoever asks first.
+        buffer_frames: 4096,
+        seed: 21,
+    })
+}
+
+fn assert_answers_match_the_oracle(exp: &Experiment, report: &WorkloadReport) {
+    let data = exp.dataset.table().data();
+    for r in &report.records {
+        let (lo, hi) = range_for_selectivity(r.selectivity, exp.dataset.c2_max());
+        assert_eq!(
+            (r.max_c1, r.rows_matched),
+            (data.naive_max_c1(lo, hi), data.count_matching(lo, hi)),
+            "session {} query {}",
+            r.session,
+            r.query_index
+        );
+    }
+}
+
+#[test]
+fn hedged_reads_shared_by_several_sessions_wake_every_owner() {
+    // Eight serial, prefetch-free index scans over the same centred C2
+    // windows on a cold spindle: sessions keep asking for index and row
+    // pages another session's read is already fetching, and the slow queue
+    // makes the 2 ms timeout hedge them.
+    let exp = routing_experiment(8_000, DeviceKind::Hdd);
+    let run = || {
+        let mut dev = exp.make_device();
+        let mut pool = exp.make_pool();
+        let mut ctx = SimContext::new(
+            &mut *dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        let plan = PlanSpec::Is(IsConfig {
+            workers: 1,
+            prefetch_depth: 0,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff: SimDuration::from_micros(100),
+                timeout: Some(SimDuration::from_micros(2_000)),
+            },
+        });
+        let spec = WorkloadSpec {
+            sessions: 8,
+            queries_per_session: 3,
+            selectivities: vec![0.01, 0.03],
+            ..WorkloadSpec::default()
+        };
+        let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
+        MultiEngine::new(spec, base, FixedPlanner { plan })
+            .run(&mut ctx)
+            .expect("workload runs")
+    };
+    let report = run();
+    assert_eq!(report.total_completed(), 24);
+    assert_answers_match_the_oracle(&exp, &report);
+    assert!(report.resilience.timeouts > 0, "no read was hedged");
+    // A serial scan without prefetch has one request outstanding and turns
+    // every pool miss into exactly one `read_page`. Fewer logical reads
+    // than misses therefore means some read was joined by a *second
+    // session* — and had both not been woken, the run would have stalled.
+    let logical_reads = report.hists.page_wait_us.count;
+    assert!(
+        report.pool.misses > logical_reads,
+        "no read had two owners: {} misses, {logical_reads} reads",
+        report.pool.misses
+    );
+    assert_eq!(report.to_json(), run().to_json(), "double run must agree");
+}
+
+/// Session 0 scans the table, session 1 walks the index with a deep
+/// per-worker prefetch window.
+struct ScanBesideProbe;
+
+impl AdmissionPlanner for ScanBesideProbe {
+    fn admit(&mut self, q: &QueryAdmission, _pool: &BufferPool) -> PlanSpec {
+        if q.session == 0 {
+            PlanSpec::Fts(FtsConfig::default())
+        } else {
+            PlanSpec::Is(IsConfig {
+                prefetch_depth: 8,
+                ..IsConfig::default()
+            })
+        }
+    }
+}
+
+#[test]
+fn prefetch_outliving_its_query_does_not_disturb_the_next_one() {
+    // The table scan's sequential blocks overtake the index scan's random
+    // prefetches on the spindle: the pages turn resident under the index
+    // scan, it finishes on pool hits with prefetch reads still queued, and
+    // its session's next queries (all hits by then) start, run and finish
+    // while those reads land one seek at a time.
+    let exp = routing_experiment(33_000, DeviceKind::Hdd);
+    let run = || {
+        let mut dev = exp.make_device();
+        let mut pool = exp.make_pool();
+        // A warm index lets the probe reach its first heap rows while the
+        // scan has barely started.
+        let index = exp.dataset.index().extent();
+        for p in index.base..index.base + index.pages {
+            pool.admit_prefetched(p).expect("pool holds the index");
+        }
+        let mut sink = RingSink::with_capacity(1 << 20);
+        let report = {
+            let mut ctx = SimContext::new(
+                &mut *dev,
+                &mut pool,
+                CpuConfig::paper_xeon(),
+                CpuCosts::default(),
+            );
+            ctx.set_trace_sink(&mut sink);
+            let spec = WorkloadSpec {
+                sessions: 2,
+                queries_per_session: 40,
+                think: ThinkTime::Fixed(SimDuration::from_micros(100)),
+                selectivities: vec![0.01],
+                ..WorkloadSpec::default()
+            };
+            let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
+            MultiEngine::new(spec, base, ScanBesideProbe)
+                .run(&mut ctx)
+                .expect("a stray completion is not an error")
+        };
+        (report, sink)
+    };
+    let (report, sink) = run();
+    assert_eq!(sink.dropped(), 0, "the witness below needs the whole trace");
+    assert_eq!(report.total_completed(), 80);
+    assert_answers_match_the_oracle(&exp, &report);
+
+    // Witness from the trace. The table scan issues 16-page blocks only, so
+    // every single-page read of a *table* page is the index scan's. Find
+    // one submitted during query i of session 1 that lands inside a later
+    // query of the same session: stray, and delivered to a running driver
+    // that never asked for it.
+    let probe_track = sink
+        .track_names()
+        .iter()
+        .position(|n| n == "session1")
+        .expect("session 1 traced") as u32;
+    let table = exp.dataset.table().extent();
+    let mut spans: Vec<(SimTime, SimTime)> = Vec::new();
+    let mut submitted: std::collections::BTreeMap<u64, SimTime> = Default::default();
+    let mut reads: Vec<(SimTime, SimTime)> = Vec::new();
+    for ev in sink.events() {
+        match ev.kind {
+            EventKind::SpanBegin("query") if ev.track == probe_track => {
+                spans.push((ev.t, SimTime::MAX));
+            }
+            EventKind::SpanEnd("query") if ev.track == probe_track => {
+                spans.last_mut().expect("begin before end").1 = ev.t;
+            }
+            EventKind::IoSubmit
+                if ev.b == 1 && (table.base..table.base + table.pages).contains(&ev.a) =>
+            {
+                submitted.insert(ev.span, ev.t);
+            }
+            EventKind::IoComplete => {
+                if let Some(t0) = submitted.remove(&ev.span) {
+                    reads.push((t0, ev.t));
+                }
+            }
+            _ => {}
+        }
+    }
+    let query_at = |t: SimTime| spans.iter().position(|&(b, e)| b <= t && t < e);
+    let stray_into_running = reads
+        .iter()
+        .filter(|&&(t0, t1)| matches!((query_at(t0), query_at(t1)), (Some(i), Some(j)) if j > i))
+        .count();
+    assert!(
+        stray_into_running > 0,
+        "no prefetch of session 1 landed inside a later query of session 1"
+    );
+
+    let (again, _) = run();
+    assert_eq!(report.to_json(), again.to_json(), "double run must agree");
 }
 
 // ---------------------------------------------------------------------
