@@ -156,7 +156,7 @@ struct Frame {
 /// access. The vector grows geometrically to the highest page id ever
 /// admitted — a few bytes per page of *addressed* extent, not of device
 /// capacity. The `BTree` backend is retained as the reference model for
-/// the property test and the `pioqo-bench` A/B microbenchmark.
+/// the property test.
 #[derive(Debug)]
 enum PageTable {
     /// `slots[page] == NIL` means not resident; `seen` is a bitset of page
@@ -319,8 +319,7 @@ impl BufferPool {
     ///
     /// Behaviourally identical to [`BufferPool::new`] — the property test
     /// in `tests/` replays random traces against both and asserts equal
-    /// `Access` results, evictions and [`PoolStats`]; `pioqo-bench` uses
-    /// it as the baseline of the page-access A/B microbenchmark.
+    /// `Access` results, evictions and [`PoolStats`].
     pub fn new_reference(capacity: usize) -> BufferPool {
         Self::with_table(
             capacity,

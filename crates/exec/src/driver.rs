@@ -13,12 +13,20 @@
 //! it carries — several for a page read two queries deduplicated onto —
 //! never to the rest. Drivers do no tagging themselves; the single-query
 //! [`crate::execute`] loop runs untagged and hands its one driver every
-//! event. What a driver must still do is *ignore handles it did not issue*:
-//! a session's next query inherits the session's tag and can be handed a
-//! stray completion (outstanding prefetch) of the query before it. So
-//! drivers keep their io→worker and task→worker maps — needed anyway to
-//! find who was waiting — and treat a miss as "not mine". A driver returns
-//! an error only for a failure on I/O it issued itself.
+//! event. What must still happen per query is *ignoring handles it did not
+//! issue*: a session's next query inherits the session's tag and can be
+//! handed a stray completion (outstanding prefetch) of the query before it.
+//!
+//! Drivers do not track handles either. Each owns one `IoWindow` (module
+//! `window`), issues every read and compute task through it naming the
+//! party that waits — a worker, a probe, a ring slot — and passes each
+//! event to `IoWindow::landed` first. `None` means "not mine": return `Ok`.
+//! A failed read of the window's own comes back as the operator's
+//! [`ExecError`]. Otherwise the window has admitted the pages and hands
+//! back the parties, which the driver moves on — a party that was parked
+//! on a page simply pins it again. The driver itself decides only which
+//! page each party wants next, how far ahead to read and whether resident
+//! pages are skipped (DESIGN.md §3).
 //!
 //! Determinism: drivers hold ordered collections only, never consult
 //! wall-clock time, and react to events in the order the context delivers

@@ -154,11 +154,14 @@ pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput
             return Err(ExecError::Crashed);
         }
         events.clear();
-        let progressed = ctx.step(&mut events);
-        if !progressed && ctx.device_crashed() {
-            return Err(ExecError::Crashed);
+        if !ctx.step(&mut events) {
+            if ctx.device_crashed() {
+                return Err(ExecError::Crashed);
+            }
+            return Err(ExecError::Internal {
+                detail: "query stalled with work pending",
+            });
         }
-        assert!(progressed, "scan deadlocked with work pending");
         for e in &events {
             driver.on_event(ctx, e)?;
         }

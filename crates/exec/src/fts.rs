@@ -17,14 +17,12 @@
 //! therefore run alone (via [`crate::execute`]) or interleaved with other
 //! queries on a shared context (via [`crate::MultiEngine`]).
 
-use crate::cpu::TaskId;
 use crate::driver::{QueryAnswer, QueryDriver};
-use crate::engine::{io_failure, Event, ExecError, RetryPolicy, SimContext};
-use crate::query::{row_fingerprint, Col, RowAcc, RowEval};
-use pioqo_device::IoStatus;
+use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
+use crate::query::{RowAcc, RowEval};
+use crate::window::{IoWindow, Landed};
 use pioqo_storage::HeapTable;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Table-scan configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -75,12 +73,8 @@ pub struct FtsDriver<'q> {
     workers: Vec<Worker>,
     cursor: u64,
     pf_next: u64,
-    /// io id -> workers waiting on it (demand or prefetch coverage).
-    waiters: BTreeMap<u64, Vec<usize>>,
-    /// device page -> in-flight prefetch io covering it. Also what tells
-    /// this driver's block reads from a predecessor's stray ones.
-    pf_cover: BTreeMap<u64, u64>,
-    task_owner: BTreeMap<TaskId, usize>,
+    /// Reads and compute in flight, by worker.
+    win: IoWindow<usize>,
     acc: RowAcc,
     op_track: u32,
     finished: bool,
@@ -106,24 +100,16 @@ impl<'q> FtsDriver<'q> {
             workers,
             cursor: 0,
             pf_next: 0,
-            waiters: BTreeMap::new(),
-            pf_cover: BTreeMap::new(),
-            task_owner: BTreeMap::new(),
+            win: IoWindow::new("fts"),
             acc: RowAcc::default(),
             op_track: 0,
             finished: false,
         }
     }
 
-    /// CPU charge for evaluating page `p` (scales with predicate terms).
-    fn page_work(&self, ctx: &SimContext<'_>, p: u64) -> f64 {
-        let rows = self.table.spec().rows_in_page(p);
-        self.eval.page_work(ctx.costs(), rows.end - rows.start)
-    }
-
-    /// Keep the prefetcher `prefetch_blocks` blocks ahead of the frontier.
-    /// Never prefetch behind the cursor (those pages are already claimed
-    /// and demand-read).
+    /// Keep the prefetcher `prefetch_blocks` blocks ahead of the frontier,
+    /// skipping blocks that are resident in full. Never prefetch behind
+    /// the cursor (those pages are already claimed and demand-read).
     fn top_up_prefetch(&mut self, ctx: &mut SimContext<'_>) {
         if self.cfg.prefetch_blocks == 0 {
             return;
@@ -139,10 +125,7 @@ impl<'q> FtsDriver<'q> {
             let first_dp = self.table.device_page(self.pf_next);
             let all_resident = (0..len as u64).all(|i| ctx.pool.contains(first_dp + i));
             if !all_resident {
-                let io = ctx.read_block(first_dp, len);
-                for i in 0..len as u64 {
-                    self.pf_cover.insert(first_dp + i, io);
-                }
+                self.win.prefetch_block(ctx, first_dp, len, true, None);
             }
             self.pf_next += len as u64;
         }
@@ -154,54 +137,24 @@ impl<'q> FtsDriver<'q> {
             self.workers[w].state = WState::Done;
             return;
         }
-        let p = self.cursor;
+        self.workers[w].page = self.cursor;
         self.cursor += 1;
-        self.workers[w].page = p;
         self.top_up_prefetch(ctx);
-        let dp = self.table.device_page(p);
-        match ctx.pool.request(dp) {
-            pioqo_bufpool::Access::Hit => {
-                let work = self.page_work(ctx, p);
-                let t = ctx.submit_cpu(work);
-                self.task_owner.insert(t, w);
-                self.workers[w].state = WState::Compute;
-            }
-            pioqo_bufpool::Access::Miss => {
-                let io = match self.pf_cover.get(&dp) {
-                    Some(&io) => io,
-                    None => ctx.read_page(dp),
-                };
-                self.waiters.entry(io).or_default().push(w);
-                self.workers[w].state = WState::WaitIo;
-            }
-        }
+        self.fetch(ctx, w);
     }
 
-    /// Wake every worker waiting on `io`: their page is now resident, so
-    /// pin it and start the page-processing compute task.
-    fn wake_waiters(&mut self, ctx: &mut SimContext<'_>, io: u64) {
-        let Some(ws) = self.waiters.remove(&io) else {
+    /// Pin worker `w`'s page and start evaluating it (the CPU charge
+    /// scales with predicate terms), or park the worker on its read.
+    fn fetch(&mut self, ctx: &mut SimContext<'_>, w: usize) {
+        let p = self.workers[w].page;
+        if !self.win.pin(ctx, self.table.device_page(p), w) {
+            self.workers[w].state = WState::WaitIo;
             return;
-        };
-        for w in ws {
-            debug_assert!(matches!(self.workers[w].state, WState::WaitIo));
-            let p = self.workers[w].page;
-            let dp = self.table.device_page(p);
-            match ctx.pool.request(dp) {
-                pioqo_bufpool::Access::Hit => {}
-                pioqo_bufpool::Access::Miss => {
-                    // Evicted between admit and wake (pathologically small
-                    // pool): fall back to a fresh demand read.
-                    let iop = ctx.read_page(dp);
-                    self.waiters.entry(iop).or_default().push(w);
-                    continue;
-                }
-            }
-            let work = self.page_work(ctx, p);
-            let t = ctx.submit_cpu(work);
-            self.task_owner.insert(t, w);
-            self.workers[w].state = WState::Compute;
         }
+        let rows = self.table.spec().rows_in_page(p);
+        let work = self.eval.page_work(ctx.costs(), rows.end - rows.start);
+        self.win.compute(ctx, work, w);
+        self.workers[w].state = WState::Compute;
     }
 
     fn maybe_finish(&mut self, ctx: &mut SimContext<'_>) {
@@ -227,72 +180,35 @@ impl QueryDriver for FtsDriver<'_> {
             } else {
                 0.0
             };
-            let t = ctx.submit_cpu(startup);
-            self.task_owner.insert(t, w);
-            self.workers[w].state = WState::Startup;
+            self.win.compute(ctx, startup, w);
         }
         self.top_up_prefetch(ctx);
         Ok(())
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
-        match *ev {
-            Event::IoBlock {
-                io,
-                start,
-                len,
-                status,
-                attempts,
-            } => {
-                if self.pf_cover.get(&start) != Some(&io) {
-                    return Ok(()); // not a prefetch this driver issued
-                }
-                if status == IoStatus::Error {
-                    return Err(io_failure("fts", start, attempts));
-                }
-                for dp in start..start + len as u64 {
-                    self.pf_cover.remove(&dp);
-                    ctx.pool.admit_prefetched(dp)?;
-                }
-                self.wake_waiters(ctx, io);
-            }
-            Event::IoPage {
-                io,
-                device_page,
-                status,
-                attempts,
-            } => {
-                if !self.waiters.contains_key(&io) {
-                    return Ok(()); // not a read this driver is waiting on
-                }
-                if status == IoStatus::Error {
-                    return Err(io_failure("fts", device_page, attempts));
-                }
-                ctx.pool.admit_prefetched(device_page)?;
-                self.wake_waiters(ctx, io);
-            }
-            Event::Cpu(task) => {
-                let Some(w) = self.task_owner.remove(&task) else {
-                    return Ok(()); // another query's compute
-                };
-                match self.workers[w].state {
-                    WState::Startup => self.claim(ctx, w),
-                    WState::Compute => {
-                        let p = self.workers[w].page;
-                        self.eval.page(self.table, p, &mut self.acc);
-                        ctx.pool.unpin(self.table.device_page(p))?;
-                        self.claim(ctx, w);
-                    }
-                    _ => {
-                        return Err(ExecError::Internal {
-                            detail: "cpu completion in non-compute state",
-                        })
-                    }
+        match self.win.landed(ctx, ev)? {
+            None | Some(Landed::Write) => return Ok(()),
+            Some(Landed::Read { parked, .. }) => {
+                for w in parked {
+                    debug_assert!(matches!(self.workers[w].state, WState::WaitIo));
+                    self.fetch(ctx, w);
                 }
             }
-            // Writes belong to the WAL / flusher machinery, timers to the
-            // session layer — never a scan's.
-            Event::IoWrite { .. } | Event::Timer { .. } => {}
+            Some(Landed::Cpu(w)) => match self.workers[w].state {
+                WState::Startup => self.claim(ctx, w),
+                WState::Compute => {
+                    let p = self.workers[w].page;
+                    self.eval.page(self.table, p, &mut self.acc);
+                    ctx.pool.unpin(self.table.device_page(p))?;
+                    self.claim(ctx, w);
+                }
+                _ => {
+                    return Err(ExecError::Internal {
+                        detail: "cpu completion in non-compute state",
+                    })
+                }
+            },
         }
         self.maybe_finish(ctx);
         Ok(())
@@ -304,39 +220,6 @@ impl QueryDriver for FtsDriver<'_> {
 
     fn answer(&self) -> QueryAnswer {
         QueryAnswer::from_acc(&self.acc)
-    }
-}
-
-/// Evaluate the BETWEEN window over one page (the shared-scan hub's page
-/// visit, which stays window-keyed so attached cursors can share one
-/// pass). Returns `(max_c1, matched, examined, fingerprint)`; the
-/// fingerprint projects all columns, matching a `Projection::All` query.
-pub(crate) fn evaluate_page(
-    table: &HeapTable,
-    page: u64,
-    low: u32,
-    high: u32,
-) -> (Option<u32>, u64, u64, u64) {
-    let mut best: Option<u32> = None;
-    let mut matched = 0u64;
-    let mut fp = 0u64;
-    let range = table.spec().rows_in_page(page);
-    let examined = range.end - range.start;
-    for r in range {
-        let (c1, c2) = table.row(r);
-        if c2 >= low && c2 <= high {
-            matched += 1;
-            best = merge_max(best, Some(c1));
-            fp = fp.wrapping_add(row_fingerprint(&[Col::C1, Col::C2], c1, c2));
-        }
-    }
-    (best, matched, examined, fp)
-}
-
-pub(crate) fn merge_max(a: Option<u32>, b: Option<u32>) -> Option<u32> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, y) => x.or(y),
     }
 }
 
@@ -487,7 +370,7 @@ mod tests {
 
     #[test]
     fn predicate_terms_scale_page_cpu() {
-        use crate::query::{CmpOp, Predicate};
+        use crate::query::{CmpOp, Col, Predicate};
         let table = make_table(250_000, 500); // CPU-bound scan
         let one_term = scan(&table, 1.0, &FtsConfig::default(), true);
         // Same match set expressed with three AND-ed comparison leaves:

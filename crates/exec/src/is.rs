@@ -23,15 +23,12 @@
 //! traversal, formerly a blocking loop, is itself a small state machine so
 //! the whole operator can share a context with other queries.
 
-use crate::cpu::TaskId;
 use crate::driver::{QueryAnswer, QueryDriver};
-use crate::engine::{io_failure, Event, ExecError, RetryPolicy, SimContext};
+use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
 use crate::query::{RowAcc, RowEval};
-use pioqo_bufpool::Access;
-use pioqo_device::IoStatus;
+use crate::window::{Descent, IoWindow, Landed};
 use pioqo_storage::{BTreeIndex, HeapTable, LeafRange};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Index-scan configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,18 +79,14 @@ struct Worker {
     outstanding_pf: u32,
 }
 
-/// Root-to-leaf traversal progress (phase 0, single worker, §2).
-struct Traverse {
-    path: Vec<u64>,
-    idx: usize,
-    wait_io: Option<u64>,
-    wait_cpu: Option<TaskId>,
-}
-
 enum Phase {
+    /// Phase 0: one worker walks root→leaf (§2).
     Traverse,
     Scan,
 }
+
+/// The party the traversal runs as; the scan's workers do not exist yet.
+const TRAVERSER: usize = 0;
 
 /// The (parallel) index-scan state machine. See the module docs.
 pub struct IsDriver<'q> {
@@ -105,16 +98,13 @@ pub struct IsDriver<'q> {
     high: u32,
     range: Option<LeafRange>,
     phase: Phase,
-    trav: Traverse,
+    descent: Descent,
     workers: Vec<Worker>,
     chunks_per_leaf: u64,
     total_units: u64,
     unit_cursor: u64,
-    /// io id -> workers blocked on that page.
-    waiters: BTreeMap<u64, Vec<usize>>,
-    /// io id -> workers holding prefetch credit on it.
-    pf_credit: BTreeMap<u64, Vec<usize>>,
-    task_owner: BTreeMap<TaskId, usize>,
+    /// Reads and compute in flight, by worker.
+    win: IoWindow<usize>,
     acc: RowAcc,
     op_track: u32,
     finished: bool,
@@ -141,19 +131,12 @@ impl<'q> IsDriver<'q> {
             high,
             range: None,
             phase: Phase::Traverse,
-            trav: Traverse {
-                path: Vec::new(),
-                idx: 0,
-                wait_io: None,
-                wait_cpu: None,
-            },
+            descent: Descent::new(Vec::new()),
             workers: Vec::new(),
             chunks_per_leaf: 1,
             total_units: 0,
             unit_cursor: 0,
-            waiters: BTreeMap::new(),
-            pf_credit: BTreeMap::new(),
-            task_owner: BTreeMap::new(),
+            win: IoWindow::new("is"),
             acc: RowAcc::default(),
             op_track: 0,
             finished: false,
@@ -165,31 +148,17 @@ impl<'q> IsDriver<'q> {
         self.table.device_page(self.table.spec().page_of_row(rid))
     }
 
-    /// Push the traversal as far as it can go without waiting: pin the next
-    /// path page (issuing a read on a miss) or, past the last page, switch
-    /// to the scan phase.
+    /// Push the traversal as far as it can go without waiting; past the
+    /// leaf, switch to the scan phase.
     fn advance_traverse(&mut self, ctx: &mut SimContext<'_>) {
-        if self.trav.idx >= self.trav.path.len() {
-            ctx.trace_span_end(self.op_track, "is_traverse");
-            match self.range {
-                None => {
-                    // Nothing qualifies; the traversal cost is the whole
-                    // runtime.
-                    self.finished = true;
-                }
-                Some(_) => self.enter_scan(ctx),
-            }
+        if !self.descent.advance(&mut self.win, ctx, TRAVERSER) {
             return;
         }
-        let dp = self.trav.path[self.trav.idx];
-        match ctx.pool.request(dp) {
-            Access::Hit => {
-                let work = ctx.costs().leaf_decode_us;
-                self.trav.wait_cpu = Some(ctx.submit_cpu(work));
-            }
-            Access::Miss => {
-                self.trav.wait_io = Some(ctx.read_page(dp));
-            }
+        ctx.trace_span_end(self.op_track, "is_traverse");
+        match self.range {
+            // Nothing qualifies; the traversal cost is the whole runtime.
+            None => self.finished = true,
+            Some(_) => self.enter_scan(ctx),
         }
     }
 
@@ -224,11 +193,12 @@ impl<'q> IsDriver<'q> {
             } else {
                 0.0
             };
-            let t = ctx.submit_cpu(startup);
-            self.task_owner.insert(t, w);
+            self.win.compute(ctx, startup, w);
         }
     }
 
+    /// Keep worker `w`'s prefetch credit spent on the non-resident table
+    /// pages of its current leaf.
     fn top_up_prefetch(&mut self, ctx: &mut SimContext<'_>, w: usize) {
         if self.cfg.prefetch_depth == 0 {
             return;
@@ -245,8 +215,7 @@ impl<'q> IsDriver<'q> {
             if ctx.pool.contains(dp) {
                 continue;
             }
-            let io = ctx.read_page(dp);
-            self.pf_credit.entry(io).or_default().push(w);
+            self.win.prefetch_page(ctx, dp, w);
             self.workers[w].outstanding_pf += 1;
         }
     }
@@ -261,15 +230,23 @@ impl<'q> IsDriver<'q> {
         self.unit_cursor += 1;
         self.workers[w].leaf = range.first_leaf + unit / self.chunks_per_leaf;
         self.workers[w].chunk = unit % self.chunks_per_leaf;
-        let dp = self.index.device_page_of_leaf(self.workers[w].leaf);
-        match ctx.pool.request(dp) {
-            Access::Hit => self.start_decode(ctx, w),
-            Access::Miss => {
-                let io = ctx.read_page(dp);
-                self.waiters.entry(io).or_default().push(w);
-                self.workers[w].state = WState::WaitLeaf;
-            }
+        self.fetch_leaf(ctx, w);
+    }
+
+    /// Pin worker `w`'s leaf and start decoding it, or park on its read.
+    fn fetch_leaf(&mut self, ctx: &mut SimContext<'_>, w: usize) {
+        let leaf = self.workers[w].leaf;
+        if !self.win.pin(ctx, self.index.device_page_of_leaf(leaf), w) {
+            self.workers[w].state = WState::WaitLeaf;
+            return;
         }
+        let r = self.index.leaf_entry_range(leaf);
+        let n = (r.end - r.start) as f64;
+        // Chunked leaves share the decode work across their owners.
+        let work = (ctx.costs().leaf_decode_us + n * ctx.costs().entry_decode_us)
+            / self.chunks_per_leaf as f64;
+        self.win.compute(ctx, work, w);
+        self.workers[w].state = WState::DecodeLeaf;
     }
 
     fn next_entry(&mut self, ctx: &mut SimContext<'_>, w: usize) {
@@ -280,84 +257,20 @@ impl<'q> IsDriver<'q> {
             return;
         }
         self.top_up_prefetch(ctx, w);
+        self.fetch_row(ctx, w);
+    }
+
+    /// Pin the table page of worker `w`'s current entry and start the row
+    /// lookup, or park on its read.
+    fn fetch_row(&mut self, ctx: &mut SimContext<'_>, w: usize) {
         let rid = self.workers[w].rids[self.workers[w].pos];
-        let dp = self.dp_of_rid(rid);
-        match ctx.pool.request(dp) {
-            Access::Hit => {
-                let work = ctx.costs().row_lookup_us;
-                let t = ctx.submit_cpu(work);
-                self.task_owner.insert(t, w);
-                self.workers[w].state = WState::ComputeRow;
-            }
-            Access::Miss => {
-                let io = ctx.read_page(dp);
-                self.waiters.entry(io).or_default().push(w);
-                self.workers[w].state = WState::WaitRow;
-            }
+        if !self.win.pin(ctx, self.dp_of_rid(rid), w) {
+            self.workers[w].state = WState::WaitRow;
+            return;
         }
-    }
-
-    fn start_decode(&mut self, ctx: &mut SimContext<'_>, w: usize) {
-        let leaf = self.workers[w].leaf;
-        let r = self.index.leaf_entry_range(leaf);
-        let n = (r.end - r.start) as f64;
-        // Chunked leaves share the decode work across their owners.
-        let work = (ctx.costs().leaf_decode_us + n * ctx.costs().entry_decode_us)
-            / self.chunks_per_leaf as f64;
-        let t = ctx.submit_cpu(work);
-        self.task_owner.insert(t, w);
-        self.workers[w].state = WState::DecodeLeaf;
-    }
-
-    fn on_scan_page(&mut self, ctx: &mut SimContext<'_>, io: u64) -> Result<(), ExecError> {
-        // Prefetch credit back to issuing workers.
-        if let Some(ws) = self.pf_credit.remove(&io) {
-            for w in ws {
-                self.workers[w].outstanding_pf -= 1;
-                if !matches!(self.workers[w].state, WState::Done) {
-                    self.top_up_prefetch(ctx, w);
-                }
-            }
-        }
-        // Wake workers blocked on this page.
-        if let Some(ws) = self.waiters.remove(&io) {
-            for w in ws {
-                match self.workers[w].state {
-                    WState::WaitLeaf => {
-                        let dp = self.index.device_page_of_leaf(self.workers[w].leaf);
-                        match ctx.pool.request(dp) {
-                            Access::Hit => self.start_decode(ctx, w),
-                            Access::Miss => {
-                                let io2 = ctx.read_page(dp);
-                                self.waiters.entry(io2).or_default().push(w);
-                            }
-                        }
-                    }
-                    WState::WaitRow => {
-                        let rid = self.workers[w].rids[self.workers[w].pos];
-                        let dp = self.dp_of_rid(rid);
-                        match ctx.pool.request(dp) {
-                            Access::Hit => {
-                                let work = ctx.costs().row_lookup_us;
-                                let t = ctx.submit_cpu(work);
-                                self.task_owner.insert(t, w);
-                                self.workers[w].state = WState::ComputeRow;
-                            }
-                            Access::Miss => {
-                                let io2 = ctx.read_page(dp);
-                                self.waiters.entry(io2).or_default().push(w);
-                            }
-                        }
-                    }
-                    _ => {
-                        return Err(ExecError::Internal {
-                            detail: "waiter in unexpected state",
-                        })
-                    }
-                }
-            }
-        }
-        Ok(())
+        let work = ctx.costs().row_lookup_us;
+        self.win.compute(ctx, work, w);
+        self.workers[w].state = WState::ComputeRow;
     }
 
     fn on_scan_cpu(&mut self, ctx: &mut SimContext<'_>, w: usize) -> Result<(), ExecError> {
@@ -425,62 +338,44 @@ impl QueryDriver for IsDriver<'_> {
             None // inverted sarg: the predicate matches nothing
         };
         let probe_leaf = self.range.map_or(0, |r| r.first_leaf);
-        self.trav.path = self.index.path_to_leaf(probe_leaf);
+        self.descent = Descent::new(self.index.path_to_leaf(probe_leaf));
         self.advance_traverse(ctx);
         Ok(())
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
-        match self.phase {
-            Phase::Traverse => match *ev {
-                Event::IoPage {
-                    io,
-                    device_page,
-                    status,
-                    attempts,
-                } if self.trav.wait_io == Some(io) => {
-                    if status == IoStatus::Error {
-                        return Err(io_failure("is", device_page, attempts));
+        let Some(landed) = self.win.landed(ctx, ev)? else {
+            return Ok(());
+        };
+        match (&self.phase, landed) {
+            (Phase::Traverse, Landed::Cpu(_)) => {
+                self.descent.decoded(ctx)?;
+                self.advance_traverse(ctx);
+            }
+            (Phase::Traverse, _) => self.advance_traverse(ctx),
+            (Phase::Scan, Landed::Read { credit, parked, .. }) => {
+                // Prefetch credit back to issuing workers.
+                for w in credit {
+                    self.workers[w].outstanding_pf -= 1;
+                    if !matches!(self.workers[w].state, WState::Done) {
+                        self.top_up_prefetch(ctx, w);
                     }
-                    ctx.pool.admit_prefetched(device_page)?;
-                    self.trav.wait_io = None;
-                    self.advance_traverse(ctx);
                 }
-                Event::Cpu(task) if self.trav.wait_cpu == Some(task) => {
-                    ctx.pool.unpin(self.trav.path[self.trav.idx])?;
-                    self.trav.wait_cpu = None;
-                    self.trav.idx += 1;
-                    self.advance_traverse(ctx);
-                }
-                _ => {} // another query's event
-            },
-            Phase::Scan => match *ev {
-                Event::IoPage {
-                    io,
-                    device_page,
-                    status,
-                    attempts,
-                } => {
-                    if !self.pf_credit.contains_key(&io) && !self.waiters.contains_key(&io) {
-                        return Ok(()); // not a read this driver issued
+                // Wake workers blocked on this page.
+                for w in parked {
+                    match self.workers[w].state {
+                        WState::WaitLeaf => self.fetch_leaf(ctx, w),
+                        WState::WaitRow => self.fetch_row(ctx, w),
+                        _ => {
+                            return Err(ExecError::Internal {
+                                detail: "waiter in unexpected state",
+                            })
+                        }
                     }
-                    if status == IoStatus::Error {
-                        return Err(io_failure("is", device_page, attempts));
-                    }
-                    ctx.pool.admit_prefetched(device_page)?;
-                    self.on_scan_page(ctx, io)?;
                 }
-                Event::Cpu(task) => {
-                    let Some(w) = self.task_owner.remove(&task) else {
-                        return Ok(()); // another query's compute
-                    };
-                    self.on_scan_cpu(ctx, w)?;
-                }
-                // Block reads are never ours (the index scan issues only
-                // page reads); writes belong to the WAL / flusher machinery;
-                // timers belong to the session layer.
-                Event::IoBlock { .. } | Event::IoWrite { .. } | Event::Timer { .. } => {}
-            },
+            }
+            (Phase::Scan, Landed::Cpu(w)) => self.on_scan_cpu(ctx, w)?,
+            (Phase::Scan, Landed::Write) => {}
         }
         self.maybe_finish(ctx);
         Ok(())

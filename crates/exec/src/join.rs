@@ -21,15 +21,13 @@
 //! inside [`crate::MultiEngine`] sessions under admission leases, and
 //! ignore events they do not own.
 
-use crate::cpu::TaskId;
 use crate::driver::{QueryAnswer, QueryDriver};
-use crate::engine::{io_failure, Event, ExecError, RetryPolicy, SimContext};
+use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
 use crate::query::{JoinClause, RowAcc, RowEval};
-use pioqo_bufpool::Access;
-use pioqo_device::IoStatus;
+use crate::window::{BlockStream, Descent, IoWindow, Landed};
 use pioqo_storage::{BTreeIndex, HeapTable};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Index-nested-loop join configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,81 +80,6 @@ impl Default for HashJoinConfig {
     }
 }
 
-/// A sequential block-read ring: streams `total_pages` pages starting at
-/// `base_dp` in `block_pages`-sized submissions, keeping up to `depth`
-/// blocks in flight, and hands back contiguous ready runs at the frontier.
-struct SeqReader {
-    base_dp: u64,
-    total_pages: u64,
-    block_pages: u32,
-    depth: u32,
-    /// Next page offset to submit.
-    next_off: u64,
-    /// io id -> (page offset, pages).
-    inflight: BTreeMap<u64, (u64, u32)>,
-    /// Completed runs not yet consumed: page offset -> pages.
-    ready: BTreeMap<u64, u32>,
-    /// Offsets below this are consumed.
-    frontier: u64,
-}
-
-impl SeqReader {
-    fn new(base_dp: u64, total_pages: u64, block_pages: u32, depth: u32) -> SeqReader {
-        SeqReader {
-            base_dp,
-            total_pages,
-            block_pages: block_pages.max(1),
-            depth: depth.max(1),
-            next_off: 0,
-            inflight: BTreeMap::new(),
-            ready: BTreeMap::new(),
-            frontier: 0,
-        }
-    }
-
-    /// Everything submitted, completed and consumed.
-    fn exhausted(&self) -> bool {
-        self.frontier >= self.total_pages
-    }
-
-    /// Keep `depth` blocks in flight ahead of the frontier.
-    fn top_up(&mut self, ctx: &mut SimContext<'_>) {
-        while self.next_off < self.total_pages && self.inflight.len() < self.depth as usize {
-            let len = (self.block_pages as u64).min(self.total_pages - self.next_off) as u32;
-            let io = ctx.read_block(self.base_dp + self.next_off, len);
-            self.inflight.insert(io, (self.next_off, len));
-            self.next_off += len as u64;
-        }
-    }
-
-    /// Mark a block completion; returns its `(device start, pages)` when
-    /// the io belonged to this reader.
-    fn on_block(&mut self, io: u64) -> Option<(u64, u32)> {
-        let (off, len) = self.inflight.remove(&io)?;
-        self.ready.insert(off, len);
-        Some((self.base_dp + off, len))
-    }
-
-    fn owns(&self, io: u64) -> bool {
-        self.inflight.contains_key(&io)
-    }
-
-    /// Consume the contiguous ready run at the frontier, if any.
-    fn take_run(&mut self) -> Option<(u64, u64)> {
-        let start = self.frontier;
-        let mut len = 0u64;
-        while let Some(&l) = self.ready.get(&(start + len)) {
-            self.ready.remove(&(start + len));
-            len += l as u64;
-        }
-        if len == 0 {
-            return None;
-        }
-        self.frontier += len;
-        Some((start, len))
-    }
-}
-
 /// One in-flight index probe: root→leaf descent, then the key's entry
 /// range, then the referenced heap rows.
 struct Probe {
@@ -164,9 +87,7 @@ struct Probe {
     lc1: u32,
     lc2: u32,
     stage: PStage,
-    /// Root→leaf device pages still to visit.
-    path: Vec<u64>,
-    path_idx: usize,
+    descent: Descent,
     /// Inner-index leaves overlapping the key's entry range.
     leaves: Vec<u64>,
     leaf_idx: usize,
@@ -179,12 +100,21 @@ struct Probe {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PStage {
-    /// Descending the path; a pending CPU task finishes the current level.
+    /// Walking `descent`.
     Path,
     /// Fetching/decoding the current leaf.
     Leaf,
     /// Fetching/joining the current rid's heap row.
     Row,
+}
+
+/// Who a read or compute task of the join is for.
+#[derive(Clone, Copy)]
+enum Party {
+    /// The sequential outer scan.
+    Outer,
+    /// The probe with this id.
+    Probe(u64),
 }
 
 /// The index-nested-loop join state machine. See the module docs.
@@ -194,17 +124,15 @@ pub struct InlDriver<'q> {
     right: &'q HeapTable,
     right_index: &'q BTreeIndex,
     eval: RowEval,
-    outer: SeqReader,
-    /// The single outer-scan CPU task in flight: (task, run start, len).
-    outer_cpu: Option<(TaskId, u64, u64)>,
+    /// Reads and compute in flight.
+    win: IoWindow<Party>,
+    outer: BlockStream<Party>,
+    /// The outer run `(start, len)` whose evaluation is in flight.
+    outer_run: Option<(u64, u64)>,
     /// Outer rows admitted by the predicate, awaiting a probe slot.
     keys: VecDeque<(u32, u32)>,
     probes: BTreeMap<u64, Probe>,
     next_probe: u64,
-    /// Page read io -> probes waiting on it.
-    probe_io: BTreeMap<u64, Vec<u64>>,
-    /// CPU task -> probe it advances.
-    probe_task: BTreeMap<TaskId, u64>,
     acc: RowAcc,
     op_track: u32,
     finished: bool,
@@ -223,11 +151,13 @@ impl<'q> InlDriver<'q> {
         let right_index = join.right_index.ok_or(ExecError::Internal {
             detail: "index-nested-loop join without an inner index",
         })?;
-        let outer = SeqReader::new(
+        let outer = BlockStream::new(
+            Party::Outer,
             left.device_page(0),
             left.n_pages(),
             cfg.block_pages,
-            cfg.prefetch_blocks.max(1),
+            cfg.prefetch_blocks,
+            true,
         );
         Ok(InlDriver {
             cfg,
@@ -235,13 +165,12 @@ impl<'q> InlDriver<'q> {
             right: join.right,
             right_index,
             eval,
+            win: IoWindow::new("inl"),
             outer,
-            outer_cpu: None,
+            outer_run: None,
             keys: VecDeque::new(),
             probes: BTreeMap::new(),
             next_probe: 0,
-            probe_io: BTreeMap::new(),
-            probe_task: BTreeMap::new(),
             acc: RowAcc::default(),
             op_track: 0,
             finished: false,
@@ -266,28 +195,25 @@ impl<'q> InlDriver<'q> {
         // Outer scan: fetch ahead unless the probe backlog is deep, and
         // evaluate the ready run when no evaluation is in flight.
         if self.keys.len() < self.high_water() {
-            self.outer.top_up(ctx);
-            if self.outer_cpu.is_none() {
-                if let Some((start, len)) = self.outer.take_run() {
+            self.outer.top_up(&mut self.win, ctx);
+            if self.outer_run.is_none() {
+                self.outer_run = self.outer.take_run();
+                if let Some((start, len)) = self.outer_run {
                     let mut work = 0.0;
                     for p in start..start + len {
                         let rows = self.left.spec().rows_in_page(p);
                         work += self.eval.page_work(ctx.costs(), rows.end - rows.start);
                     }
-                    let t = ctx.submit_cpu(work);
-                    self.outer_cpu = Some((t, start, len));
+                    self.win.compute(ctx, work, Party::Outer);
                 }
             }
         }
         self.maybe_finish(ctx);
     }
 
-    fn outer_done(&self) -> bool {
-        self.outer.exhausted() && self.outer_cpu.is_none()
-    }
-
     fn maybe_finish(&mut self, ctx: &mut SimContext<'_>) {
-        if !self.finished && self.outer_done() && self.keys.is_empty() && self.probes.is_empty() {
+        let outer_done = self.outer.exhausted() && self.outer_run.is_none();
+        if !self.finished && outer_done && self.keys.is_empty() && self.probes.is_empty() {
             ctx.trace_span_end(self.op_track, "inl_join");
             self.finished = true;
         }
@@ -312,8 +238,7 @@ impl<'q> InlDriver<'q> {
                 lc1,
                 lc2,
                 stage: PStage::Path,
-                path: self.right_index.path_to_leaf(probe_leaf),
-                path_idx: 0,
+                descent: Descent::new(self.right_index.path_to_leaf(probe_leaf)),
                 leaves,
                 leaf_idx: 0,
                 first_entry,
@@ -325,57 +250,47 @@ impl<'q> InlDriver<'q> {
         self.step_probe(ctx, id);
     }
 
-    /// Move probe `id` forward: request the page its stage needs, issuing
-    /// a read on a miss, a CPU task on a hit, or finishing the probe.
+    /// Move probe `id` forward: pin the page its stage needs and start the
+    /// stage's compute, park on the page's read, or finish the probe.
     fn step_probe(&mut self, ctx: &mut SimContext<'_>, id: u64) {
+        let who = Party::Probe(id);
         loop {
             let p = self.probes.get_mut(&id).expect("live probe");
-            let dp = match p.stage {
+            let (dp, work) = match p.stage {
                 PStage::Path => {
-                    if p.path_idx >= p.path.len() {
+                    if p.descent.advance(&mut self.win, ctx, who) {
                         p.stage = PStage::Leaf;
                         continue;
                     }
-                    p.path[p.path_idx]
+                    return;
                 }
                 PStage::Leaf => {
-                    if p.leaf_idx >= p.leaves.len() {
+                    let Some(&leaf) = p.leaves.get(p.leaf_idx) else {
                         self.finish_probe(ctx, id);
                         return;
-                    }
-                    self.right_index.device_page_of_leaf(p.leaves[p.leaf_idx])
+                    };
+                    let lr = self.right_index.leaf_entry_range(leaf);
+                    let n = (lr.end.min(p.end_entry)).saturating_sub(lr.start.max(p.first_entry));
+                    let costs = ctx.costs();
+                    (
+                        self.right_index.device_page_of_leaf(leaf),
+                        costs.leaf_decode_us + n as f64 * costs.entry_decode_us,
+                    )
                 }
                 PStage::Row => {
-                    if p.rid_idx >= p.rids.len() {
+                    let Some(&rid) = p.rids.get(p.rid_idx) else {
                         p.leaf_idx += 1;
                         p.stage = PStage::Leaf;
                         continue;
-                    }
-                    let rid = p.rids[p.rid_idx];
-                    self.right.device_page(self.right.spec().page_of_row(rid))
+                    };
+                    (
+                        self.right.device_page(self.right.spec().page_of_row(rid)),
+                        ctx.costs().row_lookup_us,
+                    )
                 }
             };
-            let p = self.probes.get_mut(&id).expect("live probe");
-            match ctx.pool.request(dp) {
-                Access::Hit => {
-                    let work = match p.stage {
-                        PStage::Path => ctx.costs().leaf_decode_us,
-                        PStage::Leaf => {
-                            let leaf = p.leaves[p.leaf_idx];
-                            let lr = self.right_index.leaf_entry_range(leaf);
-                            let n = (lr.end.min(p.end_entry))
-                                .saturating_sub(lr.start.max(p.first_entry));
-                            ctx.costs().leaf_decode_us + n as f64 * ctx.costs().entry_decode_us
-                        }
-                        PStage::Row => ctx.costs().row_lookup_us,
-                    };
-                    let t = ctx.submit_cpu(work);
-                    self.probe_task.insert(t, id);
-                }
-                Access::Miss => {
-                    let io = ctx.read_page(dp);
-                    self.probe_io.entry(io).or_default().push(id);
-                }
+            if self.win.pin(ctx, dp, who) {
+                self.win.compute(ctx, work, who);
             }
             return;
         }
@@ -385,10 +300,7 @@ impl<'q> InlDriver<'q> {
     fn on_probe_cpu(&mut self, ctx: &mut SimContext<'_>, id: u64) -> Result<(), ExecError> {
         let p = self.probes.get_mut(&id).expect("live probe");
         match p.stage {
-            PStage::Path => {
-                ctx.pool.unpin(p.path[p.path_idx])?;
-                p.path_idx += 1;
-            }
+            PStage::Path => p.descent.decoded(ctx)?,
             PStage::Leaf => {
                 let leaf = p.leaves[p.leaf_idx];
                 let lr = self.right_index.leaf_entry_range(leaf);
@@ -403,9 +315,7 @@ impl<'q> InlDriver<'q> {
                 let rid = p.rids[p.rid_idx];
                 let (rc1, rc2) = self.right.row(rid);
                 debug_assert_eq!(rc2, p.lc2, "index probe returned a foreign key");
-                let (lc1, lc2) = (p.lc1, p.lc2);
-                self.eval.join_pair(lc1, lc2, rc1, &mut self.acc);
-                let p = self.probes.get_mut(&id).expect("live probe");
+                self.eval.join_pair(p.lc1, p.lc2, rc1, &mut self.acc);
                 p.rid_idx += 1;
                 ctx.pool
                     .unpin(self.right.device_page(self.right.spec().page_of_row(rid)))?;
@@ -433,65 +343,36 @@ impl QueryDriver for InlDriver<'_> {
         self.op_track = ctx.trace_track("inl");
         ctx.trace_span_begin(self.op_track, "inl_join");
         self.pump(ctx);
-        self.maybe_finish(ctx);
         Ok(())
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
-        match *ev {
-            Event::IoBlock {
-                io,
+        let Some(landed) = self.win.landed(ctx, ev)? else {
+            return Ok(());
+        };
+        match landed {
+            Landed::Read {
                 start,
                 len,
-                status,
-                attempts,
+                credit,
+                parked,
             } => {
-                if !self.outer.owns(io) {
-                    return Ok(());
+                // Only the outer stream's blocks carry credit.
+                if !credit.is_empty() {
+                    self.outer.landed(start, len);
                 }
-                if status == IoStatus::Error {
-                    return Err(io_failure("inl", start, attempts));
+                for who in parked {
+                    if let Party::Probe(id) = who {
+                        self.step_probe(ctx, id);
+                    }
                 }
-                self.outer.on_block(io);
-                for dp in start..start + len as u64 {
-                    ctx.pool.admit_prefetched(dp)?;
-                }
-                self.pump(ctx);
             }
-            Event::IoPage {
-                io,
-                device_page,
-                status,
-                attempts,
-            } => {
-                let Some(ids) = self.probe_io.remove(&io) else {
-                    return Ok(());
-                };
-                if status == IoStatus::Error {
-                    return Err(io_failure("inl", device_page, attempts));
-                }
-                ctx.pool.admit_prefetched(device_page)?;
-                for id in ids {
-                    // Re-request in step: hit now (or a fresh read if a
-                    // pathologically small pool evicted it again).
-                    self.step_probe(ctx, id);
-                }
-                self.pump(ctx);
-            }
-            Event::Cpu(task) => {
-                if let Some(id) = self.probe_task.remove(&task) {
-                    self.on_probe_cpu(ctx, id)?;
-                    self.pump(ctx);
-                    return Ok(());
-                }
-                let Some((t, start, len)) = self.outer_cpu else {
-                    return Ok(());
-                };
-                if t != task {
-                    return Ok(());
-                }
-                self.outer_cpu = None;
+            Landed::Cpu(Party::Probe(id)) => self.on_probe_cpu(ctx, id)?,
+            Landed::Cpu(Party::Outer) => {
                 // The evaluated run: matching outer rows join the queue.
+                let (start, len) = self.outer_run.take().ok_or(ExecError::Internal {
+                    detail: "outer evaluation completed with no run in flight",
+                })?;
                 for page in start..start + len {
                     for r in self.left.spec().rows_in_page(page) {
                         let (c1, c2) = self.left.row(r);
@@ -500,10 +381,10 @@ impl QueryDriver for InlDriver<'_> {
                         }
                     }
                 }
-                self.pump(ctx);
             }
-            Event::IoWrite { .. } | Event::Timer { .. } => {}
+            Landed::Write => {}
         }
+        self.pump(ctx);
         Ok(())
     }
 
@@ -547,9 +428,11 @@ pub struct HashJoinDriver<'q> {
     right: &'q HeapTable,
     eval: RowEval,
     phase: HPhase,
-    reader: SeqReader,
-    /// The single scan/partition CPU task in flight.
-    cur_cpu: Option<(TaskId, u64, u64)>,
+    /// Block reads, spill writes and the one compute task in flight.
+    win: IoWindow<()>,
+    reader: BlockStream<()>,
+    /// The run `(start, len)` whose scan/partition compute is in flight.
+    cur_run: Option<(u64, u64)>,
     /// Partition 0's in-memory table: key -> (count, max inner payload).
     ht: BTreeMap<u32, (u64, u32)>,
     /// Spilled inner rows per partition (index 0 unused).
@@ -561,7 +444,6 @@ pub struct HashJoinDriver<'q> {
     flushed_left: Vec<u64>,
     slices_right: Vec<Slice>,
     slices_left: Vec<Slice>,
-    pending_writes: BTreeSet<u64>,
     acc: RowAcc,
     op_track: u32,
 }
@@ -601,20 +483,16 @@ impl<'q> HashJoinDriver<'q> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let reader = SeqReader::new(
-            join.right.device_page(0),
-            join.right.n_pages(),
-            cfg.block_pages,
-            cfg.io_depth,
-        );
+        let reader = Self::stream(&cfg, join.right.device_page(0), join.right.n_pages(), true);
         Ok(HashJoinDriver {
             cfg,
             left,
             right: join.right,
             eval,
             phase: HPhase::Build,
+            win: IoWindow::new("hash_join"),
             reader,
-            cur_cpu: None,
+            cur_run: None,
             ht: BTreeMap::new(),
             spill_right: vec![Vec::new(); np],
             spill_left: vec![Vec::new(); np],
@@ -622,10 +500,15 @@ impl<'q> HashJoinDriver<'q> {
             flushed_left: vec![0; np],
             slices_right,
             slices_left,
-            pending_writes: BTreeSet::new(),
             acc: RowAcc::default(),
             op_track: 0,
         })
+    }
+
+    /// A block stream over `pages` pages from `base_dp`. Heap pages go
+    /// through the pool; spill re-reads are scratch traffic and bypass it.
+    fn stream(cfg: &HashJoinConfig, base_dp: u64, pages: u64, heap: bool) -> BlockStream<()> {
+        BlockStream::new((), base_dp, pages, cfg.block_pages, cfg.io_depth, heap)
     }
 
     fn partition_of(&self, key: u32) -> usize {
@@ -670,8 +553,7 @@ impl<'q> HashJoinDriver<'q> {
                     detail: "hash-join spill slice overflow",
                 });
             }
-            let io = ctx.write_page(slice.base_dp + slice.used);
-            self.pending_writes.insert(io);
+            self.win.write_page(ctx, slice.base_dp + slice.used);
             slice.used += 1;
             *flushed += unflushed.min(rpp);
         }
@@ -688,9 +570,8 @@ impl<'q> HashJoinDriver<'q> {
                         self.phase = HPhase::PartProbe(p);
                         continue;
                     }
-                    self.reader =
-                        SeqReader::new(s.base_dp, s.used, self.cfg.block_pages, self.cfg.io_depth);
-                    self.reader.top_up(ctx);
+                    self.reader = Self::stream(&self.cfg, s.base_dp, s.used, false);
+                    self.reader.top_up(&mut self.win, ctx);
                     return Ok(());
                 }
                 HPhase::PartProbe(p) => {
@@ -704,9 +585,8 @@ impl<'q> HashJoinDriver<'q> {
                         };
                         continue;
                     }
-                    self.reader =
-                        SeqReader::new(s.base_dp, s.used, self.cfg.block_pages, self.cfg.io_depth);
-                    self.reader.top_up(ctx);
+                    self.reader = Self::stream(&self.cfg, s.base_dp, s.used, false);
+                    self.reader.top_up(&mut self.win, ctx);
                     return Ok(());
                 }
                 HPhase::Done => {
@@ -745,11 +625,12 @@ impl<'q> HashJoinDriver<'q> {
         loop {
             match self.phase {
                 HPhase::Build | HPhase::Probe => {
-                    self.reader.top_up(ctx);
-                    if self.cur_cpu.is_some() {
+                    self.reader.top_up(&mut self.win, ctx);
+                    if self.cur_run.is_some() {
                         return Ok(());
                     }
-                    if let Some((start, len)) = self.reader.take_run() {
+                    self.cur_run = self.reader.take_run();
+                    if let Some((start, len)) = self.cur_run {
                         let mut work = 0.0;
                         for p in start..start + len {
                             let rows = if self.phase == HPhase::Build {
@@ -763,8 +644,7 @@ impl<'q> HashJoinDriver<'q> {
                             };
                             work += self.eval.page_work(ctx.costs(), rows);
                         }
-                        let t = ctx.submit_cpu(work);
-                        self.cur_cpu = Some((t, start, len));
+                        self.win.compute(ctx, work, ());
                         return Ok(());
                     }
                     if self.reader.exhausted() {
@@ -775,11 +655,11 @@ impl<'q> HashJoinDriver<'q> {
                                 self.flush_spill(ctx, true, p, true)?;
                             }
                             self.phase = HPhase::Probe;
-                            self.reader = SeqReader::new(
+                            self.reader = Self::stream(
+                                &self.cfg,
                                 self.left.device_page(0),
                                 self.left.n_pages(),
-                                self.cfg.block_pages,
-                                self.cfg.io_depth,
+                                true,
                             );
                             continue;
                         }
@@ -792,7 +672,7 @@ impl<'q> HashJoinDriver<'q> {
                     return Ok(());
                 }
                 HPhase::Drain => {
-                    if !self.pending_writes.is_empty() {
+                    if self.win.writes_pending() {
                         return Ok(());
                     }
                     if self.cfg.partitions > 1 {
@@ -803,11 +683,12 @@ impl<'q> HashJoinDriver<'q> {
                     return Ok(());
                 }
                 HPhase::PartBuild(_) | HPhase::PartProbe(_) => {
-                    self.reader.top_up(ctx);
-                    if self.cur_cpu.is_some() {
+                    self.reader.top_up(&mut self.win, ctx);
+                    if self.cur_run.is_some() {
                         return Ok(());
                     }
-                    if let Some((start, len)) = self.reader.take_run() {
+                    self.cur_run = self.reader.take_run();
+                    if let Some((_, len)) = self.cur_run {
                         // Spill pages hold raw row runs; charge scan-rate
                         // CPU for rebuild, lookup-rate for probe.
                         let build = matches!(self.phase, HPhase::PartBuild(_));
@@ -822,15 +703,10 @@ impl<'q> HashJoinDriver<'q> {
                             ctx.costs().row_lookup_us
                         };
                         let work = len as f64 * (ctx.costs().page_overhead_us + rpp * per_row);
-                        let t = ctx.submit_cpu(work);
-                        self.cur_cpu = Some((t, start, len));
-                        return Ok(());
+                        self.win.compute(ctx, work, ());
                     }
-                    if self.reader.exhausted() {
-                        // Slice fully streamed and processed by the CPU
-                        // completion handler; transition happens there.
-                        return Ok(());
-                    }
+                    // A fully streamed slice moves on in the CPU
+                    // completion handler.
                     return Ok(());
                 }
                 HPhase::Done => return Ok(()),
@@ -877,12 +753,12 @@ impl<'q> HashJoinDriver<'q> {
                 }
             }
             HPhase::PartBuild(p) => {
-                if self.reader.exhausted() && self.reader.ready.is_empty() {
+                if self.reader.exhausted() {
                     return self.enter_part(ctx, HPhase::PartProbe(p));
                 }
             }
             HPhase::PartProbe(p) => {
-                if self.reader.exhausted() && self.reader.ready.is_empty() {
+                if self.reader.exhausted() {
                     self.join_partition(p as usize);
                     let next = if (p as usize) + 1 < self.cfg.partitions as usize {
                         HPhase::PartBuild(p + 1)
@@ -914,63 +790,24 @@ impl QueryDriver for HashJoinDriver<'_> {
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
-        match *ev {
-            Event::IoBlock {
-                io,
-                start,
-                len,
-                status,
-                attempts,
-            } => {
-                if !self.reader.owns(io) {
-                    return Ok(());
-                }
-                if status == IoStatus::Error {
-                    return Err(io_failure("hash_join", start, attempts));
-                }
-                self.reader.on_block(io);
-                // Heap pages go through the pool; spill re-reads are
-                // scratch traffic and bypass it.
-                if matches!(self.phase, HPhase::Build | HPhase::Probe) {
-                    for dp in start..start + len as u64 {
-                        ctx.pool.admit_prefetched(dp)?;
-                    }
-                }
-                self.pump(ctx)?;
-            }
-            Event::IoWrite {
-                io,
-                start,
-                status,
-                attempts,
-                ..
-            } => {
-                if !self.pending_writes.remove(&io) {
-                    return Ok(());
-                }
-                if status == IoStatus::Error {
-                    return Err(io_failure("hash_join", start, attempts));
-                }
-                self.pump(ctx)?;
-            }
-            Event::Cpu(task) => {
-                let Some((t, start, len)) = self.cur_cpu else {
-                    return Ok(());
-                };
-                if t != task {
-                    return Ok(());
-                }
-                self.cur_cpu = None;
+        let Some(landed) = self.win.landed(ctx, ev)? else {
+            return Ok(());
+        };
+        match landed {
+            Landed::Read { start, len, .. } => self.reader.landed(start, len),
+            Landed::Write => {}
+            Landed::Cpu(()) => {
+                let (start, len) = self.cur_run.take().ok_or(ExecError::Internal {
+                    detail: "hash-join compute completed with no run in flight",
+                })?;
                 self.on_cpu(ctx, start, len)?;
-                self.pump(ctx)?;
             }
-            Event::IoPage { .. } | Event::Timer { .. } => {}
         }
-        Ok(())
+        self.pump(ctx)
     }
 
     fn done(&self) -> bool {
-        matches!(self.phase, HPhase::Done) && self.pending_writes.is_empty()
+        matches!(self.phase, HPhase::Done) && !self.win.writes_pending()
     }
 
     fn answer(&self) -> QueryAnswer {

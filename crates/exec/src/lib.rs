@@ -42,6 +42,7 @@ pub mod recovery;
 pub mod session;
 pub mod shared;
 pub mod sorted_is;
+mod window;
 pub mod write;
 
 pub use cpu::{CpuConfig, CpuScheduler, TaskId};

@@ -24,9 +24,9 @@
 //! hot path.
 
 use crate::driver::QueryAnswer;
-use crate::engine::{io_failure, Event, ExecError, SimContext};
-use crate::fts::{evaluate_page, merge_max};
-use pioqo_device::IoStatus;
+use crate::engine::{Event, ExecError, SimContext};
+use crate::query::{Aggregate, Col, Predicate, Projection, RowAcc, RowEval};
+use crate::window::{IoWindow, Landed, Runs};
 use pioqo_storage::HeapTable;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -63,14 +63,8 @@ pub struct Detached {
     pub low: u32,
     /// Predicate upper bound (inclusive).
     pub high: u32,
-    /// `MAX(C1)` over the pages seen before detaching.
-    pub partial_max: Option<u32>,
-    /// Matching rows over the pages seen before detaching.
-    pub partial_matched: u64,
-    /// Rows examined over the pages seen before detaching.
-    pub partial_examined: u64,
-    /// Row fingerprint (all columns projected) over the pages seen.
-    pub partial_fp: u64,
+    /// The aggregate over the pages seen before detaching.
+    pub partial: RowAcc,
     /// Pages already delivered to this consumer.
     pub pages_seen: u64,
     /// Table page the stream must be at when the consumer reattaches.
@@ -110,13 +104,17 @@ const PRED_PARKED: u64 = u64::MAX;
 /// the full-table answer and is reusable by any later consumer.
 #[derive(Debug, Clone)]
 struct PredState {
-    low: u32,
-    high: u32,
+    eval: RowEval,
+    acc: RowAcc,
     start_tick: u64,
     pages_done: u64,
-    max_c1: Option<u32>,
-    matched: u64,
-    fp: u64,
+}
+
+/// The compiled evaluator of the hub's query shape: `MAX(C1)` over a `C2`
+/// window, all columns projected.
+fn window_eval(low: u32, high: u32) -> RowEval {
+    let pred = Predicate::c2_between(low, high);
+    RowEval::new(pred, &Projection::All, Aggregate::Max(Col::C1))
 }
 
 /// The shared-scan hub for one heap table. See the module docs.
@@ -127,21 +125,21 @@ pub struct ScanHub<'q> {
     /// Fetch window in pages (cursor queue-depth lease × block size).
     window_pages: u64,
     active: bool,
-    /// Next tick to be scheduled into CPU evaluation.
-    sched: u64,
+    /// Block reads in flight (each credited with the tick of its first
+    /// page) and the evaluation task.
+    win: IoWindow<u64>,
+    /// Resident runs awaiting evaluation; the frontier is the next tick to
+    /// be scheduled into CPU evaluation.
+    runs: Runs,
     /// Evaluation frontier: ticks below this are fully evaluated.
     done: u64,
-    /// Next tick to fetch (>= sched; fetched-but-not-ready runs are in
-    /// `my_blocks`, ready-but-not-scheduled runs in `ready`).
+    /// Next tick to fetch (>= the scheduling frontier; fetched-but-not-
+    /// ready runs are in `win`, ready-but-not-scheduled runs in `runs`).
     fetched: u64,
     /// Exclusive max tick any live consumer still needs.
     need: u64,
-    /// The single in-flight evaluation task: (task id, run start, len).
-    eval: Option<(crate::cpu::TaskId, u64, u64)>,
-    /// Outstanding block reads: io id -> (tick of first page, pages).
-    my_blocks: BTreeMap<u64, (u64, u32)>,
-    /// Resident runs awaiting evaluation: tick -> pages.
-    ready: BTreeMap<u64, u32>,
+    /// The run `(start, len)` whose evaluation task is in flight.
+    eval: Option<(u64, u64)>,
     slots: Vec<Option<Consumer>>,
     free: Vec<u32>,
     live: u32,
@@ -168,13 +166,12 @@ impl<'q> ScanHub<'q> {
             block_pages,
             window_pages: block_pages as u64,
             active: false,
-            sched: 0,
+            win: IoWindow::new("shared_scan"),
+            runs: Runs::default(),
             done: 0,
             fetched: 0,
             need: 0,
             eval: None,
-            my_blocks: BTreeMap::new(),
-            ready: BTreeMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -206,24 +203,26 @@ impl<'q> ScanHub<'q> {
         tick % self.n_pages
     }
 
+    /// Next tick to be scheduled into CPU evaluation.
+    fn sched(&self) -> u64 {
+        self.runs.frontier
+    }
+
     fn pred_index(&mut self, low: u32, high: u32) -> usize {
         if let Some(&i) = self.pred_ids.get(&(low, high)) {
             // A pred parked by `go_idle` mid-lap restarts a fresh lap at
             // the current frontier; a completed pred is reused as-is.
             if self.preds[i].start_tick == PRED_PARKED {
-                self.preds[i].start_tick = self.sched;
+                self.preds[i].start_tick = self.sched();
             }
             return i;
         }
         let i = self.preds.len();
         self.preds.push(PredState {
-            low,
-            high,
-            start_tick: self.sched,
+            eval: window_eval(low, high),
+            acc: RowAcc::default(),
+            start_tick: self.sched(),
             pages_done: 0,
-            max_c1: None,
-            matched: 0,
-            fp: 0,
         });
         self.pred_ids.insert((low, high), i);
         i
@@ -250,7 +249,7 @@ impl<'q> ScanHub<'q> {
         }
         self.stats.attaches += 1;
         let pred = self.pred_index(low, high);
-        let finish = self.sched + self.n_pages;
+        let finish = self.sched() + self.n_pages;
         let slot = self.alloc_slot(Consumer {
             kind: ConsumerKind::Fresh { pred },
             finish,
@@ -282,32 +281,27 @@ impl<'q> ScanHub<'q> {
         }
         let det = match c.kind {
             ConsumerKind::Fresh { pred } => {
-                let p = &self.preds[pred];
+                let (low, high) = self.preds[pred].eval.sarg();
                 let attach_tick = c.finish - self.n_pages;
                 let pages_seen = self.done.saturating_sub(attach_tick).min(self.n_pages);
-                let (max, matched, examined, fp) =
-                    self.eval_run_host(attach_tick, pages_seen, p.low, p.high);
+                let mut partial = RowAcc::default();
+                self.eval_run_host(attach_tick, pages_seen, low, high, &mut partial);
                 Detached {
-                    low: p.low,
-                    high: p.high,
-                    partial_max: max,
-                    partial_matched: matched,
-                    partial_examined: examined,
-                    partial_fp: fp,
+                    low,
+                    high,
+                    partial,
                     pages_seen,
                     resume_page: self.page_of(attach_tick + pages_seen),
                     pages_left: self.n_pages - pages_seen,
                 }
             }
-            ConsumerKind::Resumed { det, resume_tick } => {
+            ConsumerKind::Resumed {
+                mut det,
+                resume_tick,
+            } => {
                 let pages_seen = self.done.saturating_sub(resume_tick).min(det.pages_left);
-                let (max, matched, examined, fp) =
-                    self.eval_run_host(resume_tick, pages_seen, det.low, det.high);
+                self.eval_run_host(resume_tick, pages_seen, det.low, det.high, &mut det.partial);
                 Detached {
-                    partial_max: merge_max(det.partial_max, max),
-                    partial_matched: det.partial_matched + matched,
-                    partial_examined: det.partial_examined + examined,
-                    partial_fp: det.partial_fp.wrapping_add(fp),
                     pages_seen: det.pages_seen + pages_seen,
                     resume_page: self.page_of(resume_tick + pages_seen),
                     pages_left: det.pages_left - pages_seen,
@@ -327,7 +321,7 @@ impl<'q> ScanHub<'q> {
     pub fn reattach(&mut self, ctx: &mut SimContext<'_>, det: Detached) -> Result<u32, Detached> {
         if det.pages_left == 0
             || self.page_of(self.done) != det.resume_page
-            || self.sched != self.done
+            || self.sched() != self.done
         {
             return Err(det);
         }
@@ -363,44 +357,28 @@ impl<'q> ScanHub<'q> {
     /// belonged to the shared cursor (the caller must not pass it on to
     /// solo queries), `Ok(false)` otherwise.
     pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<bool, ExecError> {
-        match *ev {
-            Event::IoBlock {
-                io,
-                start,
-                status,
-                attempts,
-                ..
-            } => {
-                let Some((tick, len)) = self.my_blocks.remove(&io) else {
-                    return Ok(false);
-                };
-                if status == IoStatus::Error {
-                    return Err(io_failure("shared_scan", start, attempts));
+        let Some(landed) = self.win.landed(ctx, ev)? else {
+            return Ok(false);
+        };
+        match landed {
+            // The engine's global admit already moved the block's pages
+            // into the pool; the run is now evaluable. (Going idle disowns
+            // every read, so none lands on an inactive cursor.)
+            Landed::Read { len, credit, .. } => {
+                for tick in credit {
+                    self.runs.insert(tick, len);
                 }
-                if self.active {
-                    // The engine's global admit already moved the block's
-                    // pages into the pool; the run is now evaluable.
-                    self.ready.insert(tick, len);
-                    self.pump(ctx);
-                }
-                Ok(true)
             }
-            Event::Cpu(task) => {
-                let Some((t, run_start, run_len)) = self.eval else {
-                    return Ok(false);
-                };
-                if t != task {
-                    return Ok(false);
+            // The run of a lap that went idle meanwhile is dropped.
+            Landed::Cpu(_) => {
+                if let (Some((start, len)), true) = (self.eval.take(), self.active) {
+                    self.finish_run(start, len);
                 }
-                self.eval = None;
-                if self.active {
-                    self.finish_run(run_start, run_len);
-                    self.pump(ctx);
-                }
-                Ok(true)
             }
-            _ => Ok(false),
+            Landed::Write => {}
         }
+        self.pump(ctx);
+        Ok(true)
     }
 
     /// Evaluate a completed run for every predicate whose lap covers it,
@@ -411,17 +389,12 @@ impl<'q> ScanHub<'q> {
         for p in &mut self.preds {
             for t in run_start..run_start + run_len {
                 if t >= p.start_tick && p.pages_done < self.n_pages {
-                    let page = t % self.n_pages;
-                    let (m, cnt, _ex, fp) = evaluate_page(self.table, page, p.low, p.high);
-                    p.max_c1 = merge_max(p.max_c1, m);
-                    p.matched += cnt;
-                    p.fp = p.fp.wrapping_add(fp);
+                    p.eval.page(self.table, t % self.n_pages, &mut p.acc);
                     p.pages_done += 1;
                 }
             }
         }
         self.done = run_start + run_len;
-        let total_rows = self.table.spec().rows;
         while let Some((&finish, _)) = self.finish_at.iter().next() {
             if finish > self.done {
                 break;
@@ -433,29 +406,22 @@ impl<'q> ScanHub<'q> {
                 };
                 self.free.push(slot);
                 self.live -= 1;
-                let answer = match c.kind {
+                let acc = match c.kind {
                     ConsumerKind::Fresh { pred } => {
                         let p = &self.preds[pred];
                         debug_assert_eq!(p.pages_done, self.n_pages);
-                        QueryAnswer {
-                            max_c1: p.max_c1,
-                            rows_matched: p.matched,
-                            rows_examined: total_rows,
-                            fingerprint: p.fp,
-                        }
+                        p.acc
                     }
-                    ConsumerKind::Resumed { det, resume_tick } => {
-                        let (max, matched, examined, fp) =
-                            self.eval_run_host(resume_tick, det.pages_left, det.low, det.high);
-                        QueryAnswer {
-                            max_c1: merge_max(det.partial_max, max),
-                            rows_matched: det.partial_matched + matched,
-                            rows_examined: det.partial_examined + examined,
-                            fingerprint: det.partial_fp.wrapping_add(fp),
-                        }
+                    ConsumerKind::Resumed {
+                        mut det,
+                        resume_tick,
+                    } => {
+                        let (tick, len) = (resume_tick, det.pages_left);
+                        self.eval_run_host(tick, len, det.low, det.high, &mut det.partial);
+                        det.partial
                     }
                 };
-                self.completions.push((slot, answer));
+                self.completions.push((slot, QueryAnswer::from_acc(&acc)));
             }
         }
         if self.live == 0 {
@@ -463,28 +429,14 @@ impl<'q> ScanHub<'q> {
         }
     }
 
-    /// Directly evaluate `len` circular pages starting at `tick` (detach
-    /// partials and residual ranges — control-plane work, not charged to
-    /// the simulated CPU).
-    fn eval_run_host(
-        &self,
-        tick: u64,
-        len: u64,
-        low: u32,
-        high: u32,
-    ) -> (Option<u32>, u64, u64, u64) {
-        let mut max = None;
-        let mut matched = 0u64;
-        let mut examined = 0u64;
-        let mut fp = 0u64;
+    /// Fold `len` circular pages starting at `tick` into `acc` directly
+    /// (detach partials and residual ranges — control-plane work, not
+    /// charged to the simulated CPU).
+    fn eval_run_host(&self, tick: u64, len: u64, low: u32, high: u32, acc: &mut RowAcc) {
+        let eval = window_eval(low, high);
         for t in tick..tick + len {
-            let (m, cnt, ex, f) = evaluate_page(self.table, t % self.n_pages, low, high);
-            max = merge_max(max, m);
-            matched += cnt;
-            examined += ex;
-            fp = fp.wrapping_add(f);
+            eval.page(self.table, t % self.n_pages, acc);
         }
-        (max, matched, examined, fp)
     }
 
     /// Keep the device window full and one evaluation task in flight.
@@ -495,7 +447,7 @@ impl<'q> ScanHub<'q> {
         // Fetch: stay `window_pages` ahead of the scheduling frontier but
         // never past what consumers need. Blocks are clipped at the table
         // end so no submission spans the wrap.
-        let limit = self.need.min(self.sched + self.window_pages);
+        let limit = self.need.min(self.sched() + self.window_pages);
         while self.fetched < limit {
             let page = self.page_of(self.fetched);
             let len = (self.block_pages as u64)
@@ -505,11 +457,12 @@ impl<'q> ScanHub<'q> {
             let resident = (0..len as u64).all(|i| ctx.pool.contains(first_dp + i));
             if resident {
                 self.stats.resident_pages += len as u64;
-                self.ready.insert(self.fetched, len);
+                self.runs.insert(self.fetched, len);
             } else {
-                let io = ctx.read_block(first_dp, len);
+                // Not admitted here: the engine lands every read.
+                let tick = Some(self.fetched);
+                self.win.prefetch_block(ctx, first_dp, len, false, tick);
                 self.stats.blocks_fetched += 1;
-                self.my_blocks.insert(io, (self.fetched, len));
             }
             self.fetched += len as u64;
         }
@@ -521,17 +474,13 @@ impl<'q> ScanHub<'q> {
         if self.eval.is_some() {
             return;
         }
-        let mut run_len = 0u64;
-        while let Some(&len) = self.ready.get(&(self.sched + run_len)) {
-            self.ready.remove(&(self.sched + run_len));
-            run_len += len as u64;
-        }
-        if run_len == 0 {
+        self.eval = self.runs.take();
+        let Some((run_start, run_len)) = self.eval else {
             return;
-        }
+        };
         let costs = ctx.costs().clone();
         let mut work = 0.0;
-        for t in self.sched..self.sched + run_len {
+        for t in run_start..run_start + run_len {
             let rows = self.table.spec().rows_in_page(t % self.n_pages);
             let preds = self
                 .preds
@@ -542,9 +491,7 @@ impl<'q> ScanHub<'q> {
             work += costs.page_overhead_us
                 + (rows.end - rows.start) as f64 * costs.row_scan_us * preds as f64;
         }
-        let task = ctx.submit_cpu(work);
-        self.eval = Some((task, self.sched, run_len));
-        self.sched += run_len;
+        self.win.compute(ctx, work, run_start);
     }
 
     /// All consumers gone: stop streaming and drop in-flight bookkeeping.
@@ -554,23 +501,21 @@ impl<'q> ScanHub<'q> {
     /// still handles.)
     fn go_idle(&mut self) {
         self.active = false;
-        self.ready.clear();
-        self.my_blocks.clear();
+        self.win.forget_reads();
         // Restart cleanly: the next attach streams from a fresh frontier.
         // Skipping the in-flight ticks [done, fetched) would leave a hole
         // in any unfinished predicate lap, so park those accumulators —
         // they restart from scratch when their predicate next appears.
-        self.sched = self.sched.max(self.done).max(self.fetched);
-        self.done = self.sched;
-        self.fetched = self.sched;
-        self.need = self.sched;
+        let restart = self.sched().max(self.done).max(self.fetched);
+        self.runs.restart(restart);
+        self.done = restart;
+        self.fetched = restart;
+        self.need = restart;
         for p in &mut self.preds {
             if p.pages_done < self.n_pages {
                 p.start_tick = PRED_PARKED;
                 p.pages_done = 0;
-                p.max_c1 = None;
-                p.matched = 0;
-                p.fp = 0;
+                p.acc = RowAcc::default();
             }
         }
     }

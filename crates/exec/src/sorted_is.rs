@@ -18,15 +18,13 @@
 //! blocking wait loops is now one resumable state machine (`pump`), so the
 //! operator can share its context with concurrent queries.
 
-use crate::cpu::TaskId;
 use crate::driver::{QueryAnswer, QueryDriver};
-use crate::engine::{io_failure, Event, ExecError, RetryPolicy, SimContext};
+use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
 use crate::query::{RowAcc, RowEval};
-use pioqo_bufpool::Access;
-use pioqo_device::IoStatus;
+use crate::window::{Descent, IoWindow, Landed};
 use pioqo_storage::{BTreeIndex, HeapTable, LeafRange};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Sorted-index-scan configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,47 +48,38 @@ impl Default for SortedIsConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-enum TravStep {
-    Pin,
-    AwaitRead(u64),
-    AwaitCpu(TaskId),
-}
-
-#[derive(Clone, Copy)]
-enum RingStep {
-    /// Top the ring up and pop the next item.
-    Front,
-    /// Waiting for the popped item's read.
-    AwaitFront(u64),
-    /// The item's read landed; pin its page (re-reading on eviction).
-    Pin,
-    /// Waiting for an eviction re-read.
-    AwaitRepin(u64),
-    /// Waiting for the item's compute (leaf decode / row lookups).
-    AwaitCpu(TaskId),
-}
-
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    Traverse {
-        idx: usize,
-        step: TravStep,
-    },
-    /// `item` is the popped leaf id.
-    Leaves {
-        item: u64,
-        step: RingStep,
-    },
-    Sort {
-        task: TaskId,
-    },
-    /// `item` indexes `pages`.
-    Fetch {
-        item: usize,
-        step: RingStep,
-    },
+    Traverse,
+    /// The ring runs over `leaves`.
+    Leaves,
+    Sort,
+    /// The ring runs over `pages`.
+    Fetch,
     Done,
+}
+
+/// Who a read or compute task of this operator is for.
+#[derive(Clone, Copy)]
+enum Party {
+    Traverse,
+    Sort,
+    /// The ring item at this index of the phase's item list.
+    Item(usize),
+}
+
+/// An ordered read-ahead ring over an item list: items `[head, next)` have
+/// their page read issued, `head` is the one being consumed, and items are
+/// consumed strictly in list order however their reads land.
+#[derive(Default)]
+struct Ring {
+    head: usize,
+    next: usize,
+    /// Per item of `[head, next)`: a read of its page landed since it was
+    /// last found missing.
+    landed: VecDeque<bool>,
+    /// The head's compute (leaf decode / row lookups) is in flight.
+    busy: bool,
 }
 
 /// The sorted-index-scan state machine. See the module docs.
@@ -102,22 +91,16 @@ pub struct SortedIsDriver<'q> {
     low: u32,
     high: u32,
     range: Option<LeafRange>,
-    path: Vec<u64>,
+    descent: Descent,
     phase: Phase,
-    /// Page reads this driver issued and still expects.
-    pending: BTreeSet<u64>,
-    /// Own reads that completed but have not been consumed by a wait yet.
-    completed: BTreeSet<u64>,
+    /// Reads and compute in flight.
+    win: IoWindow<Party>,
+    ring: Ring,
     leaves: Vec<u64>,
-    l_ring: VecDeque<(u64, u64)>,
-    l_next: usize,
     rids: Vec<u64>,
     pages: Vec<(u64, Vec<u64>)>,
-    f_ring: VecDeque<(u64, usize)>,
-    f_next: usize,
     acc: RowAcc,
     op_track: u32,
-    finished: bool,
 }
 
 impl<'q> SortedIsDriver<'q> {
@@ -139,205 +122,137 @@ impl<'q> SortedIsDriver<'q> {
             low,
             high,
             range: None,
-            path: Vec::new(),
-            phase: Phase::Traverse {
-                idx: 0,
-                step: TravStep::Pin,
-            },
-            pending: BTreeSet::new(),
-            completed: BTreeSet::new(),
+            descent: Descent::new(Vec::new()),
+            phase: Phase::Traverse,
+            win: IoWindow::new("sorted_is"),
+            ring: Ring::default(),
             leaves: Vec::new(),
-            l_ring: VecDeque::new(),
-            l_next: 0,
             rids: Vec::new(),
             pages: Vec::new(),
-            f_ring: VecDeque::new(),
-            f_next: 0,
             acc: RowAcc::default(),
             op_track: 0,
-            finished: false,
         }
     }
 
-    fn read(&mut self, ctx: &mut SimContext<'_>, dp: u64) -> u64 {
-        let io = ctx.read_page(dp);
-        self.pending.insert(io);
-        io
+    /// Device page of ring item `i` in the current phase.
+    fn ring_page(&self, i: usize) -> u64 {
+        match self.phase {
+            Phase::Leaves => self.index.device_page_of_leaf(self.leaves[i]),
+            _ => self.table.device_page(self.pages[i].0),
+        }
     }
 
     /// Advance the machine as far as it can go without waiting.
     fn pump(&mut self, ctx: &mut SimContext<'_>) {
         loop {
-            // The phase is `Copy`: match on a snapshot, write the successor
-            // back explicitly (the arms need `&mut self` for the rings).
             match self.phase {
-                Phase::Traverse { idx, step } => match step {
-                    TravStep::Pin => {
-                        if idx >= self.path.len() {
-                            ctx.trace_span_end(self.op_track, "sorted_is_traverse");
-                            match self.range {
-                                None => {
-                                    // Nothing qualifies; the traversal cost
-                                    // is the whole runtime.
-                                    self.phase = Phase::Done;
-                                    self.finished = true;
-                                }
-                                Some(range) => {
-                                    ctx.trace_span_begin(self.op_track, "sorted_is_leaves");
-                                    self.leaves = (range.first_leaf..=range.last_leaf).collect();
-                                    self.rids = Vec::with_capacity(range.len() as usize);
-                                    self.phase = Phase::Leaves {
-                                        item: 0,
-                                        step: RingStep::Front,
-                                    };
-                                }
-                            }
-                            continue;
-                        }
-                        let dp = self.path[idx];
-                        let step = match ctx.pool.request(dp) {
-                            Access::Hit => {
-                                let work = ctx.costs().leaf_decode_us;
-                                TravStep::AwaitCpu(ctx.submit_cpu(work))
-                            }
-                            Access::Miss => TravStep::AwaitRead(self.read(ctx, dp)),
-                        };
-                        self.phase = Phase::Traverse { idx, step };
+                Phase::Traverse => {
+                    if !self.descent.advance(&mut self.win, ctx, Party::Traverse) {
                         return;
                     }
-                    TravStep::AwaitRead(io) => {
-                        if self.completed.remove(&io) {
-                            self.phase = Phase::Traverse {
-                                idx,
-                                step: TravStep::Pin,
-                            };
-                            continue;
-                        }
+                    ctx.trace_span_end(self.op_track, "sorted_is_traverse");
+                    let Some(range) = self.range else {
+                        // Nothing qualifies; the traversal cost is the
+                        // whole runtime.
+                        self.phase = Phase::Done;
+                        return;
+                    };
+                    ctx.trace_span_begin(self.op_track, "sorted_is_leaves");
+                    self.leaves = (range.first_leaf..=range.last_leaf).collect();
+                    self.rids = Vec::with_capacity(range.len() as usize);
+                    self.phase = Phase::Leaves;
+                }
+                Phase::Leaves => {
+                    if !self.pump_ring(ctx, self.leaves.len(), self.cfg.leaf_prefetch) {
                         return;
                     }
-                    TravStep::AwaitCpu(_) => return, // advanced by on_event
-                },
-                Phase::Leaves { item, step } => match step {
-                    RingStep::Front => {
-                        // Keep the ring primed ahead of the consumer.
-                        let depth = self.cfg.leaf_prefetch.max(1) as usize;
-                        while self.l_next < self.leaves.len() && self.l_ring.len() < depth {
-                            let leaf = self.leaves[self.l_next];
-                            let dp = self.index.device_page_of_leaf(leaf);
-                            let io = self.read(ctx, dp);
-                            self.l_ring.push_back((io, leaf));
-                            self.l_next += 1;
-                        }
-                        match self.l_ring.pop_front() {
-                            None => {
-                                ctx.trace_span_end(self.op_track, "sorted_is_leaves");
-                                ctx.trace_span_begin(self.op_track, "sorted_is_sort");
-                                // Phase 2: sort row ids into page order (row
-                                // id order == page order in a heap table),
-                                // charging k·log2(k) CPU.
-                                let k = self.rids.len() as f64;
-                                if k > 1.0 {
-                                    let work = k * k.log2() * ctx.costs().sort_entry_us;
-                                    self.phase = Phase::Sort {
-                                        task: ctx.submit_cpu(work),
-                                    };
-                                    return;
-                                }
-                                self.finish_sort(ctx);
-                                continue;
-                            }
-                            Some((io, leaf)) => {
-                                self.phase = Phase::Leaves {
-                                    item: leaf,
-                                    step: RingStep::AwaitFront(io),
-                                };
-                                continue;
-                            }
-                        }
-                    }
-                    RingStep::AwaitFront(io) | RingStep::AwaitRepin(io) => {
-                        if self.completed.remove(&io) {
-                            self.phase = Phase::Leaves {
-                                item,
-                                step: RingStep::Pin,
-                            };
-                            continue;
-                        }
+                    ctx.trace_span_end(self.op_track, "sorted_is_leaves");
+                    ctx.trace_span_begin(self.op_track, "sorted_is_sort");
+                    // Phase 2: sort row ids into page order (row id order
+                    // == page order in a heap table), charging k·log2(k)
+                    // CPU.
+                    let k = self.rids.len() as f64;
+                    if k > 1.0 {
+                        let work = k * k.log2() * ctx.costs().sort_entry_us;
+                        self.win.compute(ctx, work, Party::Sort);
+                        self.phase = Phase::Sort;
                         return;
                     }
-                    RingStep::Pin => {
-                        let dp = self.index.device_page_of_leaf(item);
-                        let step = match ctx.pool.request(dp) {
-                            Access::Hit => {
-                                let entry_range = self.index.leaf_entry_range(item);
-                                let n = (entry_range.end - entry_range.start) as f64;
-                                let work =
-                                    ctx.costs().leaf_decode_us + n * ctx.costs().entry_decode_us;
-                                RingStep::AwaitCpu(ctx.submit_cpu(work))
-                            }
-                            // Evicted by a pathologically small pool:
-                            // re-read on demand.
-                            Access::Miss => RingStep::AwaitRepin(self.read(ctx, dp)),
-                        };
-                        self.phase = Phase::Leaves { item, step };
-                        return;
+                    self.finish_sort(ctx);
+                }
+                Phase::Fetch => {
+                    if self.pump_ring(ctx, self.pages.len(), self.cfg.prefetch_depth) {
+                        ctx.trace_span_end(self.op_track, "sorted_is_fetch");
+                        self.phase = Phase::Done;
                     }
-                    RingStep::AwaitCpu(_) => return, // advanced by on_event
-                },
-                Phase::Sort { .. } => return, // advanced by on_event
-                Phase::Fetch { item, step } => match step {
-                    RingStep::Front => {
-                        let depth = self.cfg.prefetch_depth.max(1) as usize;
-                        while self.f_next < self.pages.len() && self.f_ring.len() < depth {
-                            let dp = self.table.device_page(self.pages[self.f_next].0);
-                            let io = self.read(ctx, dp);
-                            self.f_ring.push_back((io, self.f_next));
-                            self.f_next += 1;
-                        }
-                        match self.f_ring.pop_front() {
-                            None => {
-                                ctx.trace_span_end(self.op_track, "sorted_is_fetch");
-                                self.phase = Phase::Done;
-                                self.finished = true;
-                                return;
-                            }
-                            Some((io, idx)) => {
-                                self.phase = Phase::Fetch {
-                                    item: idx,
-                                    step: RingStep::AwaitFront(io),
-                                };
-                                continue;
-                            }
-                        }
-                    }
-                    RingStep::AwaitFront(io) | RingStep::AwaitRepin(io) => {
-                        if self.completed.remove(&io) {
-                            self.phase = Phase::Fetch {
-                                item,
-                                step: RingStep::Pin,
-                            };
-                            continue;
-                        }
-                        return;
-                    }
-                    RingStep::Pin => {
-                        let dp = self.table.device_page(self.pages[item].0);
-                        let step = match ctx.pool.request(dp) {
-                            Access::Hit => {
-                                let work =
-                                    self.pages[item].1.len() as f64 * ctx.costs().row_lookup_us;
-                                RingStep::AwaitCpu(ctx.submit_cpu(work))
-                            }
-                            Access::Miss => RingStep::AwaitRepin(self.read(ctx, dp)),
-                        };
-                        self.phase = Phase::Fetch { item, step };
-                        return;
-                    }
-                    RingStep::AwaitCpu(_) => return, // advanced by on_event
-                },
-                Phase::Done => return,
+                    return;
+                }
+                Phase::Sort | Phase::Done => return,
             }
         }
+    }
+
+    /// Serve the head of the ring over the phase's `n` items, keeping up
+    /// to `depth` reads ahead of it — issued whether or not the page is
+    /// resident. `true` once every item is consumed; `false` while the
+    /// head's read or compute is outstanding.
+    fn pump_ring(&mut self, ctx: &mut SimContext<'_>, n: usize, depth: u32) -> bool {
+        if self.ring.busy {
+            return false;
+        }
+        while self.ring.next < n && self.ring.next - self.ring.head < depth.max(1) as usize {
+            let dp = self.ring_page(self.ring.next);
+            self.win.prefetch_page(ctx, dp, Party::Item(self.ring.next));
+            self.ring.landed.push_back(false);
+            self.ring.next += 1;
+        }
+        if self.ring.head == n {
+            self.ring = Ring::default();
+            return true;
+        }
+        if self.ring.landed[0] {
+            let i = self.ring.head;
+            if self.win.pin(ctx, self.ring_page(i), Party::Item(i)) {
+                let costs = ctx.costs();
+                let work = if self.phase == Phase::Leaves {
+                    let entries = self.index.leaf_entry_range(self.leaves[i]);
+                    let n = (entries.end - entries.start) as f64;
+                    costs.leaf_decode_us + n * costs.entry_decode_us
+                } else {
+                    self.pages[i].1.len() as f64 * costs.row_lookup_us
+                };
+                self.win.compute(ctx, work, Party::Item(i));
+                self.ring.busy = true;
+            } else {
+                // Evicted by a pathologically small pool: parked on a
+                // demand re-read.
+                self.ring.landed[0] = false;
+            }
+        }
+        false
+    }
+
+    /// Ring item `i`'s compute finished: fold it in and release its page.
+    fn consume(&mut self, ctx: &mut SimContext<'_>, i: usize) -> Result<(), ExecError> {
+        if self.phase == Phase::Leaves {
+            let range = self.range.expect("leaf phase requires a range");
+            let entries = self.index.leaf_entry_range(self.leaves[i]);
+            let from = entries.start.max(range.first_entry);
+            let to = entries.end.min(range.end_entry);
+            self.rids.extend((from..to).map(|e| self.index.entry(e).1));
+        } else {
+            for &rid in &self.pages[i].1 {
+                let (c1, c2) = self.table.row(rid);
+                debug_assert!(c2 >= self.low && c2 <= self.high);
+                // Residual check beyond the sarg window.
+                self.eval.row(c1, c2, &mut self.acc);
+            }
+        }
+        ctx.pool.unpin(self.ring_page(i))?;
+        self.ring.landed.pop_front();
+        self.ring.head += 1;
+        self.ring.busy = false;
+        Ok(())
     }
 
     /// Phase 2 → phase 3 transition: sort, group consecutive rids by table
@@ -355,71 +270,7 @@ impl<'q> SortedIsDriver<'q> {
         }
         self.pages = pages;
         ctx.trace_span_begin(self.op_track, "sorted_is_fetch");
-        self.phase = Phase::Fetch {
-            item: 0,
-            step: RingStep::Front,
-        };
-    }
-
-    /// Handle a compute completion that belongs to this driver; returns
-    /// whether it did.
-    fn on_cpu(&mut self, ctx: &mut SimContext<'_>, task: TaskId) -> Result<bool, ExecError> {
-        match &self.phase {
-            Phase::Traverse {
-                idx,
-                step: TravStep::AwaitCpu(t),
-            } if *t == task => {
-                let idx = *idx;
-                ctx.pool.unpin(self.path[idx])?;
-                self.phase = Phase::Traverse {
-                    idx: idx + 1,
-                    step: TravStep::Pin,
-                };
-                Ok(true)
-            }
-            Phase::Leaves {
-                item,
-                step: RingStep::AwaitCpu(t),
-            } if *t == task => {
-                let leaf = *item;
-                let range = self.range.expect("leaf phase requires a range");
-                let entry_range = self.index.leaf_entry_range(leaf);
-                let from = entry_range.start.max(range.first_entry);
-                let to = entry_range.end.min(range.end_entry);
-                self.rids.extend((from..to).map(|i| self.index.entry(i).1));
-                ctx.pool.unpin(self.index.device_page_of_leaf(leaf))?;
-                self.phase = Phase::Leaves {
-                    item: leaf,
-                    step: RingStep::Front,
-                };
-                Ok(true)
-            }
-            Phase::Sort { task: t } if *t == task => {
-                self.finish_sort(ctx);
-                Ok(true)
-            }
-            Phase::Fetch {
-                item,
-                step: RingStep::AwaitCpu(t),
-            } if *t == task => {
-                let idx = *item;
-                let dp = self.table.device_page(self.pages[idx].0);
-                for i in 0..self.pages[idx].1.len() {
-                    let rid = self.pages[idx].1[i];
-                    let (c1, c2) = self.table.row(rid);
-                    debug_assert!(c2 >= self.low && c2 <= self.high);
-                    // Residual check beyond the sarg window.
-                    self.eval.row(c1, c2, &mut self.acc);
-                }
-                ctx.pool.unpin(dp)?;
-                self.phase = Phase::Fetch {
-                    item: idx,
-                    step: RingStep::Front,
-                };
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
+        self.phase = Phase::Fetch;
     }
 }
 
@@ -437,41 +288,36 @@ impl QueryDriver for SortedIsDriver<'_> {
             None // inverted sarg: the predicate matches nothing
         };
         let probe_leaf = self.range.map_or(0, |r| r.first_leaf);
-        self.path = self.index.path_to_leaf(probe_leaf);
+        self.descent = Descent::new(self.index.path_to_leaf(probe_leaf));
         self.pump(ctx);
         Ok(())
     }
 
     fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
-        match *ev {
-            Event::IoPage {
-                io,
-                device_page,
-                status,
-                attempts,
-            } => {
-                if !self.pending.remove(&io) {
-                    return Ok(()); // another query's read
-                }
-                if status == IoStatus::Error {
-                    return Err(io_failure("sorted_is", device_page, attempts));
-                }
-                ctx.pool.admit_prefetched(device_page)?;
-                self.completed.insert(io);
-                self.pump(ctx);
-            }
-            Event::Cpu(task) => {
-                if self.on_cpu(ctx, task)? {
-                    self.pump(ctx);
+        let Some(landed) = self.win.landed(ctx, ev)? else {
+            return Ok(());
+        };
+        match landed {
+            Landed::Read { credit, parked, .. } => {
+                for who in credit.into_iter().chain(parked) {
+                    let Party::Item(i) = who else { continue };
+                    let slot = i.checked_sub(self.ring.head);
+                    if let Some(flag) = slot.and_then(|k| self.ring.landed.get_mut(k)) {
+                        *flag = true;
+                    }
                 }
             }
-            Event::IoBlock { .. } | Event::IoWrite { .. } | Event::Timer { .. } => {}
+            Landed::Cpu(Party::Traverse) => self.descent.decoded(ctx)?,
+            Landed::Cpu(Party::Sort) => self.finish_sort(ctx),
+            Landed::Cpu(Party::Item(i)) => self.consume(ctx, i)?,
+            Landed::Write => {}
         }
+        self.pump(ctx);
         Ok(())
     }
 
     fn done(&self) -> bool {
-        self.finished
+        self.phase == Phase::Done
     }
 
     fn answer(&self) -> QueryAnswer {

@@ -32,8 +32,8 @@ pub fn rationale(rule: &str) -> Option<&'static str> {
              `Instant` and `SystemTime` read the host clock, so two runs of the same\n\
              seed diverge the moment a timing-dependent decision is made. Simulated\n\
              code must use `SimTime`/`SimDuration`, which advance only when the event\n\
-             queue pops. Harness binaries that genuinely measure the host (bench,\n\
-             repro, the real-device backend) carry lint.toml allowlist entries."
+             queue pops. Harness code that genuinely measures the host (repro,\n\
+             the profiler, the real-device backend) carries lint.toml allowlist entries."
         }
         "D2" => {
             "D2 — no ambient entropy.\n\n\

@@ -221,7 +221,7 @@ pub fn check_file(input: &FileInput<'_>, ws: &WorkspaceInfo, out: &mut Vec<Diagn
     }
 
     // D7: OS threading primitives in simulation crates. Harness crates
-    // (repro, bench, workload) may spawn real threads freely; inside the
+    // (repro, workload) may spawn real threads freely; inside the
     // simulation, concurrency must be modeled in virtual time, and the
     // only sanctioned real-thread site is `simkit::par` (allowlisted in
     // lint.toml with its determinism argument).

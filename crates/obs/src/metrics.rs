@@ -624,8 +624,8 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, specs: &[SloSpec]) -> Vec<SloVe
         .collect()
 }
 
-/// Render verdicts as the machine-readable report `scripts/bench_gate.py`
-/// consumes: `{"pass": bool, "slos": [...]}`, sorted input order preserved.
+/// Render verdicts as the machine-readable report `repro --metrics`
+/// writes: `{"pass": bool, "slos": [...]}`, sorted input order preserved.
 pub fn slo_report_json(verdicts: &[SloVerdict]) -> String {
     #[derive(Serialize)]
     struct Report {

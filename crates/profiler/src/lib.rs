@@ -2,8 +2,8 @@
 //!
 //! Everything simulated in this workspace runs on virtual time; the only
 //! legitimate consumers of the host clock are the *harness* — the `repro`
-//! and `pioqo-bench` binaries and the `par_map` thread-pool driver that
-//! fans grid points across cores. When the 4-thread harness runs slower
+//! binary and the `par_map` thread-pool driver that fans grid points
+//! across cores. When the 4-thread harness runs slower
 //! than the 1-thread harness (see ROADMAP), sim-time metrics cannot say
 //! why: the regression lives in wall-clock land. This crate answers it.
 //!

@@ -80,10 +80,9 @@ fn fresh_experiment_instances_agree_with_reused_ones() {
 }
 
 /// The observability exports extend the invariant from metrics to full
-/// traces: `repro --trace` and `pioqo-bench --trace` write exactly what
-/// [`capture_trace`] returns, so the Chrome JSON, histogram CSV and
-/// summary JSON must each be byte-identical across runs and across any
-/// worker-thread count.
+/// traces: `repro --trace` writes exactly what [`capture_trace`] returns,
+/// so the Chrome JSON, histogram CSV and summary JSON must each be
+/// byte-identical across runs and across any worker-thread count.
 fn trace_cells() -> Vec<TraceCell> {
     let mut cells = default_trace_cells(11);
     for c in &mut cells {
