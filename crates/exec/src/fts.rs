@@ -10,8 +10,10 @@
 //!
 //! The predicate tree, projection and aggregate are pushed down as a
 //! compiled [`RowEval`]: each page is evaluated exactly once, in place,
-//! when its compute task completes, and the per-page CPU charge scales
-//! with the predicate's comparison-leaf count.
+//! when its compute task completes — [`RowEval::page`] takes the page's
+//! two column slices, one match mask per 64 rows, and folds the matching
+//! rows only — and the per-page CPU charge scales with the predicate's
+//! comparison-leaf count.
 //!
 //! The scan is a [`QueryDriver`]: it owns no event loop of its own and can
 //! therefore run alone (via [`crate::execute`]) or interleaved with other

@@ -17,6 +17,14 @@
 //!   ring depth [`HashJoinConfig::io_depth`]; the price is writing and
 //!   re-reading the spilled fraction `(P-1)/P` of both inputs.
 //!
+//! Both scans are page-at-a-time: a ready run of pages is taken as two
+//! column slices ([`HeapTable::page_cols`]) and the outer predicate is
+//! applied a 64-row mask at a time ([`RowEval::left_cols`]); only INL's
+//! probes, which fetch single inner rows, read row by row. A hash
+//! partition's inner rows become a lookup table by sorting them in place
+//! (`KeyTable`) — partition 0 when the build stream ends, a spilled
+//! partition when its outer slice has streamed back.
+//!
 //! Both are [`QueryDriver`]s: they run solo under [`crate::execute`] or
 //! inside [`crate::MultiEngine`] sessions under admission leases, and
 //! ignore events they do not own.
@@ -373,14 +381,12 @@ impl QueryDriver for InlDriver<'_> {
                 let (start, len) = self.outer_run.take().ok_or(ExecError::Internal {
                     detail: "outer evaluation completed with no run in flight",
                 })?;
-                for page in start..start + len {
-                    for r in self.left.spec().rows_in_page(page) {
-                        let (c1, c2) = self.left.row(r);
-                        if self.eval.left_row(c1, c2, &mut self.acc) {
-                            self.keys.push_back((c1, c2));
-                        }
-                    }
-                }
+                let (c1s, c2s) = self.left.page_cols(start, len);
+                let keys = &mut self.keys;
+                self.eval.left_cols(c1s, c2s, &mut self.acc, |c1, c2, _| {
+                    keys.push_back((c1, c2));
+                    Ok::<(), ExecError>(())
+                })?;
             }
             Landed::Write => {}
         }
@@ -404,6 +410,109 @@ struct Slice {
     capacity: u64,
     /// Pages written so far.
     used: u64,
+}
+
+/// One side's partitioned rows and where they spill to.
+struct Side {
+    /// Rows per spill page (the side's table geometry).
+    rpp: u64,
+    /// `(payload, key)` rows per partition. Slot 0 is the in-memory
+    /// partition: the inner side collects it here and never writes it,
+    /// the outer side probes it on the fly and leaves the slot empty.
+    rows: Vec<Vec<(u32, u32)>>,
+    /// Rows already written to disk, per partition.
+    flushed: Vec<u64>,
+    /// Partition `p`'s scratch slice, at `p - 1`.
+    slices: Vec<Slice>,
+}
+
+impl Side {
+    fn new(rpp: u32, rows: Vec<Vec<(u32, u32)>>, slices: Vec<Slice>) -> Side {
+        Side {
+            rpp: rpp as u64,
+            flushed: vec![0; rows.len()],
+            rows,
+            slices,
+        }
+    }
+
+    /// Append `row` to partition `p`, writing the page it completes.
+    fn push(
+        &mut self,
+        win: &mut IoWindow<()>,
+        ctx: &mut SimContext<'_>,
+        p: usize,
+        row: (u32, u32),
+    ) -> Result<(), ExecError> {
+        self.rows[p].push(row);
+        if p == 0 {
+            return Ok(());
+        }
+        self.flush(win, ctx, p, false)
+    }
+
+    /// Flush full spill pages of partition `p` (or everything with
+    /// `all`), charging one sequential page write per page.
+    fn flush(
+        &mut self,
+        win: &mut IoWindow<()>,
+        ctx: &mut SimContext<'_>,
+        p: usize,
+        all: bool,
+    ) -> Result<(), ExecError> {
+        let rows = self.rows[p].len() as u64;
+        let (flushed, slice) = (&mut self.flushed[p], &mut self.slices[p - 1]);
+        loop {
+            let unflushed = rows - *flushed;
+            let write = if all {
+                unflushed > 0
+            } else {
+                unflushed >= self.rpp
+            };
+            if !write {
+                return Ok(());
+            }
+            if slice.used >= slice.capacity {
+                return Err(ExecError::Internal {
+                    detail: "hash-join spill slice overflow",
+                });
+            }
+            win.write_page(ctx, slice.base_dp + slice.used);
+            slice.used += 1;
+            *flushed += unflushed.min(self.rpp);
+        }
+    }
+
+    /// Flush every spilled partition's partial last page.
+    fn flush_all(
+        &mut self,
+        win: &mut IoWindow<()>,
+        ctx: &mut SimContext<'_>,
+    ) -> Result<(), ExecError> {
+        (1..self.rows.len()).try_for_each(|p| self.flush(win, ctx, p, true))
+    }
+}
+
+/// One partition of the inner side as a lookup table: its `(payload,
+/// key)` rows sorted in place by `(key, payload)`, so a key's rows are one
+/// contiguous run whose last row carries the maximum payload. Lookup-only
+/// (never iterated), so the answer does not depend on the sort's order
+/// among equal rows.
+#[derive(Default)]
+struct KeyTable(Vec<(u32, u32)>);
+
+impl KeyTable {
+    fn new(mut rows: Vec<(u32, u32)>) -> KeyTable {
+        rows.sort_unstable_by_key(|&(payload, key)| (key, payload));
+        KeyTable(rows)
+    }
+
+    /// `(rows, max payload)` of `key`'s run, `None` when the key is absent.
+    fn get(&self, key: u32) -> Option<(u64, u32)> {
+        let from = self.0.partition_point(|&(_, k)| k < key);
+        let n = self.0[from..].partition_point(|&(_, k)| k == key);
+        (n > 0).then(|| (n as u64, self.0[from + n - 1].0))
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -433,17 +542,12 @@ pub struct HashJoinDriver<'q> {
     reader: BlockStream<()>,
     /// The run `(start, len)` whose scan/partition compute is in flight.
     cur_run: Option<(u64, u64)>,
-    /// Partition 0's in-memory table: key -> (count, max inner payload).
-    ht: BTreeMap<u32, (u64, u32)>,
-    /// Spilled inner rows per partition (index 0 unused).
-    spill_right: Vec<Vec<(u32, u32)>>,
-    /// Spilled outer rows per partition (index 0 unused).
-    spill_left: Vec<Vec<(u32, u32)>>,
-    /// Rows already flushed to disk per right/left spill slice.
-    flushed_right: Vec<u64>,
-    flushed_left: Vec<u64>,
-    slices_right: Vec<Slice>,
-    slices_left: Vec<Slice>,
+    /// Partition 0's in-memory table, sealed when the build stream ends.
+    ht: KeyTable,
+    /// The inner (build) side's partitions.
+    inner: Side,
+    /// The outer (probe) side's partitions.
+    outer: Side,
     acc: RowAcc,
     op_track: u32,
 }
@@ -484,6 +588,12 @@ impl<'q> HashJoinDriver<'q> {
             (Vec::new(), Vec::new())
         };
         let reader = Self::stream(&cfg, join.right.device_page(0), join.right.n_pages(), true);
+        // Keys are spread evenly by `key % partitions`: size each inner
+        // partition once (an eighth of slack) instead of growing it.
+        let per_part = join.right.spec().rows as usize / np;
+        let inner_rows = (0..np)
+            .map(|_| Vec::with_capacity(per_part + per_part / 8 + 16))
+            .collect();
         Ok(HashJoinDriver {
             cfg,
             left,
@@ -493,13 +603,9 @@ impl<'q> HashJoinDriver<'q> {
             win: IoWindow::new("hash_join"),
             reader,
             cur_run: None,
-            ht: BTreeMap::new(),
-            spill_right: vec![Vec::new(); np],
-            spill_left: vec![Vec::new(); np],
-            flushed_right: vec![0; np],
-            flushed_left: vec![0; np],
-            slices_right,
-            slices_left,
+            ht: KeyTable::default(),
+            inner: Side::new(join.right.spec().rows_per_page, inner_rows, slices_right),
+            outer: Side::new(left.spec().rows_per_page, vec![Vec::new(); np], slices_left),
             acc: RowAcc::default(),
             op_track: 0,
         })
@@ -511,61 +617,13 @@ impl<'q> HashJoinDriver<'q> {
         BlockStream::new((), base_dp, pages, cfg.block_pages, cfg.io_depth, heap)
     }
 
-    fn partition_of(&self, key: u32) -> usize {
-        (key % self.cfg.partitions) as usize
-    }
-
-    /// Flush full spill pages of partition `p` (or everything with
-    /// `all`), charging one sequential page write per page.
-    fn flush_spill(
-        &mut self,
-        ctx: &mut SimContext<'_>,
-        right_side: bool,
-        p: usize,
-        all: bool,
-    ) -> Result<(), ExecError> {
-        let rpp = if right_side {
-            self.right.spec().rows_per_page as u64
-        } else {
-            self.left.spec().rows_per_page as u64
-        };
-        let (rows, flushed, slice) = if right_side {
-            (
-                self.spill_right[p].len() as u64,
-                &mut self.flushed_right[p],
-                &mut self.slices_right[p - 1],
-            )
-        } else {
-            (
-                self.spill_left[p].len() as u64,
-                &mut self.flushed_left[p],
-                &mut self.slices_left[p - 1],
-            )
-        };
-        loop {
-            let unflushed = rows - *flushed;
-            let write = if all { unflushed > 0 } else { unflushed >= rpp };
-            if !write {
-                return Ok(());
-            }
-            if slice.used >= slice.capacity {
-                return Err(ExecError::Internal {
-                    detail: "hash-join spill slice overflow",
-                });
-            }
-            self.win.write_page(ctx, slice.base_dp + slice.used);
-            slice.used += 1;
-            *flushed += unflushed.min(rpp);
-        }
-    }
-
     /// Begin re-reading one spill slice (or skip ahead when it is empty).
     fn enter_part(&mut self, ctx: &mut SimContext<'_>, phase: HPhase) -> Result<(), ExecError> {
         self.phase = phase;
         loop {
             match self.phase {
                 HPhase::PartBuild(p) => {
-                    let s = &self.slices_right[p as usize - 1];
+                    let s = &self.inner.slices[p as usize - 1];
                     if s.used == 0 {
                         self.phase = HPhase::PartProbe(p);
                         continue;
@@ -575,8 +633,8 @@ impl<'q> HashJoinDriver<'q> {
                     return Ok(());
                 }
                 HPhase::PartProbe(p) => {
-                    let s = &self.slices_left[p as usize - 1];
-                    if s.used == 0 || self.spill_right[p as usize].is_empty() {
+                    let s = &self.outer.slices[p as usize - 1];
+                    if s.used == 0 || self.inner.rows[p as usize].is_empty() {
                         // Nothing on one side: no pairs from this partition.
                         self.phase = if (p as usize) + 1 < self.cfg.partitions as usize {
                             HPhase::PartBuild(p + 1)
@@ -605,15 +663,9 @@ impl<'q> HashJoinDriver<'q> {
     /// Join partition `p`'s spilled rows (both sides are in memory; the
     /// spill I/O priced their round trip).
     fn join_partition(&mut self, p: usize) {
-        let mut pt: BTreeMap<u32, (u64, u32)> = BTreeMap::new();
-        for &(rc1, rc2) in &self.spill_right[p] {
-            let e = pt.entry(rc2).or_insert((0, 0));
-            e.0 += 1;
-            e.1 = e.1.max(rc1);
-        }
-        let rows = std::mem::take(&mut self.spill_left[p]);
-        for (lc1, lc2) in rows {
-            if let Some(&(n, max)) = pt.get(&lc2) {
+        let pt = KeyTable::new(std::mem::take(&mut self.inner.rows[p]));
+        for (lc1, lc2) in std::mem::take(&mut self.outer.rows[p]) {
+            if let Some((n, max)) = pt.get(lc2) {
                 self.eval.join_pair_n(lc1, lc2, max, n, &mut self.acc);
             }
         }
@@ -649,11 +701,10 @@ impl<'q> HashJoinDriver<'q> {
                     }
                     if self.reader.exhausted() {
                         if self.phase == HPhase::Build {
-                            // Flush partial spill pages, start the outer
-                            // stream.
-                            for p in 1..self.cfg.partitions as usize {
-                                self.flush_spill(ctx, true, p, true)?;
-                            }
+                            // Flush partial spill pages, seal partition 0,
+                            // start the outer stream.
+                            self.inner.flush_all(&mut self.win, ctx)?;
+                            self.ht = KeyTable::new(std::mem::take(&mut self.inner.rows[0]));
                             self.phase = HPhase::Probe;
                             self.reader = Self::stream(
                                 &self.cfg,
@@ -663,9 +714,7 @@ impl<'q> HashJoinDriver<'q> {
                             );
                             continue;
                         }
-                        for p in 1..self.cfg.partitions as usize {
-                            self.flush_spill(ctx, false, p, true)?;
-                        }
+                        self.outer.flush_all(&mut self.win, ctx)?;
                         self.phase = HPhase::Drain;
                         continue;
                     }
@@ -718,39 +767,33 @@ impl<'q> HashJoinDriver<'q> {
     fn on_cpu(&mut self, ctx: &mut SimContext<'_>, start: u64, len: u64) -> Result<(), ExecError> {
         match self.phase {
             HPhase::Build => {
-                for page in start..start + len {
-                    for r in self.right.spec().rows_in_page(page) {
-                        let (rc1, rc2) = self.right.row(r);
-                        let p = self.partition_of(rc2);
-                        if p == 0 {
-                            let e = self.ht.entry(rc2).or_insert((0, 0));
-                            e.0 += 1;
-                            e.1 = e.1.max(rc1);
-                        } else {
-                            self.spill_right[p].push((rc1, rc2));
-                            self.flush_spill(ctx, true, p, false)?;
-                        }
-                    }
+                let (c1s, c2s) = self.right.page_cols(start, len);
+                for (&rc1, &rc2) in c1s.iter().zip(c2s) {
+                    let p = (rc2 % self.cfg.partitions) as usize;
+                    self.inner.push(&mut self.win, ctx, p, (rc1, rc2))?;
                 }
             }
             HPhase::Probe => {
-                for page in start..start + len {
-                    for r in self.left.spec().rows_in_page(page) {
-                        let (lc1, lc2) = self.left.row(r);
-                        if !self.eval.left_row(lc1, lc2, &mut self.acc) {
-                            continue;
-                        }
-                        let p = self.partition_of(lc2);
-                        if p == 0 {
-                            if let Some(&(n, max)) = self.ht.get(&lc2) {
-                                self.eval.join_pair_n(lc1, lc2, max, n, &mut self.acc);
-                            }
-                        } else {
-                            self.spill_left[p].push((lc1, lc2));
-                            self.flush_spill(ctx, false, p, false)?;
-                        }
+                let (c1s, c2s) = self.left.page_cols(start, len);
+                let Self {
+                    cfg,
+                    eval,
+                    ht,
+                    outer,
+                    win,
+                    acc,
+                    ..
+                } = self;
+                eval.left_cols(c1s, c2s, acc, |lc1, lc2, acc| {
+                    let p = (lc2 % cfg.partitions) as usize;
+                    if p != 0 {
+                        return outer.push(win, ctx, p, (lc1, lc2));
                     }
-                }
+                    if let Some((n, max)) = ht.get(lc2) {
+                        eval.join_pair_n(lc1, lc2, max, n, acc);
+                    }
+                    Ok(())
+                })?;
             }
             HPhase::PartBuild(p) => {
                 if self.reader.exhausted() {
@@ -899,6 +942,39 @@ mod tests {
                 CpuCosts::default(),
             );
             execute(&mut ctx, &q).expect("join runs")
+        }
+    }
+
+    /// The `key -> (rows, max payload)` map a [`KeyTable`] stands in for.
+    fn model(rows: &[(u32, u32)]) -> BTreeMap<u32, (u64, u32)> {
+        let mut m = BTreeMap::new();
+        for &(payload, key) in rows {
+            let e = m.entry(key).or_insert((0u64, 0u32));
+            e.0 += 1;
+            e.1 = e.1.max(payload);
+        }
+        m
+    }
+
+    #[test]
+    fn key_table_answers_like_a_map() {
+        let mut rng = pioqo_simkit::SimRng::seeded(0x6B65_7973);
+        assert_eq!(KeyTable::new(Vec::new()).get(0), None);
+        assert_eq!(KeyTable::default().get(u32::MAX), None);
+        for keys in [1u64, 7, 400] {
+            // Even keys from a small set (heavy duplicates, gaps between
+            // and around them), plus both ends of the key domain.
+            let mut rows: Vec<(u32, u32)> = (0..600)
+                .map(|_| (rng.next_u32(), 10 + 2 * rng.below(keys) as u32))
+                .collect();
+            rows.extend([(5, u32::MAX), (9, u32::MAX), (0, 3), (0, 3)]);
+            let want = model(&rows);
+            let table = KeyTable::new(rows);
+            for key in (0..2 * keys as u32 + 14).chain([u32::MAX - 1, u32::MAX]) {
+                assert_eq!(table.get(key), want.get(&key).copied(), "key {key}");
+            }
+            assert_eq!(table.get(u32::MAX), Some((2, 9)));
+            assert_eq!(table.get(3), Some((2, 0)));
         }
     }
 

@@ -10,6 +10,16 @@
 //! once-per-page discipline the shared-scan hub uses), never materializing
 //! unprojected columns.
 //!
+//! A page, not a row, is the unit of evaluation. [`Predicate::mask`] runs
+//! the tree over up to 64 rows of two column slices and returns their
+//! match bits; [`RowEval::cols`] / [`RowEval::left_cols`] take one mask
+//! per chunk and touch only the rows whose bit is set. Every page walk
+//! (FTS, the shared-scan hub, the joins' outer / build / probe runs) goes
+//! through them. [`Predicate::matches`] is the row-at-a-time reference:
+//! [`RowEval::row`] (index plans, which fetch single rows) and the
+//! [`oracle`] use it, so the oracle never runs the kernel it checks, and
+//! the unit tests below pin the two equal.
+//!
 //! Two things keep the old range-MAX behaviour byte-identical:
 //! - [`Predicate::terms`] is 1 for a single BETWEEN, so the per-page CPU
 //!   charge `page_overhead + rows x row_scan x terms` matches the old
@@ -108,6 +118,18 @@ pub enum Predicate {
     Or(Vec<Predicate>),
 }
 
+/// Bit `i` set iff `low <= vs[i] <= high` (`low <= high`, at most 64
+/// values): one wrapping subtract and one unsigned compare per value.
+#[inline]
+fn interval_mask(vs: &[u32], low: u32, high: u32) -> u64 {
+    let span = high - low;
+    let mut m = 0u64;
+    for (i, &v) in vs.iter().enumerate() {
+        m |= u64::from(v.wrapping_sub(low) <= span) << i;
+    }
+    m
+}
+
 impl Predicate {
     /// The paper predicate: `C2 BETWEEN low AND high`.
     pub fn c2_between(low: u32, high: u32) -> Predicate {
@@ -142,6 +164,45 @@ impl Predicate {
         }
     }
 
+    /// Evaluate the tree on up to 64 rows at once: bit `i` of the result is
+    /// [`Predicate::matches`]`(c1s[i], c2s[i])`, bits at or above the
+    /// slices' length are clear. A leaf is one branch-free interval test
+    /// over its column slice, `And` / `Or` are `&` / `|` of the children's
+    /// masks — the tree is its own program, at any depth.
+    pub fn mask(&self, c1s: &[u32], c2s: &[u32]) -> u64 {
+        debug_assert!(c1s.len() == c2s.len() && c1s.len() <= 64);
+        // `1 << 64` wraps to 1 in release and panics in debug: the full
+        // chunk needs its own arm.
+        let all = match c1s.len() {
+            64 => u64::MAX,
+            n => (1u64 << n) - 1,
+        };
+        let of = |col: &Col| match col {
+            Col::C1 => c1s,
+            Col::C2 => c2s,
+        };
+        match self {
+            Predicate::True => all,
+            Predicate::Cmp { col, op, value } => {
+                let v = *value;
+                match op {
+                    CmpOp::Lt if v == 0 => 0,
+                    CmpOp::Lt => interval_mask(of(col), 0, v - 1),
+                    CmpOp::Le => interval_mask(of(col), 0, v),
+                    CmpOp::Eq => interval_mask(of(col), v, v),
+                    CmpOp::Ge => interval_mask(of(col), v, u32::MAX),
+                    CmpOp::Gt if v == u32::MAX => 0,
+                    CmpOp::Gt => interval_mask(of(col), v + 1, u32::MAX),
+                    CmpOp::Ne => all & !interval_mask(of(col), v, v),
+                }
+            }
+            Predicate::Between { low, high, .. } if low > high => 0,
+            Predicate::Between { col, low, high } => interval_mask(of(col), *low, *high),
+            Predicate::And(ps) => ps.iter().fold(all, |m, p| m & p.mask(c1s, c2s)),
+            Predicate::Or(ps) => ps.iter().fold(0, |m, p| m | p.mask(c1s, c2s)),
+        }
+    }
+
     /// Number of comparison leaves — the unit the per-page CPU charge
     /// scales with (`True` and a single BETWEEN both cost 1, preserving the
     /// pre-query-layer scan cost exactly).
@@ -169,7 +230,13 @@ impl Predicate {
                 op,
                 value,
             } => match op {
-                CmpOp::Lt => (0, value.wrapping_sub(1)),
+                CmpOp::Lt => {
+                    if *value == 0 {
+                        (1, 0)
+                    } else {
+                        (0, value - 1)
+                    }
+                }
                 CmpOp::Le => (0, *value),
                 CmpOp::Eq => (*value, *value),
                 CmpOp::Ge => (*value, u32::MAX),
@@ -345,7 +412,9 @@ enum FpShape {
 }
 
 /// A compiled row evaluator: the pushed-down predicate + projection +
-/// aggregate, resolved once per query so the per-row path is branch-light.
+/// aggregate, resolved once per query. Page walks go through
+/// [`RowEval::cols`] / [`RowEval::left_cols`] (one [`Predicate::mask`] per
+/// 64-row chunk); single fetched rows go through [`RowEval::row`].
 #[derive(Debug, Clone)]
 pub struct RowEval {
     pred: Predicate,
@@ -353,11 +422,6 @@ pub struct RowEval {
     agg: Aggregate,
     terms: u32,
     shape: FpShape,
-    /// `Some((low, high))` when the whole evaluator is the paper query
-    /// shape — pure `C2` window predicate, `MAX(C1)`, full projection —
-    /// letting [`RowEval::page`] run a tight window-compare loop instead
-    /// of the predicate-tree walk.
-    fast_window: Option<(u32, u32)>,
 }
 
 impl RowEval {
@@ -371,16 +435,12 @@ impl RowEval {
             [Col::C2] => FpShape::C2,
             _ => FpShape::Listed,
         };
-        let fast_window =
-            (pred.is_pure_c2_range() && agg == Aggregate::Max(Col::C1) && shape == FpShape::C1C2)
-                .then(|| pred.sarg());
         RowEval {
             pred,
             proj,
             agg,
             terms,
             shape,
-            fast_window,
         }
     }
 
@@ -433,45 +493,59 @@ impl RowEval {
         true
     }
 
-    /// Evaluate every row of table page `local` (the full-scan page visit).
-    pub fn page(&self, table: &HeapTable, local: u64, acc: &mut RowAcc) {
-        let range = table.spec().rows_in_page(local);
-        if let Some((low, high)) = self.fast_window {
-            // Paper-shape fast path: window compare + MAX(C1) + full-row
-            // fingerprint, with the accumulator held in locals so the
-            // loop stays register-resident.
-            acc.examined += range.end - range.start;
-            let mut matched = 0u64;
-            let mut agg = acc.agg;
-            let mut fp = 0u64;
-            for r in range {
-                let (c1, c2) = table.row(r);
-                if c2 < low || high < c2 {
-                    continue;
-                }
-                matched += 1;
-                agg = Some(agg.map_or(c1, |a| a.max(c1)));
-                fp = fp.wrapping_add(fnv_fold(fnv_fold(FNV_OFFSET, c1), c2));
+    /// Evaluate a run of rows given as parallel `C1` / `C2` slices: one
+    /// match mask per 64-row chunk, then aggregate and fingerprint folded
+    /// over the set bits only, with the accumulators held in locals.
+    /// Equal to calling [`RowEval::row`] on every row in turn.
+    pub fn cols(&self, c1s: &[u32], c2s: &[u32], acc: &mut RowAcc) {
+        let mut matched = 0u64;
+        let mut best: Option<u32> = None;
+        let mut fp = 0u64;
+        let walk = self.left_cols(c1s, c2s, acc, |c1, c2, _| {
+            matched += 1;
+            if let Aggregate::Max(col) = self.agg {
+                best = best.max(Some(col.of(c1, c2)));
             }
-            acc.matched += matched;
-            acc.agg = agg;
-            acc.fingerprint = acc.fingerprint.wrapping_add(fp);
-            return;
-        }
-        for r in range {
-            let (c1, c2) = table.row(r);
-            self.row(c1, c2, acc);
-        }
+            fp = fp.wrapping_add(self.fp(c1, c2));
+            Ok::<(), std::convert::Infallible>(())
+        });
+        let Ok(()) = walk;
+        acc.matched += matched;
+        // `None` orders below every `Some`: no match leaves `agg` alone.
+        acc.agg = acc.agg.max(best);
+        acc.fingerprint = acc.fingerprint.wrapping_add(fp);
     }
 
-    /// Examine one *outer* row of a join: counts it as examined and
-    /// reports whether the predicate admits it to the probe/build side.
-    /// Does not touch `matched` — joined pairs do, via
-    /// [`RowEval::join_pair`].
-    #[inline]
-    pub fn left_row(&self, c1: u32, c2: u32, acc: &mut RowAcc) -> bool {
-        acc.examined += 1;
-        self.pred.matches(c1, c2)
+    /// Evaluate every row of table page `local` (the full-scan page visit).
+    pub fn page(&self, table: &HeapTable, local: u64, acc: &mut RowAcc) {
+        let (c1s, c2s) = table.page_cols(local, 1);
+        self.cols(c1s, c2s, acc);
+    }
+
+    /// Examine a run of rows as the *outer* side of a join: counts them as
+    /// examined and hands each row the predicate admits, in row order, to
+    /// `f` (the probe/build side) — one match mask per 64-row chunk, `f`
+    /// called for the set bits only. Does not touch `matched` — joined
+    /// pairs do, via [`RowEval::join_pair`]. Stops at the first error `f`
+    /// returns.
+    pub fn left_cols<E>(
+        &self,
+        c1s: &[u32],
+        c2s: &[u32],
+        acc: &mut RowAcc,
+        mut f: impl FnMut(u32, u32, &mut RowAcc) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert_eq!(c1s.len(), c2s.len());
+        acc.examined += c1s.len() as u64;
+        for (c1s, c2s) in c1s.chunks(64).zip(c2s.chunks(64)) {
+            let mut m = self.pred.mask(c1s, c2s);
+            while m != 0 {
+                let i = m.trailing_zeros() as usize;
+                m &= m - 1;
+                f(c1s[i], c2s[i], acc)?;
+            }
+        }
+        Ok(())
     }
 
     /// Fold one joined pair: outer row `(lc1, lc2)` × inner row with
@@ -643,6 +717,7 @@ pub fn oracle(q: &QuerySpec<'_>) -> RowAcc {
             }
             // Probe: each matching outer row joins every key-equal inner
             // row; the aggregate column is read from the inner side.
+            let cols = q.projection.cols();
             for r in 0..q.table.data().rows() {
                 let (c1, c2) = q.table.row(r);
                 acc.examined += 1;
@@ -662,7 +737,6 @@ pub fn oracle(q: &QuerySpec<'_>) -> RowAcc {
                         (Some(a), Some(b)) => Some(a.max(b)),
                         (a, b) => a.or(b),
                     };
-                    let cols = q.projection.cols();
                     acc.fingerprint = acc
                         .fingerprint
                         .wrapping_add(n.wrapping_mul(row_fingerprint(&cols, c1, c2)));
@@ -676,6 +750,7 @@ pub fn oracle(q: &QuerySpec<'_>) -> RowAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pioqo_simkit::SimRng;
     use pioqo_storage::{TableSpec, Tablespace};
 
     fn table(rows: u64, c2_max: u32, seed: u64) -> HeapTable {
@@ -750,6 +825,208 @@ mod tests {
                     assert!(c2 >= lo && c2 <= hi, "{op:?} c2={c2}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn windows_no_value_can_enter_have_an_empty_sarg() {
+        let cmp = |col, op, value| Predicate::Cmp { col, op, value };
+        for p in [
+            cmp(Col::C2, CmpOp::Lt, 0),
+            cmp(Col::C2, CmpOp::Gt, u32::MAX),
+            Predicate::c2_between(7, 3),
+            Predicate::Between {
+                col: Col::C1,
+                low: 7,
+                high: 3,
+            },
+        ] {
+            let (low, high) = p.sarg();
+            assert!(low > high, "{p:?}: ({low}, {high})");
+            assert!(!p.matches(0, 0) && !p.matches(u32::MAX, u32::MAX), "{p:?}");
+        }
+        assert_eq!(
+            cmp(Col::C2, CmpOp::Lt, 0).sarg(),
+            (1, 0),
+            "the canonical one"
+        );
+        // `C1 < 0` matches nothing but says nothing about C2.
+        assert_eq!(cmp(Col::C1, CmpOp::Lt, 0).sarg(), (0, u32::MAX));
+        assert_eq!(cmp(Col::C2, CmpOp::Lt, 1).sarg(), (0, 0));
+    }
+
+    const C2_MAX: u32 = 1_000;
+
+    /// A comparison constant: half the time inside the column domain, else
+    /// one of the boundary values where the interval arithmetic can wrap.
+    fn constant(rng: &mut SimRng) -> u32 {
+        const EDGES: [u32; 5] = [0, 1, C2_MAX, u32::MAX - 1, u32::MAX];
+        match rng.below(2) {
+            0 => EDGES[rng.below(5) as usize],
+            _ => rng.below(C2_MAX as u64 + 1) as u32,
+        }
+    }
+
+    /// A seeded arbitrary tree: every leaf kind and operator, inverted
+    /// windows, empty connectives, at most `depth` connective levels.
+    fn tree(rng: &mut SimRng, depth: u32) -> Predicate {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Eq,
+            CmpOp::Ge,
+            CmpOp::Gt,
+            CmpOp::Ne,
+        ];
+        let col = [Col::C1, Col::C2][rng.below(2) as usize];
+        match rng.below(if depth == 0 { 3 } else { 5 }) {
+            0 => Predicate::True,
+            1 => Predicate::Cmp {
+                col,
+                op: OPS[rng.below(6) as usize],
+                value: constant(rng),
+            },
+            2 => Predicate::Between {
+                col,
+                low: constant(rng),
+                high: constant(rng),
+            },
+            kind => {
+                let children = (0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect();
+                if kind == 3 {
+                    Predicate::And(children)
+                } else {
+                    Predicate::Or(children)
+                }
+            }
+        }
+    }
+
+    /// Column values from the same mix as the constants, so equalities and
+    /// boundary windows actually hit.
+    fn columns(rng: &mut SimRng, n: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut col = |_| (0..n).map(|_| constant(rng)).collect();
+        (col(1), col(2))
+    }
+
+    #[test]
+    fn mask_bit_i_is_matches_of_row_i() {
+        let mut rng = SimRng::seeded(0x6D61_736B);
+        let mut seen = [0u32; 3];
+        for round in 0..400 {
+            let p = tree(&mut rng, 3);
+            seen[0] += u32::from(matches!(&p, Predicate::And(ps) if ps.is_empty()));
+            seen[1] += u32::from(matches!(&p, Predicate::Or(ps) if ps.is_empty()));
+            seen[2] += u32::from(matches!(&p, Predicate::Between { low, high, .. } if low > high));
+            for n in [0usize, 1, 33, 63, 64] {
+                let (c1s, c2s) = columns(&mut rng, n);
+                let m = p.mask(&c1s, &c2s);
+                for i in 0..n {
+                    let want = p.matches(c1s[i], c2s[i]);
+                    assert_eq!(m >> i & 1 == 1, want, "round {round} n {n} bit {i}: {p:?}");
+                }
+                assert!(
+                    n == 64 || m >> n == 0,
+                    "round {round} n {n}: stray high bit"
+                );
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "generator coverage: {seen:?}");
+    }
+
+    /// The projections and aggregates of `tests/query_layer.rs`.
+    fn shapes() -> Vec<(Projection, Aggregate)> {
+        let projections = [
+            Projection::All,
+            Projection::Cols(vec![Col::C1]),
+            Projection::Cols(vec![Col::C2]),
+            Projection::Cols(vec![Col::C2, Col::C1]),
+        ];
+        let aggregates = [
+            Aggregate::Max(Col::C1),
+            Aggregate::Max(Col::C2),
+            Aggregate::Count,
+        ];
+        projections
+            .iter()
+            .flat_map(|p| aggregates.iter().map(move |a| (p.clone(), *a)))
+            .collect()
+    }
+
+    #[test]
+    fn cols_equals_a_row_by_row_fold() {
+        let mut rng = SimRng::seeded(0x636F_6C73);
+        for (proj, agg) in shapes() {
+            for _ in 0..24 {
+                let eval = RowEval::new(tree(&mut rng, 3), &proj, agg);
+                // Runs shorter than, equal to and longer than a chunk,
+                // folded into one accumulator like a scan's pages.
+                let (mut got, mut want) = (RowAcc::default(), RowAcc::default());
+                for n in [0usize, 1, 33, 63, 64, 65, 500] {
+                    let (c1s, c2s) = columns(&mut rng, n);
+                    eval.cols(&c1s, &c2s, &mut got);
+                    for (&c1, &c2) in c1s.iter().zip(&c2s) {
+                        eval.row(c1, c2, &mut want);
+                    }
+                    assert_eq!(got, want, "{eval:?} after a run of {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_walk_over_a_table_equals_the_row_walk() {
+        let t = table(3_300, C2_MAX, 11);
+        let low_half = Predicate::Cmp {
+            col: Col::C2,
+            op: CmpOp::Le,
+            value: C2_MAX / 2,
+        };
+        for (proj, agg) in shapes() {
+            for pred in [low_half.clone(), Predicate::c2_between(1, 0)] {
+                let eval = RowEval::new(pred, &proj, agg);
+                let (mut got, mut want) = (RowAcc::default(), RowAcc::default());
+                for p in 0..t.n_pages() {
+                    eval.page(&t, p, &mut got);
+                }
+                for r in 0..t.data().rows() {
+                    let (c1, c2) = t.row(r);
+                    eval.row(c1, c2, &mut want);
+                }
+                assert_eq!(got, want, "{eval:?}");
+                assert_eq!(got.examined, 3_300);
+                let is_max = matches!(agg, Aggregate::Max(_));
+                assert_eq!(got.agg.is_some(), is_max && got.matched > 0, "{eval:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn left_cols_hands_over_the_admitted_rows_in_order() {
+        let mut rng = SimRng::seeded(0x6C65_6674);
+        for _ in 0..50 {
+            let p = tree(&mut rng, 2);
+            let eval = RowEval::new(p.clone(), &Projection::All, Aggregate::Count);
+            let (c1s, c2s) = columns(&mut rng, 150);
+            let mut acc = RowAcc::default();
+            let mut got = Vec::new();
+            eval.left_cols(&c1s, &c2s, &mut acc, |c1, c2, _| {
+                got.push((c1, c2));
+                Ok::<(), ()>(())
+            })
+            .expect("infallible");
+            let want: Vec<_> = (c1s.iter().copied().zip(c2s.iter().copied()))
+                .filter(|&(c1, c2)| p.matches(c1, c2))
+                .collect();
+            assert_eq!(got, want, "{p:?}");
+            assert_eq!((acc.examined, acc.matched), (150, 0));
+            // The first error stops the walk.
+            let mut seen = 0;
+            let r = eval.left_cols(&c1s, &c2s, &mut acc, |_, _, _| {
+                seen += 1;
+                Err(())
+            });
+            assert_eq!((r.is_err(), seen), (!want.is_empty(), want.len().min(1)));
         }
     }
 

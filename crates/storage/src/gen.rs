@@ -54,6 +54,15 @@ impl ColumnData {
         self.c2[row as usize]
     }
 
+    /// The `C1` and `C2` values of the rows in `rows`, as two parallel
+    /// slices — what a page-at-a-time evaluator reads instead of calling
+    /// [`ColumnData::c1`] / [`ColumnData::c2`] once per row.
+    #[inline]
+    pub fn cols(&self, rows: std::ops::Range<u64>) -> (&[u32], &[u32]) {
+        let rows = rows.start as usize..rows.end as usize;
+        (&self.c1[rows.clone()], &self.c2[rows])
+    }
+
     /// All `(C2, row)` pairs — input to the index bulk loader.
     pub fn c2_entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.c2.iter().enumerate().map(|(i, &k)| (k, i as u64))
@@ -164,6 +173,17 @@ mod tests {
             .max();
         assert_eq!(data.naive_max_c1(lo, hi), expected);
         assert_eq!(data.naive_max_c1(5, 4), None);
+    }
+
+    #[test]
+    fn cols_are_the_per_row_accessors_side_by_side() {
+        let data = ColumnData::generate(&spec(100));
+        let (c1s, c2s) = data.cols(33..66);
+        assert_eq!(c1s.len(), 33);
+        for (i, r) in (33..66u64).enumerate() {
+            assert_eq!((c1s[i], c2s[i]), (data.c1(r), data.c2(r)));
+        }
+        assert_eq!(data.cols(100..100), (&[][..], &[][..]));
     }
 
     #[test]

@@ -59,21 +59,14 @@ impl HeapTable {
         (self.data.c1(row), self.data.c2(row))
     }
 
-    /// Evaluate the scan predicate over one page: returns the max `C1`
-    /// among rows on page `local` with `C2 ∈ [low, high]`, plus the number
-    /// of rows examined (always the full page — FTS must touch every row).
-    pub fn scan_page_max(&self, local: u64, low: u32, high: u32) -> (Option<u32>, u32) {
-        let mut best: Option<u32> = None;
-        let range = self.spec.rows_in_page(local);
-        let examined = (range.end - range.start) as u32;
-        for r in range {
-            let c2 = self.data.c2(r);
-            if c2 >= low && c2 <= high {
-                let c1 = self.data.c1(r);
-                best = Some(best.map_or(c1, |b| b.max(c1)));
-            }
-        }
-        (best, examined)
+    /// The `C1` and `C2` column slices of the `pages` table pages starting
+    /// at `local` (the table's last page may be partial): one slice pair
+    /// per page or per contiguous run, for page-at-a-time evaluation.
+    #[inline]
+    pub fn page_cols(&self, local: u64, pages: u64) -> (&[u32], &[u32]) {
+        let rpp = self.spec.rows_per_page as u64;
+        let end = ((local + pages) * rpp).min(self.spec.rows);
+        self.data.cols(local * rpp..end)
     }
 
     /// Materialize the physical image of table page `local` (page codec).
@@ -107,15 +100,29 @@ mod tests {
         let t = table(10_000, 33);
         let (low, high) = crate::gen::range_for_selectivity(0.2, u32::MAX - 1);
         let mut best: Option<u32> = None;
+        let mut examined = 0;
         for p in 0..t.n_pages() {
-            let (m, examined) = t.scan_page_max(p, low, high);
-            assert!(examined > 0);
-            best = match (best, m) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
+            let (c1s, c2s) = t.page_cols(p, 1);
+            assert_eq!(c1s.len(), t.spec().rows_in_page(p).count());
+            examined += c1s.len();
+            let hits = c1s
+                .iter()
+                .zip(c2s)
+                .filter(|&(_, &c2)| c2 >= low && c2 <= high);
+            best = best.max(hits.map(|(&c1, _)| c1).max());
         }
+        assert_eq!(examined, 10_000);
         assert_eq!(best, t.data().naive_max_c1(low, high));
+    }
+
+    #[test]
+    fn page_cols_of_a_run_spans_its_pages_and_clips_at_the_table_end() {
+        let t = table(100, 33); // pages of 33, 33, 33, 1 rows
+        let (c1s, c2s) = t.page_cols(1, 3);
+        assert_eq!((c1s.len(), c2s.len()), (67, 67));
+        assert_eq!((c1s[0], c2s[0]), t.row(33));
+        assert_eq!((c1s[66], c2s[66]), t.row(99));
+        assert_eq!(t.page_cols(3, 1).0.len(), 1);
     }
 
     #[test]

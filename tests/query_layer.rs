@@ -35,12 +35,13 @@ impl Gen {
     }
 
     /// A comparison constant: usually near the C2 domain (so windows and
-    /// equalities discriminate), occasionally a full-range u32.
+    /// equalities discriminate), one time in eight a full-range u32, one
+    /// time in eight a boundary value (where `C2 < 0` and friends live).
     fn value(&mut self, c2_max: u32) -> u32 {
-        if self.below(4) == 0 {
-            self.next() as u32
-        } else {
-            self.below(u64::from(c2_max) + u64::from(c2_max / 4) + 1) as u32
+        match self.below(8) {
+            0 => self.next() as u32,
+            1 => [0, 1, c2_max, u32::MAX - 1, u32::MAX][self.below(5) as usize],
+            _ => self.below(u64::from(c2_max) + u64::from(c2_max / 4) + 1) as u32,
         }
     }
 
@@ -73,11 +74,12 @@ impl Gen {
                 let col = self.col();
                 let a = self.value(c2_max);
                 let b = self.value(c2_max);
-                Predicate::Between {
-                    col,
-                    low: a.min(b),
-                    high: a.max(b),
-                }
+                // One window in eight is inverted: the empty window.
+                let (low, high) = match self.below(8) {
+                    0 => (a.max(b), a.min(b)),
+                    _ => (a.min(b), a.max(b)),
+                };
+                Predicate::Between { col, low, high }
             }
             kind => {
                 let children = (0..1 + self.below(3))
@@ -175,6 +177,76 @@ proptest! {
     }
 }
 
+/// Predicates no row can satisfy answer the oracle (nothing) through every
+/// scan plan and the `Db` facade; where the empty window is on `C2` the
+/// index plans stop after the descent, before any leaf. (`C2 < 0` once had
+/// the full domain as its sarg and the full table as its FTS answer.) The
+/// session paths take the empty window as selectivity 0.0 in
+/// `shared_scans_on_and_off_both_answer_the_oracle`.
+#[test]
+fn empty_windows_match_nothing_on_every_path() {
+    let spec = TableSpec::paper_table(33, 3_300, 5);
+    let mut ts = Tablespace::new(4 * spec.n_pages() + 1_000);
+    let table = HeapTable::create(spec, &mut ts).expect("fits");
+    let index = BTreeIndex::build(
+        "c2",
+        table.data().c2_entries(),
+        table.spec().page_size,
+        &mut ts,
+    )
+    .expect("fits");
+    let cmp = |col, op, value| Predicate::Cmp { col, op, value };
+    let inverted = |col| Predicate::Between {
+        col,
+        low: 9,
+        high: 2,
+    };
+    // (predicate, whether its sarg window on C2 is empty)
+    let cases = [
+        (cmp(Col::C2, CmpOp::Lt, 0), true),
+        (cmp(Col::C2, CmpOp::Gt, u32::MAX), true),
+        (inverted(Col::C2), true),
+        (inverted(Col::C1), true),
+        (cmp(Col::C1, CmpOp::Lt, 0), false),
+    ];
+    for (pred, empty_sarg) in cases {
+        let base = QuerySpec::scan(&table)
+            .with_index(&index)
+            .filter(pred.clone());
+        let want = oracle(&base);
+        assert_eq!((want.matched, want.agg), (0, None), "{pred:?}");
+
+        let fts = run_query(&base.clone(), ts.capacity(), 11);
+        assert_answers(&fts, &want, &format!("FTS {pred:?}"));
+        assert_eq!(fts.rows_examined, 3_300);
+        for plan in [
+            PlanSpec::Is(IsConfig::default()),
+            PlanSpec::SortedIs(SortedIsConfig::default()),
+        ] {
+            let label = format!("{plan:?} {pred:?}");
+            let m = run_query(&base.clone().with_plan(plan), ts.capacity(), 11);
+            assert_answers(&m, &want, &label);
+            if empty_sarg {
+                assert_eq!(m.rows_examined, 0, "{label}");
+                assert!(
+                    m.io.pages_read < u64::from(index.height()),
+                    "{label}: read {} pages of a height-{} index",
+                    m.io.pages_read,
+                    index.height()
+                );
+            }
+        }
+
+        let mut db = Db::builder().rows(3_300).seed(5).build();
+        let out = db.query().filter(pred.clone()).max(Col::C1).expect("runs");
+        assert_eq!((out.value, out.metrics.rows_matched), (None, 0), "{pred:?}");
+        if empty_sarg {
+            let (_, costed_as_empty) = db.explain_max_between(1, 0);
+            assert_eq!(out.plan_name, costed_as_empty, "{pred:?}: selectivity 0");
+        }
+    }
+}
+
 struct JoinFixture {
     left: HeapTable,
     right: HeapTable,
@@ -258,12 +330,40 @@ proptest! {
     }
 }
 
+/// Fifty-one keys over a few thousand rows: every key a long run of
+/// duplicates on both sides, in memory (`partitions` 1) and spilled (8).
+#[test]
+fn duplicate_heavy_joins_answer_the_oracle() {
+    let fx = join_fixture(2_000, 1_500, 50, 23);
+    let pred = Predicate::c2_between(5, 45);
+    let want = oracle(&join_spec(
+        &fx,
+        pred.clone(),
+        PlanSpec::Inl(InlConfig::default()),
+    ));
+    assert!(
+        want.matched > 20 * 2_000,
+        "~29 inner rows per outer row: {}",
+        want.matched
+    );
+    for partitions in [1, 8] {
+        let plan = PlanSpec::Hash(HashJoinConfig {
+            partitions,
+            ..HashJoinConfig::default()
+        });
+        let m = run_query(&join_spec(&fx, pred.clone(), plan), fx.capacity, 17);
+        assert_answers(&m, &want, &format!("hash P={partitions}"));
+        assert_eq!(m.rows_examined, want.examined);
+    }
+}
+
 /// One completed query's identity: `(session, query_index, max_c1,
 /// rows_matched)`.
 type QueryAnswer = (u32, u32, Option<u32>, u64);
 
 /// Shared scans toggled on and off return the same per-query answers, and
-/// both match the oracle for each query's selectivity window.
+/// both match the oracle for each query's selectivity window — the empty
+/// window (selectivity 0.0) included.
 #[test]
 fn shared_scans_on_and_off_both_answer_the_oracle() {
     let spec = TableSpec::paper_table(33, 12_000, 77);
@@ -282,7 +382,7 @@ fn shared_scans_on_and_off_both_answer_the_oracle() {
         let wspec = WorkloadSpec {
             sessions: 6,
             queries_per_session: 2,
-            selectivities: vec![0.3],
+            selectivities: vec![0.3, 0.0],
             shared_scans: shared,
             ..WorkloadSpec::default()
         };
@@ -312,6 +412,7 @@ fn shared_scans_on_and_off_both_answer_the_oracle() {
                 r.session,
                 r.query_index
             );
+            assert_eq!(r.selectivity == 0.0, r.rows_matched == 0);
         }
         let mut keyed: Vec<_> = report
             .records
