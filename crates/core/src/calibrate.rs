@@ -127,83 +127,66 @@ impl Calibrator {
         &self.cfg
     }
 
-    /// Calibrate the full QDTT grid (with early stopping if configured).
+    /// Calibrate the full QDTT grid (with early stopping if configured):
+    /// one device, one rng and one clock threaded through every point.
     pub fn calibrate_qdtt(&self, dev: &mut dyn DeviceModel) -> (Qdtt, CalibrationReport) {
-        self.calibrate_qdtt_probed(dev, &mut |_, _, _, _| {})
-    }
-
-    /// [`Calibrator::calibrate_qdtt`] with a trace sink: every measured
-    /// grid point is recorded as a [`pioqo_obs::EventKind::Probe`] event,
-    /// stamped with the cumulative virtual calibration time at which the
-    /// point finished (`a` = band pages, `b` = per-page cost in ns).
-    pub fn calibrate_qdtt_traced(
-        &self,
-        dev: &mut dyn DeviceModel,
-        sink: &mut dyn pioqo_obs::TraceSink,
-    ) -> (Qdtt, CalibrationReport) {
-        if !sink.enabled() {
-            return self.calibrate_qdtt(dev);
-        }
-        let track = sink.track("calibrate");
-        self.calibrate_qdtt_probed(dev, &mut |band, qd, cost_us, elapsed| {
-            sink.record(pioqo_obs::TraceEvent {
-                t: SimTime::ZERO + elapsed,
-                track,
-                span: qd as u64,
-                kind: pioqo_obs::EventKind::Probe,
-                a: band,
-                b: (cost_us * 1000.0).max(0.0) as u64,
-            });
+        let mut clock = PointClock::default();
+        let mut rng = SimRng::seeded(self.cfg.seed);
+        self.walk_grid(|_, qd, band_idx, report| {
+            band_idx
+                .iter()
+                .map(|&bi| {
+                    let band = self.cfg.band_sizes[bi];
+                    report.points_measured += 1;
+                    self.measure_avg(dev, band, qd, &mut rng, &mut clock, report)
+                })
+                .collect()
         })
     }
 
-    /// The sequential calibration loop, reporting every measured point to
-    /// `probe` as `(band, qd, cost_us, cumulative_virtual_duration)`.
-    fn calibrate_qdtt_probed(
+    /// The §4.6 walk both calibrations share: depths ascending; within a
+    /// depth the largest band first; past depth one, stop when that band
+    /// improves on the previous depth by less than `early_stop_pct` and
+    /// fill every unmeasured point from the depth-1 row times
+    /// `stop_fill_factor`. `measure(qi, qd, band_idx, report)` returns one
+    /// cost per band index, in the order given, and accounts for its reads
+    /// in `report`; it is called once per depth with the largest band
+    /// alone and, if the walk goes on, once with the rest descending.
+    fn walk_grid(
         &self,
-        dev: &mut dyn DeviceModel,
-        probe: &mut dyn FnMut(u64, u32, f64, SimDuration),
+        mut measure: impl FnMut(usize, u32, &[usize], &mut CalibrationReport) -> Vec<f64>,
     ) -> (Qdtt, CalibrationReport) {
         let bands = &self.cfg.band_sizes;
         let qds = &self.cfg.queue_depths;
         let nb = bands.len();
         let mut grid = vec![f64::NAN; nb * qds.len()];
         let mut report = CalibrationReport::default();
-        let mut clock = PointClock::default();
-        let mut rng = SimRng::seeded(self.cfg.seed);
+        let rest: Vec<usize> = (0..nb - 1).rev().collect();
 
-        'qd_loop: for (qi, &qd) in qds.iter().enumerate() {
-            // §4.6: largest band first within each depth.
-            for bi in (0..nb).rev() {
-                let band = bands[bi];
-                let cost = self.measure_avg(dev, band, qd, &mut rng, &mut clock, &mut report);
-                grid[qi * nb + bi] = cost;
-                report.points_measured += 1;
-                probe(band, qd, cost, report.virtual_duration);
-
-                // Early-stop check after the largest band of each qd > 1.
-                if bi == nb - 1 && qi > 0 {
-                    if let Some(t_pct) = self.cfg.early_stop_pct {
-                        let prev = grid[(qi - 1) * nb + (nb - 1)];
-                        let improvement = (prev - cost) / prev * 100.0;
-                        if improvement < t_pct {
-                            report.stopped_at_qd = Some(qd);
-                            // Fill every remaining point from the depth-1
-                            // row, slightly inflated.
-                            for qj in qi..qds.len() {
-                                for bj in 0..nb {
-                                    let fill = grid[bj] * self.cfg.stop_fill_factor;
-                                    let cell = &mut grid[qj * nb + bj];
-                                    if cell.is_nan() {
-                                        *cell = fill;
-                                        report.points_defaulted += 1;
-                                    }
-                                }
+        for (qi, &qd) in qds.iter().enumerate() {
+            let cost = measure(qi, qd, &[nb - 1], &mut report)[0];
+            grid[qi * nb + (nb - 1)] = cost;
+            if let (true, Some(t_pct)) = (qi > 0, self.cfg.early_stop_pct) {
+                let prev = grid[(qi - 1) * nb + (nb - 1)];
+                let improvement = (prev - cost) / prev * 100.0;
+                if improvement < t_pct {
+                    report.stopped_at_qd = Some(qd);
+                    for qj in qi..qds.len() {
+                        for bj in 0..nb {
+                            let fill = grid[bj] * self.cfg.stop_fill_factor;
+                            let cell = &mut grid[qj * nb + bj];
+                            if cell.is_nan() {
+                                *cell = fill;
+                                report.points_defaulted += 1;
                             }
-                            break 'qd_loop;
                         }
                     }
+                    break;
                 }
+            }
+            let costs = measure(qi, qd, &rest, &mut report);
+            for (&bi, cost) in rest.iter().zip(costs) {
+                grid[qi * nb + bi] = cost;
             }
         }
         debug_assert!(grid.iter().all(|c| !c.is_nan()));
@@ -217,11 +200,8 @@ impl Calibrator {
     /// each point draws its offsets from an rng derived purely from the
     /// config seed and the point's grid coordinates
     /// ([`SimRng::derive`]), and the per-point work fans out over
-    /// [`pioqo_simkit::par::par_map`]. Rows still run in ascending
-    /// queue-depth order and the largest band of each row is probed
-    /// *before* the rest of the row fans out, so the §4.6 early stop
-    /// measures and skips exactly the points the sequential protocol
-    /// would.
+    /// [`pioqo_simkit::par::par_map`]. The walk is the sequential one, so
+    /// the §4.6 early stop measures and skips exactly the same points.
     ///
     /// Because points no longer thread one rng/device/clock through the
     /// grid, the measured values differ numerically from
@@ -233,61 +213,28 @@ impl Calibrator {
         F: Fn() -> D + Sync,
     {
         let bands = &self.cfg.band_sizes;
-        let qds = &self.cfg.queue_depths;
         let nb = bands.len();
-        let mut grid = vec![f64::NAN; nb * qds.len()];
-        let mut report = CalibrationReport::default();
-
-        'qd_loop: for (qi, &qd) in qds.iter().enumerate() {
-            // One derivation base per row; streams within the row are the
-            // band indexes, so every grid point gets a globally unique
-            // (base, stream) pair.
+        self.walk_grid(|qi, qd, band_idx, report| {
+            // One derivation base per row. Within it the largest band
+            // draws stream `nb - 1` and the rest, measured descending,
+            // streams 0, 1, ...: a unique (base, stream) per grid point.
             let row_seed = self
                 .cfg
                 .seed
                 .wrapping_add((qi as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-            // §4.6 ordering: probe the largest band first.
-            let probe_rng = SimRng::derive(row_seed, (nb - 1) as u64);
-            let (cost, local) = self.measure_fresh(&make_device, bands[nb - 1], qd, probe_rng);
-            grid[qi * nb + (nb - 1)] = cost;
-            merge_report(&mut report, &local);
-
-            if qi > 0 {
-                if let Some(t_pct) = self.cfg.early_stop_pct {
-                    let prev = grid[(qi - 1) * nb + (nb - 1)];
-                    let improvement = (prev - cost) / prev * 100.0;
-                    if improvement < t_pct {
-                        report.stopped_at_qd = Some(qd);
-                        for qj in qi..qds.len() {
-                            for bj in 0..nb {
-                                let fill = grid[bj] * self.cfg.stop_fill_factor;
-                                let cell = &mut grid[qj * nb + bj];
-                                if cell.is_nan() {
-                                    *cell = fill;
-                                    report.points_defaulted += 1;
-                                }
-                            }
-                        }
-                        break 'qd_loop;
-                    }
-                }
-            }
-
-            // Fan the rest of the row out across threads.
-            if nb > 1 {
-                let rest: Vec<(usize, u64)> = (0..nb - 1).rev().map(|bi| (bi, bands[bi])).collect();
-                let results = pioqo_simkit::par::par_map(row_seed, &rest, |rng, &(_, band)| {
-                    self.measure_fresh(&make_device, band, qd, rng)
-                });
-                for (&(bi, _), (cost, local)) in rest.iter().zip(&results) {
-                    grid[qi * nb + bi] = *cost;
-                    merge_report(&mut report, local);
-                }
-            }
-        }
-        debug_assert!(grid.iter().all(|c| !c.is_nan()));
-        (Qdtt::new(bands.clone(), qds.clone(), grid), report)
+            let stream = |bi: usize| (if bi == nb - 1 { bi } else { nb - 2 - bi }) as u64;
+            let results = pioqo_simkit::par::par_map(row_seed, band_idx, |_, &bi| {
+                let rng = SimRng::derive(row_seed, stream(bi));
+                self.measure_fresh(&make_device, bands[bi], qd, rng)
+            });
+            results
+                .iter()
+                .map(|(cost, local)| {
+                    merge_report(report, local);
+                    *cost
+                })
+                .collect()
+        })
     }
 
     /// Parallel analogue of [`Calibrator::calibrate_dtt`]: every band is
@@ -389,54 +336,59 @@ impl Calibrator {
         clock: &mut PointClock,
         report: &mut CalibrationReport,
     ) -> f64 {
-        let file_pages = dev.capacity_pages();
-        let band = band.min(file_pages);
-        let m = self.cfg.max_reads;
-        // Reads per block and number of blocks, total capped at M.
-        let per_block = band.min(m);
-        let n_blocks = if band >= m {
-            1
-        } else {
-            (m / per_block).min(file_pages / band).max(1)
-        };
-
         dev.reset_state();
-        let mut offsets: Vec<u64> = Vec::with_capacity((per_block * n_blocks) as usize);
-        if n_blocks == 1 {
-            // One block of `band` pages at a random aligned start.
-            let start = if file_pages > band {
-                rng.below(file_pages - band + 1)
-            } else {
-                0
-            };
-            for off in rng.distinct_below(band, per_block as usize) {
-                offsets.push(start + off);
-            }
-        } else {
-            // The file is tiled into band-sized blocks; visit `n_blocks`
-            // *consecutive* blocks one at a time (random placement of the
-            // run). Consecutive blocks make band = 1 degenerate into pure
-            // sequential I/O, which is exactly the DTT's definition of a
-            // band-1 access pattern (§4.1).
-            let tiles = file_pages / band;
-            let first_tile = if tiles > n_blocks {
-                rng.below(tiles - n_blocks + 1)
-            } else {
-                0
-            };
-            for tile in first_tile..first_tile + n_blocks {
-                let start = tile * band;
-                for off in rng.distinct_below(band, per_block as usize) {
-                    offsets.push(start + off);
-                }
-            }
-        }
-
+        let offsets = point_offsets(self.cfg.max_reads, dev.capacity_pages(), band, rng);
         let elapsed = run_point_ios(dev, &offsets, qd, self.cfg.method, clock);
         report.total_reads += offsets.len() as u64;
         report.virtual_duration += elapsed;
         elapsed.as_micros_f64() / offsets.len() as f64
     }
+}
+
+/// The §4.4 block-division offset schedule of one calibration point:
+/// `min(band, m)` distinct random pages in each of up to `m / band`
+/// consecutive band-sized blocks (random placement of the run), `m` reads
+/// at most. Shared with [`crate::real_calibrate`].
+pub(crate) fn point_offsets(m: u64, file_pages: u64, band: u64, rng: &mut SimRng) -> Vec<u64> {
+    let band = band.min(file_pages).max(1);
+    // Reads per block and number of blocks, total capped at M.
+    let per_block = band.min(m);
+    let n_blocks = if band >= m {
+        1
+    } else {
+        (m / per_block).min(file_pages / band).max(1)
+    };
+    let mut offsets: Vec<u64> = Vec::with_capacity((per_block * n_blocks) as usize);
+    if n_blocks == 1 {
+        // One block of `band` pages at a random aligned start.
+        let start = if file_pages > band {
+            rng.below(file_pages - band + 1)
+        } else {
+            0
+        };
+        for off in rng.distinct_below(band, per_block as usize) {
+            offsets.push(start + off);
+        }
+    } else {
+        // The file is tiled into band-sized blocks; visit `n_blocks`
+        // *consecutive* blocks one at a time (random placement of the
+        // run). Consecutive blocks make band = 1 degenerate into pure
+        // sequential I/O, which is exactly the DTT's definition of a
+        // band-1 access pattern (§4.1).
+        let tiles = file_pages / band;
+        let first_tile = if tiles > n_blocks {
+            rng.below(tiles - n_blocks + 1)
+        } else {
+            0
+        };
+        for tile in first_tile..first_tile + n_blocks {
+            let start = tile * band;
+            for off in rng.distinct_below(band, per_block as usize) {
+                offsets.push(start + off);
+            }
+        }
+    }
+    offsets
 }
 
 /// Fold one per-point report into the aggregate (order-independent sums,
@@ -758,24 +710,6 @@ mod tests {
             || -> Box<dyn pioqo_device::DeviceModel> { Box::new(consumer_pcie_ssd(1 << 18, 3)) };
         let (m, _) = cal.calibrate_dtt_with(make);
         assert!(m.cost(64) > 0.0);
-    }
-
-    #[test]
-    fn traced_calibration_emits_probes_without_perturbing_the_grid() {
-        let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-        let mut d1 = consumer_pcie_ssd(1 << 18, 1);
-        let (plain, _) = cal.calibrate_qdtt(&mut d1);
-        let mut d2 = consumer_pcie_ssd(1 << 18, 1);
-        let mut sink = pioqo_obs::RingSink::with_capacity(256);
-        let (traced, report) = cal.calibrate_qdtt_traced(&mut d2, &mut sink);
-        assert_eq!(plain, traced, "tracing must not perturb the measurement");
-        assert_eq!(sink.len() as u64, report.points_measured);
-        assert!(sink
-            .events()
-            .all(|e| matches!(e.kind, pioqo_obs::EventKind::Probe)));
-        // Probes are stamped with cumulative virtual time: monotone.
-        let times: Vec<_> = sink.events().map(|e| e.t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 #![cfg(unix)]
 
-use crate::calibrate::{CalibrationConfig, Method};
+use crate::calibrate::{point_offsets, CalibrationConfig, Method};
 use crate::qdtt::Qdtt;
 use pioqo_device::real::{run_calibration_ios, IoPool, RealFile, WaitMethod};
 use pioqo_simkit::SimRng;
@@ -28,7 +28,7 @@ pub fn calibrate_real_qdtt(cfg: &CalibrationConfig, file: Arc<RealFile>) -> io::
             let mut total_us = 0.0;
             let mut total_reads = 0u64;
             for _ in 0..cfg.repetitions.max(1) {
-                let offsets = point_offsets(cfg, file.pages(), band, &mut rng);
+                let offsets = point_offsets(cfg.max_reads, file.pages(), band, &mut rng);
                 let method = match cfg.method {
                     Method::GroupWait => WaitMethod::GroupWait,
                     Method::ActiveWait | Method::Threads => WaitMethod::ActiveWait,
@@ -45,48 +45,6 @@ pub fn calibrate_real_qdtt(cfg: &CalibrationConfig, file: Arc<RealFile>) -> io::
         cfg.queue_depths.clone(),
         grid,
     ))
-}
-
-/// The paper's §4.4 offset schedule for one calibration point.
-fn point_offsets(
-    cfg: &CalibrationConfig,
-    file_pages: u64,
-    band: u64,
-    rng: &mut SimRng,
-) -> Vec<u64> {
-    let band = band.min(file_pages).max(1);
-    let m = cfg.max_reads;
-    let per_block = band.min(m);
-    let n_blocks = if band >= m {
-        1
-    } else {
-        (m / per_block).min(file_pages / band).max(1)
-    };
-    let mut offsets = Vec::with_capacity((per_block * n_blocks) as usize);
-    if n_blocks == 1 {
-        let start = if file_pages > band {
-            rng.below(file_pages - band + 1)
-        } else {
-            0
-        };
-        for off in rng.distinct_below(band, per_block as usize) {
-            offsets.push(start + off);
-        }
-    } else {
-        let tiles = file_pages / band;
-        let first_tile = if tiles > n_blocks {
-            rng.below(tiles - n_blocks + 1)
-        } else {
-            0
-        };
-        for tile in first_tile..first_tile + n_blocks {
-            let start = tile * band;
-            for off in rng.distinct_below(band, per_block as usize) {
-                offsets.push(start + off);
-            }
-        }
-    }
-    offsets
 }
 
 #[cfg(test)]
@@ -113,6 +71,72 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A device that remembers the offset of every read submitted to it.
+    struct Recorder {
+        inner: pioqo_device::Ssd,
+        seen: Vec<u64>,
+    }
+
+    impl pioqo_device::DeviceModel for Recorder {
+        fn page_size(&self) -> u32 {
+            self.inner.page_size()
+        }
+        fn capacity_pages(&self) -> u64 {
+            self.inner.capacity_pages()
+        }
+        fn submit(&mut self, now: pioqo_simkit::SimTime, req: pioqo_device::IoRequest) {
+            self.seen.push(req.offset);
+            self.inner.submit(now, req)
+        }
+        fn next_event(&self) -> Option<pioqo_simkit::SimTime> {
+            self.inner.next_event()
+        }
+        fn advance(
+            &mut self,
+            now: pioqo_simkit::SimTime,
+            out: &mut Vec<pioqo_device::IoCompletion>,
+        ) {
+            self.inner.advance(now, out)
+        }
+        fn outstanding(&self) -> usize {
+            self.inner.outstanding()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn reset_state(&mut self) {
+            self.inner.reset_state()
+        }
+    }
+
+    #[test]
+    fn real_and_simulated_calibration_draw_identical_offsets() {
+        // Same (cfg, file_pages, band, seed): the simulated calibrator's
+        // first point must read exactly the pages the real one would.
+        let file_pages = 1 << 14;
+        for (band, max_reads) in [(1u64, 64u64), (8, 100), (256, 64), (1 << 14, 200)] {
+            let cfg = CalibrationConfig {
+                band_sizes: vec![band],
+                queue_depths: vec![1],
+                max_reads,
+                method: Method::ActiveWait,
+                repetitions: 1,
+                early_stop_pct: None,
+                stop_fill_factor: 1.02,
+                seed: 11,
+            };
+            let mut dev = Recorder {
+                inner: pioqo_device::presets::consumer_pcie_ssd(file_pages, 1),
+                seen: Vec::new(),
+            };
+            crate::Calibrator::new(cfg.clone()).calibrate_qdtt(&mut dev);
+            // `calibrate_real_qdtt` seeds its rng the same way.
+            let mut rng = SimRng::seeded(cfg.seed);
+            let real = point_offsets(cfg.max_reads, file_pages, band, &mut rng);
+            assert_eq!(dev.seen, real, "band {band}");
+        }
+    }
+
     #[test]
     fn offsets_respect_cap_and_band() {
         let cfg = CalibrationConfig {
@@ -126,7 +150,7 @@ mod tests {
             seed: 3,
         };
         let mut rng = SimRng::seeded(1);
-        let offs = point_offsets(&cfg, 1024, 8, &mut rng);
+        let offs = point_offsets(cfg.max_reads, 1024, 8, &mut rng);
         assert!(offs.len() <= 100);
         assert!(offs.iter().all(|&o| o < 1024));
     }

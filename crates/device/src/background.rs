@@ -117,7 +117,13 @@ impl<D: DeviceModel> DeviceModel for WithBackgroundLoad<D> {
     }
 
     fn outstanding(&self) -> usize {
-        self.inner.outstanding() - self.bg_outstanding
+        // A crashed inner device reports zero outstanding while the
+        // background reads it swallowed are still counted here.
+        self.inner.outstanding().saturating_sub(self.bg_outstanding)
+    }
+
+    fn crashed(&self) -> bool {
+        self.inner.crashed()
     }
 
     fn channels(&self) -> u32 {

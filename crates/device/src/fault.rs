@@ -239,6 +239,10 @@ impl<D: DeviceModel> DeviceModel for Faulty<D> {
         self.inner.channels_busy(now)
     }
 
+    fn crashed(&self) -> bool {
+        self.inner.crashed()
+    }
+
     fn name(&self) -> &str {
         self.inner.name()
     }

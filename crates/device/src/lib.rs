@@ -12,9 +12,10 @@
 //! * [`Raid`] — striped array of 15K spindles: queue depth helps up to
 //!   the spindle count (Figs. 11, 12).
 //!
-//! Plus [`Traced`] (queue-depth/latency profiling), [`Faulty`] (error
-//! injection), and [`real`] — a real-file thread-pool backend for running
-//! the calibration against actual hardware.
+//! Plus the wrappers [`Faulty`] (error injection), [`Crashable`] (halt at
+//! a chosen instant) and [`WithBackgroundLoad`] (competing streams), and
+//! [`real`] — a real-file thread-pool backend for running the calibration
+//! against actual hardware.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +30,6 @@ pub mod presets;
 pub mod raid;
 pub mod real;
 pub mod ssd;
-pub mod trace;
 
 pub use background::WithBackgroundLoad;
 pub use crash::{CrashPlan, CrashReport, Crashable};
@@ -39,4 +39,3 @@ pub use io::{drain_all, DeviceModel, IoCompletion, IoKind, IoRequest, IoStatus};
 pub use media::MediaStore;
 pub use raid::{Raid, RaidConfig};
 pub use ssd::{Ssd, SsdConfig};
-pub use trace::Traced;

@@ -10,7 +10,7 @@
 //! `check` runs the D1-D11 determinism scan; `explain` prints one rule's
 //! rationale; `trace-check` validates exported Chrome trace JSON files
 //! against the exporter's schema; `metrics-check` validates exported
-//! Prometheus text expositions (from `repro --metrics`).
+//! Prometheus text expositions (from `repro metrics`).
 //!
 //! Exit status: 0 when clean, 1 when any rule fired, an allowlist entry
 //! is stale, or an exported artifact is malformed, 2 on usage or I/O
@@ -37,11 +37,11 @@ additionally writes a SARIF 2.1.0 log for CI annotation.
 `explain RULE` prints the invariant a rule guards and why it matters
 (e.g. `pioqo-lint explain D9`).
 
-`trace-check` validates exported Chrome trace JSON (from `repro --trace`)
+`trace-check` validates exported Chrome trace JSON (from `repro trace`)
 against the exporter's event schema.
 
 `metrics-check` validates exported Prometheus text expositions (from
-`repro --metrics`): TYPE-declared snake_case pioqo_* names, unique,
+`repro metrics`): TYPE-declared snake_case pioqo_* names, unique,
 integer-valued samples only.
 
 Exits 0 when clean, 1 on violations/stale allows/malformed artifacts, 2

@@ -121,9 +121,6 @@ pub fn chrome_trace_json<'a>(
             EventKind::Backoff => {
                 let _ = write!(out, ",\"args\":{{\"io\":{},\"wait_us\":{}}}", ev.a, ev.b);
             }
-            EventKind::Probe => {
-                let _ = write!(out, ",\"args\":{{\"band\":{},\"cost_ns\":{}}}", ev.a, ev.b);
-            }
             EventKind::QueueDepth => {
                 let _ = write!(out, ",\"args\":{{\"depth\":{}}}", ev.a);
             }

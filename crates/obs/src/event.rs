@@ -39,9 +39,6 @@ pub enum EventKind {
     TimeoutHedge,
     /// A backoff wait was scheduled (`a` = logical io id, `b` = wait µs).
     Backoff,
-    /// A calibration probe measured one grid point (`a` = band pages,
-    /// `b` = measured cost in ns).
-    Probe,
     /// Device queue-depth counter sample (`a` = outstanding requests).
     QueueDepth,
     /// A resident page transitioned clean→dirty (`a` = page).
@@ -79,7 +76,6 @@ impl EventKind {
             EventKind::Retry => "retry",
             EventKind::TimeoutHedge => "timeout_hedge",
             EventKind::Backoff => "backoff",
-            EventKind::Probe => "probe",
             EventKind::QueueDepth => "queue_depth",
             EventKind::PoolDirty => "pool_dirty",
             EventKind::PoolFlush => "pool_flush",

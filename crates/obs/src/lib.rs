@@ -11,11 +11,10 @@
 //!
 //! * **Structured event trace** — [`TraceEvent`]s (span begin/end, I/O
 //!   submit/complete, buffer-pool hit/miss/evict, retry/backoff/timeout
-//!   hedges, calibration probes, queue-depth counters) emitted through the
-//!   [`TraceSink`] trait. The default [`NullSink`] reports
-//!   `enabled() == false`, so instrumented hot paths skip event
-//!   construction entirely; [`RingSink`] records the most recent `capacity`
-//!   events in a fixed ring.
+//!   hedges, queue-depth counters) emitted through the [`TraceSink`]
+//!   trait. The default [`NullSink`] reports `enabled() == false`, so
+//!   instrumented hot paths skip event construction entirely; [`RingSink`]
+//!   records the most recent `capacity` events in a fixed ring.
 //! * **Log-bucketed histograms** — [`Histogram`] uses HDR-style
 //!   octave/sub-bucket indexing with *no floating point in bucket
 //!   selection*; [`HistSet`] groups the four per-scan distributions

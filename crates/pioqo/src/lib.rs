@@ -54,7 +54,7 @@ pub mod prelude {
     pub use pioqo_core::{CalibrationConfig, Calibrator, Dtt, Method, Qdtt};
     pub use pioqo_device::{
         presets, CrashPlan, CrashReport, Crashable, DeviceModel, FaultPlan, Faulty, Hdd, IoKind,
-        IoRequest, IoStatus, MediaStore, Raid, Ssd, Traced,
+        IoRequest, IoStatus, MediaStore, Raid, Ssd,
     };
     pub use pioqo_exec::{
         drive_writes, execute, oracle, recover, Aggregate, CmpOp, Col, CpuConfig, CpuCosts,

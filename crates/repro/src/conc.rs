@@ -1,22 +1,22 @@
-//! `repro --concurrency`, `repro --session-export` and
-//! `repro --interference`: the multi-session concurrency grid, the
-//! canonical 8-session observability bundle, and the scan-vs-checkpoint
-//! interference sweep.
+//! The session-engine targets: `concurrency-grid`, `joins`,
+//! `interference`, `session-scale` (one golden CSV each) and the
+//! `session-export` bundle. All take `--seed` (default 42) and `--scale`.
 
 use crate::figs::Opts;
-use crate::report::{f2, results_dir, TextTable};
+use crate::report::{f2, or_exit, results_dir, write_artifacts, TextTable};
 use pioqo_exec::WriteConfig;
 use pioqo_optimizer::OptimizerConfig;
 use pioqo_simkit::SimDuration;
 use pioqo_workload::{
-    concurrency_grid, grid_csv, interference_csv, interference_sweep, join_grid, join_grid_csv,
-    session_export, session_scale_csv, session_scale_sweep, ConcurrencyConfig, DeviceKind,
-    JoinGridConfig, SessionScaleConfig,
+    concurrency_grid, interference_sweep, join_grid, session_export, session_scale_sweep, to_csv,
+    ConcurrencyConfig, CsvRow, DeviceKind, JoinGridConfig, SessionScaleConfig,
 };
 
-fn grid_config(opts: Opts, seed: u64) -> ConcurrencyConfig {
+const DEVICES: [DeviceKind; 3] = [DeviceKind::Hdd, DeviceKind::Ssd, DeviceKind::Raid8];
+
+fn grid_config(opts: Opts) -> ConcurrencyConfig {
     let mut cfg = ConcurrencyConfig {
-        seed,
+        seed: opts.seed.unwrap_or(42),
         ..ConcurrencyConfig::default()
     };
     if opts.scale > 1 {
@@ -25,24 +25,27 @@ fn grid_config(opts: Opts, seed: u64) -> ConcurrencyConfig {
     cfg
 }
 
+/// Write a grid's full-fidelity CSV — the golden artifact; the text table
+/// each target prints is a digest of it.
+fn write_grid<C: CsvRow>(stem: &str, opts: Opts, cells: &[C]) {
+    let name = format!("{stem}{}.csv", opts.suffix());
+    write_artifacts(&results_dir(), &[(&name, &to_csv(cells))]);
+}
+
 /// Run the sessions ∈ {1, 2, 4, 8, 16} × {HDD, SSD, RAID8} grid: every
 /// query admitted through QDTT-aware admission control, so plan choice
 /// and parallel degree shift as the per-query queue-depth lease shrinks.
-pub fn concurrency(opts: Opts, seed: u64) {
-    let cfg = grid_config(opts, seed);
-    let devices = [DeviceKind::Hdd, DeviceKind::Ssd, DeviceKind::Raid8];
+pub fn concurrency(opts: Opts) {
+    let cfg = grid_config(opts);
     eprintln!(
-        "[concurrency] {} rows/device, sessions {:?} ...",
+        "[concurrency-grid] {} rows/device, sessions {:?} ...",
         cfg.rows, cfg.session_counts
     );
     let threads = pioqo_simkit::par::thread_count();
-    let cells = match concurrency_grid(&devices, &cfg, &OptimizerConfig::fine_grained(), threads) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: concurrency grid failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cells = or_exit(
+        concurrency_grid(&DEVICES, &cfg, &OptimizerConfig::fine_grained(), threads),
+        "concurrency grid",
+    );
     let mut t = TextTable::new(
         "Extension — multi-session workloads under QDTT-aware admission control",
         &[
@@ -71,49 +74,29 @@ pub fn concurrency(opts: Opts, seed: u64) {
         ]);
     }
     t.print();
-    // The full-fidelity CSV (plan mix, lease minima, p95) is the artifact
-    // the acceptance check reads; the text table above is a digest.
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(format!("concurrency_grid{}.csv", opts.suffix()));
-    match std::fs::write(&path, grid_csv(&cells)) {
-        Ok(()) => println!("[csv] {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_grid("concurrency_grid", opts, &cells);
 }
 
 /// Run the join-crossover grid: devices ∈ {HDD, SSD, RAID8} × sessions ∈
 /// {1, 4, 16}. Each cell costs index-nested-loop and hybrid-hash under
 /// the cell's queue-depth lease, picks the cheaper, then executes both to
-/// validate the pick. Prints a digest and writes `join_crossover*.csv`.
-pub fn joins(opts: Opts, seed: u64) {
+/// validate the pick. Exits nonzero if the two operators ever disagree on
+/// an answer.
+pub fn joins(opts: Opts) {
     let mut cfg = JoinGridConfig {
-        seed,
+        seed: opts.seed.unwrap_or(42),
         ..JoinGridConfig::default()
     };
     if opts.scale > 1 {
         cfg.left_rows = (cfg.left_rows / opts.scale).max(2_000);
         cfg.right_rows = (cfg.right_rows / opts.scale).max(1_000);
     }
-    let devices = [DeviceKind::Hdd, DeviceKind::Ssd, DeviceKind::Raid8];
     eprintln!(
         "[joins] {}x{} rows, sessions {:?}, sel {} ...",
         cfg.left_rows, cfg.right_rows, cfg.session_counts, cfg.selectivity
     );
     let threads = pioqo_simkit::par::thread_count();
-    let cells = match join_grid(&devices, &cfg, threads) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: join grid failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cells = or_exit(join_grid(&DEVICES, &cfg, threads), "join grid");
     let mut t = TextTable::new(
         "Extension — QDTT-costed joins: INL vs hybrid hash per device and lease",
         &[
@@ -149,34 +132,17 @@ pub fn joins(opts: Opts, seed: u64) {
         }
     }
     t.print();
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(format!("join_crossover{}.csv", opts.suffix()));
-    match std::fs::write(&path, join_grid_csv(&cells)) {
-        Ok(()) => println!("[csv] {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_grid("join_crossover", opts, &cells);
 }
 
 /// Run the scan-vs-checkpoint interference sweep: sessions ∈ {1, 4, 16}
 /// on the SSD fixture, each twice — flusher off, then the full write
 /// path (WAL group commit + background writeback) sharing the device.
-/// Prints a digest and writes `interference*.csv`.
-pub fn interference(opts: Opts, seed: u64) {
-    let mut cfg = ConcurrencyConfig {
-        seed,
+pub fn interference(opts: Opts) {
+    let cfg = ConcurrencyConfig {
         session_counts: vec![1, 4, 16],
-        ..ConcurrencyConfig::default()
+        ..grid_config(opts)
     };
-    if opts.scale > 1 {
-        cfg.rows = (cfg.rows / opts.scale).max(1_000);
-    }
     // Busy enough that checkpoint writes overlap the scan window.
     let writes = WriteConfig {
         writers: 4,
@@ -185,20 +151,17 @@ pub fn interference(opts: Opts, seed: u64) {
         group_commit: SimDuration::from_micros_f64(150.0),
         flush_interval: SimDuration::from_micros_f64(500.0),
         flush_batch: 8,
-        seed,
+        seed: cfg.seed,
         ..WriteConfig::default()
     };
     eprintln!(
         "[interference] {} rows, sessions {:?}, flusher off/on ...",
         cfg.rows, cfg.session_counts
     );
-    let cells = match interference_sweep(&cfg, &writes, 4_000, &OptimizerConfig::fine_grained()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: interference sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cells = or_exit(
+        interference_sweep(&cfg, &writes, 4_000, &OptimizerConfig::fine_grained()),
+        "interference sweep",
+    );
     let mut t = TextTable::new(
         "Extension — scan p99 with the background flusher off vs on",
         &[
@@ -225,28 +188,15 @@ pub fn interference(opts: Opts, seed: u64) {
         ]);
     }
     t.print();
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(format!("interference{}.csv", opts.suffix()));
-    match std::fs::write(&path, interference_csv(&cells)) {
-        Ok(()) => println!("[csv] {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_grid("interference", opts, &cells);
 }
 
 /// Run the session-scale sweep: sessions ∈ {1K, 10K} on the SSD fixture,
 /// each twice — every query on its own cursor, then all scans riding the
-/// cooperative shared-scan hub. Prints a digest and writes
-/// `session_scale*.csv`.
-pub fn session_scale(opts: Opts, seed: u64) {
+/// cooperative shared-scan hub.
+pub fn session_scale(opts: Opts) {
     let mut cfg = SessionScaleConfig {
-        seed,
+        seed: opts.seed.unwrap_or(42),
         ..SessionScaleConfig::default()
     };
     if opts.scale > 1 {
@@ -261,13 +211,7 @@ pub fn session_scale(opts: Opts, seed: u64) {
         cfg.rows, cfg.session_counts
     );
     let threads = pioqo_simkit::par::thread_count();
-    let cells = match session_scale_sweep(&cfg, threads) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: session-scale sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cells = or_exit(session_scale_sweep(&cfg, threads), "session-scale sweep");
     let mut t = TextTable::new(
         "Extension — overlapping scans at session scale: shared cursor off vs on",
         &[
@@ -296,58 +240,30 @@ pub fn session_scale(opts: Opts, seed: u64) {
         ]);
     }
     t.print();
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("error: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join(format!("session_scale{}.csv", opts.suffix()));
-    match std::fs::write(&path, session_scale_csv(&cells)) {
-        Ok(()) => println!("[csv] {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_grid("session_scale", opts, &cells);
 }
 
 /// Run the canonical 8-session SSD workload with tracing and write
 /// `session_report.json` (engine report), `session_trace.json` (Chrome
 /// trace with one track per session) and `session_admissions.json` (the
-/// admission journal) into `dir`.
-pub fn export_sessions(dir: &str, opts: Opts, seed: u64) {
-    let _ = opts;
-    eprintln!("[session-export] 8 sessions on SSD, seed {seed} ...");
-    let export = match session_export(seed) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: session export failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
+/// admission journal) into `results/session-export/`.
+pub fn export_sessions(opts: Opts) {
+    let cfg = grid_config(opts);
+    eprintln!(
+        "[session-export] 8 sessions on SSD, {} rows, seed {} ...",
+        cfg.rows, cfg.seed
+    );
+    let export = or_exit(session_export(&cfg), "session export");
     let admissions_json =
         serde_json::to_string_pretty(&export.admissions).unwrap_or_else(|_| String::from("[]"));
-    let writes = [
-        ("session_report.json", &export.report_json),
-        ("session_trace.json", &export.chrome_json),
-        ("session_admissions.json", &admissions_json),
-    ];
-    for (name, body) in writes {
-        let path = std::path::Path::new(dir).join(name);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!(
-            "[session-export] wrote {} ({} bytes)",
-            path.display(),
-            body.len()
-        );
-    }
+    write_artifacts(
+        &results_dir().join("session-export"),
+        &[
+            ("session_report.json", &export.report_json),
+            ("session_trace.json", &export.chrome_json),
+            ("session_admissions.json", &admissions_json),
+        ],
+    );
     println!(
         "[session-export] {} queries, makespan {:.3} ms, fairness {:.2}",
         export.report.total_completed(),

@@ -23,6 +23,10 @@ pub struct Opts {
     /// Buffer pool size in MB (the paper's small-memory setup is 64; the
     /// §3.2 large-memory variant used a much bigger pool).
     pub buffer_mb: u64,
+    /// `--seed N`: dataset/device seed of the seeded targets (the grids,
+    /// `trace`, `metrics`, `session-export`); `None` keeps each target's
+    /// default.
+    pub seed: Option<u64>,
 }
 
 impl Opts {
@@ -45,6 +49,7 @@ impl Default for Opts {
             scale: 1,
             reps: 5,
             buffer_mb: 64,
+            seed: None,
         }
     }
 }
@@ -563,7 +568,7 @@ pub fn concurrency(opts: Opts) {
 /// usable predictor, not just a ranker?).
 pub fn accuracy(opts: Opts) {
     use pioqo_optimizer::AccessMethod;
-    use pioqo_workload::cold_stats;
+    use pioqo_workload::{cold_stats, plan_to_method};
     let exp = build("E33-SSD", opts);
     eprintln!("[accuracy] calibrating ...");
     let models = calibrate(&exp);
@@ -596,14 +601,7 @@ pub fn accuracy(opts: Opts) {
     let rows = pioqo_simkit::par::par_map(0, &cases, |_rng, &(sel, method, degree)| {
         let opt = Optimizer::new(&qdtt, OptimizerConfig::default());
         let plan = opt.cost_access(&stats, sel, method, degree);
-        let spec = match method {
-            AccessMethod::TableScan => MethodSpec::Fts { workers: degree },
-            AccessMethod::IndexScan => MethodSpec::Is {
-                workers: degree,
-                prefetch: 0,
-            },
-            AccessMethod::SortedIndexScan => MethodSpec::SortedIs { prefetch: 32 },
-        };
+        let spec = plan_to_method(&plan, 0);
         eprintln!("[accuracy] sel={sel} {spec} ...");
         let m = exp.run_cold(spec, sel).expect("runs");
         let est_s = plan.est_total_us / 1e6;

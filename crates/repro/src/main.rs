@@ -1,12 +1,13 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--scale N] [--reps N] [--buffer-mb N] [--threads N]
-//!       [--trace DIR] [--trace-seed N]
-//!       [--concurrency] [--interference] [--session-scale]
-//!       [--session-export DIR] [--conc-seed N] <target>...
-//!   targets: fig1 table1 fig4 table2 table3 fig5 fig6 fig7 fig8
-//!            fig9 fig10 fig11 fig12 all
+//! repro [--scale N] [--reps N] [--buffer-mb N] [--threads N] [--seed N]
+//!       [--profile DIR] <target>...
+//!   CSV targets (all of them: `all`):
+//!     fig1 table1 fig4 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
+//!     fig12 ablation concurrency accuracy
+//!     concurrency-grid joins interference session-scale
+//!   bundle targets: trace metrics session-export
 //! ```
 //!
 //! `--scale N` divides experiment row counts by N (quick runs);
@@ -14,38 +15,37 @@
 //! `--threads N` sets the harness thread count (equivalent to the
 //! `PIOQO_THREADS` environment variable — results are byte-identical at
 //! any thread count, threads only change wall-clock time);
-//! `--trace DIR` captures the default observability scenario (see
-//! `pioqo_workload::trace`) and writes `trace.json` (Perfetto-loadable
-//! Chrome trace), `hists.csv` and `summary.json` into DIR —
-//! `--trace-seed N` varies its dataset/device seed. With `--trace`,
-//! targets are optional.
-//! `--metrics DIR` captures the default metrics scenario (see
-//! `pioqo_workload::metrics`) with the integer metrics registry enabled
-//! and writes `metrics.prom` (Prometheus text exposition), `series.csv`
-//! (sim-time series), `metrics.json` (summary), `slo.json` (SLO
-//! verdicts) and `counters.json` (Perfetto counter tracks) into DIR —
-//! `--metrics-seed N` varies its seed. All five files are byte-identical
-//! at any thread count. With `--metrics`, targets are optional.
+//! `--seed N` varies the dataset/device seed of the seeded targets — the
+//! four grids and `session-export` (default 42), `trace` and `metrics`
+//! (default 0); the paper figures carry their Table 1 seeds and ignore it;
 //! `--profile DIR` turns on the wall-clock self-profiler for the whole
 //! run and writes `profile.folded` (collapsed stacks, inferno /
 //! speedscope-loadable) and `profile.txt` (per-thread phase table) into
 //! DIR. Profile output is wall-clock and therefore NOT deterministic.
-//! `--concurrency` runs the multi-session grid (sessions ∈ {1,2,4,8,16}
-//! per device) under QDTT-aware admission control and writes
-//! `concurrency_grid*.csv`; `--joins` runs the join-crossover grid
-//! (devices × open sessions): both join methods costed under the cell's
-//! queue-depth lease, the pick validated by executing both, written to
-//! `join_crossover*.csv`; `--interference` runs the scan-vs-checkpoint
-//! interference sweep (scan p99 with the background flusher off vs on at
-//! 1/4/16 sessions) and writes `interference*.csv`; `--session-scale`
-//! runs the 1K/10K-session overlapping-scan sweep with the cooperative
-//! shared-scan cursor off vs on and writes `session_scale*.csv`;
-//! `--session-export DIR` writes the canonical 8-session
-//! report/trace/admission-journal JSON bundle into DIR; `--conc-seed N`
-//! varies the seed of all four.
-//! With any of these flags, targets are optional.
-//! Output: aligned text tables on stdout plus CSVs under `results/`
-//! (override with `PIOQO_RESULTS`).
+//!
+//! A CSV target prints an aligned text table and writes its CSVs under
+//! `results/` (override with `PIOQO_RESULTS`); every one of those files is
+//! committed as a golden (full scale and `--scale 4`), and `all` runs
+//! every CSV target. Beyond the paper's figures: `concurrency-grid` is
+//! the sessions ∈ {1,2,4,8,16} × device grid under QDTT-aware admission
+//! (`concurrency_grid*.csv`); `joins` the join-crossover grid — both join
+//! methods costed under the cell's queue-depth lease, the pick validated
+//! by executing both (`join_crossover*.csv`); `interference` the
+//! scan-vs-checkpoint sweep, scan p99 with the background flusher off vs
+//! on (`interference*.csv`); `session-scale` the 1K/10K-session
+//! overlapping-scan sweep with the shared-scan cursor off vs on
+//! (`session_scale*.csv`).
+//!
+//! A bundle target writes several documents into `results/<target>/`
+//! (git-ignored; not part of `all`): `trace` the default observability
+//! scenario of `pioqo_workload::trace` — `trace.json` (Perfetto-loadable
+//! Chrome trace), `hists.csv`, `summary.json`; `metrics` the default
+//! scenario of `pioqo_workload::metrics` with the integer registry on —
+//! `metrics.prom`, `series.csv`, `metrics.json`, `slo.json`,
+//! `counters.json`, and a nonzero exit if an SLO fails; `session-export`
+//! the canonical 8-session run — `session_report.json`,
+//! `session_trace.json`, `session_admissions.json`. All are
+//! byte-identical at any thread count.
 
 mod conc;
 mod devmeasure;
@@ -54,21 +54,74 @@ mod grids;
 mod report;
 
 use figs::Opts;
+use report::{or_exit, results_dir, write_artifacts};
+
+/// A target name and the function it runs.
+type Target = (&'static str, fn(Opts));
+
+/// Every target that writes CSVs into `results/`, in the order `all`
+/// runs them. A grid added here is in `all`, and so under the golden gate.
+const CSV_TARGETS: &[Target] = &[
+    ("fig1", figs::fig1),
+    ("table1", figs::table1),
+    ("fig4", figs::fig4),
+    ("table2", figs::table2),
+    ("table3", figs::table3),
+    ("fig5", figs::fig5),
+    ("fig6", figs::fig6),
+    ("fig7", figs::fig7),
+    ("fig8", figs::fig8),
+    ("fig9", figs::fig9_10_11),
+    ("fig12", figs::fig12),
+    ("ablation", figs::ablation),
+    ("concurrency", figs::concurrency),
+    ("accuracy", figs::accuracy),
+    ("concurrency-grid", conc::concurrency),
+    ("joins", conc::joins),
+    ("interference", conc::interference),
+    ("session-scale", conc::session_scale),
+];
+
+/// Targets that write a multi-file bundle into `results/<target>/`.
+const BUNDLE_TARGETS: &[Target] = &[
+    ("trace", run_trace),
+    ("metrics", run_metrics),
+    ("session-export", conc::export_sessions),
+];
+
+/// Flags earlier versions took, with what replaces each.
+const REMOVED_FLAGS: &[(&str, &str)] = &[
+    ("--trace", "the `trace` target"),
+    ("--metrics", "the `metrics` target"),
+    ("--concurrency", "the `concurrency-grid` target"),
+    ("--joins", "the `joins` target"),
+    ("--interference", "the `interference` target"),
+    ("--session-scale", "the `session-scale` target"),
+    ("--session-export", "the `session-export` target"),
+    ("--trace-seed", "`--seed N` with the `trace` target"),
+    ("--metrics-seed", "`--seed N` with the `metrics` target"),
+    ("--conc-seed", "`--seed N` with the grid targets"),
+];
+
+/// The table entries a target name runs, or `None` for an unknown name.
+fn expand(target: &str) -> Option<Vec<Target>> {
+    let name = match target {
+        "all" => return Some(CSV_TARGETS.to_vec()),
+        // One function draws all three AW/GW figures.
+        "fig10" | "fig11" => "fig9",
+        t => t,
+    };
+    CSV_TARGETS
+        .iter()
+        .chain(BUNDLE_TARGETS)
+        .find(|&&(n, _)| n == name)
+        .map(|&entry| vec![entry])
+}
 
 fn main() {
     let mut opts = Opts::default();
-    let mut targets: Vec<String> = Vec::new();
-    let mut trace_dir: Option<String> = None;
-    let mut trace_seed: u64 = 0;
-    let mut metrics_dir: Option<String> = None;
-    let mut metrics_seed: u64 = 0;
+    let mut runs: Vec<Target> = Vec::new();
     let mut profile_dir: Option<String> = None;
-    let mut run_concurrency = false;
-    let mut run_joins = false;
-    let mut run_interference = false;
-    let mut run_session_scale = false;
-    let mut session_dir: Option<String> = None;
-    let mut conc_seed: u64 = 42;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -81,51 +134,25 @@ fn main() {
                 // flag is just a spelling of the environment variable.
                 std::env::set_var("PIOQO_THREADS", n.to_string());
             }
-            "--trace" => match args.next() {
-                Some(dir) => trace_dir = Some(dir),
-                None => usage("--trace needs an output directory"),
-            },
-            "--trace-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => trace_seed = n,
-                None => usage("--trace-seed needs an integer"),
-            },
-            "--metrics" => match args.next() {
-                Some(dir) => metrics_dir = Some(dir),
-                None => usage("--metrics needs an output directory"),
-            },
-            "--metrics-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => metrics_seed = n,
-                None => usage("--metrics-seed needs an integer"),
+            "--seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(n) => opts.seed = Some(n),
+                None => usage("--seed needs an integer"),
             },
             "--profile" => match args.next() {
                 Some(dir) => profile_dir = Some(dir),
                 None => usage("--profile needs an output directory"),
             },
-            "--concurrency" => run_concurrency = true,
-            "--joins" => run_joins = true,
-            "--interference" => run_interference = true,
-            "--session-scale" => run_session_scale = true,
-            "--session-export" => match args.next() {
-                Some(dir) => session_dir = Some(dir),
-                None => usage("--session-export needs an output directory"),
-            },
-            "--conc-seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => conc_seed = n,
-                None => usage("--conc-seed needs an integer"),
-            },
             "--help" | "-h" => usage(""),
-            t => targets.push(t.to_string()),
+            t => match (expand(t), REMOVED_FLAGS.iter().find(|&&(f, _)| f == t)) {
+                (Some(entries), _) => runs.extend(entries),
+                (None, Some((flag, instead))) => {
+                    usage(&format!("{flag} was removed: use {instead}"))
+                }
+                (None, None) => usage(&format!("unknown target '{t}'")),
+            },
         }
     }
-    if targets.is_empty()
-        && trace_dir.is_none()
-        && metrics_dir.is_none()
-        && !run_concurrency
-        && !run_joins
-        && !run_interference
-        && !run_session_scale
-        && session_dir.is_none()
-    {
+    if runs.is_empty() {
         usage("no target given");
     }
 
@@ -135,77 +162,50 @@ fn main() {
     let started = std::time::Instant::now();
     {
         let _run = pioqo_profiler::scope("run");
-        for t in &targets {
+        for (_, run) in runs {
             let _t = pioqo_profiler::scope("targets");
-            run_target(t, opts);
+            run(opts);
         }
-        if let Some(dir) = trace_dir {
-            let _t = pioqo_profiler::scope("trace_capture");
-            run_trace(opts, &dir, trace_seed);
-        }
-        if let Some(dir) = &metrics_dir {
-            let _t = pioqo_profiler::scope("metrics_capture");
-            run_metrics(opts, dir, metrics_seed);
-        }
-    }
-    if run_concurrency {
-        conc::concurrency(opts, conc_seed);
-    }
-    if run_joins {
-        conc::joins(opts, conc_seed);
-    }
-    if run_interference {
-        conc::interference(opts, conc_seed);
-    }
-    if run_session_scale {
-        conc::session_scale(opts, conc_seed);
-    }
-    if let Some(dir) = session_dir {
-        conc::export_sessions(&dir, opts, conc_seed);
     }
     if let Some(dir) = profile_dir {
-        write_profile(&dir);
+        let report = pioqo_profiler::report();
+        write_artifacts(
+            std::path::Path::new(&dir),
+            &[
+                ("profile.folded", &report.collapsed()),
+                ("profile.txt", &report.phase_table()),
+            ],
+        );
+        eprint!("{}", report.phase_table());
     }
     eprintln!("[done] {:.1}s wall", started.elapsed().as_secs_f64());
 }
 
 /// Capture the default metrics scenario and write the five exports into
-/// `dir`. Deterministic in (`--scale`, `--metrics-seed`), independent of
-/// the thread count.
-fn run_metrics(opts: Opts, dir: &str, seed: u64) {
-    let mut cells = pioqo_workload::default_metrics_cells(seed);
+/// `results/metrics/`. Deterministic in (`--scale`, `--seed`), independent
+/// of the thread count.
+fn run_metrics(opts: Opts) {
+    let mut cells = pioqo_workload::default_metrics_cells(opts.seed.unwrap_or(0));
     for c in &mut cells {
         c.scale_down = c.scale_down.saturating_mul(opts.scale);
     }
     let threads = pioqo_simkit::par::thread_count();
     let cadence = pioqo_simkit::SimDuration::from_millis(1);
     let slos = pioqo_workload::default_slos();
-    let bundle = match pioqo_workload::capture_metrics(&cells, cadence, &slos, threads) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: metrics capture failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
-    let writes = [
-        ("metrics.prom", &bundle.prometheus),
-        ("series.csv", &bundle.series_csv),
-        ("metrics.json", &bundle.summary_json),
-        ("slo.json", &bundle.slo_json),
-        ("counters.json", &bundle.counters_json),
-    ];
-    for (name, body) in writes {
-        let path = std::path::Path::new(dir).join(name);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("[metrics] wrote {} ({} bytes)", path.display(), body.len());
-    }
+    let bundle = or_exit(
+        pioqo_workload::capture_metrics(&cells, cadence, &slos, threads),
+        "metrics capture",
+    );
+    write_artifacts(
+        &results_dir().join("metrics"),
+        &[
+            ("metrics.prom", &bundle.prometheus),
+            ("series.csv", &bundle.series_csv),
+            ("metrics.json", &bundle.summary_json),
+            ("slo.json", &bundle.slo_json),
+            ("counters.json", &bundle.counters_json),
+        ],
+    );
     for v in &bundle.verdicts {
         println!(
             "[metrics] slo {}: {} (observed {} vs limit {})",
@@ -221,63 +221,29 @@ fn run_metrics(opts: Opts, dir: &str, seed: u64) {
     }
 }
 
-/// Write the self-profiler's collapsed stacks and phase table into `dir`.
-fn write_profile(dir: &str) {
-    let report = pioqo_profiler::report();
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
-    let writes = [
-        ("profile.folded", report.collapsed()),
-        ("profile.txt", report.phase_table()),
-    ];
-    for (name, body) in writes {
-        let path = std::path::Path::new(dir).join(name);
-        if let Err(e) = std::fs::write(&path, &body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("[profile] wrote {} ({} bytes)", path.display(), body.len());
-    }
-    eprint!("{}", report.phase_table());
-}
-
 /// Capture the default trace scenario and write the three exports into
-/// `dir`. The capture is deterministic in (`--scale`, `--trace-seed`) and
-/// independent of the thread count.
-fn run_trace(opts: Opts, dir: &str, seed: u64) {
-    let mut cells = pioqo_workload::default_trace_cells(seed);
+/// `results/trace/`. Deterministic in (`--scale`, `--seed`), independent
+/// of the thread count.
+fn run_trace(opts: Opts) {
+    let mut cells = pioqo_workload::default_trace_cells(opts.seed.unwrap_or(0));
     for c in &mut cells {
         // --scale shrinks the trace cells the same way it shrinks the
         // figure/table experiments.
         c.scale_down = c.scale_down.saturating_mul(opts.scale);
     }
     let threads = pioqo_simkit::par::thread_count();
-    let bundle = match pioqo_workload::capture_trace(&cells, 1 << 16, threads) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: trace capture failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {dir}: {e}");
-        std::process::exit(1);
-    }
-    let writes = [
-        ("trace.json", &bundle.chrome_json),
-        ("hists.csv", &bundle.hist_csv),
-        ("summary.json", &bundle.summary_json),
-    ];
-    for (name, body) in writes {
-        let path = std::path::Path::new(dir).join(name);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("[trace] wrote {} ({} bytes)", path.display(), body.len());
-    }
+    let bundle = or_exit(
+        pioqo_workload::capture_trace(&cells, 1 << 16, threads),
+        "trace capture",
+    );
+    write_artifacts(
+        &results_dir().join("trace"),
+        &[
+            ("trace.json", &bundle.chrome_json),
+            ("hists.csv", &bundle.hist_csv),
+            ("summary.json", &bundle.summary_json),
+        ],
+    );
     for cell in &bundle.cells {
         println!(
             "[trace] {}: runtime {:.3}s, {} ios, modal depth {}, p99 {} us",
@@ -301,53 +267,49 @@ fn parse_positive(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
     }
 }
 
-fn run_target(target: &str, opts: Opts) {
-    match target {
-        "fig1" => figs::fig1(opts),
-        "table1" => figs::table1(opts),
-        "fig4" => figs::fig4(opts),
-        "table2" => figs::table2(opts),
-        "table3" => figs::table3(opts),
-        "fig5" => figs::fig5(opts),
-        "fig6" => figs::fig6(opts),
-        "fig7" => figs::fig7(opts),
-        "fig8" => figs::fig8(opts),
-        "fig9" | "fig10" | "fig11" => figs::fig9_10_11(opts),
-        "fig12" => figs::fig12(opts),
-        "ablation" => figs::ablation(opts),
-        "concurrency" => figs::concurrency(opts),
-        "accuracy" => figs::accuracy(opts),
-        "all" => {
-            figs::fig1(opts);
-            figs::table1(opts);
-            figs::fig4(opts);
-            figs::table2(opts);
-            figs::table3(opts);
-            figs::fig5(opts);
-            figs::fig6(opts);
-            figs::fig7(opts);
-            figs::fig8(opts);
-            figs::fig9_10_11(opts);
-            figs::fig12(opts);
-            figs::ablation(opts);
-            figs::concurrency(opts);
-            figs::accuracy(opts);
-        }
-        other => usage(&format!("unknown target '{other}'")),
-    }
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
+    let names = |targets: &[Target]| {
+        let names: Vec<&str> = targets.iter().map(|&(n, _)| n).collect();
+        names.join(" ")
+    };
     eprintln!(
         "usage: repro [--scale N] [--reps N] [--buffer-mb N] [--threads N] \
-         [--trace DIR] [--trace-seed N] [--metrics DIR] [--metrics-seed N] \
-         [--profile DIR] [--concurrency] [--joins] [--interference] \
-         [--session-scale] [--session-export DIR] [--conc-seed N] <target>...\n\
-         targets: fig1 table1 fig4 table2 table3 fig5 fig6 fig7 fig8 \
-         fig9 fig10 fig11 fig12 ablation concurrency accuracy all"
+         [--seed N] [--profile DIR] <target>...\n\
+         CSV targets, written to results/ and committed as goldens \
+         (`all` runs every one; fig10 and fig11 are drawn by fig9):\n  {}\n\
+         bundle targets, written to results/<target>/ (not in `all`):\n  {}",
+        names(CSV_TARGETS),
+        names(BUNDLE_TARGETS),
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_runs_every_target_that_writes_a_csv_into_results() {
+        let names = |entries: &[Target]| entries.iter().map(|&(n, _)| n).collect::<Vec<_>>();
+        // `all` is the CSV table itself, so a grid cannot become a target
+        // without also coming under the golden gate.
+        let all = names(&expand("all").expect("`all` is a target"));
+        assert_eq!(all, names(CSV_TARGETS));
+        for grid in ["concurrency-grid", "joins", "interference", "session-scale"] {
+            assert!(all.contains(&grid), "{grid} missing from all");
+        }
+        // Every other name resolves to exactly itself; the bundles write
+        // outside the golden files and stay out of `all`.
+        for &(name, _) in CSV_TARGETS.iter().chain(BUNDLE_TARGETS) {
+            assert_eq!(names(&expand(name).expect("listed target")), [name]);
+        }
+        for &(name, _) in BUNDLE_TARGETS {
+            assert!(!all.contains(&name), "{name} must not be in all");
+        }
+        assert_eq!(names(&expand("fig11").expect("alias")), ["fig9"]);
+        assert!(expand("fig99").is_none() && expand("--concurrency").is_none());
+    }
 }

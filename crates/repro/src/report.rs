@@ -1,7 +1,6 @@
 //! Plain-text tables and CSV output for the reproduction harness.
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
 pub struct TextTable {
@@ -53,27 +52,49 @@ impl TextTable {
         println!("{sep}");
     }
 
-    /// Write the table as CSV under `results/<id>.csv`; returns the path.
-    pub fn write_csv(&self, id: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{id}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.headers.join(","))?;
+    /// The table as CSV: the header line, then one line per row.
+    pub fn csv(&self) -> String {
+        let mut out = self.headers.join(",");
+        out.push('\n');
         for r in &self.rows {
-            writeln!(f, "{}", r.join(","))?;
+            out.push_str(&r.join(","));
+            out.push('\n');
         }
-        Ok(path)
+        out
     }
 
-    /// Print and persist in one call.
+    /// Print the table and write it as `<id>.csv` under the results
+    /// directory.
     pub fn emit(&self, id: &str) {
         self.print();
-        match self.write_csv(id) {
-            Ok(p) => println!("[csv] {}", p.display()),
-            Err(e) => eprintln!("[csv] failed to write {id}: {e}"),
-        }
+        write_artifacts(&results_dir(), &[(&format!("{id}.csv"), &self.csv())]);
     }
+}
+
+/// Write each `(name, body)` into `dir`, creating it first, and print one
+/// `[wrote]` line per file. Exits with status 1 on an I/O error: a target
+/// whose output cannot be written has failed.
+pub fn write_artifacts(dir: &Path, files: &[(&str, &str)]) {
+    or_exit(
+        std::fs::create_dir_all(dir),
+        &format!("creating {}", dir.display()),
+    );
+    for (name, body) in files {
+        let path = dir.join(name);
+        or_exit(
+            std::fs::write(&path, body),
+            &format!("writing {}", path.display()),
+        );
+        println!("[wrote] {} ({} bytes)", path.display(), body.len());
+    }
+}
+
+/// Unwrap `result`, or report `what` failed and exit with status 1.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what} failed: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The output directory (`$PIOQO_RESULTS` or `./results`).
@@ -131,14 +152,9 @@ mod tests {
 
     #[test]
     fn csv_output_round_trips() {
-        std::env::set_var("PIOQO_RESULTS", std::env::temp_dir().join("pioqo-csv-test"));
         let mut t = TextTable::new("t", &["x", "y"]);
         t.row(vec!["1".into(), "2.5".into()]);
-        let p = t.write_csv("unit_test").expect("writes");
-        let body = std::fs::read_to_string(&p).expect("reads");
-        assert_eq!(body, "x,y\n1,2.5\n");
-        std::fs::remove_file(&p).ok();
-        std::env::remove_var("PIOQO_RESULTS");
+        assert_eq!(t.csv(), "x,y\n1,2.5\n");
     }
 
     #[test]

@@ -51,23 +51,62 @@ fn rejects_unknown_target() {
 }
 
 #[test]
+fn removed_flags_exit_with_a_pointer_to_their_target() {
+    for (flag, instead) in [
+        ("--trace", "`trace` target"),
+        ("--metrics", "`metrics` target"),
+        ("--concurrency", "`concurrency-grid` target"),
+        ("--joins", "`joins` target"),
+        ("--interference", "`interference` target"),
+        ("--session-scale", "`session-scale` target"),
+        ("--session-export", "`session-export` target"),
+        ("--trace-seed", "--seed"),
+        ("--metrics-seed", "--seed"),
+        ("--conc-seed", "--seed"),
+    ] {
+        let out = repro()
+            .args([flag, "7", "table1"])
+            .output()
+            .expect("spawn repro binary");
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains(instead),
+            "{flag} should name {instead}, got: {err}"
+        );
+    }
+}
+
+#[test]
+fn help_lists_csv_and_bundle_targets() {
+    let out = repro().arg("--help").output().expect("spawn repro binary");
+    let err = String::from_utf8_lossy(&out.stderr);
+    for word in ["concurrency-grid", "session-export", "--seed", "`all`"] {
+        assert!(err.contains(word), "--help should mention {word}: {err}");
+    }
+}
+
+#[test]
 fn help_exits_cleanly() {
     let out = repro().arg("--help").output().expect("spawn repro binary");
     assert_eq!(out.status.code(), Some(0));
 }
 
-/// The tentpole guarantee: thread count is invisible in the results. Run
-/// `fig1 fig4` (device measurements + four-method sweep over six
-/// experiments) at 1 and at 4 harness threads and require every CSV to be
-/// byte-identical. CI repeats this at `--scale 8`; the in-tree test uses a
-/// smaller scale to stay fast in debug builds.
+/// Thread count is invisible in the results. Run `fig1 fig4` (device
+/// measurements + four-method sweep over six experiments) and the four
+/// session-engine grids at 1 and at 4 harness threads and require every
+/// CSV to be byte-identical. CI's golden gate repeats this for every
+/// target at `--scale 4`; the in-tree test uses a smaller scale to stay
+/// fast in debug builds.
 #[test]
 fn csv_output_is_byte_identical_across_thread_counts() {
     let dir1 = scratch("t1");
     let dir4 = scratch("t4");
     for (threads, dir) in [("1", &dir1), ("4", &dir4)] {
         let out = repro()
-            .args(["fig1", "fig4", "--scale", "64", "--threads", threads])
+            .args(["fig1", "fig4", "concurrency-grid", "joins"])
+            .args(["interference", "session-scale"])
+            .args(["--scale", "64", "--threads", threads])
             .env("PIOQO_RESULTS", dir)
             .env_remove("PIOQO_THREADS")
             .output()
@@ -89,10 +128,19 @@ fn csv_output_is_byte_identical_across_thread_counts() {
         })
         .collect();
     names.sort();
-    assert!(
-        names.iter().any(|n| n.starts_with("fig1")) && names.iter().any(|n| n.starts_with("fig4")),
-        "expected fig1 and fig4 CSVs, got {names:?}"
-    );
+    for stem in [
+        "fig1",
+        "fig4",
+        "concurrency_grid",
+        "join_crossover",
+        "interference",
+        "session_scale",
+    ] {
+        assert!(
+            names.iter().any(|n| n.starts_with(stem)),
+            "expected a {stem} CSV, got {names:?}"
+        );
+    }
     for name in &names {
         let a = std::fs::read(dir1.join(name)).expect("read single-thread csv");
         let b = std::fs::read(dir4.join(name)).expect("read four-thread csv");

@@ -170,120 +170,6 @@ where
         .collect()
 }
 
-/// [`par_map`] for grids with *known, uneven* item costs: items are
-/// statically assigned to workers by longest-processing-time-first (LPT)
-/// over `weight`, so one straggler cell (e.g. the 16-session point of a
-/// concurrency grid) no longer serializes the tail the way first-come
-/// claiming can when it lands last.
-///
-/// Determinism is untouched: item `i` still gets `SimRng::derive(seed,
-/// i)` and results still merge in submission order, so the output is
-/// byte-identical to [`par_map`] at any thread count — only wall-clock
-/// changes. Weights are scheduling hints; they never reach `f`.
-pub fn par_map_weighted<T, R, F, W>(master_seed: u64, items: &[T], weight: W, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(SimRng, &T) -> R + Sync,
-    W: Fn(&T) -> u64,
-{
-    par_map_weighted_threads(free_thread_budget(), master_seed, items, weight, f)
-}
-
-/// [`par_map_weighted`] with an explicit thread count (tests pin both
-/// sides of a 1-vs-N comparison).
-pub fn par_map_weighted_threads<T, R, F, W>(
-    threads: usize,
-    master_seed: u64,
-    items: &[T],
-    weight: W,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(SimRng, &T) -> R + Sync,
-    W: Fn(&T) -> u64,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        let _phase = pioqo_profiler::scope("par_inline");
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let _item = pioqo_profiler::scope("item");
-                f(SimRng::derive(master_seed, i as u64), item)
-            })
-            .collect();
-    }
-
-    let weights: Vec<u64> = items.iter().map(weight).collect();
-    let workers = threads.min(n);
-    let assignment = lpt_assignment(&weights, workers);
-    let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-    {
-        let _phase = pioqo_profiler::scope("par_fanout");
-        let _cores = CoreReservation::new(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .enumerate()
-                .map(|(w, mine)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        pioqo_profiler::set_thread_label(&format!("worker{w}"));
-                        let mut local = Vec::with_capacity(mine.len());
-                        {
-                            let _worker = pioqo_profiler::scope("par_worker");
-                            for &i in mine {
-                                let _item = pioqo_profiler::scope("item");
-                                local
-                                    .push((i, f(SimRng::derive(master_seed, i as u64), &items[i])));
-                            }
-                        }
-                        pioqo_profiler::flush_thread();
-                        local
-                    })
-                })
-                .collect();
-            let _join = pioqo_profiler::scope("join");
-            for handle in handles {
-                buckets.push(handle.join().expect("par_map worker thread panicked"));
-            }
-        });
-    }
-
-    let _merge = pioqo_profiler::scope("par_merge");
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in buckets.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("par_map_weighted worker skipped an assigned item"))
-        .collect()
-}
-
-/// Longest-processing-time-first assignment of `weights.len()` items onto
-/// `workers` buckets: items in descending weight (index ascending on
-/// ties) each go to the currently least-loaded bucket (lowest index on
-/// ties). Fully deterministic; public so schedulers and tests can inspect
-/// the placement [`par_map_weighted`] will use.
-pub fn lpt_assignment(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
-    let mut load = vec![0u128; workers];
-    let mut buckets = vec![Vec::new(); workers];
-    for i in order {
-        let w = (0..workers).min_by_key(|&w| load[w]).expect("workers >= 1");
-        load[w] += u128::from(weights[i]);
-        buckets[w].push(i);
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,34 +223,6 @@ mod tests {
         let a = par_map_threads(16, 2, &items, job);
         let b = par_map_threads(1, 2, &items, job);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn weighted_map_is_byte_identical_to_unweighted_at_any_thread_count() {
-        let items: Vec<u64> = (0..61).collect();
-        let seq = par_map_threads(1, 0xBEEF, &items, job);
-        for threads in [1, 2, 3, 8, 64] {
-            // Pathological weights (all heaviest first, zeros, dupes) must
-            // never leak into the results.
-            let w = par_map_weighted_threads(threads, 0xBEEF, &items, |&i| i % 7, job);
-            assert_eq!(seq, w, "threads={threads} weighted diverged");
-        }
-    }
-
-    #[test]
-    fn lpt_spreads_heavy_items_and_covers_every_index() {
-        let weights = [100u64, 90, 10, 10, 10, 10];
-        let buckets = lpt_assignment(&weights, 2);
-        // The two heavy items must land on different workers...
-        let of = |i: usize| buckets.iter().position(|b| b.contains(&i)).expect("placed");
-        assert_ne!(of(0), of(1));
-        // ...and the makespan must beat naive index-halving (100+90 vs 140).
-        let load = |b: &Vec<usize>| b.iter().map(|&i| weights[i]).sum::<u64>();
-        assert_eq!(buckets.iter().map(load).max(), Some(120));
-        // Every index appears exactly once.
-        let mut all: Vec<usize> = buckets.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..weights.len()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,14 +17,15 @@
 
 use crate::experiments::{DeviceKind, Experiment, ExperimentConfig};
 use crate::opteval::calibrate;
+use crate::CsvRow;
 use pioqo_core::Qdtt;
 use pioqo_exec::{
-    CpuConfig, CpuCosts, ExecError, MultiEngine, QuerySpec, SimContext, ThinkTime, WorkloadReport,
-    WorkloadSpec,
+    ExecError, MultiEngine, QuerySpec, SimContext, ThinkTime, WorkloadReport, WorkloadSpec,
+    WriteSystem,
 };
-use pioqo_obs::{RingSink, TraceSink};
+use pioqo_obs::RingSink;
 use pioqo_optimizer::{AdmissionDecision, OptimizerConfig, QdttAdmission};
-use pioqo_simkit::par::par_map_weighted_threads;
+use pioqo_simkit::par::par_map_threads;
 use pioqo_simkit::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -97,29 +98,22 @@ impl ConcurrencyConfig {
     }
 }
 
-/// Run one concurrent cell: fresh device, flushed pool, QDTT admission
-/// over the calibrated `model`. Returns the engine's report and the
-/// admission journal.
+/// Run one session cell on `ctx` — the one runner every grid, sweep and
+/// capture shares: `spec`'s closed-loop sessions, each query admitted
+/// through [`QdttAdmission`] over the calibrated `model`, with `ws` (when
+/// given) sharing the event loop. The caller builds `ctx` (a fresh device
+/// and flushed pool from [`Experiment::context`] for a cold cell) and
+/// installs whatever observes the run on it; an installed metrics
+/// registry is folded before returning. Returns the engine's report and
+/// the admission journal.
 pub fn run_cell(
     exp: &Experiment,
     model: &Qdtt,
     opt_cfg: &OptimizerConfig,
     spec: WorkloadSpec,
+    ws: Option<&mut WriteSystem>,
+    ctx: &mut SimContext<'_>,
 ) -> Result<(WorkloadReport, Vec<AdmissionDecision>), ExecError> {
-    run_cell_traced(exp, model, opt_cfg, spec, &mut pioqo_obs::NullSink)
-}
-
-/// [`run_cell`] with a trace sink: each session gets its own track
-/// (`session0`, `session1`, ...) next to the engine's `io`/`pool` tracks.
-pub fn run_cell_traced(
-    exp: &Experiment,
-    model: &Qdtt,
-    opt_cfg: &OptimizerConfig,
-    spec: WorkloadSpec,
-    trace: &mut dyn TraceSink,
-) -> Result<(WorkloadReport, Vec<AdmissionDecision>), ExecError> {
-    let mut device = exp.make_device();
-    let mut pool = exp.make_pool();
     let mut planner = QdttAdmission::new(
         exp.dataset.table(),
         exp.dataset.index(),
@@ -127,15 +121,12 @@ pub fn run_cell_traced(
         opt_cfg.clone(),
     );
     let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
-    let mut ctx = SimContext::new(
-        &mut *device,
-        &mut pool,
-        CpuConfig::paper_xeon(),
-        CpuCosts::default(),
-    );
-    ctx.set_trace_sink(trace);
-    let report = MultiEngine::new(spec, base, &mut planner).run(&mut ctx)?;
-    drop(ctx);
+    let engine = MultiEngine::new(spec, base, &mut planner);
+    let report = match ws {
+        Some(ws) => engine.run_with_writes(ctx, ws),
+        None => engine.run(ctx),
+    }?;
+    ctx.fold_metrics();
     Ok((report, planner.into_decisions()))
 }
 
@@ -180,15 +171,40 @@ impl ConcurrencyCell {
             .unwrap_or_default()
     }
 
-    /// CSV header matching [`ConcurrencyCell::csv_row`].
-    pub fn csv_header() -> &'static str {
+    fn from_run(
+        device: DeviceKind,
+        sessions: u32,
+        report: &WorkloadReport,
+        admissions: &[AdmissionDecision],
+    ) -> ConcurrencyCell {
+        let n = admissions.len().max(1) as f64;
+        ConcurrencyCell {
+            device: device.to_string(),
+            sessions,
+            completed: report.total_completed(),
+            makespan_ms: report.makespan.as_micros_f64() / 1_000.0,
+            mean_latency_us: report.query_latency_us.mean(),
+            p95_latency_us: report.p95_latency_us,
+            p99_latency_us: report.p99_latency_us,
+            fairness: report.fairness_ratio(),
+            mean_lease_depth: admissions.iter().map(|a| a.lease_depth as f64).sum::<f64>() / n,
+            min_lease_depth: admissions.iter().map(|a| a.lease_depth).min().unwrap_or(0),
+            mean_degree: admissions.iter().map(|a| a.degree as f64).sum::<f64>() / n,
+            max_degree: admissions.iter().map(|a| a.degree).max().unwrap_or(0),
+            plan_counts: report.plan_counts.clone(),
+        }
+    }
+}
+
+impl CsvRow for ConcurrencyCell {
+    fn csv_header() -> &'static str {
         "device,sessions,completed,makespan_ms,mean_latency_us,p95_latency_us,\
          p99_latency_us,fairness,mean_lease_depth,min_lease_depth,mean_degree,\
          max_degree,dominant_plan,plans"
     }
 
-    /// One CSV row (plan counts rendered `label:count|label:count`).
-    pub fn csv_row(&self) -> String {
+    /// Plan counts render as `label:count|label:count`.
+    fn csv_row(&self) -> String {
         let plans = self
             .plan_counts
             .iter()
@@ -212,30 +228,6 @@ impl ConcurrencyCell {
             self.dominant_plan(),
             plans,
         )
-    }
-
-    fn from_run(
-        device: DeviceKind,
-        sessions: u32,
-        report: &WorkloadReport,
-        admissions: &[AdmissionDecision],
-    ) -> ConcurrencyCell {
-        let n = admissions.len().max(1) as f64;
-        ConcurrencyCell {
-            device: device.to_string(),
-            sessions,
-            completed: report.total_completed(),
-            makespan_ms: report.makespan.as_micros_f64() / 1_000.0,
-            mean_latency_us: report.query_latency_us.mean(),
-            p95_latency_us: report.p95_latency_us,
-            p99_latency_us: report.p99_latency_us,
-            fairness: report.fairness_ratio(),
-            mean_lease_depth: admissions.iter().map(|a| a.lease_depth as f64).sum::<f64>() / n,
-            min_lease_depth: admissions.iter().map(|a| a.lease_depth).min().unwrap_or(0),
-            mean_degree: admissions.iter().map(|a| a.degree as f64).sum::<f64>() / n,
-            max_degree: admissions.iter().map(|a| a.degree).max().unwrap_or(0),
-            plan_counts: report.plan_counts.clone(),
-        }
     }
 }
 
@@ -262,17 +254,16 @@ pub fn concurrency_grid(
     let cells: Vec<(usize, u32)> = (0..fixtures.len())
         .flat_map(|d| cfg.session_counts.iter().map(move |&s| (d, s)))
         .collect();
-    // Cell cost grows with the session count, so LPT placement by
-    // `sessions` keeps the 16-session stragglers off one worker's tail;
-    // the weights change scheduling only, never the bytes.
-    let results = par_map_weighted_threads(
+    let results = par_map_threads(
         threads,
         cfg.seed ^ 0xC0C0,
         &cells,
-        |&(_, sessions)| u64::from(sessions),
         |_rng, &(d, sessions)| {
             let (device, exp, model) = &fixtures[d];
-            let (report, admissions) = run_cell(exp, model, opt_cfg, cfg.workload(sessions))?;
+            let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+            let mut ctx = Experiment::context(&mut *dev, &mut pool);
+            let (report, admissions) =
+                run_cell(exp, model, opt_cfg, cfg.workload(sessions), None, &mut ctx)?;
             Ok(ConcurrencyCell::from_run(
                 *device,
                 sessions,
@@ -282,17 +273,6 @@ pub fn concurrency_grid(
         },
     );
     results.into_iter().collect()
-}
-
-/// Render grid rows as the `repro --concurrency` CSV.
-pub fn grid_csv(cells: &[ConcurrencyCell]) -> String {
-    let mut out = String::from(ConcurrencyCell::csv_header());
-    out.push('\n');
-    for cell in cells {
-        out.push_str(&cell.csv_row());
-        out.push('\n');
-    }
-    out
 }
 
 /// The canonical 8-session observability bundle (CI's schema-check target
@@ -310,17 +290,19 @@ pub struct SessionExport {
     pub chrome_json: String,
 }
 
-/// Run the canonical 8-session SSD workload with tracing and export it.
-pub fn session_export(seed: u64) -> Result<SessionExport, ExecError> {
-    let cfg = ConcurrencyConfig {
-        seed,
-        ..ConcurrencyConfig::default()
-    };
+/// Run the canonical 8-session workload on `cfg`'s SSD fixture with
+/// tracing and export it: each session gets its own track (`session0`,
+/// `session1`, ...) next to the engine's `io`/`pool` tracks.
+pub fn session_export(cfg: &ConcurrencyConfig) -> Result<SessionExport, ExecError> {
     let exp = Experiment::build(cfg.experiment(DeviceKind::Ssd));
     let model = calibrate(&exp).qdtt;
     let opt_cfg = OptimizerConfig::fine_grained();
     let mut sink = RingSink::with_capacity(1 << 16);
-    let (report, admissions) = run_cell_traced(&exp, &model, &opt_cfg, cfg.workload(8), &mut sink)?;
+    let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+    let mut ctx = Experiment::context(&mut *dev, &mut pool);
+    ctx.set_trace_sink(&mut sink);
+    let (report, admissions) = run_cell(&exp, &model, &opt_cfg, cfg.workload(8), None, &mut ctx)?;
+    drop(ctx);
     let report_json = report.to_json();
     let chrome_json = sink.to_chrome_json();
     Ok(SessionExport {
@@ -353,8 +335,16 @@ mod tests {
         let a = concurrency_grid(&devices, &cfg, &opt, 1).expect("threads=1");
         let b = concurrency_grid(&devices, &cfg, &opt, 4).expect("threads=4");
         let c = concurrency_grid(&devices, &cfg, &opt, 1).expect("rerun");
-        assert_eq!(grid_csv(&a), grid_csv(&b), "grid differs by thread count");
-        assert_eq!(grid_csv(&a), grid_csv(&c), "grid differs across runs");
+        assert_eq!(
+            crate::to_csv(&a),
+            crate::to_csv(&b),
+            "grid differs by thread count"
+        );
+        assert_eq!(
+            crate::to_csv(&a),
+            crate::to_csv(&c),
+            "grid differs across runs"
+        );
     }
 
     #[test]
@@ -378,7 +368,11 @@ mod tests {
 
     #[test]
     fn session_export_has_one_track_per_session() {
-        let export = session_export(7).expect("export runs");
+        let export = session_export(&ConcurrencyConfig {
+            seed: 7,
+            ..ConcurrencyConfig::default()
+        })
+        .expect("export runs");
         assert_eq!(export.report.per_session.len(), 8);
         for s in 0..8 {
             assert!(

@@ -15,7 +15,6 @@ use pioqo_exec::{
     execute, CpuConfig, CpuCosts, ExecError, FtsConfig, IsConfig, PlanSpec, QuerySpec, ScanMetrics,
     SimContext, SortedIsConfig,
 };
-use pioqo_obs::{MetricsRegistry, NullSink, TraceSink};
 use pioqo_storage::range_for_selectivity;
 use serde::{Deserialize, Serialize};
 
@@ -28,6 +27,19 @@ pub enum DeviceKind {
     Ssd,
     /// 8-spindle 15K RAID array (used by the calibration figures).
     Raid8,
+}
+
+impl DeviceKind {
+    /// A fresh, cold instance of this preset with `capacity` pages. Each
+    /// kind salts `seed` differently, so one master seed gives the three
+    /// devices unrelated jitter streams.
+    pub fn make(self, capacity: u64, seed: u64) -> Box<dyn DeviceModel> {
+        match self {
+            DeviceKind::Hdd => Box::new(hdd_7200(capacity, seed ^ 0xD15C)),
+            DeviceKind::Ssd => Box::new(consumer_pcie_ssd(capacity, seed ^ 0xF1A5)),
+            DeviceKind::Raid8 => Box::new(raid_15k(8, capacity, seed ^ 0x8A1D)),
+        }
+    }
 }
 
 impl std::fmt::Display for DeviceKind {
@@ -175,12 +187,9 @@ impl Experiment {
 
     /// A fresh instance of this experiment's device (cold, deterministic).
     pub fn make_device(&self) -> Box<dyn DeviceModel> {
-        let cap = self.dataset.device_capacity();
-        match self.cfg.device {
-            DeviceKind::Hdd => Box::new(hdd_7200(cap, self.cfg.seed ^ 0xD15C)),
-            DeviceKind::Ssd => Box::new(consumer_pcie_ssd(cap, self.cfg.seed ^ 0xF1A5)),
-            DeviceKind::Raid8 => Box::new(raid_15k(8, cap, self.cfg.seed ^ 0x8A1D)),
-        }
+        self.cfg
+            .device
+            .make(self.dataset.device_capacity(), self.cfg.seed)
     }
 
     /// A fresh (flushed) buffer pool, as the paper's protocol requires.
@@ -191,6 +200,23 @@ impl Experiment {
     /// The page size used throughout.
     pub fn page_size(&self) -> u32 {
         PAGE_SIZE
+    }
+
+    /// The paper's machine (`CpuConfig::paper_xeon`, default CPU costs)
+    /// over `device` and `pool`. Callers that observe a run install their
+    /// trace sink or metrics registry on the returned context.
+    pub fn context<'a>(
+        device: &'a mut dyn DeviceModel,
+        pool: &'a mut BufferPool,
+    ) -> SimContext<'a> {
+        SimContext::new(device, pool, CpuConfig::paper_xeon(), CpuCosts::default())
+    }
+
+    /// Query Q at `selectivity`, planned as `method`.
+    pub fn query(&self, method: MethodSpec, selectivity: f64) -> QuerySpec<'_> {
+        let (low, high) = range_for_selectivity(selectivity, self.dataset.c2_max());
+        QuerySpec::range_max(self.dataset.table(), Some(self.dataset.index()), low, high)
+            .with_plan(method.to_plan_spec())
     }
 
     /// Execute query Q at `selectivity` with `method` on a cold device and
@@ -211,7 +237,7 @@ impl Experiment {
         streams: u32,
     ) -> Result<ScanMetrics, ExecError> {
         let mut device = pioqo_device::WithBackgroundLoad::new(
-            LoadableDevice(self.make_device()),
+            self.make_device(),
             streams,
             1,
             self.cfg.seed ^ 0xB6,
@@ -229,77 +255,10 @@ impl Experiment {
         method: MethodSpec,
         selectivity: f64,
     ) -> Result<ScanMetrics, ExecError> {
-        self.run_with_traced(device, pool, method, selectivity, &mut NullSink)
-    }
-
-    /// [`Experiment::run_with`] plus a trace sink: when the sink is enabled
-    /// the scan streams sim-time events into it (see `pioqo-obs`).
-    pub fn run_with_traced(
-        &self,
-        device: &mut dyn DeviceModel,
-        pool: &mut BufferPool,
-        method: MethodSpec,
-        selectivity: f64,
-        trace: &mut dyn TraceSink,
-    ) -> Result<ScanMetrics, ExecError> {
-        let (low, high) = range_for_selectivity(selectivity, self.dataset.c2_max());
-        let mut ctx = SimContext::new(device, pool, CpuConfig::paper_xeon(), CpuCosts::default());
-        ctx.set_trace_sink(trace);
-        let q = QuerySpec::range_max(self.dataset.table(), Some(self.dataset.index()), low, high)
-            .with_plan(method.to_plan_spec());
-        execute(&mut ctx, &q)
-    }
-
-    /// [`Experiment::run_with`] plus a metrics registry: counters,
-    /// histograms and sim-time series accumulate into `metrics` and are
-    /// folded once after the scan (see `pioqo_obs::MetricsRegistry`).
-    pub fn run_with_metrics(
-        &self,
-        device: &mut dyn DeviceModel,
-        pool: &mut BufferPool,
-        method: MethodSpec,
-        selectivity: f64,
-        metrics: &mut MetricsRegistry,
-    ) -> Result<ScanMetrics, ExecError> {
-        let (low, high) = range_for_selectivity(selectivity, self.dataset.c2_max());
-        let mut ctx = SimContext::new(device, pool, CpuConfig::paper_xeon(), CpuCosts::default());
-        ctx.set_metrics(metrics);
-        let q = QuerySpec::range_max(self.dataset.table(), Some(self.dataset.index()), low, high)
-            .with_plan(method.to_plan_spec());
-        let out = execute(&mut ctx, &q);
-        ctx.fold_metrics();
-        out
-    }
-}
-
-/// Newtype so `WithBackgroundLoad` (generic over `D: DeviceModel`) can wrap
-/// a boxed device.
-struct LoadableDevice(Box<dyn DeviceModel>);
-
-impl DeviceModel for LoadableDevice {
-    fn page_size(&self) -> u32 {
-        self.0.page_size()
-    }
-    fn capacity_pages(&self) -> u64 {
-        self.0.capacity_pages()
-    }
-    fn submit(&mut self, now: pioqo_simkit::SimTime, req: pioqo_device::IoRequest) {
-        self.0.submit(now, req)
-    }
-    fn next_event(&self) -> Option<pioqo_simkit::SimTime> {
-        self.0.next_event()
-    }
-    fn advance(&mut self, now: pioqo_simkit::SimTime, out: &mut Vec<pioqo_device::IoCompletion>) {
-        self.0.advance(now, out)
-    }
-    fn outstanding(&self) -> usize {
-        self.0.outstanding()
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn reset_state(&mut self) {
-        self.0.reset_state()
+        execute(
+            &mut Experiment::context(device, pool),
+            &self.query(method, selectivity),
+        )
     }
 }
 

@@ -16,16 +16,13 @@
 //! capacity headroom `Dataset::build` reserves past the index), so scans
 //! and checkpoints really do share one device with disjoint extents.
 
-use crate::concurrent::ConcurrencyConfig;
+use crate::concurrent::{run_cell, ConcurrencyConfig};
 use crate::experiments::{DeviceKind, Experiment};
 use crate::opteval::calibrate;
-use pioqo_core::Qdtt;
+use crate::CsvRow;
 use pioqo_device::MediaStore;
-use pioqo_exec::{
-    CpuConfig, CpuCosts, ExecError, MultiEngine, QuerySpec, SimContext, WorkloadReport,
-    WorkloadSpec, WriteConfig, WriteSystem,
-};
-use pioqo_optimizer::{OptimizerConfig, QdttAdmission};
+use pioqo_exec::{ExecError, WorkloadReport, WriteConfig, WriteSystem};
+use pioqo_optimizer::OptimizerConfig;
 use pioqo_storage::{Extent, HeapTable, TableSpec, Tablespace};
 use serde::{Deserialize, Serialize};
 
@@ -53,28 +50,6 @@ pub struct InterferenceCell {
 }
 
 impl InterferenceCell {
-    /// CSV header matching [`InterferenceCell::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "sessions,flusher,completed,makespan_ms,mean_latency_us,p99_latency_us,\
-         commits_acked,data_page_flushes,checkpoints"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{:.3},{:.1},{},{},{},{}",
-            self.sessions,
-            if self.flusher { "on" } else { "off" },
-            self.completed,
-            self.makespan_ms,
-            self.mean_latency_us,
-            self.p99_latency_us,
-            self.commits_acked,
-            self.data_page_flushes,
-            self.checkpoints,
-        )
-    }
-
     fn from_report(sessions: u32, flusher: bool, report: &WorkloadReport) -> InterferenceCell {
         let w = report.writes.as_ref();
         InterferenceCell {
@@ -91,14 +66,48 @@ impl InterferenceCell {
     }
 }
 
+impl CsvRow for InterferenceCell {
+    fn csv_header() -> &'static str {
+        "sessions,flusher,completed,makespan_ms,mean_latency_us,p99_latency_us,\
+         commits_acked,data_page_flushes,checkpoints"
+    }
+
+    fn csv_row(&self) -> String {
+        format!(
+            "{},{},{},{:.3},{:.1},{},{},{},{}",
+            self.sessions,
+            if self.flusher { "on" } else { "off" },
+            self.completed,
+            self.makespan_ms,
+            self.mean_latency_us,
+            self.p99_latency_us,
+            self.commits_acked,
+            self.data_page_flushes,
+            self.checkpoints,
+        )
+    }
+}
+
 /// The write-side fixture: a heap table plus WAL extent carved out of the
 /// dataset's slack pages so both workloads share one device.
-struct WriteSide {
+pub(crate) struct WriteSide {
     table: HeapTable,
     wal: Extent,
 }
 
-fn write_side(exp: &Experiment, write_rows: u64, seed: u64) -> WriteSide {
+impl WriteSide {
+    /// A write system over this fixture, starting from empty media.
+    pub(crate) fn system(&self, cfg: WriteConfig) -> WriteSystem {
+        WriteSystem::new(
+            cfg,
+            &self.table,
+            self.wal,
+            MediaStore::new(self.table.spec().page_size),
+        )
+    }
+}
+
+pub(crate) fn write_side(exp: &Experiment, write_rows: u64, seed: u64) -> WriteSide {
     let used = exp.dataset.index().extent().end();
     let mut ts = Tablespace::new(exp.dataset.device_capacity());
     ts.alloc("scan-data", used)
@@ -112,37 +121,6 @@ fn write_side(exp: &Experiment, write_rows: u64, seed: u64) -> WriteSide {
         .alloc("wal", 2_048)
         .expect("WAL fits in the dataset slack");
     WriteSide { table, wal }
-}
-
-/// Run one point: fresh device and pool, QDTT admission over `model`,
-/// optionally with the write system sharing the event loop.
-fn run_point(
-    exp: &Experiment,
-    model: &Qdtt,
-    opt_cfg: &OptimizerConfig,
-    spec: WorkloadSpec,
-    ws: Option<&mut WriteSystem>,
-) -> Result<WorkloadReport, ExecError> {
-    let mut device = exp.make_device();
-    let mut pool = exp.make_pool();
-    let mut planner = QdttAdmission::new(
-        exp.dataset.table(),
-        exp.dataset.index(),
-        model.clone(),
-        opt_cfg.clone(),
-    );
-    let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
-    let mut ctx = SimContext::new(
-        &mut *device,
-        &mut pool,
-        CpuConfig::paper_xeon(),
-        CpuCosts::default(),
-    );
-    let engine = MultiEngine::new(spec, base, &mut planner);
-    match ws {
-        Some(ws) => engine.run_with_writes(&mut ctx, ws),
-        None => engine.run(&mut ctx),
-    }
 }
 
 /// Sweep scan sessions × {flusher off, on} on the SSD fixture. Cells come
@@ -160,33 +138,15 @@ pub fn interference_sweep(
     let mut cells = Vec::new();
     for &sessions in &cfg.session_counts {
         for flusher in [false, true] {
+            let mut ws = flusher.then(|| side.system(writes.clone()));
+            let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+            let mut ctx = Experiment::context(&mut *dev, &mut pool);
             let spec = cfg.workload(sessions);
-            let report = if flusher {
-                let mut ws = WriteSystem::new(
-                    writes.clone(),
-                    &side.table,
-                    side.wal,
-                    MediaStore::new(side.table.spec().page_size),
-                );
-                run_point(&exp, &model, opt_cfg, spec, Some(&mut ws))?
-            } else {
-                run_point(&exp, &model, opt_cfg, spec, None)?
-            };
+            let (report, _) = run_cell(&exp, &model, opt_cfg, spec, ws.as_mut(), &mut ctx)?;
             cells.push(InterferenceCell::from_report(sessions, flusher, &report));
         }
     }
     Ok(cells)
-}
-
-/// Render sweep rows as the `repro --interference` CSV.
-pub fn interference_csv(cells: &[InterferenceCell]) -> String {
-    let mut out = String::from(InterferenceCell::csv_header());
-    out.push('\n');
-    for cell in cells {
-        out.push_str(&cell.csv_row());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -223,7 +183,7 @@ mod tests {
         let opt = OptimizerConfig::fine_grained();
         let a = interference_sweep(&cfg, &busy_writes(), 2_000, &opt).expect("sweep");
         let b = interference_sweep(&cfg, &busy_writes(), 2_000, &opt).expect("rerun");
-        assert_eq!(interference_csv(&a), interference_csv(&b));
+        assert_eq!(crate::to_csv(&a), crate::to_csv(&b));
         assert_eq!(a.len(), 4, "2 session counts x flusher off/on");
         for pair in a.chunks(2) {
             let (off, on) = (&pair[0], &pair[1]);

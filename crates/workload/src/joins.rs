@@ -11,19 +11,16 @@
 //! spindles prefer the hash join's sequential partitioned I/O almost
 //! everywhere.
 
-use crate::experiments::DeviceKind;
+use crate::experiments::{DeviceKind, Experiment};
+use crate::CsvRow;
 use pioqo_bufpool::BufferPool;
 use pioqo_core::{CalibrationConfig, Calibrator, Qdtt};
-use pioqo_device::{presets, DeviceModel};
-use pioqo_exec::{
-    execute, CpuConfig, CpuCosts, ExecError, JoinClause, Predicate, QuerySpec, ScanMetrics,
-    SimContext,
-};
+use pioqo_exec::{execute, ExecError, JoinClause, Predicate, QuerySpec, ScanMetrics};
 use pioqo_optimizer::{
     choose_join, enumerate_joins, join_plan_to_spec, EstCpuCosts, JoinMethod, JoinPlan, JoinStats,
     QdBudget, QdttCost, TableStats,
 };
-use pioqo_simkit::par::par_map_weighted_threads;
+use pioqo_simkit::par::par_map_threads;
 use pioqo_storage::{range_for_selectivity, BTreeIndex, Extent, HeapTable, TableSpec, Tablespace};
 use serde::{Deserialize, Serialize};
 
@@ -97,15 +94,13 @@ pub struct JoinCell {
     pub answers_match: bool,
 }
 
-impl JoinCell {
-    /// CSV header matching [`JoinCell::csv_row`].
-    pub fn csv_header() -> &'static str {
+impl CsvRow for JoinCell {
+    fn csv_header() -> &'static str {
         "device,sessions,lease_depth,selectivity,inl_est_us,inl_depth,\
          hash_est_us,hash_partitions,chosen,inl_run_us,hash_run_us,agree,answers_match"
     }
 
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{:.1},{},{:.1},{},{},{:.1},{:.1},{},{}",
             self.device,
@@ -178,14 +173,6 @@ fn build_fixture(cfg: &JoinGridConfig) -> JoinFixture {
     }
 }
 
-fn make_device(kind: DeviceKind, capacity: u64, seed: u64) -> Box<dyn DeviceModel> {
-    match kind {
-        DeviceKind::Hdd => Box::new(presets::hdd_7200(capacity, seed ^ 0xD15C)),
-        DeviceKind::Ssd => Box::new(presets::consumer_pcie_ssd(capacity, seed ^ 0xF1A5)),
-        DeviceKind::Raid8 => Box::new(presets::raid_15k(8, capacity, seed ^ 0x8A1D)),
-    }
-}
-
 /// Execute one join method on a cold device and flushed pool.
 fn run_join(
     fx: &JoinFixture,
@@ -195,14 +182,9 @@ fn run_join(
     low: u32,
     high: u32,
 ) -> Result<ScanMetrics, ExecError> {
-    let mut device = make_device(kind, fx.capacity, cfg.seed);
+    let mut device = kind.make(fx.capacity, cfg.seed);
     let mut pool = BufferPool::new(cfg.buffer_frames);
-    let mut ctx = SimContext::new(
-        &mut *device,
-        &mut pool,
-        CpuConfig::paper_xeon(),
-        CpuCosts::default(),
-    );
+    let mut ctx = Experiment::context(&mut *device, &mut pool);
     let q = QuerySpec::scan(&fx.left)
         .filter(Predicate::c2_between(low, high))
         .with_plan(plan)
@@ -245,18 +227,17 @@ pub fn join_grid(
                 fx.capacity,
                 cfg.seed ^ 0xCA11,
             ));
-            let (qdtt, _) = cal.calibrate_qdtt_with(|| make_device(kind, fx.capacity, cfg.seed));
+            let (qdtt, _) = cal.calibrate_qdtt_with(|| kind.make(fx.capacity, cfg.seed));
             (kind, qdtt)
         })
         .collect();
     let cells: Vec<(usize, u32)> = (0..models.len())
         .flat_map(|d| cfg.session_counts.iter().map(move |&s| (d, s)))
         .collect();
-    let results = par_map_weighted_threads(
+    let results = par_map_threads(
         threads,
         cfg.seed ^ 0x1013,
         &cells,
-        |&(_, sessions)| u64::from(sessions),
         |_rng, &(d, sessions)| {
             let (kind, model) = &models[d];
             run_grid_cell(&fx, *kind, model, cfg, sessions)
@@ -321,17 +302,6 @@ fn run_grid_cell(
     })
 }
 
-/// Render grid rows as the `repro --joins` CSV.
-pub fn join_grid_csv(cells: &[JoinCell]) -> String {
-    let mut out = String::from(JoinCell::csv_header());
-    out.push('\n');
-    for cell in cells {
-        out.push_str(&cell.csv_row());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +323,7 @@ mod tests {
         let a = join_grid(&devices, &cfg, 1).expect("grid runs");
         let b = join_grid(&devices, &cfg, 4).expect("grid runs");
         assert_eq!(a.len(), 4);
-        assert_eq!(join_grid_csv(&a), join_grid_csv(&b), "threads leaked in");
+        assert_eq!(crate::to_csv(&a), crate::to_csv(&b), "threads leaked in");
         for c in &a {
             assert!(
                 c.answers_match,

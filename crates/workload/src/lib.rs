@@ -37,13 +37,12 @@ pub mod sweep;
 pub mod trace;
 
 pub use concurrent::{
-    concurrency_grid, grid_csv, run_cell, run_cell_traced, session_export, ConcurrencyCell,
-    ConcurrencyConfig, SessionExport,
+    concurrency_grid, run_cell, session_export, ConcurrencyCell, ConcurrencyConfig, SessionExport,
 };
 pub use dataset::Dataset;
 pub use experiments::{DeviceKind, Experiment, ExperimentConfig, MethodSpec};
-pub use interference::{interference_csv, interference_sweep, InterferenceCell};
-pub use joins::{join_grid, join_grid_csv, JoinCell, JoinGridConfig};
+pub use interference::{interference_sweep, InterferenceCell};
+pub use joins::{join_grid, JoinCell, JoinGridConfig};
 pub use metrics::{
     capture_metrics, default_metrics_cells, default_slos, small_metrics_cells, CellKind,
     MetricsBundle, MetricsCell,
@@ -52,8 +51,71 @@ pub use opteval::{
     calibrate, cold_stats, evaluate, plan_to_method, CalibratedModels, OptEvalPoint,
 };
 pub use sessions::{
-    session_scale_cell, session_scale_csv, session_scale_fixture, session_scale_sweep,
-    SessionScaleCell, SessionScaleConfig,
+    session_scale_cell, session_scale_fixture, session_scale_sweep, SessionScaleCell,
+    SessionScaleConfig,
 };
 pub use sweep::{break_even, runtime_curve, SweepPoint};
 pub use trace::{capture_trace, default_trace_cells, TraceBundle, TraceCell, TraceError};
+
+/// One row of a grid CSV: the four cell types ([`ConcurrencyCell`],
+/// [`JoinCell`], [`InterferenceCell`], [`SessionScaleCell`]) serialise
+/// through this and [`to_csv`].
+pub trait CsvRow {
+    /// The column names, comma-separated.
+    fn csv_header() -> &'static str;
+    /// This cell's values, in header order.
+    fn csv_row(&self) -> String;
+}
+
+/// The header line plus one line per cell — the file a `repro` grid
+/// target writes under `results/`.
+pub fn to_csv<C: CsvRow>(cells: &[C]) -> String {
+    let mut out = String::from(C::csv_header());
+    out.push('\n');
+    for cell in cells {
+        out.push_str(&cell.csv_row());
+        out.push('\n');
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first line of a committed golden CSV.
+    macro_rules! golden_header {
+        ($file:literal) => {
+            include_str!(concat!("../../../results/", $file))
+                .lines()
+                .next()
+                .expect("golden CSV has a header line")
+        };
+    }
+
+    #[test]
+    fn to_csv_headers_match_the_committed_scale4_goldens() {
+        fn header<C: CsvRow>() -> String {
+            // No cells: the document is the header line alone.
+            let doc = to_csv::<C>(&[]);
+            assert_eq!(doc, format!("{}\n", C::csv_header()));
+            doc.trim_end().to_string()
+        }
+        assert_eq!(
+            header::<ConcurrencyCell>(),
+            golden_header!("concurrency_grid_scale4.csv")
+        );
+        assert_eq!(
+            header::<JoinCell>(),
+            golden_header!("join_crossover_scale4.csv")
+        );
+        assert_eq!(
+            header::<InterferenceCell>(),
+            golden_header!("interference_scale4.csv")
+        );
+        assert_eq!(
+            header::<SessionScaleCell>(),
+            golden_header!("session_scale_scale4.csv")
+        );
+    }
+}

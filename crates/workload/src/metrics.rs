@@ -16,21 +16,18 @@
 //! scans and the write system running (admission gauges, `ScanHub`
 //! attach/detach counters, WAL group-commit and flush-lag metrics).
 
+use crate::concurrent::{run_cell as run_session_cell, ConcurrencyConfig};
 use crate::experiments::{Experiment, ExperimentConfig, MethodSpec};
+use crate::interference::write_side;
 use crate::opteval::calibrate;
 use crate::trace::TraceError;
-use pioqo_device::MediaStore;
-use pioqo_exec::{
-    CpuConfig, CpuCosts, MultiEngine, QuerySpec, SimContext, ThinkTime, WorkloadSpec, WriteConfig,
-    WriteSystem,
-};
+use pioqo_exec::{execute, WorkloadSpec, WriteConfig};
 use pioqo_obs::{
     evaluate_slos, slo_report_json, MetricsRegistry, MetricsSnapshot, SloCheck, SloSpec, SloVerdict,
 };
-use pioqo_optimizer::{OptimizerConfig, QdttAdmission};
+use pioqo_optimizer::OptimizerConfig;
 use pioqo_simkit::par::par_map_threads;
 use pioqo_simkit::SimDuration;
-use pioqo_storage::{HeapTable, TableSpec, Tablespace};
 
 /// What one metrics cell executes.
 #[derive(Debug, Clone)]
@@ -200,100 +197,42 @@ fn run_cell(cell: &MetricsCell, cadence: SimDuration) -> Result<MetricsSnapshot,
     cfg.seed = cell.seed;
     let exp = Experiment::build(cfg);
     let mut registry = MetricsRegistry::enabled(cadence);
+    let (mut device, mut pool) = (exp.make_device(), exp.make_pool());
+    let mut ctx = Experiment::context(&mut *device, &mut pool);
+    ctx.set_metrics(&mut registry);
     match &cell.kind {
         CellKind::Scan {
             method,
             selectivity,
         } => {
-            let mut device = exp.make_device();
-            let mut pool = exp.make_pool();
-            exp.run_with_metrics(
-                device.as_mut(),
-                &mut pool,
-                *method,
-                *selectivity,
-                &mut registry,
-            )?;
+            execute(&mut ctx, &exp.query(*method, *selectivity))?;
+            ctx.fold_metrics();
         }
+        // QDTT admission over a model calibrated on the cell's own
+        // fixture; the write table and WAL live in the dataset's slack
+        // pages, as in `crate::interference`.
         CellKind::Sessions {
             sessions,
             shared,
             writes,
         } => {
-            run_sessions_cell(&exp, *sessions, *shared, *writes, &mut registry)?;
+            let seed = exp.cfg.seed;
+            let spec = WorkloadSpec {
+                shared_scans: *shared,
+                ..ConcurrencyConfig {
+                    seed,
+                    ..ConcurrencyConfig::default()
+                }
+                .workload(*sessions)
+            };
+            let mut ws = writes
+                .then(|| write_side(&exp, 2_000, seed ^ 0x57AB).system(WriteConfig::default()));
+            let (model, opt_cfg) = (calibrate(&exp).qdtt, OptimizerConfig::default());
+            run_session_cell(&exp, &model, &opt_cfg, spec, ws.as_mut(), &mut ctx)?;
         }
     }
+    drop(ctx);
     Ok(registry.snapshot(&cell.label()))
-}
-
-/// Run the multi-session cell: QDTT admission over a model calibrated on
-/// the cell's own fixture, optionally with shared scans and the write
-/// system sharing the event loop (the write table and WAL live in the
-/// dataset's slack pages, as in `crate::interference`).
-fn run_sessions_cell(
-    exp: &Experiment,
-    sessions: u32,
-    shared: bool,
-    writes: bool,
-    registry: &mut MetricsRegistry,
-) -> Result<(), TraceError> {
-    let model = calibrate(exp).qdtt;
-    let mut planner = QdttAdmission::new(
-        exp.dataset.table(),
-        exp.dataset.index(),
-        model,
-        OptimizerConfig::default(),
-    );
-    let spec = WorkloadSpec {
-        sessions,
-        queries_per_session: 3,
-        think: ThinkTime::Exponential {
-            mean: SimDuration::from_micros(2_000),
-        },
-        selectivities: vec![0.001, 0.01, 0.05],
-        seed: exp.cfg.seed,
-        horizon: None,
-        writes: None,
-        shared_scans: shared,
-        record_limit: None,
-    };
-    let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
-    let mut device = exp.make_device();
-    let mut pool = exp.make_pool();
-    let mut ctx = SimContext::new(
-        &mut *device,
-        &mut pool,
-        CpuConfig::paper_xeon(),
-        CpuCosts::default(),
-    );
-    ctx.set_metrics(registry);
-    let engine = MultiEngine::new(spec, base, &mut planner);
-    if writes {
-        let used = exp.dataset.index().extent().end();
-        let mut ts = Tablespace::new(exp.dataset.device_capacity());
-        ts.alloc("scan-data", used)
-            .expect("mirror of the dataset layout fits by construction");
-        let wspec = TableSpec {
-            name: format!("W{}", exp.cfg.rows_per_page),
-            ..TableSpec::paper_table(exp.cfg.rows_per_page, 2_000, exp.cfg.seed ^ 0x57AB)
-        };
-        let table =
-            HeapTable::create(wspec, &mut ts).expect("write table fits in the dataset slack");
-        let wal = ts
-            .alloc("wal", 2_048)
-            .expect("WAL fits in the dataset slack");
-        let mut ws = WriteSystem::new(
-            WriteConfig::default(),
-            &table,
-            wal,
-            MediaStore::new(table.spec().page_size),
-        );
-        engine.run_with_writes(&mut ctx, &mut ws)?;
-    } else {
-        engine.run(&mut ctx)?;
-    }
-    ctx.fold_metrics();
-    Ok(())
 }
 
 /// Run every cell (its own device, pool and registry) and merge the

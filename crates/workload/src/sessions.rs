@@ -23,6 +23,7 @@
 use crate::concurrent::run_cell;
 use crate::experiments::{DeviceKind, Experiment, ExperimentConfig};
 use crate::opteval::calibrate;
+use crate::CsvRow;
 use pioqo_core::Qdtt;
 use pioqo_exec::{ExecError, ThinkTime, WorkloadSpec};
 use pioqo_optimizer::OptimizerConfig;
@@ -143,15 +144,13 @@ pub struct SessionScaleCell {
     pub queries_per_sim_s: f64,
 }
 
-impl SessionScaleCell {
-    /// CSV header matching [`SessionScaleCell::csv_row`].
-    pub fn csv_header() -> &'static str {
+impl CsvRow for SessionScaleCell {
+    fn csv_header() -> &'static str {
         "sessions,shared,completed,makespan_ms,mean_latency_us,p99_latency_us,\
          fairness,attaches,cursor_starts,attach_rate,queries_per_sim_s"
     }
 
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
+    fn csv_row(&self) -> String {
         format!(
             "{},{},{},{:.3},{:.1},{},{:.3},{},{},{:.4},{:.1}",
             self.sessions,
@@ -187,7 +186,10 @@ pub fn session_scale_cell(
     shared: bool,
 ) -> Result<SessionScaleCell, ExecError> {
     let opt_cfg = OptimizerConfig::fine_grained();
-    let (report, _admissions) = run_cell(exp, model, &opt_cfg, cfg.workload(sessions, shared))?;
+    let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+    let mut ctx = Experiment::context(&mut *dev, &mut pool);
+    let spec = cfg.workload(sessions, shared);
+    let (report, _admissions) = run_cell(exp, model, &opt_cfg, spec, None, &mut ctx)?;
     let makespan_s = report.makespan.as_micros_f64() / 1_000_000.0;
     Ok(SessionScaleCell {
         sessions,
@@ -234,17 +236,6 @@ pub fn session_scale_sweep(
     results.into_iter().collect()
 }
 
-/// Render sweep rows as the `repro --session-scale` CSV.
-pub fn session_scale_csv(cells: &[SessionScaleCell]) -> String {
-    let mut out = String::from(SessionScaleCell::csv_header());
-    out.push('\n');
-    for cell in cells {
-        out.push_str(&cell.csv_row());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,8 +255,8 @@ mod tests {
         let a = session_scale_sweep(&cfg, 1).expect("threads=1");
         let b = session_scale_sweep(&cfg, 4).expect("threads=4");
         let c = session_scale_sweep(&cfg, 1).expect("rerun");
-        assert_eq!(session_scale_csv(&a), session_scale_csv(&b));
-        assert_eq!(session_scale_csv(&a), session_scale_csv(&c));
+        assert_eq!(crate::to_csv(&a), crate::to_csv(&b));
+        assert_eq!(crate::to_csv(&a), crate::to_csv(&c));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::experiments::{Experiment, ExperimentConfig, MethodSpec};
 use pioqo_bufpool::PoolStats;
-use pioqo_exec::{ExecError, ResilienceStats, ScanMetrics};
+use pioqo_exec::{execute, ExecError, ResilienceStats, ScanMetrics};
 use pioqo_obs::{chrome_trace_json, HistSet, RingSink, TraceEvent};
 use pioqo_simkit::par::par_map_threads;
 use serde::Serialize;
@@ -192,13 +192,10 @@ fn run_cell(cell: &TraceCell, ring_capacity: usize) -> Result<CellCapture, Trace
     let mut device = exp.make_device();
     let mut pool = exp.make_pool();
     let mut sink = RingSink::with_capacity(ring_capacity);
-    let metrics = exp.run_with_traced(
-        device.as_mut(),
-        &mut pool,
-        cell.method,
-        cell.selectivity,
-        &mut sink,
-    )?;
+    let mut ctx = Experiment::context(device.as_mut(), &mut pool);
+    ctx.set_trace_sink(&mut sink);
+    let metrics = execute(&mut ctx, &exp.query(cell.method, cell.selectivity))?;
+    drop(ctx);
     Ok(CellCapture {
         label: cell.label(),
         tracks: sink.track_names().to_vec(),

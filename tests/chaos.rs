@@ -578,6 +578,106 @@ fn crash_sweep_recovers_to_oracle_at_every_point() {
 
 /// Regression: a torn write is always caught by the page checksum — the
 /// damaged image never decodes, for any seed.
+/// A halt must surface as `Crashed` wherever `Crashable` sits in a wrapper
+/// stack: `Faulty` and `WithBackgroundLoad` forward `crashed()`, so the
+/// fault × crash and load × crash products report the crash rather than
+/// "query stalled with work pending". Both orders, all three run surfaces.
+#[test]
+fn crash_behind_another_wrapper_is_reported_as_crashed() {
+    use pioqo::device::WithBackgroundLoad;
+    use pioqo::exec::FixedPlanner;
+
+    let seed = chaos_seed();
+    let spec = TableSpec::paper_table(33, 20_000, 4242);
+    let mut ts = Tablespace::new(4 * spec.n_pages() + 2_000);
+    let table = HeapTable::create(spec, &mut ts).expect("fits");
+    let index = BTreeIndex::build("c2", table.data().c2_entries(), 4096, &mut ts).expect("fits");
+    let wspec = TableSpec {
+        name: "W33".into(),
+        ..TableSpec::paper_table(33, 3_000, 77)
+    };
+    let wtable = HeapTable::create(wspec, &mut ts).expect("fits");
+    let wal = ts.alloc("wal", 512).expect("fits");
+
+    let ssd = || presets::consumer_pcie_ssd(ts.capacity(), seed ^ 0xD);
+    let plan = CrashPlan::at(SimTime::from_micros(300), seed ^ 0xC1);
+    let stacks = [
+        "Faulty<Crashable>",
+        "Crashable<Faulty>",
+        "WithBackgroundLoad<Crashable>",
+        "Crashable<WithBackgroundLoad>",
+    ];
+    let make = |stack: &str| -> Box<dyn DeviceModel> {
+        match stack {
+            "Faulty<Crashable>" => {
+                Box::new(Faulty::new(Crashable::new(ssd(), plan), FaultPlan::None))
+            }
+            "Crashable<Faulty>" => {
+                Box::new(Crashable::new(Faulty::new(ssd(), FaultPlan::None), plan))
+            }
+            "WithBackgroundLoad<Crashable>" => Box::new(WithBackgroundLoad::new(
+                Crashable::new(ssd(), plan),
+                4,
+                1,
+                seed,
+            )),
+            _ => Box::new(Crashable::new(
+                WithBackgroundLoad::new(ssd(), 4, 1, seed),
+                plan,
+            )),
+        }
+    };
+    let write_system = || {
+        WriteSystem::new(
+            write_cfg(seed),
+            &wtable,
+            wal,
+            MediaStore::new(wtable.spec().page_size),
+        )
+    };
+    let scan = QuerySpec::range_max(&table, Some(&index), 0, u32::MAX - 1);
+    for name in stacks {
+        let mut pool = BufferPool::new(256);
+        let mut dev = make(name);
+        let mut ctx = Experiment::context(&mut *dev, &mut pool);
+        let r = execute(&mut ctx, &scan);
+        assert!(
+            matches!(r, Err(ExecError::Crashed)),
+            "{name}: execute returned {r:?}"
+        );
+
+        let mut pool = BufferPool::new(256);
+        let mut dev = make(name);
+        let mut ctx = Experiment::context(&mut *dev, &mut pool);
+        let r = drive_writes(&mut ctx, &mut write_system());
+        assert!(
+            matches!(r, Err(ExecError::Crashed)),
+            "{name}: drive_writes returned {r:?}"
+        );
+
+        let mut pool = BufferPool::new(256);
+        let mut dev = make(name);
+        let mut ctx = Experiment::context(&mut *dev, &mut pool);
+        let engine = MultiEngine::new(
+            WorkloadSpec {
+                sessions: 2,
+                queries_per_session: 2,
+                ..WorkloadSpec::default()
+            },
+            QuerySpec::range_max(&table, Some(&index), 0, 0),
+            FixedPlanner {
+                plan: PlanSpec::Fts(FtsConfig::default()),
+            },
+        );
+        let r = engine.run_with_writes(&mut ctx, &mut write_system());
+        assert!(
+            matches!(r, Err(ExecError::Crashed)),
+            "{name}: run_with_writes returned {:?}",
+            r.map(|report| report.total_completed())
+        );
+    }
+}
+
 #[test]
 fn torn_write_is_detected_by_checksum() {
     let fx = write_fixture();

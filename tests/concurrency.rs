@@ -23,8 +23,8 @@ use pioqo::obs::EventKind;
 use pioqo::prelude::*;
 use pioqo::storage::range_for_selectivity;
 use pioqo::workload::{
-    calibrate, concurrency_grid, grid_csv, run_cell, session_export, session_scale_csv,
-    session_scale_sweep, ConcurrencyConfig, SessionScaleConfig,
+    calibrate, concurrency_grid, run_cell, session_export, session_scale_sweep, to_csv,
+    ConcurrencyConfig, SessionScaleConfig,
 };
 use proptest::prelude::*;
 
@@ -41,8 +41,9 @@ fn tiny() -> ConcurrencyConfig {
 
 #[test]
 fn eight_session_export_is_byte_identical_across_double_runs() {
-    let a = session_export(42).expect("first export runs");
-    let b = session_export(42).expect("second export runs");
+    let cfg = ConcurrencyConfig::default();
+    let a = session_export(&cfg).expect("first export runs");
+    let b = session_export(&cfg).expect("second export runs");
     assert_eq!(
         a.report_json, b.report_json,
         "workload report must survive a double run"
@@ -68,11 +69,11 @@ fn grid_with_eight_sessions_is_identical_across_thread_counts() {
     let t4 = concurrency_grid(&devices, &cfg, &opt, 4).expect("threads=4");
     let again = concurrency_grid(&devices, &cfg, &opt, 4).expect("rerun");
     assert_eq!(
-        grid_csv(&t1),
-        grid_csv(&t4),
+        to_csv(&t1),
+        to_csv(&t4),
         "grid must not depend on the harness thread count"
     );
-    assert_eq!(grid_csv(&t4), grid_csv(&again), "grid must survive a rerun");
+    assert_eq!(to_csv(&t4), to_csv(&again), "grid must survive a rerun");
 }
 
 #[test]
@@ -86,8 +87,10 @@ fn sessions_complete_fairly_under_a_truncating_horizon() {
     let mut spec = cfg.workload(8);
     spec.queries_per_session = 16;
     spec.horizon = Some(SimDuration::from_micros(15_000));
-    let (report, _) =
-        run_cell(&exp, &model, &OptimizerConfig::fine_grained(), spec).expect("cell runs");
+    let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+    let mut ctx = Experiment::context(&mut *dev, &mut pool);
+    let opt = OptimizerConfig::fine_grained();
+    let (report, _) = run_cell(&exp, &model, &opt, spec, None, &mut ctx).expect("cell runs");
     assert!(
         report.total_completed() < 8 * 16,
         "horizon must actually truncate the workload"
@@ -111,13 +114,11 @@ fn every_concurrent_answer_matches_the_oracle() {
     let cfg = tiny();
     let exp = Experiment::build(cfg.experiment(DeviceKind::Ssd));
     let model = calibrate(&exp).qdtt;
-    let (report, _) = run_cell(
-        &exp,
-        &model,
-        &OptimizerConfig::fine_grained(),
-        cfg.workload(8),
-    )
-    .expect("cell runs");
+    let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+    let mut ctx = Experiment::context(&mut *dev, &mut pool);
+    let opt = OptimizerConfig::fine_grained();
+    let (report, _) =
+        run_cell(&exp, &model, &opt, cfg.workload(8), None, &mut ctx).expect("cell runs");
     assert_eq!(report.total_completed(), 16);
     for r in &report.records {
         let (lo, hi) = range_for_selectivity(r.selectivity, exp.dataset.c2_max());
@@ -179,8 +180,8 @@ fn session_scale_sweep_is_byte_identical_and_fair_at_1k_and_10k() {
     let t1 = session_scale_sweep(&cfg, 1).expect("threads=1");
     let t4 = session_scale_sweep(&cfg, 4).expect("threads=4");
     assert_eq!(
-        session_scale_csv(&t1),
-        session_scale_csv(&t4),
+        to_csv(&t1),
+        to_csv(&t4),
         "session-scale sweep must not depend on the harness thread count"
     );
     // 1K runs both modes; 10K is shared-only (the unshared baseline is

@@ -80,7 +80,7 @@ fn fresh_experiment_instances_agree_with_reused_ones() {
 }
 
 /// The observability exports extend the invariant from metrics to full
-/// traces: `repro --trace` writes exactly what [`capture_trace`] returns,
+/// traces: `repro trace` writes exactly what [`capture_trace`] returns,
 /// so the Chrome JSON, histogram CSV and summary JSON must each be
 /// byte-identical across runs and across any worker-thread count.
 fn trace_cells() -> Vec<TraceCell> {
@@ -142,9 +142,11 @@ fn traced_and_untraced_runs_report_identical_metrics() {
     let mut dev_b = e.make_device();
     let mut pool_b = e.make_pool();
     let mut sink = RingSink::with_capacity(1 << 14);
-    let traced = e
-        .run_with_traced(dev_b.as_mut(), &mut pool_b, method, 0.02, &mut sink)
-        .expect("cold scan completes at test scale");
+    let mut ctx = Experiment::context(dev_b.as_mut(), &mut pool_b);
+    ctx.set_trace_sink(&mut sink);
+    let traced =
+        execute(&mut ctx, &e.query(method, 0.02)).expect("cold scan completes at test scale");
+    drop(ctx);
     let a = serde_json::to_string(&untraced).expect("scan metrics serialize to JSON");
     let b = serde_json::to_string(&traced).expect("scan metrics serialize to JSON");
     assert_eq!(a, b, "tracing must be observation-only");
@@ -152,7 +154,7 @@ fn traced_and_untraced_runs_report_identical_metrics() {
 }
 
 /// The metrics registry extends the invariant once more: every document
-/// `repro --metrics` writes (Prometheus text, series CSV, summary JSON,
+/// `repro metrics` writes (Prometheus text, series CSV, summary JSON,
 /// SLO verdicts, counter tracks) is rendered from a merged snapshot that
 /// must not depend on run count or worker-thread count.
 fn metrics_exports(threads: usize) -> [String; 5] {
@@ -194,7 +196,7 @@ fn metrics_exports_are_identical_across_thread_counts() {
 #[test]
 fn disabled_registry_is_free_and_observation_only() {
     // The always-on claim rests on the disabled path being a no-op: a
-    // scan driven through `run_with_metrics` with a disabled registry
+    // scan on a context handed a disabled registry
     // must leave the registry empty (no map insertions, hence no
     // allocations on the hot path) and report metrics identical to a
     // run with no registry at all.
@@ -214,9 +216,12 @@ fn disabled_registry_is_free_and_observation_only() {
     let mut dev_b = e.make_device();
     let mut pool_b = e.make_pool();
     let mut registry = MetricsRegistry::disabled();
-    let metered = e
-        .run_with_metrics(dev_b.as_mut(), &mut pool_b, method, 0.02, &mut registry)
-        .expect("cold scan completes at test scale");
+    let mut ctx = Experiment::context(dev_b.as_mut(), &mut pool_b);
+    ctx.set_metrics(&mut registry);
+    let metered =
+        execute(&mut ctx, &e.query(method, 0.02)).expect("cold scan completes at test scale");
+    ctx.fold_metrics();
+    drop(ctx);
 
     let a = serde_json::to_string(&plain).expect("scan metrics serialize to JSON");
     let b = serde_json::to_string(&metered).expect("scan metrics serialize to JSON");
