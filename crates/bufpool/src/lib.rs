@@ -648,11 +648,6 @@ impl BufferPool {
         self.dirty_now = 0;
     }
 
-    /// Reset counters to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = PoolStats::default();
-    }
-
     /// Invariant checker used by tests: list membership matches the map,
     /// no duplicate pages, length within capacity.
     #[doc(hidden)]

@@ -521,24 +521,11 @@ impl<'a> SimContext<'a> {
         self.metrics = Some(metrics);
     }
 
-    /// Whether an enabled metrics registry is installed.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
     /// Add to a named counter on the installed registry (no-op unmetered).
     #[inline]
     pub fn metric_counter(&mut self, name: &'static str, delta: u64) {
         if let Some(m) = &mut self.metrics {
             m.counter_add(name, delta);
-        }
-    }
-
-    /// Set a named gauge on the installed registry (no-op unmetered).
-    #[inline]
-    pub fn metric_gauge(&mut self, name: &'static str, value: u64) {
-        if let Some(m) = &mut self.metrics {
-            m.gauge_set(name, value);
         }
     }
 

@@ -61,6 +61,6 @@ pub use session::{
     AdmissionPlanner, FixedPlanner, MultiEngine, QueryAdmission, QueryRecord, SessionSummary,
     SharedChoice, ThinkTime, WorkloadReport, WorkloadSpec,
 };
-pub use shared::{Detached, ScanHub, SharedScanStats};
+pub use shared::{ScanHub, SharedScanStats};
 pub use sorted_is::SortedIsConfig;
 pub use write::{drive_writes, WriteConfig, WriteStats, WriteSystem};

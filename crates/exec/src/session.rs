@@ -1300,6 +1300,45 @@ mod tests {
     }
 
     #[test]
+    fn a_sessions_think_gaps_do_not_depend_on_the_session_count() {
+        // Session s draws its think times from its own stream,
+        // `SimRng::derive(seed, s)`, so a session added beside it cannot
+        // shift its gaps; with one stream shared across the session loop,
+        // every draw after the first would move.
+        let fx = fixture(20_000, 33);
+        let gaps = |sessions: u32| -> Vec<Vec<SimDuration>> {
+            let spec = WorkloadSpec {
+                sessions,
+                queries_per_session: 4,
+                think: ThinkTime::Exponential {
+                    mean: SimDuration::from_micros(500),
+                },
+                ..WorkloadSpec::default()
+            };
+            let report = run_workload(&fx, spec, PlanSpec::Is(IsConfig::default()));
+            (0..sessions)
+                .map(|s| {
+                    let mut recs: Vec<_> =
+                        report.records.iter().filter(|r| r.session == s).collect();
+                    recs.sort_by_key(|r| r.query_index);
+                    // The initial stagger, then each pause between a
+                    // completion and the next submission.
+                    let mut g = vec![recs[0].submitted.since(SimTime::ZERO)];
+                    g.extend(
+                        recs.windows(2)
+                            .map(|w| w[1].submitted.since(w[0].submitted + w[0].latency)),
+                    );
+                    g
+                })
+                .collect()
+        };
+        let three = gaps(3);
+        let four = gaps(4);
+        assert!(three.iter().all(|g| g.len() == 4));
+        assert_eq!(three[..], four[..3]);
+    }
+
+    #[test]
     fn horizon_caps_issuance() {
         let fx = fixture(20_000, 33);
         let spec = WorkloadSpec {

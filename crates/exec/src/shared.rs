@@ -34,13 +34,11 @@ use std::collections::BTreeMap;
 /// Counters describing one hub's lifetime, surfaced in workload reports.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SharedScanStats {
-    /// Consumers attached to a shared cursor (fresh or resumed).
+    /// Consumers attached to a shared cursor.
     pub attaches: u64,
     /// Times the circular cursor went from idle to streaming (each one
     /// costs exactly one queue-depth lease at the admission layer).
     pub cursor_starts: u64,
-    /// Consumers detached before completing their lap.
-    pub detaches: u64,
     /// Page deliveries evaluated by the shared stream (each table page
     /// counts once per tick it streamed past, not once per consumer).
     pub pages_delivered: u64,
@@ -53,50 +51,6 @@ pub struct SharedScanStats {
     /// cursor fetched it once — `(riders - 1)` saved per delivered page.
     pub pages_saved: u64,
 }
-
-/// A consumer's state carried across [`ScanHub::detach`] /
-/// [`ScanHub::reattach`]: the partial aggregate over the pages already
-/// seen plus where the stream must resume for the remainder.
-#[derive(Debug, Clone)]
-pub struct Detached {
-    /// Predicate lower bound (inclusive).
-    pub low: u32,
-    /// Predicate upper bound (inclusive).
-    pub high: u32,
-    /// The aggregate over the pages seen before detaching.
-    pub partial: RowAcc,
-    /// Pages already delivered to this consumer.
-    pub pages_seen: u64,
-    /// Table page the stream must be at when the consumer reattaches.
-    pub resume_page: u64,
-    /// Pages still owed after resuming.
-    pub pages_left: u64,
-}
-
-/// How a reattached consumer finishes: the carried partial is combined
-/// with a direct evaluation of the residual page range (the shared
-/// predicate accumulator covers a *full* lap and would double count).
-#[derive(Debug, Clone)]
-enum ConsumerKind {
-    /// Fresh attach: answer comes from the shared predicate accumulator.
-    Fresh { pred: usize },
-    /// Resumed after a detach: answer = carried partial + residual pages.
-    Resumed { det: Detached, resume_tick: u64 },
-}
-
-#[derive(Debug, Clone)]
-struct Consumer {
-    kind: ConsumerKind,
-    /// Tick (exclusive) at which this consumer has seen a full lap.
-    finish: u64,
-}
-
-/// Sentinel `start_tick` for a predicate whose lap was interrupted by the
-/// cursor going idle (every consumer detached before the lap finished):
-/// its partial accumulator is invalid, so it restarts from scratch on the
-/// next attach. Completed predicates are never parked — their full-lap
-/// accumulator stays reusable forever (the table is static).
-const PRED_PARKED: u64 = u64::MAX;
 
 /// One distinct predicate's shared accumulator. The hub evaluates each
 /// table page once for each predicate, starting at the tick the predicate
@@ -140,7 +94,8 @@ pub struct ScanHub<'q> {
     need: u64,
     /// The run `(start, len)` whose evaluation task is in flight.
     eval: Option<(u64, u64)>,
-    slots: Vec<Option<Consumer>>,
+    /// Consumer slot -> the predicate whose accumulator answers it.
+    slots: Vec<Option<usize>>,
     free: Vec<u32>,
     live: u32,
     preds: Vec<PredState>,
@@ -210,11 +165,6 @@ impl<'q> ScanHub<'q> {
 
     fn pred_index(&mut self, low: u32, high: u32) -> usize {
         if let Some(&i) = self.pred_ids.get(&(low, high)) {
-            // A pred parked by `go_idle` mid-lap restarts a fresh lap at
-            // the current frontier; a completed pred is reused as-is.
-            if self.preds[i].start_tick == PRED_PARKED {
-                self.preds[i].start_tick = self.sched();
-            }
             return i;
         }
         let i = self.preds.len();
@@ -228,20 +178,20 @@ impl<'q> ScanHub<'q> {
         i
     }
 
-    fn alloc_slot(&mut self, c: Consumer) -> u32 {
+    fn alloc_slot(&mut self, pred: usize) -> u32 {
         self.live += 1;
         if let Some(s) = self.free.pop() {
-            self.slots[s as usize] = Some(c);
+            self.slots[s as usize] = Some(pred);
             s
         } else {
-            self.slots.push(Some(c));
+            self.slots.push(Some(pred));
             (self.slots.len() - 1) as u32
         }
     }
 
     /// Attach a fresh consumer for `BETWEEN low AND high` at the cursor's
     /// current position; it completes after one full circular lap.
-    /// Returns the consumer slot (stable until completion or detach).
+    /// Returns the consumer slot (stable until completion).
     pub fn attach(&mut self, ctx: &mut SimContext<'_>, low: u32, high: u32) -> u32 {
         if !self.active {
             self.active = true;
@@ -250,101 +200,13 @@ impl<'q> ScanHub<'q> {
         self.stats.attaches += 1;
         let pred = self.pred_index(low, high);
         let finish = self.sched() + self.n_pages;
-        let slot = self.alloc_slot(Consumer {
-            kind: ConsumerKind::Fresh { pred },
-            finish,
-        });
+        let slot = self.alloc_slot(pred);
         self.need = self.need.max(finish);
         self.finish_at.entry(finish).or_default().push(slot);
         ctx.metric_counter("shared_attach_total", 1);
         ctx.metric_sample("shared_live_consumers", u64::from(self.live));
         self.pump(ctx);
         slot
-    }
-
-    /// Detach `slot` mid-lap (cancellation / plan divergence). Returns the
-    /// partial aggregate over the pages the consumer saw, or `None` when
-    /// the slot already completed. Detaching does not rewind the stream:
-    /// other consumers keep riding it.
-    pub fn detach(&mut self, ctx: &mut SimContext<'_>, slot: u32) -> Option<Detached> {
-        let c = self.slots.get_mut(slot as usize)?.take()?;
-        self.free.push(slot);
-        self.live -= 1;
-        self.stats.detaches += 1;
-        ctx.metric_counter("shared_detach_total", 1);
-        ctx.metric_sample("shared_live_consumers", u64::from(self.live));
-        if let Some(v) = self.finish_at.get_mut(&c.finish) {
-            v.retain(|&s| s != slot);
-            if v.is_empty() {
-                self.finish_at.remove(&c.finish);
-            }
-        }
-        let det = match c.kind {
-            ConsumerKind::Fresh { pred } => {
-                let (low, high) = self.preds[pred].eval.sarg();
-                let attach_tick = c.finish - self.n_pages;
-                let pages_seen = self.done.saturating_sub(attach_tick).min(self.n_pages);
-                let mut partial = RowAcc::default();
-                self.eval_run_host(attach_tick, pages_seen, low, high, &mut partial);
-                Detached {
-                    low,
-                    high,
-                    partial,
-                    pages_seen,
-                    resume_page: self.page_of(attach_tick + pages_seen),
-                    pages_left: self.n_pages - pages_seen,
-                }
-            }
-            ConsumerKind::Resumed {
-                mut det,
-                resume_tick,
-            } => {
-                let pages_seen = self.done.saturating_sub(resume_tick).min(det.pages_left);
-                self.eval_run_host(resume_tick, pages_seen, det.low, det.high, &mut det.partial);
-                Detached {
-                    pages_seen: det.pages_seen + pages_seen,
-                    resume_page: self.page_of(resume_tick + pages_seen),
-                    pages_left: det.pages_left - pages_seen,
-                    ..det
-                }
-            }
-        };
-        if self.live == 0 {
-            self.go_idle();
-        }
-        Some(det)
-    }
-
-    /// Re-admit a detached consumer. The stream must be positioned at the
-    /// consumer's resume page (`page_of(evaluation frontier)`); otherwise
-    /// the carried state is handed back and the caller re-admits solo.
-    pub fn reattach(&mut self, ctx: &mut SimContext<'_>, det: Detached) -> Result<u32, Detached> {
-        if det.pages_left == 0
-            || self.page_of(self.done) != det.resume_page
-            || self.sched() != self.done
-        {
-            return Err(det);
-        }
-        if !self.active {
-            self.active = true;
-            self.stats.cursor_starts += 1;
-        }
-        self.stats.attaches += 1;
-        // Register the predicate so shared evaluation CPU cost covers it;
-        // the answer itself comes from the carried partial + residual.
-        let _ = self.pred_index(det.low, det.high);
-        let resume_tick = self.done;
-        let finish = resume_tick + det.pages_left;
-        let slot = self.alloc_slot(Consumer {
-            kind: ConsumerKind::Resumed { det, resume_tick },
-            finish,
-        });
-        self.need = self.need.max(finish);
-        self.finish_at.entry(finish).or_default().push(slot);
-        ctx.metric_counter("shared_attach_total", 1);
-        ctx.metric_sample("shared_live_consumers", u64::from(self.live));
-        self.pump(ctx);
-        Ok(slot)
     }
 
     /// Drain completed consumers as `(slot, answer)` pairs, in completion
@@ -362,16 +224,14 @@ impl<'q> ScanHub<'q> {
         };
         match landed {
             // The engine's global admit already moved the block's pages
-            // into the pool; the run is now evaluable. (Going idle disowns
-            // every read, so none lands on an inactive cursor.)
+            // into the pool; the run is now evaluable.
             Landed::Read { len, credit, .. } => {
                 for tick in credit {
                     self.runs.insert(tick, len);
                 }
             }
-            // The run of a lap that went idle meanwhile is dropped.
             Landed::Cpu(_) => {
-                if let (Some((start, len)), true) = (self.eval.take(), self.active) {
+                if let Some((start, len)) = self.eval.take() {
                     self.finish_run(start, len);
                 }
             }
@@ -401,41 +261,18 @@ impl<'q> ScanHub<'q> {
             }
             let slots = self.finish_at.remove(&finish).expect("key just observed");
             for slot in slots {
-                let Some(c) = self.slots[slot as usize].take() else {
+                let Some(pred) = self.slots[slot as usize].take() else {
                     continue;
                 };
                 self.free.push(slot);
                 self.live -= 1;
-                let acc = match c.kind {
-                    ConsumerKind::Fresh { pred } => {
-                        let p = &self.preds[pred];
-                        debug_assert_eq!(p.pages_done, self.n_pages);
-                        p.acc
-                    }
-                    ConsumerKind::Resumed {
-                        mut det,
-                        resume_tick,
-                    } => {
-                        let (tick, len) = (resume_tick, det.pages_left);
-                        self.eval_run_host(tick, len, det.low, det.high, &mut det.partial);
-                        det.partial
-                    }
-                };
-                self.completions.push((slot, QueryAnswer::from_acc(&acc)));
+                let p = &self.preds[pred];
+                debug_assert_eq!(p.pages_done, self.n_pages);
+                self.completions.push((slot, QueryAnswer::from_acc(&p.acc)));
             }
         }
         if self.live == 0 {
             self.go_idle();
-        }
-    }
-
-    /// Fold `len` circular pages starting at `tick` into `acc` directly
-    /// (detach partials and residual ranges — control-plane work, not
-    /// charged to the simulated CPU).
-    fn eval_run_host(&self, tick: u64, len: u64, low: u32, high: u32, acc: &mut RowAcc) {
-        let eval = window_eval(low, high);
-        for t in tick..tick + len {
-            eval.page(self.table, t % self.n_pages, acc);
         }
     }
 
@@ -494,29 +331,17 @@ impl<'q> ScanHub<'q> {
         self.win.compute(ctx, work, run_start);
     }
 
-    /// All consumers gone: stop streaming and drop in-flight bookkeeping.
-    /// (When every consumer ran to completion the frontier has caught up
-    /// and there is nothing to drop; after detaches there may be stale
-    /// blocks in flight, whose completions the engine's global pool admit
-    /// still handles.)
+    /// All consumers gone: stop streaming. Every consumer ran its lap to
+    /// completion, so every predicate's accumulator holds the full-table
+    /// answer, reusable forever (the table is static).
     fn go_idle(&mut self) {
         self.active = false;
         self.win.forget_reads();
-        // Restart cleanly: the next attach streams from a fresh frontier.
-        // Skipping the in-flight ticks [done, fetched) would leave a hole
-        // in any unfinished predicate lap, so park those accumulators —
-        // they restart from scratch when their predicate next appears.
+        // The next attach streams from a fresh frontier.
         let restart = self.sched().max(self.done).max(self.fetched);
         self.runs.restart(restart);
         self.done = restart;
         self.fetched = restart;
         self.need = restart;
-        for p in &mut self.preds {
-            if p.pages_done < self.n_pages {
-                p.start_tick = PRED_PARKED;
-                p.pages_done = 0;
-                p.acc = RowAcc::default();
-            }
-        }
     }
 }

@@ -1,9 +1,8 @@
-//! Known-bad fixture: a query layer that breaks determinism in the three
+//! Known-bad fixture: a query layer that breaks determinism in the two
 //! ways a predicate/join module is most tempted to. The lint must treat
-//! `exec/src/query.rs` exactly like the rest of the sim crate — D1, D3
-//! and D8 all fire here. Never compiled; only scanned.
+//! `exec/src/query.rs` exactly like the rest of the sim crate — D1 and D3
+//! both fire here. Never compiled; only scanned.
 
-use crate::model::SimRng;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -24,16 +23,4 @@ impl BuildTable {
         let _ = started.elapsed();
         drained
     }
-}
-
-/// D8: cloning the query's RNG to jitter each spill partition — the
-/// cloned stream replays identical draws, correlating every partition's
-/// "independent" jitter.
-pub fn partition_jitter(rng: &SimRng, partitions: u32) -> Vec<u64> {
-    (0..partitions)
-        .map(|_| {
-            let twin = rng.clone();
-            twin.peek()
-        })
-        .collect()
 }

@@ -21,7 +21,7 @@ use std::path::Path;
 /// A single allowlist entry.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
-    /// Rule identifier this entry suppresses (`"D1"` .. `"D6"`).
+    /// Rule identifier this entry suppresses (`"D1"` .. `"D7"`).
     pub rule: String,
     /// Workspace-relative path, or a `dir/**` prefix pattern.
     pub path: String,

@@ -1,11 +1,11 @@
-//! Diagnostics, report rendering, and SARIF 2.1.0 export.
+//! Diagnostics and report rendering.
 
-use serde::{Content, Serialize};
+use serde::Serialize;
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone, Serialize)]
 pub struct Diagnostic {
-    /// Rule identifier (`"D1"` .. `"D11"`).
+    /// Rule identifier (`"D1"` .. `"D7"`).
     pub rule: String,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -77,139 +77,6 @@ impl Report {
             }
         ));
         out
-    }
-
-    /// Render the report as a SARIF 2.1.0 log (the static-analysis
-    /// interchange format CI systems ingest to annotate PRs inline).
-    /// One run, one driver (`pioqo-lint`), one rule entry per rule that
-    /// fired, one result per diagnostic. Stale allowlist entries become
-    /// tool-level `error` notifications so they fail CI visibly even
-    /// though they have no source location.
-    pub fn to_sarif(&self) -> String {
-        let mut rule_ids: Vec<&str> = self.diagnostics.iter().map(|d| d.rule.as_str()).collect();
-        rule_ids.sort();
-        rule_ids.dedup();
-        let rules: Vec<Content> = rule_ids
-            .iter()
-            .map(|id| {
-                Content::Map(vec![
-                    ("id".to_string(), Content::Str(id.to_string())),
-                    (
-                        "shortDescription".to_string(),
-                        Content::Map(vec![(
-                            "text".to_string(),
-                            Content::Str(crate::explain::summary(id).to_string()),
-                        )]),
-                    ),
-                ])
-            })
-            .collect();
-        let results: Vec<Content> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                Content::Map(vec![
-                    ("ruleId".to_string(), Content::Str(d.rule.clone())),
-                    ("level".to_string(), Content::Str("error".to_string())),
-                    (
-                        "message".to_string(),
-                        Content::Map(vec![("text".to_string(), Content::Str(d.message.clone()))]),
-                    ),
-                    (
-                        "locations".to_string(),
-                        Content::Seq(vec![Content::Map(vec![(
-                            "physicalLocation".to_string(),
-                            Content::Map(vec![
-                                (
-                                    "artifactLocation".to_string(),
-                                    Content::Map(vec![(
-                                        "uri".to_string(),
-                                        Content::Str(d.path.clone()),
-                                    )]),
-                                ),
-                                (
-                                    "region".to_string(),
-                                    Content::Map(vec![
-                                        ("startLine".to_string(), Content::U64(d.line)),
-                                        (
-                                            "snippet".to_string(),
-                                            Content::Map(vec![(
-                                                "text".to_string(),
-                                                Content::Str(d.snippet.clone()),
-                                            )]),
-                                        ),
-                                    ]),
-                                ),
-                            ]),
-                        )])]),
-                    ),
-                ])
-            })
-            .collect();
-        let notifications: Vec<Content> = self
-            .stale_allows
-            .iter()
-            .map(|s| {
-                Content::Map(vec![
-                    ("level".to_string(), Content::Str("error".to_string())),
-                    (
-                        "message".to_string(),
-                        Content::Map(vec![(
-                            "text".to_string(),
-                            Content::Str(format!(
-                                "stale lint.toml allowlist entry `{s}`: suppresses nothing; delete it"
-                            )),
-                        )]),
-                    ),
-                ])
-            })
-            .collect();
-        let mut invocation = vec![(
-            "executionSuccessful".to_string(),
-            Content::Bool(self.is_clean()),
-        )];
-        if !notifications.is_empty() {
-            invocation.push((
-                "toolConfigurationNotifications".to_string(),
-                Content::Seq(notifications),
-            ));
-        }
-        let log = Content::Map(vec![
-            (
-                "$schema".to_string(),
-                Content::Str("https://json.schemastore.org/sarif-2.1.0.json".to_string()),
-            ),
-            ("version".to_string(), Content::Str("2.1.0".to_string())),
-            (
-                "runs".to_string(),
-                Content::Seq(vec![Content::Map(vec![
-                    (
-                        "tool".to_string(),
-                        Content::Map(vec![(
-                            "driver".to_string(),
-                            Content::Map(vec![
-                                ("name".to_string(), Content::Str("pioqo-lint".to_string())),
-                                (
-                                    "informationUri".to_string(),
-                                    Content::Str(
-                                        "https://example.invalid/pioqo/DESIGN.md".to_string(),
-                                    ),
-                                ),
-                                ("rules".to_string(), Content::Seq(rules)),
-                            ]),
-                        )]),
-                    ),
-                    (
-                        "invocations".to_string(),
-                        Content::Seq(vec![Content::Map(invocation)]),
-                    ),
-                    ("results".to_string(), Content::Seq(results)),
-                ])]),
-            ),
-        ]);
-        // The vendored serializer is infallible on a hand-built Content
-        // tree; the empty-string fallback can never be observed.
-        serde_json::to_string_pretty(&log).unwrap_or_default()
     }
 }
 
@@ -283,29 +150,5 @@ mod tests {
         let t = r.render_table();
         assert!(t.contains("STALE ALLOW D4 crates/exec/src/engine.rs"));
         assert!(t.contains("1 stale allowlist entry\n"));
-    }
-
-    #[test]
-    fn sarif_has_schema_rules_and_result_locations() {
-        let s = sample().to_sarif();
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("sarif-2.1.0.json"));
-        assert!(s.contains("\"name\": \"pioqo-lint\""));
-        assert!(s.contains("\"ruleId\": \"D1\""));
-        assert!(s.contains("\"uri\": \"crates/x/src/lib.rs\""));
-        assert!(s.contains("\"startLine\": 12"));
-        // The fired rule is described in the driver's rule table.
-        assert!(s.contains("\"id\": \"D1\""));
-    }
-
-    #[test]
-    fn sarif_reports_stale_allows_as_notifications() {
-        let mut r = sample();
-        r.stale_allows
-            .push("D4 crates/exec/src/engine.rs".to_string());
-        let s = r.to_sarif();
-        assert!(s.contains("toolConfigurationNotifications"));
-        assert!(s.contains("stale lint.toml allowlist entry"));
-        assert!(s.contains("\"executionSuccessful\": false"));
     }
 }

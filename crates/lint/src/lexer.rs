@@ -9,6 +9,13 @@
 //! scan the masked text, and map hits back to the original text (same
 //! offsets) when they need literal content — e.g. to measure the length of
 //! an `.expect("...")` message.
+//!
+//! D4 needs one structural fact beyond token hits — which identifiers are
+//! declared `SimTime` / `SimDuration` — so the masked text can also be
+//! split into tokens and scanned for typed declarations
+//! ([`find_time_typed`]).
+
+use std::collections::BTreeSet;
 
 /// Lexing state while walking a source file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,9 +252,154 @@ fn fence_closes(rest: &[u8], hashes: u32) -> bool {
     rest.len() >= n && rest[..n].iter().all(|&b| b == b'#')
 }
 
+/// Lexical class of one token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TokKind {
+    /// Identifier or keyword (`fn`, `issue_time`, `SimRng`).
+    Ident,
+    /// Numeric literal (`42`, `0xC1`, `1u64`).
+    Number,
+    /// Any single punctuation byte (`{`, `?`, `+`, ...).
+    Punct(u8),
+}
+
+/// One token of the masked source, with its byte span.
+#[derive(Debug, Clone, Copy)]
+struct Token {
+    /// Lexical class.
+    kind: TokKind,
+    /// Byte offset of the first character.
+    start: usize,
+    /// Byte offset one past the last character.
+    end: usize,
+}
+
+/// Split masked source into identifier / number / punctuation tokens.
+///
+/// Comments and literals were already blanked by [`mask_source`], so
+/// whitespace is the only other content and is skipped.
+fn tokenize(masked: &str) -> Vec<Token> {
+    let bytes = masked.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let c = bytes[i];
+        if c.is_ascii_whitespace() {
+            i += 1;
+            continue;
+        }
+        if is_ident_char(c) {
+            let start = i;
+            while i < bytes.len() && is_ident_char(bytes[i]) {
+                i += 1;
+            }
+            let kind = if c.is_ascii_digit() {
+                TokKind::Number
+            } else {
+                TokKind::Ident
+            };
+            out.push(Token {
+                kind,
+                start,
+                end: i,
+            });
+        } else {
+            out.push(Token {
+                kind: TokKind::Punct(c),
+                start: i,
+                end: i + 1,
+            });
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Identifiers annotated `: SimTime` or `: SimDuration` anywhere in the
+/// masked file: struct fields, fn parameters, and `let` type ascriptions.
+pub fn find_time_typed(masked: &str) -> BTreeSet<String> {
+    let tokens = tokenize(masked);
+    let word = |i: usize| &masked[tokens[i].start..tokens[i].end];
+    let mut typed = BTreeSet::new();
+    for i in 1..tokens.len().saturating_sub(1) {
+        if !matches!(tokens[i].kind, TokKind::Punct(b':')) {
+            continue;
+        }
+        // Skip `::` path separators on either side.
+        if matches!(tokens[i - 1].kind, TokKind::Punct(b':'))
+            || matches!(tokens[i + 1].kind, TokKind::Punct(b':'))
+        {
+            continue;
+        }
+        if !matches!(tokens[i - 1].kind, TokKind::Ident) {
+            continue;
+        }
+        // Scan the type expression (until a `,`/`;`/`=`/`)`/`{`/`>` at
+        // depth 0) for the wrapper names.
+        let mut depth = 0i32;
+        let mut j = i + 1;
+        let mut is_time = false;
+        while j < tokens.len() {
+            match tokens[j].kind {
+                TokKind::Punct(b'<') | TokKind::Punct(b'(') => depth += 1,
+                TokKind::Punct(b')') | TokKind::Punct(b'>') => {
+                    if depth == 0 {
+                        break;
+                    }
+                    depth -= 1;
+                }
+                TokKind::Punct(b',')
+                | TokKind::Punct(b';')
+                | TokKind::Punct(b'=')
+                | TokKind::Punct(b'{')
+                | TokKind::Punct(b'}')
+                    if depth == 0 =>
+                {
+                    break
+                }
+                TokKind::Ident => {
+                    let w = word(j);
+                    if w == "SimTime" || w == "SimDuration" {
+                        is_time = true;
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        if is_time {
+            typed.insert(word(i - 1).to_string());
+        }
+    }
+    typed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tokenizes_idents_numbers_punct() {
+        let toks = tokenize("let x_ns = 0xFF + f(2);");
+        let kinds: Vec<_> = toks.iter().map(|t| t.kind).collect();
+        assert_eq!(kinds[0], TokKind::Ident); // let
+        assert_eq!(kinds[1], TokKind::Ident); // x_ns
+        assert_eq!(kinds[3], TokKind::Number); // 0xFF
+        assert_eq!(kinds[4], TokKind::Punct(b'+'));
+    }
+
+    #[test]
+    fn time_typed_collects_fields_params_and_ascriptions() {
+        let typed = find_time_typed(&mask_source(
+            "struct S { issue_time: SimTime, grace: Option<SimDuration>, n: u64 }\n\
+             fn f(deadline: SimTime) { let t: SimDuration = d; }\n",
+        ));
+        assert!(typed.contains("issue_time"));
+        assert!(typed.contains("grace"));
+        assert!(typed.contains("deadline"));
+        assert!(typed.contains("t"));
+        assert!(!typed.contains("n"));
+    }
 
     #[test]
     fn masks_line_comments() {

@@ -2,21 +2,20 @@
 //!
 //! The whole point of this workspace is that a seed reproduces a run
 //! bit-for-bit; that property is easy to break silently (one `Instant::now`,
-//! one `HashMap` iteration in a scheduling decision, one cloned RNG
-//! stream). This crate is a purpose-built static-analysis pass that walks
+//! one `HashMap` iteration in a scheduling decision, one host thread).
+//! This crate is a purpose-built static-analysis pass that walks
 //! every `.rs` file under `crates/` and enforces the project's
-//! determinism invariants D1-D11 — see [`rules`] for the catalogue. D1-D7
-//! are token-level scans; D8-D11 run on a lightweight syntax layer
-//! ([`syntax`]) and per-function control-flow graphs ([`cfg`], [`flow`])
-//! built from the same masked token stream — no rustc or syn dependency.
+//! determinism invariants D1-D7 — see [`rules`] for the catalogue. All
+//! seven are token-level scans over comment- and literal-masked source
+//! ([`lexer`]) — no rustc or syn dependency. Invariants a type, a runtime
+//! assert or rustc already enforces are left to them (DESIGN.md §14).
 //!
 //! Run it from the workspace root:
 //!
 //! ```text
 //! cargo run -p pioqo-lint -- check              # human table, exit 1 on findings
 //! cargo run -p pioqo-lint -- check --json       # machine-readable diagnostics
-//! cargo run -p pioqo-lint -- check --sarif f    # SARIF 2.1.0 for CI annotation
-//! cargo run -p pioqo-lint -- explain D9         # rule rationale
+//! cargo run -p pioqo-lint -- explain D4         # rule rationale
 //! ```
 //!
 //! Deliberate exceptions live in `lint.toml` ([`config`]); each carries a
@@ -29,15 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cfg;
 pub mod config;
 pub mod diag;
 pub mod explain;
-pub mod flow;
 pub mod lexer;
 pub mod metrics_check;
 pub mod rules;
-pub mod syntax;
 pub mod trace_check;
 
 pub use config::{load_config, LintConfig, LintError};
@@ -54,27 +50,19 @@ const SKIP_DIRS: &[&str] = &[
 
 /// Lint every crate under `<root>/crates/`, applying the allowlist.
 ///
-/// Runs in two passes: the first gathers workspace-wide facts (the
-/// `#[deprecated]` item set D11 matches against), the second applies
-/// every rule per file. Diagnostics come back sorted by path, then line,
-/// then rule, so output is stable across runs and platforms. Allowlist
-/// entries that suppressed nothing are reported as stale — a stale entry
-/// means the exception it documented no longer exists, and leaving it
-/// around would silently swallow a future regression at that path.
+/// Diagnostics come back sorted by path, then line, then rule, so output
+/// is stable across runs and platforms. Allowlist entries that suppressed
+/// nothing are reported as stale — a stale entry means the exception it
+/// documented no longer exists, and leaving it around would silently
+/// swallow a future regression at that path.
 pub fn check_workspace(root: &Path, config: &LintConfig) -> Result<Report, LintError> {
     let crates_dir = root.join("crates");
     let mut crate_dirs = list_dirs(&crates_dir)?;
     crate_dirs.sort();
 
-    struct FileEntry {
-        crate_name: String,
-        is_lib_crate: bool,
-        is_lib_root: bool,
-        rel_path: String,
-        original: String,
-    }
-
-    let mut entries = Vec::new();
+    let mut diagnostics = Vec::new();
+    let mut entry_used = vec![false; config.allow.len()];
+    let mut files_checked = 0u64;
     for crate_dir in &crate_dirs {
         let crate_name = file_name_str(crate_dir)?;
         let is_lib_crate = crate_dir.join("src").join("lib.rs").is_file();
@@ -85,41 +73,23 @@ pub fn check_workspace(root: &Path, config: &LintConfig) -> Result<Report, LintE
             let original = std::fs::read_to_string(&file)
                 .map_err(|e| LintError(format!("cannot read {}: {e}", file.display())))?;
             let rel_path = relative_path(root, &file)?;
-            let is_lib_root = is_lib_crate && rel_path.ends_with("/src/lib.rs");
-            entries.push(FileEntry {
-                crate_name: crate_name.clone(),
-                is_lib_crate,
-                is_lib_root,
-                rel_path,
-                original,
-            });
-        }
-    }
-
-    let mut ws = rules::WorkspaceInfo::default();
-    for entry in &entries {
-        ws.collect(&entry.original);
-    }
-
-    let mut diagnostics = Vec::new();
-    let mut entry_used = vec![false; config.allow.len()];
-    for entry in &entries {
-        let mut found = Vec::new();
-        rules::check_file(
-            &rules::FileInput {
-                rel_path: &entry.rel_path,
-                crate_dir: &entry.crate_name,
-                is_lib_crate: entry.is_lib_crate,
-                is_lib_root: entry.is_lib_root,
-                original: &entry.original,
-            },
-            &ws,
-            &mut found,
-        );
-        for d in found {
-            match config.matching_entry(&d.rule, &d.path) {
-                Some(idx) => entry_used[idx] = true,
-                None => diagnostics.push(d),
+            let mut found = Vec::new();
+            rules::check_file(
+                &rules::FileInput {
+                    rel_path: &rel_path,
+                    crate_dir: &crate_name,
+                    is_lib_crate,
+                    is_lib_root: is_lib_crate && rel_path.ends_with("/src/lib.rs"),
+                    original: &original,
+                },
+                &mut found,
+            );
+            files_checked += 1;
+            for d in found {
+                match config.matching_entry(&d.rule, &d.path) {
+                    Some(idx) => entry_used[idx] = true,
+                    None => diagnostics.push(d),
+                }
             }
         }
     }
@@ -134,7 +104,7 @@ pub fn check_workspace(root: &Path, config: &LintConfig) -> Result<Report, LintE
         .map(|(e, _)| format!("{} {}", e.rule, e.path))
         .collect();
     Ok(Report {
-        files_checked: entries.len() as u64,
+        files_checked,
         diagnostics,
         stale_allows,
     })

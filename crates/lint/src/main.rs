@@ -1,13 +1,13 @@
 //! Command-line entry point for the workspace linter.
 //!
 //! ```text
-//! pioqo-lint check [--root DIR] [--config FILE] [--json] [--sarif FILE]
+//! pioqo-lint check [--root DIR] [--config FILE] [--json]
 //! pioqo-lint explain RULE
 //! pioqo-lint trace-check <file>...
 //! pioqo-lint metrics-check <file>...
 //! ```
 //!
-//! `check` runs the D1-D11 determinism scan; `explain` prints one rule's
+//! `check` runs the D1-D7 determinism scan; `explain` prints one rule's
 //! rationale; `trace-check` validates exported Chrome trace JSON files
 //! against the exporter's schema; `metrics-check` validates exported
 //! Prometheus text expositions (from `repro metrics`).
@@ -23,19 +23,18 @@ use pioqo_lint::{check_workspace, load_config, LintError};
 use std::io::Write;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: pioqo-lint check [--root DIR] [--config FILE] [--json] [--sarif FILE]
+const USAGE: &str = "usage: pioqo-lint check [--root DIR] [--config FILE] [--json]
        pioqo-lint explain RULE
        pioqo-lint trace-check <file>...
        pioqo-lint metrics-check <file>...
 
-`check` enforces the workspace determinism invariants D1-D11 over every
+`check` enforces the workspace determinism invariants D1-D7 over every
 .rs file under <root>/crates/. The allowlist is read from --config
 (default: <root>/lint.toml); entries that suppress nothing are errors.
-Prints a human-readable table, or a JSON report with --json; --sarif
-additionally writes a SARIF 2.1.0 log for CI annotation.
+Prints a human-readable table, or a JSON report with --json.
 
 `explain RULE` prints the invariant a rule guards and why it matters
-(e.g. `pioqo-lint explain D9`).
+(e.g. `pioqo-lint explain D4`).
 
 `trace-check` validates exported Chrome trace JSON (from `repro trace`)
 against the exporter's event schema.
@@ -88,7 +87,6 @@ fn run(args: &[String]) -> Result<i32, LintError> {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
     let mut json = false;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -105,12 +103,6 @@ fn run(args: &[String]) -> Result<i32, LintError> {
                     })?));
             }
             "--json" => json = true,
-            "--sarif" => {
-                sarif_path =
-                    Some(PathBuf::from(it.next().ok_or_else(|| {
-                        LintError("--sarif needs a file path".to_string())
-                    })?));
-            }
             other => return Err(LintError(format!("unknown flag {other:?}"))),
         }
     }
@@ -119,10 +111,6 @@ fn run(args: &[String]) -> Result<i32, LintError> {
     let config = load_config(&config_path)?;
     let report = check_workspace(&root, &config)?;
 
-    if let Some(path) = sarif_path {
-        std::fs::write(&path, report.to_sarif())
-            .map_err(|e| LintError(format!("cannot write {}: {e}", path.display())))?;
-    }
     if json {
         let rendered = serde_json::to_string_pretty(&report)
             .map_err(|e| LintError(format!("cannot serialize report: {e}")))?;
@@ -138,7 +126,7 @@ fn run(args: &[String]) -> Result<i32, LintError> {
 fn run_explain(args: &[String]) -> Result<i32, LintError> {
     let [rule] = args else {
         return Err(LintError(
-            "explain takes exactly one rule identifier (e.g. `pioqo-lint explain D9`)".to_string(),
+            "explain takes exactly one rule identifier (e.g. `pioqo-lint explain D4`)".to_string(),
         ));
     };
     let id = rule.to_ascii_uppercase();

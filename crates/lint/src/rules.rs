@@ -1,4 +1,4 @@
-//! The determinism and unit-safety rules (D1-D11).
+//! The determinism and unit-safety rules (D1-D7).
 //!
 //! Every rule scans the masked source (see [`crate::lexer`]) so that
 //! comments and string literals never trigger findings. Rules other than
@@ -6,12 +6,10 @@
 //! convention test modules come last, and the lint treats everything from
 //! the first `#[cfg(test)]` attribute to end-of-file as test code.
 //!
-//! D1-D7 are token-level scans. D8-D11 are flow-sensitive: they run on
-//! the [`crate::syntax`] structural view (functions, loops, `let`
-//! bindings, typed identifiers) and, for D9, the per-function
-//! [`crate::cfg`] control-flow graph. D4 also consults the syntax layer:
-//! identifiers declared `SimTime`/`SimDuration` are unit-safe by
-//! construction and are exempt from the textual arithmetic check.
+//! All seven are token-level scans. D4 also consults
+//! [`crate::lexer::find_time_typed`]: identifiers declared
+//! `SimTime`/`SimDuration` are unit-safe by construction and are exempt
+//! from the textual arithmetic check.
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -22,21 +20,12 @@
 //! | D5   | No panics in library crates (`unwrap`, `panic!`, ...) — return errors |
 //! | D6   | Library crates declare `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` |
 //! | D7   | No OS threads in simulation crates — concurrency is modeled in virtual time |
-//! | D8   | RNG stream discipline — no `.clone()` of an RNG, no forking a stream that is also passed `&mut` in the same loop, no reuse of one stream across session iterations |
-//! | D9   | Must-release — a lease bound from `.acquire()` is released/returned on every exit path, including `?`-early-returns |
-//! | D10  | Sim-time causality — no `schedule`/`complete_at` argument that traces to `now - x` |
-//! | D11  | No internal calls to `#[deprecated]` items outside test code |
 
-use crate::cfg::Cfg;
 use crate::diag::Diagnostic;
-use crate::flow;
-use crate::lexer::is_ident_char;
-use crate::syntax::{Syntax, TokKind};
+use crate::lexer::{find_time_typed, is_ident_char};
 
 /// All rule identifiers, in severity-agnostic lexical order.
-pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10", "D11",
-];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7"];
 
 /// Crates whose code runs inside the deterministic simulation; D3/D4
 /// apply only here (matching the `crates/<name>` directory name).
@@ -52,28 +41,6 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Shortest `.expect("...")` message D5 accepts as descriptive.
 const MIN_EXPECT_MESSAGE: usize = 10;
-
-/// Workspace-wide facts gathered in a first pass, consumed by rules that
-/// need cross-file context (currently D11's deprecated-item set).
-#[derive(Debug, Clone, Default)]
-pub struct WorkspaceInfo {
-    /// Every `#[deprecated]` fn in the workspace, as
-    /// `(impl type if a method, name)`. Methods are matched only as
-    /// `Type::name(` so an unrelated `Other::name` never trips D11.
-    pub deprecated: std::collections::BTreeSet<(Option<String>, String)>,
-}
-
-impl WorkspaceInfo {
-    /// Record the deprecated items declared in one file.
-    pub fn collect(&mut self, original: &str) {
-        let masked = crate::lexer::mask_source(original);
-        let syn = Syntax::parse(&masked);
-        for d in &syn.deprecated {
-            self.deprecated
-                .insert((d.impl_type.clone(), d.name.clone()));
-        }
-    }
-}
 
 /// One source file plus the crate facts the rules need.
 #[derive(Debug, Clone, Copy)]
@@ -128,9 +95,8 @@ impl LineIndex {
 }
 
 /// Run every applicable rule over one file, appending findings.
-pub fn check_file(input: &FileInput<'_>, ws: &WorkspaceInfo, out: &mut Vec<Diagnostic>) {
+pub fn check_file(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
     let masked = crate::lexer::mask_source(input.original);
-    let syn = Syntax::parse(&masked);
     let lines = LineIndex::new(&masked);
     let test_start = test_region_start(&masked).unwrap_or(usize::MAX);
 
@@ -200,13 +166,14 @@ pub fn check_file(input: &FileInput<'_>, ws: &WorkspaceInfo, out: &mut Vec<Diagn
         }
     }
 
-    // D4: raw arithmetic on time-named bindings. Identifiers the syntax
-    // layer saw declared as SimTime/SimDuration are unit-safe already —
-    // the wrapper's operator overloads enforce the units — so only
-    // untyped (raw-integer) time names are flagged.
+    // D4: raw arithmetic on time-named bindings. Identifiers declared as
+    // SimTime/SimDuration are unit-safe already — the wrapper's operator
+    // overloads enforce the units — so only untyped (raw-integer) time
+    // names are flagged.
     if is_sim {
+        let time_typed = find_time_typed(&masked);
         for (off, ident) in time_arith_hits(&masked) {
-            if off >= test_start || syn.time_typed.contains(&ident) {
+            if off >= test_start || time_typed.contains(&ident) {
                 continue;
             }
             emit(
@@ -296,341 +263,6 @@ pub fn check_file(input: &FileInput<'_>, ws: &WorkspaceInfo, out: &mut Vec<Diagn
             if !squashed.contains(attr) {
                 emit("D6", 0, format!("library crate root is missing `{attr}`"));
             }
-        }
-    }
-
-    // Flow-sensitive rules on the syntax/CFG layers.
-    if is_sim {
-        d8_rng_discipline(&masked, &syn, test_start, &mut emit);
-        d9_must_release(&masked, &syn, test_start, &mut emit);
-        d10_causality(&masked, &syn, test_start, &mut emit);
-    }
-    d11_deprecated_calls(&masked, &syn, ws, test_start, &mut emit);
-}
-
-/// True when an identifier names an RNG stream.
-fn is_rng_name(ident: &str) -> bool {
-    ident.to_ascii_lowercase().contains("rng")
-}
-
-/// D8: RNG stream discipline in simulation crates. Three shapes are
-/// flagged: (a) `.clone()` of an RNG value — a cloned stream replays the
-/// same draws, silently correlating two decision sequences; (b) one RNG
-/// identifier both passed `&mut` into calls and `.fork()`ed inside the
-/// same loop body — the fork salt then depends on how many draws the
-/// callee made, coupling derived streams to call order; (c) a loop over
-/// sessions drawing from an RNG declared outside the loop — per-session
-/// streams must be derived per iteration so session N's draws don't
-/// depend on how much randomness sessions 0..N consumed.
-fn d8_rng_discipline(
-    masked: &str,
-    syn: &Syntax,
-    test_start: usize,
-    emit: &mut impl FnMut(&str, usize, String),
-) {
-    let n = syn.tokens.len();
-    // (a) `.clone()` on an rng-named receiver.
-    for i in 0..n.saturating_sub(3) {
-        if syn.tokens[i].start >= test_start {
-            break;
-        }
-        let is_rng_ident =
-            matches!(syn.tokens[i].kind, TokKind::Ident) && is_rng_name(syn.text(masked, i));
-        if is_rng_ident
-            && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'.'))
-            && syn.is_word(masked, i + 2, "clone")
-            && matches!(syn.tokens[i + 3].kind, TokKind::Punct(b'('))
-        {
-            emit(
-                "D8",
-                syn.tokens[i].start,
-                format!(
-                    "`{}.clone()` duplicates an RNG stream: the copy replays identical draws; \
-                     derive an independent stream with SimRng::derive or .fork instead",
-                    syn.text(masked, i)
-                ),
-            );
-        }
-    }
-    for l in &syn.loops {
-        let body = syn.blocks[l.body];
-        let (bstart, bend) = (body.open + 1, body.close.min(n));
-        if bstart < n && syn.tokens[bstart].start >= test_start {
-            continue;
-        }
-        // (b) same RNG borrowed &mut into calls AND forked in one body.
-        let mut borrowed: Vec<&str> = Vec::new();
-        let mut forked: Vec<(usize, &str)> = Vec::new();
-        for i in bstart..bend {
-            if matches!(syn.tokens[i].kind, TokKind::Punct(b'&'))
-                && i + 2 < bend
-                && syn.is_word(masked, i + 1, "mut")
-                && matches!(syn.tokens[i + 2].kind, TokKind::Ident)
-                && is_rng_name(syn.text(masked, i + 2))
-            {
-                borrowed.push(syn.text(masked, i + 2));
-            }
-            if matches!(syn.tokens[i].kind, TokKind::Ident)
-                && is_rng_name(syn.text(masked, i))
-                && i + 2 < bend
-                && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'.'))
-                && syn.is_word(masked, i + 2, "fork")
-            {
-                forked.push((i, syn.text(masked, i)));
-            }
-        }
-        for (i, name) in &forked {
-            if borrowed.contains(name) && syn.tokens[*i].start < test_start {
-                emit(
-                    "D8",
-                    syn.tokens[*i].start,
-                    format!(
-                        "RNG `{name}` is both passed `&mut` and forked inside one loop body: \
-                         the fork salt depends on the callee's draw count; derive child \
-                         streams from a stable (seed, index) pair instead"
-                    ),
-                );
-            }
-        }
-        // (c) session loops drawing from a stream declared outside.
-        let header_mentions_session = (l.header_start..l.header_end.min(n)).any(|i| {
-            matches!(syn.tokens[i].kind, TokKind::Ident)
-                && syn.text(masked, i).to_ascii_lowercase().contains("session")
-        });
-        if !header_mentions_session {
-            continue;
-        }
-        for i in bstart..bend {
-            if syn.tokens[i].start >= test_start {
-                break;
-            }
-            if !matches!(syn.tokens[i].kind, TokKind::Ident) || !is_rng_name(syn.text(masked, i)) {
-                continue;
-            }
-            // Only variable uses: skip fields (`sess.rng`) and declarations.
-            let after_decl_mut = i > 0
-                && syn.is_word(masked, i - 1, "mut")
-                && !(i > 1 && matches!(syn.tokens[i - 2].kind, TokKind::Punct(b'&')));
-            if i > 0
-                && (matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'.'))
-                    || matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'|'))
-                    || syn.is_word(masked, i - 1, "let")
-                    || after_decl_mut
-                    || syn.is_word(masked, i - 1, "fn"))
-            {
-                continue;
-            }
-            // A draw is a method call or a &mut borrow of the stream.
-            let used = (i + 1 < n && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'.')))
-                || (i > 0 && matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'&')))
-                || (i > 1
-                    && syn.is_word(masked, i - 1, "mut")
-                    && matches!(syn.tokens[i - 2].kind, TokKind::Punct(b'&')));
-            if !used {
-                continue;
-            }
-            let name = syn.text(masked, i);
-            let declared_inside = syn
-                .lets
-                .iter()
-                .any(|lb| lb.name == name && bstart <= lb.name_tok && lb.name_tok < bend);
-            if !declared_inside {
-                emit(
-                    "D8",
-                    syn.tokens[i].start,
-                    format!(
-                        "RNG `{name}` is reused across session-loop iterations: derive a \
-                         fresh per-session stream (SimRng::derive(seed, session)) inside \
-                         the loop so sessions stay statistically independent"
-                    ),
-                );
-                break; // one finding per loop is enough
-            }
-        }
-    }
-}
-
-/// D9: must-release analysis. Every `let x = <expr>.acquire(...)` binding
-/// in a simulation crate must have `x` consumed (released, returned, or
-/// moved into a store) on every path to the function exit — including the
-/// implicit exits that `?` inserts. This is the static form of
-/// `QdBudget`'s debug-assert double-release check: the runtime assert
-/// catches a double release, this catches a missing one.
-fn d9_must_release(
-    masked: &str,
-    syn: &Syntax,
-    test_start: usize,
-    emit: &mut impl FnMut(&str, usize, String),
-) {
-    for lb in &syn.lets {
-        if syn.tokens[lb.name_tok].start >= test_start {
-            continue;
-        }
-        let acquires = (lb.rhs_start..lb.rhs_end.min(syn.tokens.len())).any(|i| {
-            syn.is_word(masked, i, "acquire")
-                && i > 0
-                && matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'.'))
-                && i + 1 < syn.tokens.len()
-                && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'('))
-        });
-        if !acquires {
-            continue;
-        }
-        let Some(f) = syn.enclosing_fn(lb.name_tok) else {
-            continue;
-        };
-        let cfg = Cfg::build(masked, syn, f.body);
-        let Some(bind_node) = cfg.node_containing(lb.name_tok) else {
-            continue;
-        };
-        let consumed = |node: usize| {
-            let nd = cfg.nodes[node];
-            (nd.start..nd.end.min(syn.tokens.len()))
-                .any(|i| i != lb.name_tok && flow::is_consuming_use(syn, masked, i, &lb.name))
-        };
-        if flow::reaches_exit_unconsumed(&cfg, bind_node, consumed) {
-            emit(
-                "D9",
-                syn.tokens[lb.name_tok].start,
-                format!(
-                    "lease `{}` acquired here can reach a fn exit without being released or \
-                     returned (check ?-early-returns and conditional branches)",
-                    lb.name
-                ),
-            );
-        }
-    }
-}
-
-/// Scheduling calls whose first argument D10 inspects.
-const D10_SCHEDULING_CALLS: &[&str] = &["schedule", "schedule_timer", "complete_at"];
-
-/// D10: sim-time causality. A `schedule`/`schedule_timer`/`complete_at`
-/// call whose time argument contains `now - x` — directly or through the
-/// `let` bindings feeding it — would fire an event in the past, which the
-/// event queue rejects at runtime; this catches it at lint time with the
-/// expression context the old token-level D4 lacked.
-fn d10_causality(
-    masked: &str,
-    syn: &Syntax,
-    test_start: usize,
-    emit: &mut impl FnMut(&str, usize, String),
-) {
-    let n = syn.tokens.len();
-    for i in 0..n {
-        if syn.tokens[i].start >= test_start {
-            break;
-        }
-        if !matches!(syn.tokens[i].kind, TokKind::Ident) {
-            continue;
-        }
-        let name = syn.text(masked, i);
-        if !D10_SCHEDULING_CALLS.contains(&name) {
-            continue;
-        }
-        // Call sites only: `recv.schedule(...)`, never the fn declaration.
-        let is_call = i > 0
-            && matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'.'))
-            && i + 1 < n
-            && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'('));
-        if !is_call {
-            continue;
-        }
-        // First argument: tokens up to the `,` or `)` at depth 0.
-        let mut depth = 0i32;
-        let mut j = i + 2;
-        let arg_start = j;
-        while j < n {
-            match syn.tokens[j].kind {
-                TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => depth += 1,
-                TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                TokKind::Punct(b',') if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if flow::traces_to_now_minus(syn, masked, arg_start, j, 3) {
-            emit(
-                "D10",
-                syn.tokens[i].start,
-                format!(
-                    "time argument of `.{name}()` traces to `now - ...`: an event scheduled \
-                     before the current instant breaks causality (the queue panics at runtime)"
-                ),
-            );
-        }
-    }
-}
-
-/// D11: no internal calls to `#[deprecated]` items outside test code.
-/// Free functions match as bare `name(...)` calls; methods declared in an
-/// `impl Type` block match only as `Type::name(...)`, so an unrelated
-/// type's method with the same name never trips.
-fn d11_deprecated_calls(
-    masked: &str,
-    syn: &Syntax,
-    ws: &WorkspaceInfo,
-    test_start: usize,
-    emit: &mut impl FnMut(&str, usize, String),
-) {
-    if ws.deprecated.is_empty() {
-        return;
-    }
-    let n = syn.tokens.len();
-    for i in 0..n {
-        if syn.tokens[i].start >= test_start {
-            break;
-        }
-        if !matches!(syn.tokens[i].kind, TokKind::Ident) {
-            continue;
-        }
-        let name = syn.text(masked, i);
-        let is_open = i + 1 < n && matches!(syn.tokens[i + 1].kind, TokKind::Punct(b'('));
-        if !is_open {
-            continue;
-        }
-        // Declarations (`fn name(`) and method calls on other receivers
-        // (`x.name(`) are not matched; D11 targets direct invocations.
-        if i > 0 && (syn.is_word(masked, i - 1, "fn")) {
-            continue;
-        }
-        let after_dot = i > 0 && matches!(syn.tokens[i - 1].kind, TokKind::Punct(b'.'));
-        let qualifier = if i >= 3
-            && matches!(syn.tokens[i - 1].kind, TokKind::Punct(b':'))
-            && matches!(syn.tokens[i - 2].kind, TokKind::Punct(b':'))
-            && matches!(syn.tokens[i - 3].kind, TokKind::Ident)
-        {
-            Some(syn.text(masked, i - 3))
-        } else {
-            None
-        };
-        let hit = ws.deprecated.iter().any(|(ty, dep_name)| {
-            if dep_name != name {
-                return false;
-            }
-            match ty {
-                Some(ty) => qualifier == Some(ty.as_str()),
-                None => !after_dot,
-            }
-        });
-        if hit {
-            let shown = match qualifier {
-                Some(q) => format!("{q}::{name}"),
-                None => name.to_string(),
-            };
-            emit(
-                "D11",
-                syn.tokens[i].start,
-                format!(
-                    "call to #[deprecated] `{shown}`: migrate to the supported API \
-                     (deprecated shims exist only for external callers and will be removed)"
-                ),
-            );
         }
     }
 }
@@ -798,16 +430,6 @@ mod tests {
     use super::*;
 
     fn lint(src: &str, crate_dir: &str, is_lib: bool, is_root: bool) -> Vec<Diagnostic> {
-        lint_ws(src, crate_dir, is_lib, is_root, &WorkspaceInfo::default())
-    }
-
-    fn lint_ws(
-        src: &str,
-        crate_dir: &str,
-        is_lib: bool,
-        is_root: bool,
-        ws: &WorkspaceInfo,
-    ) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         check_file(
             &FileInput {
@@ -817,7 +439,6 @@ mod tests {
                 is_lib_root: is_root,
                 original: src,
             },
-            ws,
             &mut out,
         );
         out
@@ -929,80 +550,6 @@ mod tests {
         // The same name without the annotation is still raw arithmetic.
         let raw = "fn f(issue_time: u64, grace: u64) -> u64 { issue_time + grace }\n";
         assert_eq!(rules(&lint(raw, "exec", true, false)), vec!["D4"]);
-    }
-
-    #[test]
-    fn d8_flags_rng_clone_not_other_clones() {
-        let bad = "fn f(rng: &SimRng) { let r2 = rng.clone(); }\n";
-        assert_eq!(rules(&lint(bad, "exec", true, false)), vec!["D8"]);
-        let ok = "fn f(plan: &Plan) { let p2 = plan.clone(); }\n";
-        assert!(lint(ok, "exec", true, false).is_empty());
-    }
-
-    #[test]
-    fn d8_flags_borrow_plus_fork_in_one_loop() {
-        let bad = "fn f(rng: &mut SimRng) {\n    for i in 0..4 {\n        draw(&mut rng);\n        let child = rng.fork(i);\n        run(child);\n    }\n}\n";
-        assert_eq!(rules(&lint(bad, "exec", true, false)), vec!["D8"]);
-        // Fork alone (no &mut passing in the same body) is the sanctioned
-        // derivation pattern.
-        let ok = "fn f(rng: &mut SimRng) {\n    for i in 0..4 {\n        let child = rng.fork(i);\n        run(child);\n    }\n}\n";
-        assert!(lint(ok, "exec", true, false).is_empty());
-    }
-
-    #[test]
-    fn d8_flags_rng_reuse_across_session_loop() {
-        let bad = "fn f(seed: u64, sessions: u64) {\n    let mut rng = SimRng::seeded(seed);\n    for s in 0..sessions {\n        let think = sample(&mut rng);\n        run(s, think);\n    }\n}\n";
-        assert_eq!(rules(&lint(bad, "exec", true, false)), vec!["D8"]);
-        // Deriving a fresh stream inside the loop is the blessed shape.
-        let ok = "fn f(seed: u64, sessions: u64) {\n    for s in 0..sessions {\n        let mut rng = SimRng::derive(seed, s);\n        let think = sample(&mut rng);\n        run(s, think);\n    }\n}\n";
-        assert!(lint(ok, "exec", true, false).is_empty());
-    }
-
-    #[test]
-    fn d9_flags_leaked_lease_on_early_return() {
-        let bad = "fn f(b: &mut QdBudget) -> Result<(), E> {\n    let lease = b.acquire();\n    submit()?;\n    b.release(lease);\n    Ok(())\n}\n";
-        assert_eq!(rules(&lint(bad, "optimizer", true, false)), vec!["D9"]);
-        let ok = "fn f(b: &mut QdBudget) {\n    let lease = b.acquire();\n    submit();\n    b.release(lease);\n}\n";
-        assert!(lint(ok, "optimizer", true, false).is_empty());
-    }
-
-    #[test]
-    fn d9_accepts_lease_returned_or_stored() {
-        let stored = "fn f(&mut self) {\n    let lease = self.budget.acquire();\n    self.leases.insert(self.id, lease);\n}\n";
-        assert!(lint(stored, "optimizer", true, false).is_empty());
-        let returned =
-            "fn f(b: &mut QdBudget) -> QdLease {\n    let lease = b.acquire();\n    lease\n}\n";
-        assert!(lint(returned, "optimizer", true, false).is_empty());
-    }
-
-    #[test]
-    fn d10_flags_now_minus_through_bindings() {
-        let direct = "fn f(&mut self) { self.queue.schedule(self.now() - lag, ev); }\n";
-        assert_eq!(rules(&lint(direct, "simkit", true, false)), vec!["D10"]);
-        let traced = "fn f(&mut self, now: SimTime, lag: SimDuration) {\n    let due = now - lag;\n    self.queue.schedule(due, ev);\n}\n";
-        assert_eq!(rules(&lint(traced, "simkit", true, false)), vec!["D10"]);
-        let ok = "fn f(&mut self, now: SimTime, lag: SimDuration) {\n    let due = now + lag;\n    self.queue.schedule(due, ev);\n}\n";
-        assert!(lint(ok, "simkit", true, false).is_empty());
-    }
-
-    #[test]
-    fn d11_flags_calls_matching_deprecated_set() {
-        let mut ws = WorkspaceInfo::default();
-        ws.collect("#[deprecated]\npub fn run_fts(p: &Plan) { }\nimpl Db { #[deprecated]\npub fn create(c: Cfg) -> Db { x } }\n");
-        assert_eq!(
-            ws.deprecated.len(),
-            2,
-            "both deprecated items should be collected"
-        );
-        let bad = "fn go() { let r = run_fts(&plan); let d = Db::create(cfg); }\n";
-        assert_eq!(
-            rules(&lint_ws(bad, "workload", true, false, &ws)),
-            vec!["D11", "D11"]
-        );
-        // Same method name on a different type is not the deprecated item,
-        // and test-region calls are exempt.
-        let ok = "fn go() { let t = HeapTable::create(cfg); }\n#[cfg(test)]\nmod tests { fn t() { let d = Db::create(cfg); } }\n";
-        assert!(lint_ws(ok, "workload", true, false, &ws).is_empty());
     }
 
     #[test]

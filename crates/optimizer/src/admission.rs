@@ -19,7 +19,7 @@
 //! [`AdmissionDecision`] — the experiment harness reads that log to show
 //! plan choice and parallel degree shifting with the concurrency level.
 
-use crate::concurrency::{QdBudget, QdLease};
+use crate::concurrency::{Holder, QdBudget};
 use crate::cost::QdttCost;
 use crate::join::{choose_join, join_plan_to_spec, JoinMethod, JoinStats};
 use crate::optimizer::{AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
@@ -31,7 +31,6 @@ use pioqo_exec::{
 };
 use pioqo_storage::{BTreeIndex, HeapTable};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Lower a costed [`Plan`] to the executor's [`PlanSpec`].
 ///
@@ -136,18 +135,15 @@ pub struct QdttAdmission<'a> {
     /// Reused across admissions by `Optimizer::choose_into`: the candidate
     /// buffer and the Yao memo (one table, a finite selectivity cycle).
     scratch: ChooseScratch,
+    /// Who holds how much depth: one [`Holder::Session`] per admitted
+    /// solo query, [`Holder::Cursor`] while the shared cursor streams
+    /// (charged once no matter how many consumers attach), and
+    /// [`Holder::Background`] while writeback is active — it contends
+    /// exactly like a query, shrinking every concurrent scan's share.
     budget: QdBudget,
-    leases: BTreeMap<u32, QdLease>,
-    /// The lease held on behalf of the shared-scan cursor, while one is
-    /// streaming. Charged once no matter how many consumers attach.
-    cursor: Option<QdLease>,
     /// Journal of cursor-lease depths, one entry per cursor start — the
     /// artifact the tests use to assert sharing takes exactly one lease.
     cursor_leases: Vec<u32>,
-    /// The lease held on behalf of background writeback (checkpoint
-    /// flushing), while it is active. It contends exactly like a query:
-    /// holding it shrinks every concurrent scan's share.
-    background: Option<QdLease>,
     decisions: Vec<AdmissionDecision>,
 }
 
@@ -175,10 +171,7 @@ impl<'a> QdttAdmission<'a> {
             run_cfg,
             scratch: ChooseScratch::default(),
             budget,
-            leases: BTreeMap::new(),
-            cursor: None,
             cursor_leases: Vec::new(),
-            background: None,
             decisions: Vec::new(),
         }
     }
@@ -204,7 +197,7 @@ impl<'a> QdttAdmission<'a> {
 
     /// True while the planner holds a lease for background writeback.
     pub fn background_lease_held(&self) -> bool {
-        self.background.is_some()
+        self.budget.holds(Holder::Background)
     }
 
     /// The shared queue-depth budget (for reporting).
@@ -237,15 +230,15 @@ impl<'a> QdttAdmission<'a> {
         Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(stats, sel, &mut self.scratch)
     }
 
-    /// Admit `q` on `plan`, which was costed under `lease`: lower it,
-    /// journal the decision, hold the lease until the query completes.
-    fn grant(&mut self, q: &QueryAdmission, lease: QdLease, plan: &Plan) -> PlanSpec {
+    /// Admit `q` on `plan`, which was costed under the `lease_depth` its
+    /// session holds until the query completes: lower it, journal it.
+    fn journal(&mut self, q: &QueryAdmission, lease_depth: u32, plan: &Plan) -> PlanSpec {
         let spec = plan_to_spec(plan, &self.cfg);
         self.decisions.push(AdmissionDecision {
             session: q.session,
             query_index: q.query_index,
             active: q.active,
-            lease_depth: lease.depth,
+            lease_depth,
             selectivity: q.selectivity,
             method: plan.method,
             degree: plan.degree,
@@ -253,12 +246,6 @@ impl<'a> QdttAdmission<'a> {
             plan: spec.label(),
             attached: false,
         });
-        // The engine pairs every admit with one complete, so a session can
-        // never hold two leases; release defensively if it somehow does.
-        if let Some(stale) = self.leases.insert(q.session, lease) {
-            debug_assert!(false, "session {} admitted twice", q.session);
-            self.budget.release(stale);
-        }
         spec
     }
 }
@@ -266,7 +253,7 @@ impl<'a> QdttAdmission<'a> {
 impl AdmissionPlanner for QdttAdmission<'_> {
     fn admit(&mut self, q: &QueryAdmission, pool: &BufferPool) -> PlanSpec {
         if let Some((right, right_index)) = self.join {
-            let lease = self.budget.acquire();
+            let lease_depth = self.budget.grant(Holder::Session(q.session));
             let left = TableStats::gather(self.table, self.index, pool);
             let right_stats = TableStats::gather(right, right_index, pool);
             let js = JoinStats {
@@ -274,29 +261,25 @@ impl AdmissionPlanner for QdttAdmission<'_> {
                 right: &right_stats,
                 key_cardinality: (right.spec().c2_max as u64 + 1).min(right.spec().rows),
             };
-            let max_qd = self.cfg.max_queue_depth.min(lease.depth);
+            let max_qd = self.cfg.max_queue_depth.min(lease_depth);
             let plan = choose_join(&self.model, &self.cfg.est, &js, q.selectivity, max_qd);
             let spec = join_plan_to_spec(&plan);
             self.join_decisions.push(JoinDecision {
                 session: q.session,
                 active: q.active,
-                lease_depth: lease.depth,
+                lease_depth,
                 selectivity: q.selectivity,
                 method: plan.method,
                 queue_depth: plan.queue_depth,
                 partitions: plan.partitions,
                 plan: spec.label(),
             });
-            if let Some(stale) = self.leases.insert(q.session, lease) {
-                debug_assert!(false, "session {} admitted twice", q.session);
-                self.budget.release(stale);
-            }
             return spec;
         }
-        let lease = self.budget.acquire();
+        let lease_depth = self.budget.grant(Holder::Session(q.session));
         let stats = TableStats::gather(self.table, self.index, pool);
-        let plan = self.best_solo(&stats, q.selectivity, lease.depth);
-        self.grant(q, lease, &plan)
+        let plan = self.best_solo(&stats, q.selectivity, lease_depth);
+        self.journal(q, lease_depth, &plan)
     }
 
     fn admit_shared(
@@ -341,51 +324,40 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         } else if self.join.is_some() {
             SharedChoice::Solo(self.admit(q, pool))
         } else {
-            // The lease now taken is the share `solo` was costed under, so
+            // The share now granted is the one `solo` was costed under, so
             // the plan stands as it is.
-            let lease = self.budget.acquire();
-            debug_assert_eq!(lease.depth, depth);
-            SharedChoice::Solo(self.grant(q, lease, &solo))
+            let lease_depth = self.budget.grant(Holder::Session(q.session));
+            debug_assert_eq!(lease_depth, depth);
+            SharedChoice::Solo(self.journal(q, lease_depth, &solo))
         }
     }
 
     fn cursor_start(&mut self, pool: &BufferPool) -> u32 {
         let _ = pool;
-        let lease = self.budget.acquire();
-        let depth = lease.depth;
+        let depth = self.budget.grant(Holder::Cursor);
         self.cursor_leases.push(depth);
-        if let Some(stale) = self.cursor.replace(lease) {
-            debug_assert!(false, "shared cursor started twice");
-            self.budget.release(stale);
-        }
         depth
     }
 
     fn cursor_stop(&mut self) {
-        if let Some(lease) = self.cursor.take() {
-            self.budget.release(lease);
-        }
+        self.budget.release(Holder::Cursor);
     }
 
     fn complete(&mut self, session: u32) {
-        if let Some(lease) = self.leases.remove(&session) {
-            self.budget.release(lease);
-        }
+        self.budget.release(Holder::Session(session));
     }
 
     fn background_acquire(&mut self) {
-        // Writeback became active: take one lease so subsequent query
-        // admissions see a smaller share. Idempotent — repeated activity
-        // transitions while a lease is held keep the same lease.
-        if self.background.is_none() {
-            self.background = Some(self.budget.acquire());
+        // Writeback became active: take one share so subsequent query
+        // admissions see a smaller one. Idempotent — repeated activity
+        // transitions while it is held keep the same grant.
+        if !self.budget.holds(Holder::Background) {
+            self.budget.grant(Holder::Background);
         }
     }
 
     fn background_release(&mut self) {
-        if let Some(lease) = self.background.take() {
-            self.budget.release(lease);
-        }
+        self.budget.release(Holder::Background);
     }
 
     fn depth_gauges(&self) -> (u32, u32) {

@@ -8,12 +8,26 @@
 //! of these factors ... is considered as a future work."
 //!
 //! [`QdBudget`] implements the natural policy: the device's maximum
-//! beneficial queue depth is shared across the queries currently holding a
-//! budget lease, so a single query gets the full depth and k concurrent
-//! queries get `max(1, beneficial / k)` each. Leases are RAII-style tokens.
+//! beneficial queue depth is shared across the holders currently granted a
+//! share, so a single query gets the full depth and k concurrent holders
+//! get `max(1, beneficial / k)` each. The budget is one table of who holds
+//! how much depth, keyed by [`Holder`]: a grant is stored the moment it is
+//! made and removed by naming its holder, so there is no token to drop
+//! between granting and storing it.
 
 use pioqo_core::Qdtt;
 use std::collections::BTreeMap;
+
+/// Who holds a share of a [`QdBudget`]; each holds at most one grant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Holder {
+    /// The query admitted for this session (or an open `pioqo::Session`).
+    Session(u32),
+    /// The shared-scan cursor, while it streams.
+    Cursor,
+    /// Background writeback (checkpoint flushing), while it is active.
+    Background,
+}
 
 /// A queue-depth budget shared by concurrent queries.
 #[derive(Debug)]
@@ -21,23 +35,8 @@ pub struct QdBudget {
     /// The device's maximum beneficial queue depth (from the calibrated
     /// model, e.g. [`Qdtt::beneficial_queue_depth`]).
     total: u32,
-    /// Active leases: lease id -> granted depth.
-    leases: BTreeMap<u64, u32>,
-    next_id: u64,
-}
-
-/// A granted queue-depth lease. Return it with [`QdBudget::release`].
-///
-/// Deliberately neither `Copy` nor `Clone`: `release` consumes the lease by
-/// value, so a lease cannot be returned twice by accident — the admission
-/// layer moves it from grant to release exactly once. (A hand-constructed
-/// duplicate is still caught by a debug assertion in `release`.)
-#[derive(Debug, PartialEq, Eq)]
-pub struct QdLease {
-    /// Lease identifier.
-    pub id: u64,
-    /// Queue depth this query may assume in its cost model.
-    pub depth: u32,
+    /// Live grants: holder -> granted depth.
+    grants: BTreeMap<Holder, u32>,
 }
 
 impl QdBudget {
@@ -45,8 +44,7 @@ impl QdBudget {
     pub fn new(total: u32) -> QdBudget {
         QdBudget {
             total: total.max(1),
-            leases: BTreeMap::new(),
-            next_id: 0,
+            grants: BTreeMap::new(),
         }
     }
 
@@ -62,32 +60,33 @@ impl QdBudget {
         self.total
     }
 
-    /// Number of queries currently holding a lease.
+    /// Number of holders currently granted a share.
     pub fn active(&self) -> usize {
-        self.leases.len()
+        self.grants.len()
     }
 
-    /// Grant a lease for a newly admitted query: the budget is re-split
-    /// over `active + 1` queries. Existing leases keep their granted depth
-    /// until re-acquired (plans are costed at admission time).
-    pub fn acquire(&mut self) -> QdLease {
-        let share = (self.total / (self.leases.len() as u32 + 1)).max(1);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.leases.insert(id, share);
-        QdLease { id, depth: share }
+    /// True while `holder` has a grant.
+    pub(crate) fn holds(&self, holder: Holder) -> bool {
+        self.grants.contains_key(&holder)
     }
 
-    /// Release a lease when its query finishes. Consumes the lease; a lease
-    /// released twice (only possible by reconstructing one) is a bug in the
-    /// admission layer and trips a debug assertion.
-    pub fn release(&mut self, lease: QdLease) {
-        let granted = self.leases.remove(&lease.id);
-        debug_assert!(
-            granted.is_some(),
-            "queue-depth lease {} released twice",
-            lease.id
-        );
+    /// Grant `holder` a share for a newly admitted query (or cursor, or
+    /// writeback): the budget is re-split over `held + 1` holders and the
+    /// share returned. Existing grants keep their depth until re-granted
+    /// (plans are costed at admission time). A holder is granted once
+    /// until released; a second grant replaces the first (its share
+    /// computed with the first still counted) and trips a debug assertion.
+    pub fn grant(&mut self, holder: Holder) -> u32 {
+        let share = self.share_at(self.grants.len() as u32 + 1);
+        let stale = self.grants.insert(holder, share);
+        debug_assert!(stale.is_none(), "{holder:?} granted twice");
+        share
+    }
+
+    /// Release `holder`'s grant when its query (cursor, writeback)
+    /// finishes. Releasing a holder with no grant is a no-op.
+    pub fn release(&mut self, holder: Holder) {
+        self.grants.remove(&holder);
     }
 
     /// The depth a hypothetical `k`-way concurrent workload would grant
@@ -104,32 +103,29 @@ mod tests {
     #[test]
     fn single_query_gets_everything() {
         let mut b = QdBudget::new(32);
-        let l = b.acquire();
-        assert_eq!(l.depth, 32);
+        assert_eq!(b.grant(Holder::Session(0)), 32);
         assert_eq!(b.active(), 1);
-        b.release(l);
+        b.release(Holder::Session(0));
         assert_eq!(b.active(), 0);
     }
 
     #[test]
     fn concurrent_queries_split_the_budget() {
         let mut b = QdBudget::new(32);
-        let l1 = b.acquire();
-        let l2 = b.acquire();
-        let l3 = b.acquire();
-        assert_eq!(l1.depth, 32);
-        assert_eq!(l2.depth, 16);
-        assert_eq!(l3.depth, 10);
-        b.release(l2);
-        let l4 = b.acquire();
-        assert_eq!(l4.depth, 10); // 32 / (2 existing + 1)
+        assert_eq!(b.grant(Holder::Session(1)), 32);
+        assert_eq!(b.grant(Holder::Cursor), 16);
+        assert_eq!(b.grant(Holder::Background), 10);
+        b.release(Holder::Cursor);
+        assert_eq!(b.grant(Holder::Session(4)), 10); // 32 / (2 existing + 1)
+        b.release(Holder::Cursor); // already released: no-op
+        assert_eq!(b.active(), 3);
     }
 
     #[test]
     fn budget_never_grants_zero() {
         let mut b = QdBudget::new(2);
-        for _ in 0..10 {
-            assert!(b.acquire().depth >= 1);
+        for s in 0..10 {
+            assert!(b.grant(Holder::Session(s)) >= 1);
         }
     }
 
@@ -145,18 +141,11 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "released twice")]
-    fn double_release_is_detected() {
+    #[should_panic(expected = "granted twice")]
+    fn double_grant_is_detected() {
         let mut b = QdBudget::new(8);
-        let lease = b.acquire();
-        // `QdLease` is not `Copy`/`Clone`, so the only way to release twice
-        // is to forge a duplicate — which the debug assertion catches.
-        let forged = QdLease {
-            id: lease.id,
-            depth: lease.depth,
-        };
-        b.release(lease);
-        b.release(forged);
+        b.grant(Holder::Session(3));
+        b.grant(Holder::Session(3));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod optimizer;
 pub mod stats;
 
 pub use admission::{plan_to_spec, AdmissionDecision, JoinDecision, QdttAdmission};
-pub use concurrency::{QdBudget, QdLease};
+pub use concurrency::{Holder, QdBudget};
 pub use cost::{DttCost, EstCpuCosts, IoCostModel, QdttCost};
 pub use join::{
     choose_join, cost_hash, cost_inl, enumerate_joins, join_plan_to_spec, JoinMethod, JoinPlan,

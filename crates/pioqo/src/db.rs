@@ -48,9 +48,8 @@ use pioqo_exec::{
     execute, Aggregate, Col, CpuConfig, CpuCosts, ExecError, MultiEngine, PlanSpec, Predicate,
     Projection, QuerySpec, ScanMetrics, SimContext, WorkloadReport, WorkloadSpec,
 };
-use pioqo_obs::TraceSink;
 use pioqo_optimizer::{
-    plan_to_spec, AdmissionDecision, DttCost, Optimizer, OptimizerConfig, Plan, QdBudget, QdLease,
+    plan_to_spec, AdmissionDecision, DttCost, Holder, Optimizer, OptimizerConfig, Plan, QdBudget,
     QdttAdmission, QdttCost, TableStats,
 };
 use pioqo_storage::{selectivity_of_range, BTreeIndex, HeapTable, TableSpec, Tablespace};
@@ -173,20 +172,21 @@ pub struct WorkloadOutput {
     pub cursor_leases: Vec<u32>,
 }
 
-/// An open session: holds a queue-depth lease from the database's shared
-/// budget for as long as it lives, so concurrently open sessions plan
-/// their queries with proportionally lower depths (§4.3's future work).
+/// An open session: holds a share of the database's queue-depth budget
+/// for as long as it lives, so concurrently open sessions plan their
+/// queries with proportionally lower depths (§4.3's future work).
 ///
-/// Dropping the session returns the lease.
+/// Dropping the session releases its share.
 pub struct Session {
     budget: Rc<RefCell<QdBudget>>,
-    lease: Option<QdLease>,
+    holder: Holder,
+    depth: u32,
 }
 
 impl Session {
     /// The queue depth this session's queries may assume.
     pub fn depth(&self) -> u32 {
-        self.lease.as_ref().map_or(1, |l| l.depth)
+        self.depth
     }
 
     /// Plan `SELECT MAX(C1) WHERE C2 BETWEEN low AND high` under this
@@ -208,9 +208,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        if let Some(lease) = self.lease.take() {
-            self.budget.borrow_mut().release(lease);
-        }
+        self.budget.borrow_mut().release(self.holder);
     }
 }
 
@@ -224,6 +222,8 @@ pub struct Db {
     model: Option<Qdtt>,
     opt_cfg: OptimizerConfig,
     budget: Option<Rc<RefCell<QdBudget>>>,
+    /// Holder id of the next session opened on this database.
+    next_session: u32,
 }
 
 impl Db {
@@ -261,6 +261,7 @@ impl Db {
             model: None,
             opt_cfg: OptimizerConfig::default(),
             budget: None,
+            next_session: 0,
             cfg,
         }
     }
@@ -275,7 +276,7 @@ impl Db {
         let (qdtt, _) = cal.calibrate_qdtt(&mut *self.device);
         self.model = Some(qdtt);
         // The queue-depth budget follows the model; sessions opened before
-        // recalibration keep (and correctly return) their old leases.
+        // recalibration keep (and correctly release) their old shares.
         self.budget = None;
         self.model
             .as_ref()
@@ -299,16 +300,19 @@ impl Db {
         TableStats::gather(&self.table, &self.index, &self.pool)
     }
 
-    /// Open a session: takes a queue-depth lease from the shared budget
-    /// (the calibrated device's beneficial depth split across open
-    /// sessions). Queries run through the session are planned under its
-    /// lease; dropping the session returns the lease.
+    /// Open a session: takes a share of the queue-depth budget (the
+    /// calibrated device's beneficial depth split across open sessions).
+    /// Queries run through the session are planned under its share;
+    /// dropping the session releases it.
     pub fn session(&mut self) -> Session {
         let budget = self.ensure_budget();
-        let lease = budget.borrow_mut().acquire();
+        let holder = Holder::Session(self.next_session);
+        self.next_session = self.next_session.wrapping_add(1);
+        let depth = budget.borrow_mut().grant(holder);
         Session {
             budget,
-            lease: Some(lease),
+            holder,
+            depth,
         }
     }
 
@@ -435,25 +439,6 @@ impl Db {
     /// Auto-calibrates first if no model is set. The buffer pool stays
     /// warm across the workload and into subsequent queries.
     pub fn run_workload(&mut self, spec: WorkloadSpec) -> Result<WorkloadOutput, ExecError> {
-        self.run_workload_inner(spec, None)
-    }
-
-    /// [`Db::run_workload`] with sim-time tracing: each session gets its
-    /// own track in the exported trace, plus the engine's `io`/`pool`
-    /// tracks.
-    pub fn run_workload_traced(
-        &mut self,
-        spec: WorkloadSpec,
-        sink: &mut dyn TraceSink,
-    ) -> Result<WorkloadOutput, ExecError> {
-        self.run_workload_inner(spec, Some(sink))
-    }
-
-    fn run_workload_inner(
-        &mut self,
-        spec: WorkloadSpec,
-        sink: Option<&mut dyn TraceSink>,
-    ) -> Result<WorkloadOutput, ExecError> {
         if self.model.is_none() {
             self.calibrate();
         }
@@ -466,9 +451,6 @@ impl Db {
             CpuConfig::paper_xeon(),
             CpuCosts::default(),
         );
-        if let Some(sink) = sink {
-            ctx.set_trace_sink(sink);
-        }
         let report = MultiEngine::new(spec, base, &mut planner).run(&mut ctx)?;
         drop(ctx);
         let cursor_leases = planner.cursor_leases().to_vec();

@@ -14,7 +14,7 @@
 //! single-query scan (engine/pool/device series, I/O histograms) and a
 //! multi-session closed-loop workload under QDTT admission with shared
 //! scans and the write system running (admission gauges, `ScanHub`
-//! attach/detach counters, WAL group-commit and flush-lag metrics).
+//! attach counters, WAL group-commit and flush-lag metrics).
 
 use crate::concurrent::{run_cell as run_session_cell, ConcurrencyConfig};
 use crate::experiments::{Experiment, ExperimentConfig, MethodSpec};

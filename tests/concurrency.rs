@@ -7,9 +7,10 @@
 //! The second half covers cooperative shared scans: the session-scale
 //! sweep must be byte-identical and fair at 1K/10K sessions, flipping
 //! `shared_scans` must change no answer, the admission journal must
-//! charge exactly one queue-depth lease per shared cursor, and the
-//! [`ScanHub`] itself must survive property-tested late joins (wrap
-//! around the table end) and mid-lap detach/reattach.
+//! charge exactly one queue-depth lease per shared cursor, every session,
+//! cursor and writeback share must be back in the budget when a run ends,
+//! and the [`ScanHub`] itself must survive property-tested late joins
+//! (wrap around the table end).
 //!
 //! The routing tests sit in between: completions go to the sessions that
 //! declared the I/O, so a page read two sessions deduplicated onto must
@@ -159,6 +160,91 @@ fn admission_leases_shrink_through_the_db_facade() {
     assert!(
         crowded < solo,
         "admission must shrink leases under concurrency: {solo} vs {crowded}"
+    );
+
+    // Open `Db` sessions hold shares of the same kind of budget; once every
+    // one is dropped, a fresh session gets the whole budget back.
+    let mut db = Db::builder().storage(StorageKind::Ssd).rows(8_000).build();
+    db.calibrate();
+    let first = db.session();
+    let full = first.depth();
+    let open: Vec<_> = (0..3).map(|_| db.session()).collect();
+    assert!(
+        open.iter().all(|s| s.depth() < full),
+        "sessions opened beside another must get a smaller share"
+    );
+    drop(first);
+    drop(open);
+    assert_eq!(
+        db.session().depth(),
+        full,
+        "dropped sessions must release their shares"
+    );
+}
+
+#[test]
+fn every_budget_share_is_released_when_a_run_ends() {
+    // Session, cursor and writeback shares all come out of one budget: a
+    // run with shared scans and a write system beside them exercises all
+    // three holders, and each must be released by the time it ends.
+    let spec = TableSpec::paper_table(33, 8_000, 7);
+    let mut ts = Tablespace::new(4 * spec.n_pages() + 2_000);
+    let table = HeapTable::create(spec, &mut ts).expect("fits");
+    let index = BTreeIndex::build("c2", table.data().c2_entries(), 4096, &mut ts).expect("fits");
+    let wspec = TableSpec {
+        name: "W33".into(),
+        ..TableSpec::paper_table(33, 2_000, 77)
+    };
+    let wtable = HeapTable::create(wspec, &mut ts).expect("fits");
+    let wal = ts.alloc("wal", 512).expect("fits");
+
+    let mut dev = presets::consumer_pcie_ssd(ts.capacity(), 7);
+    let mut pool = BufferPool::new(64);
+    let model = {
+        let cal = Calibrator::new(CalibrationConfig::for_device(ts.capacity(), 7));
+        cal.calibrate_qdtt(&mut dev).0
+    };
+    let mut planner = QdttAdmission::new(&table, &index, model, OptimizerConfig::fine_grained());
+    let mut ws = WriteSystem::new(
+        WriteConfig::default(),
+        &wtable,
+        wal,
+        MediaStore::new(wtable.spec().page_size),
+    );
+    let mut ctx = Experiment::context(&mut dev, &mut pool);
+    let report = MultiEngine::new(
+        WorkloadSpec {
+            sessions: 16,
+            queries_per_session: 2,
+            selectivities: vec![0.4, 0.002],
+            shared_scans: true,
+            ..WorkloadSpec::default()
+        },
+        QuerySpec::range_max(&table, Some(&index), 0, 0),
+        &mut planner,
+    )
+    .run_with_writes(&mut ctx, &mut ws)
+    .expect("workload runs");
+    drop(ctx);
+
+    assert_eq!(report.total_completed(), 32);
+    assert!(
+        report.shared.attaches > 0,
+        "no query rode the shared cursor"
+    );
+    assert!(
+        planner.decisions().iter().any(|d| !d.attached),
+        "no query held a session share"
+    );
+    let writes = report.writes.as_ref().expect("write stats present");
+    assert!(
+        writes.data_page_flushes > 0,
+        "writeback never ran, so the background share was never taken"
+    );
+    assert_eq!(
+        planner.budget().active(),
+        0,
+        "a session, cursor or writeback share outlived the run"
     );
 }
 
@@ -618,96 +704,5 @@ proptest! {
             prop_assert_eq!(b.1.rows_matched, data.count_matching(lo_b, hi_b));
             prop_assert_eq!(b.1.rows_examined, data.rows());
         }
-    }
-
-    /// Detaching a consumer mid-lap hands back a partial whose immediate
-    /// reattach resumes the lap: the recombined answer equals the oracle
-    /// and covers every row exactly once, for any detach point.
-    #[test]
-    fn detach_midlap_then_reattach_answers_the_oracle(
-        k in 1u32..25,
-        sel in 0.05f64..1.0,
-    ) {
-        let exp = hub_experiment();
-        let data = exp.dataset.table().data();
-        let c2_max = exp.dataset.c2_max();
-        let (lo, hi) = range_for_selectivity(sel, c2_max);
-        let mut device = exp.make_device();
-        let mut pool = exp.make_pool();
-        let mut ctx = SimContext::new(
-            device.as_mut(),
-            &mut pool,
-            CpuConfig::paper_xeon(),
-            CpuCosts::default(),
-        );
-        // Single-page blocks and a one-block window: the evaluation
-        // frontier advances one page per CPU completion and catches up
-        // with the scheduling frontier between blocks, giving a reattach
-        // point after every page.
-        let mut hub = ScanHub::new(exp.dataset.table(), 1);
-        hub.set_window(1);
-        let mut done: Vec<(u32, QueryAnswer)> = Vec::new();
-
-        // A full-range keeper rides the whole lap so the cursor never
-        // goes idle while the target consumer is detached.
-        let keeper = hub.attach(&mut ctx, 0, c2_max);
-        let target = hub.attach(&mut ctx, lo, hi);
-
-        // Advance exactly k page evaluations (k < 30 pages: both laps are
-        // still unfinished), stashing the tail of the final event batch.
-        let mut pending: Vec<Event> = Vec::new();
-        let mut events = Vec::new();
-        let mut cpu_seen = 0u32;
-        'advance: loop {
-            events.clear();
-            prop_assert!(ctx.step(&mut events), "hub stalled");
-            for i in 0..events.len() {
-                let ev = events[i];
-                admit_pages(&mut ctx, &ev);
-                let was_cpu = matches!(ev, Event::Cpu(_));
-                if hub.on_event(&mut ctx, &ev).expect("hub event") && was_cpu {
-                    cpu_seen += 1;
-                    if cpu_seen == k {
-                        pending.extend_from_slice(&events[i + 1..]);
-                        break 'advance;
-                    }
-                }
-            }
-        }
-
-        let det = hub
-            .detach(&mut ctx, target)
-            .expect("target is still mid-lap");
-        prop_assert_eq!(det.pages_seen, k as u64);
-        prop_assert!(det.pages_left > 0);
-        // The frontier has not moved since the detach, so the stream is
-        // exactly at the partial's resume page.
-        let target2 = match hub.reattach(&mut ctx, det) {
-            Ok(slot) => slot,
-            Err(det) => {
-                return Err(TestCaseError::fail(format!(
-                    "reattach at the detach point must succeed: {det:?}"
-                )))
-            }
-        };
-        for ev in pending {
-            admit_pages(&mut ctx, &ev);
-            hub.on_event(&mut ctx, &ev).expect("hub event");
-        }
-        drain_hub(&mut ctx, &mut hub, &mut done)?;
-
-        let t = done
-            .iter()
-            .find(|(s, _)| *s == target2)
-            .expect("reattached consumer completes");
-        prop_assert_eq!(t.1.max_c1, data.naive_max_c1(lo, hi));
-        prop_assert_eq!(t.1.rows_matched, data.count_matching(lo, hi));
-        prop_assert_eq!(
-            t.1.rows_examined,
-            data.rows(),
-            "partial + residual must cover every row exactly once"
-        );
-        let kp = done.iter().find(|(s, _)| *s == keeper).expect("keeper completes");
-        prop_assert_eq!(kp.1.max_c1, data.naive_max_c1(0, c2_max));
     }
 }
