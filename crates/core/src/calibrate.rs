@@ -28,7 +28,7 @@ use crate::qdtt::Qdtt;
 use pioqo_device::{DeviceModel, IoRequest, IoStatus};
 use pioqo_simkit::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The queue-depth generator used while measuring a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -421,7 +421,6 @@ fn run_point_ios(
     let mut now = start;
     let mut out = Vec::new();
     let mut next = 0usize;
-    let mut completed: BTreeSet<u64> = BTreeSet::new();
     let issue = |dev: &mut dyn DeviceModel, now: SimTime, next: &mut usize| -> u64 {
         let id = *next as u64;
         dev.submit(now, IoRequest::page(id, offsets[*next]));
@@ -447,24 +446,27 @@ fn run_point_ios(
             }
         }
         Method::ActiveWait => {
+            // Request ids are `0..offsets.len()`, so completion is a flag
+            // per id.
+            let mut completed = vec![false; offsets.len()];
             let mut ring: VecDeque<u64> = VecDeque::with_capacity(qd);
             while next < offsets.len().min(qd) {
                 ring.push_back(issue(dev, now, &mut next));
             }
-            while let Some(&oldest) = ring.front() {
+            while let Some(oldest) = ring.pop_front() {
                 // Wait for the *oldest* read specifically.
-                while !completed.contains(&oldest) {
+                while !completed[oldest as usize] {
                     let t = dev.next_event().expect("busy device");
                     out.clear();
                     dev.advance(t, &mut out);
                     now = t;
                     for c in &out {
                         debug_assert!(c.status == IoStatus::Ok);
-                        completed.insert(c.req.id);
+                        if let Some(done) = completed.get_mut(c.req.id as usize) {
+                            *done = true;
+                        }
                     }
                 }
-                completed.remove(&oldest);
-                ring.pop_front();
                 if next < offsets.len() {
                     ring.push_back(issue(dev, now, &mut next));
                 }

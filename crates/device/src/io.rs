@@ -146,6 +146,11 @@ impl IoCompletion {
 ///
 /// Determinism contract: identical submit sequences produce identical
 /// completion sequences (models use their own seeded RNG for jitter).
+///
+/// Quiescence contract: only `submit` and `advance` move `next_event()`,
+/// and an `advance` short of it is a no-op (see
+/// [`advance`](DeviceModel::advance)). Event loops rely on this to cache
+/// `next_event()` and skip the device until it is due.
 pub trait DeviceModel {
     /// Page size in bytes (uniform across the device).
     fn page_size(&self) -> u32;
@@ -164,6 +169,12 @@ pub trait DeviceModel {
     fn next_event(&self) -> Option<SimTime>;
 
     /// Advance to `now`, appending all completions due by `now` to `out`.
+    ///
+    /// With `now` earlier than a pending [`next_event`](DeviceModel::next_event),
+    /// `advance(now)` appends nothing and leaves `next_event()` and
+    /// [`outstanding`](DeviceModel::outstanding) unchanged. An idle device
+    /// (`next_event() == None`) may still act on an advance — the
+    /// background-load wrapper starts its streams on the first one.
     fn advance(&mut self, now: SimTime, out: &mut Vec<IoCompletion>);
 
     /// Number of requests submitted but not yet completed.

@@ -20,9 +20,8 @@
 
 use crate::hdd::{Hdd, HddConfig};
 use crate::io::{DeviceModel, IoCompletion, IoRequest, IoStatus};
-use pioqo_simkit::{SimDuration, SimTime};
+use pioqo_simkit::{IdSlab, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Array parameters: a spindle template plus geometry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -60,10 +59,11 @@ pub struct Raid {
     spindles: Vec<Hdd>,
     degraded: Option<u32>,
     degraded_reads: u64,
-    /// sub-request id -> parent request id
-    sub_parent: BTreeMap<u64, u64>,
-    parents: BTreeMap<u64, Parent>,
-    next_sub_id: u64,
+    /// Sub-request id (the id a spindle sees) -> parent sequence number.
+    sub_parent: IdSlab<u64>,
+    /// Outstanding caller requests, by the array's own sequence number
+    /// (caller ids need not be unique or increasing).
+    parents: IdSlab<Parent>,
     scratch: Vec<IoCompletion>,
 }
 
@@ -95,9 +95,8 @@ impl Raid {
             spindles,
             degraded: None,
             degraded_reads: 0,
-            sub_parent: BTreeMap::new(),
-            parents: BTreeMap::new(),
-            next_sub_id: 0,
+            sub_parent: IdSlab::new(),
+            parents: IdSlab::new(),
             scratch: Vec::new(),
         };
         raid.set_degraded(degraded);
@@ -150,20 +149,31 @@ impl Raid {
         (spindle, inner)
     }
 
-    /// Split `req` into per-spindle contiguous sub-requests:
-    /// (spindle, inner offset, len).
-    fn split(&self, req: &IoRequest) -> Vec<(usize, u64, u32)> {
-        let mut parts: Vec<(usize, u64, u32)> = Vec::new();
-        for p in req.offset..req.end() {
-            let (sp, inner) = self.locate(p);
-            match parts.last_mut() {
-                Some((lsp, loff, llen)) if *lsp == sp && *loff + *llen as u64 == inner => {
-                    *llen += 1;
-                }
-                _ => parts.push((sp, inner, 1)),
-            }
+    /// Issue parent `pid`'s run of `len` pages at `inner` on spindle `sp`.
+    /// A run on the failed spindle becomes one read of the same stripe
+    /// extent on *every* surviving spindle (parity reconstruction); a run
+    /// on a healthy spindle stays a single direct read.
+    fn submit_run(&mut self, now: SimTime, pid: u64, (sp, inner, len): (usize, u64, u32)) {
+        let rebuild = self.degraded == Some(sp as u32);
+        let targets = if rebuild {
+            0..self.spindles.len()
+        } else {
+            sp..sp + 1
+        };
+        let mut reads = 0;
+        for s in targets.filter(|&s| !rebuild || s != sp) {
+            let sid = self.sub_parent.insert(pid);
+            self.spindles[s].submit(now, IoRequest::block(sid, inner, len));
+            reads += 1;
         }
-        parts
+        let parent = self
+            .parents
+            .get_mut(pid)
+            .expect("a run is submitted for its live parent request");
+        parent.remaining += reads;
+        if rebuild {
+            parent.recon_pages += len;
+        }
     }
 }
 
@@ -183,45 +193,41 @@ impl DeviceModel for Raid {
             req,
             self.capacity_pages()
         );
-        let parts = self.split(&req);
-        // Expand each part into physical spindle reads. A part on the
-        // failed spindle becomes one read of the same stripe extent on
-        // *every* surviving spindle (parity reconstruction); a part on a
-        // healthy spindle stays a single direct read.
-        let mut reads: Vec<(usize, u64, u32)> = Vec::with_capacity(parts.len());
-        let mut recon_pages: u32 = 0;
-        for (sp, inner, len) in parts {
-            match self.degraded {
-                Some(dead) if sp == dead as usize => {
-                    recon_pages += len;
-                    for s in 0..self.cfg.n_spindles as usize {
-                        if s != sp {
-                            reads.push((s, inner, len));
-                        }
+        let pid = self.parents.insert(Parent {
+            req,
+            submitted: now,
+            remaining: 0,
+            failed: false,
+            last_done: now,
+            recon_pages: 0,
+        });
+        // Walk the request a stripe unit at a time; a unit continuing the
+        // current run on the same spindle extends it (only possible on a
+        // one-spindle array), anything else closes the run and opens the
+        // next.
+        let stripe = self.cfg.stripe_pages as u64;
+        let mut run: Option<(usize, u64, u32)> = None;
+        let mut p = req.offset;
+        while p < req.end() {
+            let (sp, inner) = self.locate(p);
+            let len = (stripe - p % stripe).min(req.end() - p) as u32;
+            match &mut run {
+                Some((rsp, roff, rlen)) if *rsp == sp && *roff + *rlen as u64 == inner => {
+                    *rlen += len;
+                }
+                _ => {
+                    if let Some(done) = run.replace((sp, inner, len)) {
+                        self.submit_run(now, pid, done);
                     }
                 }
-                _ => reads.push((sp, inner, len)),
             }
+            p += len as u64;
         }
-        if recon_pages > 0 {
+        if let Some(last) = run {
+            self.submit_run(now, pid, last);
+        }
+        if self.parents.get(pid).is_some_and(|p| p.recon_pages > 0) {
             self.degraded_reads += 1;
-        }
-        self.parents.insert(
-            req.id,
-            Parent {
-                req,
-                submitted: now,
-                remaining: reads.len() as u32,
-                failed: false,
-                last_done: now,
-                recon_pages,
-            },
-        );
-        for (sp, inner, len) in reads {
-            let sid = self.next_sub_id;
-            self.next_sub_id += 1;
-            self.sub_parent.insert(sid, req.id);
-            self.spindles[sp].submit(now, IoRequest::block(sid, inner, len));
         }
     }
 
@@ -236,20 +242,22 @@ impl DeviceModel for Raid {
         }
         // Sort sub-completions by time so parent completions are emitted in
         // chronological order regardless of spindle iteration order.
-        self.scratch.sort_by_key(|c| c.completed);
+        if self.scratch.len() > 1 {
+            self.scratch.sort_by_key(|c| c.completed);
+        }
         for sub in &self.scratch {
             let pid = self
                 .sub_parent
-                .remove(&sub.req.id)
+                .remove(sub.req.id)
                 .expect("unknown sub-request");
-            let parent = self.parents.get_mut(&pid).expect("orphan sub-request");
+            let parent = self.parents.get_mut(pid).expect("orphan sub-request");
             parent.remaining -= 1;
             parent.failed |= sub.status == IoStatus::Error;
             parent.last_done = parent.last_done.max(sub.completed);
             if parent.remaining == 0 {
                 let parent = self
                     .parents
-                    .remove(&pid)
+                    .remove(pid)
                     .expect("completed sub-request maps to a live parent request");
                 let rebuild = SimDuration::from_micros_f64(
                     parent.recon_pages as f64 * self.cfg.reconstruct_overhead_us,
@@ -342,16 +350,47 @@ mod tests {
         assert_eq!(r.locate(16 * 8 + 3), (0, 19));
     }
 
+    /// Submit `req` and drain the spindles directly: the sub-requests they
+    /// actually received, as sorted `(spindle, inner offset, len)`.
+    fn spindle_reads(r: &mut Raid, req: IoRequest) -> Vec<(usize, u64, u32)> {
+        r.submit(SimTime::ZERO, req);
+        let mut got = Vec::new();
+        for (s, spindle) in r.spindles.iter_mut().enumerate() {
+            let mut out = Vec::new();
+            drain_all(spindle, SimTime::ZERO, &mut out);
+            got.extend(out.iter().map(|c| (s, c.req.offset, c.req.len)));
+        }
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn split_covers_request_exactly() {
-        let r = raid8();
-        // 40 pages starting mid-stripe: crosses three stripe units.
-        let parts = r.split(&IoRequest::block(0, 10, 40));
-        let total: u32 = parts.iter().map(|&(_, _, l)| l).sum();
-        assert_eq!(total, 40);
-        // Parts land on consecutive spindles 0,1,2,3.
-        let spindles: Vec<_> = parts.iter().map(|&(s, _, _)| s).collect();
-        assert_eq!(spindles, vec![0, 1, 2, 3]);
+        // 40 pages starting mid-stripe: crosses three stripe units and
+        // lands on consecutive spindles 0, 1, 2, 3.
+        let healthy = spindle_reads(&mut raid8(), IoRequest::block(0, 10, 40));
+        assert_eq!(healthy, [(0, 10, 6), (1, 0, 16), (2, 0, 16), (3, 0, 2)]);
+        // Wrapping past the last spindle moves one stripe unit inward.
+        let wrap = spindle_reads(&mut raid8(), IoRequest::block(1, 120, 20));
+        assert_eq!(wrap, [(0, 16, 12), (7, 8, 8)]);
+        // Degraded: the failed spindle's unit is read from every survivor.
+        let mut d = raid8();
+        d.set_degraded(Some(1));
+        let rebuilt = spindle_reads(&mut d, IoRequest::block(2, 10, 40));
+        let mut want = vec![(0, 10, 6), (2, 0, 16), (3, 0, 2)];
+        want.extend([0, 2, 3, 4, 5, 6, 7].map(|s| (s, 0, 16)));
+        want.sort_unstable();
+        assert_eq!(rebuilt, want);
+        assert_eq!(d.degraded_reads(), 1);
+        // One spindle: consecutive stripe units continue one run.
+        let mut one = Raid::new(RaidConfig {
+            n_spindles: 1,
+            ..raid8().cfg
+        });
+        assert_eq!(
+            spindle_reads(&mut one, IoRequest::block(3, 10, 40)),
+            [(0, 10, 40)]
+        );
     }
 
     /// Random 4 KiB reads at queue depth `qd`; returns IOPS.

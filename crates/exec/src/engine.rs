@@ -10,7 +10,7 @@ use crate::cpu::{CpuConfig, CpuScheduler, TaskId};
 use pioqo_bufpool::{BufferPool, PoolEvent};
 use pioqo_device::{DeviceModel, IoCompletion, IoRequest, IoStatus};
 use pioqo_obs::{EventKind, HistSet, MetricsRegistry, SeriesHandle, TraceEvent, TraceSink};
-use pioqo_simkit::{EventQueue, SimDuration, SimTime, TimeWeighted};
+use pioqo_simkit::{EventQueue, IdSlab, SimDuration, SimTime, TimeWeighted};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -323,7 +323,8 @@ pub struct IoProfile {
 
 /// The per-scan simulation context. See the module docs.
 pub struct SimContext<'a> {
-    /// The storage device under the scan.
+    /// The storage device under the scan. Inspect it freely, but submit
+    /// and advance only through the context: `step` caches its next event.
     pub device: &'a mut dyn DeviceModel,
     /// The buffer pool.
     pub pool: &'a mut BufferPool,
@@ -333,11 +334,17 @@ pub struct SimContext<'a> {
     retry: RetryPolicy,
     res: ResilienceStats,
     now: SimTime,
-    next_io: u64,
-    next_req: u64,
+    /// The device's `next_event()` as of its last submit or advance —
+    /// the only calls that move it (`DeviceModel::advance`'s contract).
+    /// `step` asks the device again only when `dev_stale` says one of
+    /// them happened since.
+    dev_next: Option<SimTime>,
+    dev_stale: bool,
     inflight_page: BTreeMap<u64, u64>, // device page -> io id
-    ios: BTreeMap<u64, LogicalIo>,
-    req_owner: BTreeMap<u64, u64>, // physical request id -> io id
+    /// Logical reads and writes, by io handle.
+    ios: IdSlab<LogicalIo>,
+    /// Physical request id -> io handle.
+    req_owner: IdSlab<u64>,
     retry_queue: BTreeMap<SimTime, Vec<u64>>,
     deadline_queue: BTreeMap<SimTime, Vec<u64>>,
     timer_queue: EventQueue<(u64, u64)>, // (timer id, routing tag)
@@ -391,11 +398,11 @@ impl<'a> SimContext<'a> {
             retry: RetryPolicy::default(),
             res: ResilienceStats::default(),
             now: SimTime::ZERO,
-            next_io: 0,
-            next_req: 0,
+            dev_next: None,
+            dev_stale: true,
             inflight_page: BTreeMap::new(),
-            ios: BTreeMap::new(),
-            req_owner: BTreeMap::new(),
+            ios: IdSlab::new(),
+            req_owner: IdSlab::new(),
             retry_queue: BTreeMap::new(),
             deadline_queue: BTreeMap::new(),
             timer_queue: EventQueue::new(),
@@ -723,26 +730,21 @@ impl<'a> SimContext<'a> {
     pub fn read_page(&mut self, device_page: u64) -> u64 {
         if let Some(&io) = self.inflight_page.get(&device_page) {
             if self.owner != 0 {
-                if let Some(st) = self.ios.get_mut(&io) {
+                if let Some(st) = self.ios.get_mut(io) {
                     st.join(self.owner);
                 }
             }
             return io;
         }
-        let io = self.next_io;
-        self.next_io += 1;
+        let io = self.start_logical(IoMeta::Page { device_page });
         self.inflight_page.insert(device_page, io);
-        self.start_logical(io, IoMeta::Page { device_page });
         io
     }
 
     /// Read a block of consecutive device pages (no deduplication; the
     /// table-scan prefetcher is the only issuer and never overlaps blocks).
     pub fn read_block(&mut self, start: u64, len: u32) -> u64 {
-        let io = self.next_io;
-        self.next_io += 1;
-        self.start_logical(io, IoMeta::Block { start, len });
-        io
+        self.start_logical(IoMeta::Block { start, len })
     }
 
     /// Write one device page. Writes share the reads' queue, band and
@@ -755,10 +757,7 @@ impl<'a> SimContext<'a> {
     /// Write a block of consecutive device pages (a WAL segment or a
     /// multi-page flush).
     pub fn write_block(&mut self, start: u64, len: u32) -> u64 {
-        let io = self.next_io;
-        self.next_io += 1;
-        self.start_logical(io, IoMeta::Write { start, len });
-        io
+        self.start_logical(IoMeta::Write { start, len })
     }
 
     /// True once the underlying device halted on an injected crash. Event
@@ -775,30 +774,28 @@ impl<'a> SimContext<'a> {
         self.hists.commit_ack_us.record(us);
     }
 
-    fn start_logical(&mut self, io: u64, meta: IoMeta) {
-        self.ios.insert(
-            io,
-            LogicalIo {
-                meta,
-                attempts: 0,
-                live: 0,
-                started: self.now,
-                issue_time: self.now,
-                pending_retry: false,
-                owner: self.owner,
-                joined: Vec::new(),
-            },
-        );
+    /// Open a logical I/O, issue its first attempt and return its handle.
+    fn start_logical(&mut self, meta: IoMeta) -> u64 {
+        let io = self.ios.insert(LogicalIo {
+            meta,
+            attempts: 0,
+            live: 0,
+            started: self.now,
+            issue_time: self.now,
+            pending_retry: false,
+            owner: self.owner,
+            joined: Vec::new(),
+        });
         self.submit_physical(io);
+        io
     }
 
     /// Issue one physical device request for logical read `io`.
     fn submit_physical(&mut self, io: u64) {
-        let rid = self.next_req;
-        self.next_req += 1;
+        let rid = self.req_owner.insert(io);
         let st = self
             .ios
-            .get_mut(&io)
+            .get_mut(io)
             .expect("submit for unknown logical I/O");
         st.attempts += 1;
         st.live += 1;
@@ -809,7 +806,6 @@ impl<'a> SimContext<'a> {
             IoMeta::Write { start, len } => IoRequest::write_block(rid, start, len),
         };
         let (first_page, len) = (req.offset, req.len as u64);
-        self.req_owner.insert(rid, io);
         if let Some(grace) = self.retry.timeout {
             let due = self.now + grace;
             self.deadline_queue.entry(due).or_default().push(io);
@@ -817,6 +813,7 @@ impl<'a> SimContext<'a> {
         self.track_submit();
         self.emit(EventKind::IoSubmit, self.io_track, rid, first_page, len);
         self.device.submit(self.now, req);
+        self.dev_stale = true;
     }
 
     /// Sim-time exponential backoff before retry number `retry_no` (1-based):
@@ -876,9 +873,13 @@ impl<'a> SimContext<'a> {
         }
         self.ev_owners.clear();
         self.ev_owner_end.clear();
+        if self.dev_stale {
+            self.dev_next = self.device.next_event();
+            self.dev_stale = false;
+        }
         let mut t: Option<SimTime> = None;
         for cand in [
-            self.device.next_event(),
+            self.dev_next,
             self.cpu.next_event(),
             self.retry_queue.keys().next().copied(),
             self.deadline_queue.keys().next().copied(),
@@ -898,13 +899,20 @@ impl<'a> SimContext<'a> {
             self.sample_metric_series(t);
         }
 
-        let mut io_buf = std::mem::take(&mut self.io_buf);
-        io_buf.clear();
-        self.device.advance(t, &mut io_buf);
-        for c in &io_buf {
-            self.deliver(c, events);
+        // A device with nothing due by `t` is not asked: an advance short
+        // of its next event delivers nothing and changes nothing. An idle
+        // device (`None`) is still advanced, so a wrapper that starts
+        // lazily on its first advance starts at the same instant.
+        if self.dev_next.is_none_or(|due| due <= t) {
+            let mut io_buf = std::mem::take(&mut self.io_buf);
+            io_buf.clear();
+            self.device.advance(t, &mut io_buf);
+            self.dev_stale = true;
+            for c in &io_buf {
+                self.deliver(c, events);
+            }
+            self.io_buf = io_buf;
         }
-        self.io_buf = io_buf;
 
         // Backoff expiries: re-submit failed reads whose wait is over.
         while let Some((&due, _)) = self.retry_queue.iter().next() {
@@ -913,10 +921,7 @@ impl<'a> SimContext<'a> {
             }
             let ios = self.retry_queue.remove(&due).expect("key just observed");
             for io in ios {
-                let st = self
-                    .ios
-                    .get_mut(&io)
-                    .expect("retry for unknown logical I/O");
+                let st = self.ios.get_mut(io).expect("retry for unknown logical I/O");
                 st.pending_retry = false;
                 let attempts = st.attempts as u64;
                 self.res.retries += 1;
@@ -937,7 +942,7 @@ impl<'a> SimContext<'a> {
                 continue;
             };
             for io in ios {
-                let Some(st) = self.ios.get(&io) else {
+                let Some(st) = self.ios.get(io) else {
                     continue;
                 };
                 let armed_for = st.issue_time + grace;
@@ -1010,7 +1015,7 @@ impl<'a> SimContext<'a> {
                 b: (c.status == IoStatus::Ok) as u64,
             });
         }
-        let io = match self.req_owner.remove(&c.req.id) {
+        let io = match self.req_owner.remove(c.req.id) {
             Some(io) => io,
             None => return, // duplicate of a read that already settled
         };
@@ -1018,7 +1023,7 @@ impl<'a> SimContext<'a> {
             // The logical read may have settled already via another physical
             // attempt (a hedge raced the original); this arrival is then
             // accounting-only.
-            let Some(st) = self.ios.get_mut(&io) else {
+            let Some(st) = self.ios.get_mut(io) else {
                 return;
             };
             st.live -= 1;
@@ -1026,7 +1031,7 @@ impl<'a> SimContext<'a> {
         };
         match c.status {
             IoStatus::Ok => {
-                let st = self.ios.remove(&io).expect("present just above");
+                let st = self.ios.remove(io).expect("present just above");
                 self.finish(io, &st, IoStatus::Ok, events);
             }
             IoStatus::Error if attempts < self.retry.max_attempts => {
@@ -1035,7 +1040,7 @@ impl<'a> SimContext<'a> {
                     let due = c.completed + wait;
                     self.retry_queue.entry(due).or_default().push(io);
                     self.ios
-                        .get_mut(&io)
+                        .get_mut(io)
                         .expect("present just above")
                         .pending_retry = true;
                     let wait_us = wait.as_nanos() / 1000;
@@ -1043,7 +1048,7 @@ impl<'a> SimContext<'a> {
                 }
             }
             IoStatus::Error if live == 0 && !pending => {
-                let st = self.ios.remove(&io).expect("present just above");
+                let st = self.ios.remove(io).expect("present just above");
                 self.finish(io, &st, IoStatus::Error, events);
             }
             // A duplicate is still in flight; let it settle the read
@@ -1665,6 +1670,120 @@ mod tests {
                 degraded_reads: 33,
             }
         );
+    }
+
+    /// Every model and wrapper the cached next event must be right for.
+    fn device_zoo(cap: u64, seed: u64) -> Vec<(&'static str, Box<dyn DeviceModel>)> {
+        use pioqo_device::presets::{hdd_7200, raid_15k};
+        use pioqo_device::{CrashPlan, Crashable, FaultPlan, Faulty, WithBackgroundLoad};
+        let mut degraded = raid_15k(8, cap, seed);
+        degraded.set_degraded(Some(5));
+        vec![
+            ("hdd", Box::new(hdd_7200(cap, seed))),
+            ("ssd", Box::new(consumer_pcie_ssd(cap, seed))),
+            ("raid", Box::new(raid_15k(8, cap, seed))),
+            ("raid-degraded", Box::new(degraded)),
+            (
+                "faulty-tail",
+                Box::new(
+                    Faulty::new(
+                        consumer_pcie_ssd(cap, seed),
+                        FaultPlan::Transient {
+                            p: 0.05,
+                            attempts: 1,
+                            seed,
+                        },
+                    )
+                    .with_tail_latency(0.2, 8.0, seed),
+                ),
+            ),
+            (
+                "crashable",
+                Box::new(Crashable::new(
+                    hdd_7200(cap, seed),
+                    CrashPlan::at(SimTime::from_micros(3_600_000_000), seed),
+                )),
+            ),
+            (
+                "background",
+                Box::new(WithBackgroundLoad::new(
+                    consumer_pcie_ssd(cap, seed),
+                    3,
+                    2,
+                    seed,
+                )),
+            ),
+        ]
+    }
+
+    #[test]
+    fn step_never_skips_a_due_device() {
+        use crate::execute::{make_driver, PlanSpec};
+        use crate::query::{oracle, QuerySpec};
+        use crate::{FtsConfig, IsConfig, SortedIsConfig};
+        use pioqo_storage::{range_for_selectivity, BTreeIndex, HeapTable, TableSpec, Tablespace};
+
+        let spec = TableSpec::paper_table(33, 12_000, 55);
+        let mut ts = Tablespace::new(4 * spec.n_pages() + 1000);
+        let table = HeapTable::create(spec, &mut ts).expect("table fits");
+        let entries = table.data().c2_entries();
+        let index = BTreeIndex::build("c2_idx", entries, table.spec().page_size, &mut ts)
+            .expect("index fits");
+        let (low, high) = range_for_selectivity(0.05, u32::MAX - 1);
+        // Retries and hedges put the context's own queues in play too.
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            backoff: SimDuration::from_micros(200),
+            timeout: Some(SimDuration::from_millis(5)),
+        };
+        let plans = [
+            PlanSpec::Fts(FtsConfig {
+                workers: 4,
+                retry: retry.clone(),
+                ..FtsConfig::default()
+            }),
+            PlanSpec::Is(IsConfig {
+                workers: 8,
+                prefetch_depth: 4,
+                retry: retry.clone(),
+            }),
+            PlanSpec::SortedIs(SortedIsConfig {
+                retry,
+                ..SortedIsConfig::default()
+            }),
+        ];
+        for (plan_no, plan) in plans.iter().enumerate() {
+            let q = QuerySpec::range_max(&table, Some(&index), low, high).with_plan(plan.clone());
+            let want = oracle(&q).fingerprint;
+            for (name, mut dev) in device_zoo(ts.capacity(), 7 + plan_no as u64) {
+                let mut pool = BufferPool::new(256);
+                let mut ctx = SimContext::new(
+                    dev.as_mut(),
+                    &mut pool,
+                    CpuConfig::paper_xeon(),
+                    CpuCosts::default(),
+                );
+                ctx.set_retry_policy(q.plan.retry().clone());
+                let mut driver = make_driver(&q).expect("plan lowers");
+                driver.start(&mut ctx).expect("driver starts");
+                let mut events = Vec::new();
+                while !driver.done() {
+                    events.clear();
+                    assert!(ctx.step(&mut events), "{name} {}: stalled", plan.label());
+                    let due = ctx.device.next_event();
+                    assert!(
+                        due.is_none_or(|t| t > ctx.now()),
+                        "{name} {}: device due at {due:?} left behind at {}",
+                        plan.label(),
+                        ctx.now()
+                    );
+                    for e in &events {
+                        driver.on_event(&mut ctx, e).expect("no exhausted read");
+                    }
+                }
+                assert_eq!(driver.answer().fingerprint, want, "{name} {}", plan.label());
+            }
+        }
     }
 
     #[test]

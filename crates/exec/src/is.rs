@@ -69,8 +69,8 @@ struct Worker {
     /// Chunk of the leaf owned (0-based; leaves are split into chunks when
     /// the qualifying leaf range is smaller than the worker pool).
     chunk: u64,
-    /// Qualifying row ids of the current leaf, in key order.
-    rids: Vec<u64>,
+    /// Qualifying rows of the current leaf chunk, in key order.
+    rows: Vec<IndexRow>,
     /// Next entry to process.
     pos: usize,
     /// Next entry to prefetch.
@@ -87,6 +87,28 @@ enum Phase {
 
 /// The party the traversal runs as; the scan's workers do not exist yet.
 const TRAVERSER: usize = 0;
+
+/// A qualifying index entry with its row: `(rid, C1, C2)`.
+pub(crate) type IndexRow = (u64, u32, u32);
+
+/// Replace `out` with the rows of C2-index entries `entries`, gathered
+/// when their leaf is decoded: C2 is the entry's key and C1 is read here,
+/// in one loop whose column loads overlap, so the per-row completion
+/// later touches no column memory. Heap columns never change, so reading
+/// them early is invisible to the simulation.
+pub(crate) fn gather_rows(
+    index: &BTreeIndex,
+    table: &HeapTable,
+    entries: std::ops::Range<u64>,
+    out: &mut Vec<IndexRow>,
+) {
+    out.clear();
+    out.extend(entries.map(|i| {
+        let (key, rid) = index.entry(i);
+        debug_assert_eq!(key, table.data().c2(rid), "index key is the row's C2");
+        (rid, table.data().c1(rid), key)
+    }));
+}
 
 /// The (parallel) index-scan state machine. See the module docs.
 pub struct IsDriver<'q> {
@@ -172,7 +194,7 @@ impl<'q> IsDriver<'q> {
                 state: WState::Startup,
                 leaf: 0,
                 chunk: 0,
-                rids: Vec::new(),
+                rows: Vec::new(),
                 pos: 0,
                 pf_pos: 0,
                 outstanding_pf: 0,
@@ -207,9 +229,9 @@ impl<'q> IsDriver<'q> {
             self.workers[w].pf_pos = self.workers[w].pos;
         }
         while self.workers[w].outstanding_pf < self.cfg.prefetch_depth
-            && self.workers[w].pf_pos < self.workers[w].rids.len()
+            && self.workers[w].pf_pos < self.workers[w].rows.len()
         {
-            let rid = self.workers[w].rids[self.workers[w].pf_pos];
+            let (rid, ..) = self.workers[w].rows[self.workers[w].pf_pos];
             self.workers[w].pf_pos += 1;
             let dp = self.dp_of_rid(rid);
             if ctx.pool.contains(dp) {
@@ -250,7 +272,7 @@ impl<'q> IsDriver<'q> {
     }
 
     fn next_entry(&mut self, ctx: &mut SimContext<'_>, w: usize) {
-        if self.workers[w].pos >= self.workers[w].rids.len() {
+        if self.workers[w].pos >= self.workers[w].rows.len() {
             // Current leaf exhausted: move to the next one. The decode
             // completion (or retirement) continues the cycle.
             self.claim_leaf(ctx, w);
@@ -263,7 +285,7 @@ impl<'q> IsDriver<'q> {
     /// Pin the table page of worker `w`'s current entry and start the row
     /// lookup, or park on its read.
     fn fetch_row(&mut self, ctx: &mut SimContext<'_>, w: usize) {
-        let rid = self.workers[w].rids[self.workers[w].pos];
+        let (rid, ..) = self.workers[w].rows[self.workers[w].pos];
         if !self.win.pin(ctx, self.dp_of_rid(rid), w) {
             self.workers[w].state = WState::WaitRow;
             return;
@@ -277,7 +299,7 @@ impl<'q> IsDriver<'q> {
         match self.workers[w].state {
             WState::Startup => self.claim_leaf(ctx, w),
             WState::DecodeLeaf => {
-                // Leaf decoded: collect this chunk's qualifying rids.
+                // Leaf decoded: gather this chunk's qualifying rows.
                 let range = self.range.expect("scan phase requires a range");
                 let leaf = self.workers[w].leaf;
                 ctx.pool.unpin(self.index.device_page_of_leaf(leaf))?;
@@ -288,14 +310,18 @@ impl<'q> IsDriver<'q> {
                 let chunk_sz = span.div_ceil(self.chunks_per_leaf);
                 let cfrom = (from + self.workers[w].chunk * chunk_sz).min(to);
                 let cto = (cfrom + chunk_sz).min(to);
-                self.workers[w].rids = (cfrom..cto).map(|i| self.index.entry(i).1).collect();
+                gather_rows(
+                    self.index,
+                    self.table,
+                    cfrom..cto,
+                    &mut self.workers[w].rows,
+                );
                 self.workers[w].pos = 0;
                 self.workers[w].pf_pos = 0;
                 self.next_entry(ctx, w);
             }
             WState::ComputeRow => {
-                let rid = self.workers[w].rids[self.workers[w].pos];
-                let (c1, c2) = self.table.row(rid);
+                let (rid, c1, c2) = self.workers[w].rows[self.workers[w].pos];
                 debug_assert!(c2 >= self.low && c2 <= self.high);
                 // Residual check: the sarg cover guarantees the C2 window,
                 // the full tree may reject on other terms.

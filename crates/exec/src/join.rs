@@ -31,6 +31,7 @@
 
 use crate::driver::{QueryAnswer, QueryDriver};
 use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
+use crate::is::{gather_rows, IndexRow};
 use crate::query::{JoinClause, RowAcc, RowEval};
 use crate::window::{BlockStream, Descent, IoWindow, Landed};
 use pioqo_storage::{BTreeIndex, HeapTable};
@@ -101,9 +102,9 @@ struct Probe {
     leaf_idx: usize,
     first_entry: u64,
     end_entry: u64,
-    /// Heap row ids of the current leaf's key-equal entries.
-    rids: Vec<u64>,
-    rid_idx: usize,
+    /// Rows of the current leaf's key-equal entries.
+    rows: Vec<IndexRow>,
+    row_idx: usize,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -251,8 +252,8 @@ impl<'q> InlDriver<'q> {
                 leaf_idx: 0,
                 first_entry,
                 end_entry,
-                rids: Vec::new(),
-                rid_idx: 0,
+                rows: Vec::new(),
+                row_idx: 0,
             },
         );
         self.step_probe(ctx, id);
@@ -286,7 +287,7 @@ impl<'q> InlDriver<'q> {
                     )
                 }
                 PStage::Row => {
-                    let Some(&rid) = p.rids.get(p.rid_idx) else {
+                    let Some(&(rid, ..)) = p.rows.get(p.row_idx) else {
                         p.leaf_idx += 1;
                         p.stage = PStage::Leaf;
                         continue;
@@ -314,17 +315,16 @@ impl<'q> InlDriver<'q> {
                 let lr = self.right_index.leaf_entry_range(leaf);
                 let from = lr.start.max(p.first_entry);
                 let to = lr.end.min(p.end_entry);
-                p.rids = (from..to).map(|i| self.right_index.entry(i).1).collect();
-                p.rid_idx = 0;
+                gather_rows(self.right_index, self.right, from..to, &mut p.rows);
+                p.row_idx = 0;
                 p.stage = PStage::Row;
                 ctx.pool.unpin(self.right_index.device_page_of_leaf(leaf))?;
             }
             PStage::Row => {
-                let rid = p.rids[p.rid_idx];
-                let (rc1, rc2) = self.right.row(rid);
+                let (rid, rc1, rc2) = p.rows[p.row_idx];
                 debug_assert_eq!(rc2, p.lc2, "index probe returned a foreign key");
                 self.eval.join_pair(p.lc1, p.lc2, rc1, &mut self.acc);
-                p.rid_idx += 1;
+                p.row_idx += 1;
                 ctx.pool
                     .unpin(self.right.device_page(self.right.spec().page_of_row(rid)))?;
             }

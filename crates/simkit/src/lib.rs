@@ -5,6 +5,7 @@
 //! * [`SimTime`] / [`SimDuration`] — an exact integer virtual clock;
 //! * [`EventQueue`] — a deterministic event calendar (FIFO tie-breaking);
 //! * [`SimRng`] — seeded randomness with sampling helpers;
+//! * [`IdSlab`] — O(1) tables keyed by ids issued in increasing order;
 //! * [`stats`] — running statistics and time-weighted level tracking;
 //! * [`par`] — deterministic scoped-thread fan-out for independent
 //!   experiment grid points (results merged in submission order).
@@ -20,10 +21,12 @@
 pub mod par;
 mod queue;
 mod rng;
+mod slab;
 pub mod stats;
 mod time;
 
 pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;
+pub use slab::IdSlab;
 pub use stats::{Running, TimeWeighted};
 pub use time::{SimDuration, SimTime};

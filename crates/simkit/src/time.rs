@@ -91,13 +91,14 @@ impl SimDuration {
     ///
     /// Device models compute service times in floating point (seek curves,
     /// bandwidth divisions); this is the single rounding point back into the
-    /// integer clock domain.
+    /// integer clock domain: nanoseconds rounded half away from zero,
+    /// saturating at `u64::MAX` (NaN becomes zero).
     #[inline]
     pub fn from_micros_f64(us: f64) -> Self {
         if us <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((us * 1_000.0).round() as u64)
+        SimDuration(round_to_u64(us * 1_000.0))
     }
 
     /// Raw nanoseconds.
@@ -122,6 +123,23 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// `x.round() as u64` without the `round` call, which baseline x86-64
+/// makes a software routine. Below 2^53 the truncation `t` and the
+/// fraction `x - t` are both exact, so one compare against 0.5 rounds half
+/// away from zero; at or above 2^53 every `f64` is an integer and the
+/// saturating cast is the answer. NaN fails the first test and casts to 0,
+/// negatives truncate to 0 with a negative fraction — the same as `round`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if x < EXACT {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
     }
 }
 
@@ -259,6 +277,60 @@ mod tests {
         assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(SimDuration::from_micros_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_micros_f64(0.0004).as_nanos(), 0);
+    }
+
+    /// The formula `from_micros_f64` used to evaluate, libm `round` and all.
+    fn from_micros_f64_by_round(us: f64) -> u64 {
+        if us <= 0.0 {
+            0
+        } else {
+            (us * 1_000.0).round() as u64
+        }
+    }
+
+    #[test]
+    fn rounding_without_libm_is_bit_identical_to_round() {
+        let p53 = (1u64 << 53) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            f64::from_bits(0.5f64.to_bits() - 1),
+            f64::from_bits(0.5f64.to_bits() + 1),
+            1.5,
+            2.5,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 0.5,
+            p53 - 1.0,
+            p53,
+            p53 + 2.0,
+            f64::from_bits(p53.to_bits() - 1),
+            18_446_744_073_709_551_616.0, // 2^64
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+        ];
+        // Seeded random bit patterns: every exponent, sign and payload.
+        let mut r = crate::SimRng::seeded(0x0DD5);
+        xs.extend((0..200_000).map(|_| f64::from_bits(r.next_u64())));
+        // And the range device models actually produce (0 .. 100 ms in µs).
+        xs.extend((0..200_000).map(|_| r.unit() * 100_000.0));
+        for &x in &xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "round({x:e})");
+            assert_eq!(
+                SimDuration::from_micros_f64(x).as_nanos(),
+                from_micros_f64_by_round(x),
+                "from_micros_f64({x:e})"
+            );
+        }
     }
 
     #[test]
