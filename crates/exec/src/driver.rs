@@ -6,16 +6,11 @@
 //! compute, and [`QueryDriver::on_event`] advances the machine on each
 //! [`Event`] delivered by [`SimContext::step`].
 //!
-//! Many drivers share one context. The multi-query engine runs each
-//! driver's `start` / `on_event` under [`SimContext::with_owner`] with the
-//! session's tag, the context stamps every read, write and compute task
-//! declared inside, and a completion is delivered to the sessions whose tag
-//! it carries — several for a page read two queries deduplicated onto —
-//! never to the rest. Drivers do no tagging themselves; the single-query
-//! [`crate::execute`] loop runs untagged and hands its one driver every
-//! event. What must still happen per query is *ignoring handles it did not
-//! issue*: a session's next query inherits the session's tag and can be
-//! handed a stray completion (outstanding prefetch) of the query before it.
+//! Many drivers share one context: the crate's run loop (behind
+//! [`crate::execute`] and [`crate::MultiEngine`] alike) runs each driver
+//! under its query's own tag ([`SimContext::with_owner`]) and hands it only
+//! completions carrying that tag. Drivers do no tagging themselves, and a
+//! done driver receives nothing.
 //!
 //! Drivers do not track handles either. Each owns one `IoWindow` (module
 //! `window`), issues every read and compute task through it naming the
@@ -78,7 +73,7 @@ pub trait QueryDriver {
 
     /// Whether the query has produced its final answer. A done driver
     /// receives no further events (stray completions of its outstanding
-    /// prefetch are absorbed by the event loop).
+    /// prefetch are landed in the pool by the event loop).
     fn done(&self) -> bool;
 
     /// The final answer. Meaningful once [`QueryDriver::done`] is true.

@@ -446,10 +446,9 @@ impl<'a> SimContext<'a> {
     /// and compute task `f` declares is stamped with it (a deduplicated
     /// [`SimContext::read_page`] records every distinct tag that joined)
     /// and [`SimContext::event_owners`] reports the stamps on completion.
-    /// The I/O-side twin of [`SimContext::schedule_timer_tagged`]: an
-    /// event loop wraps each query's `start` / `on_event` in it, so drivers
-    /// carry no tagging code. Outside any `with_owner` the register is `0`
-    /// (untagged) — what single-query loops run with.
+    /// The run loop wraps each query's `start` / `on_event` in it, so
+    /// drivers carry no tagging code; the shared-scan cursor and the write
+    /// system run untagged (`0`).
     pub fn with_owner<R>(&mut self, tag: u64, f: impl FnOnce(&mut Self) -> R) -> R {
         let outer = std::mem::replace(&mut self.owner, tag);
         let r = f(self);
@@ -1103,35 +1102,42 @@ impl<'a> SimContext<'a> {
     /// unrelated background load stays busy forever.
     pub fn quiesce(&mut self) {
         let mut events = Vec::new();
-        while !self.ios.is_empty() || !self.req_owner.is_empty() || self.cpu.next_event().is_some()
-        {
+        while self.holds_work() {
             events.clear();
             if !self.step(&mut events) {
                 break;
             }
-            // Stale completions: admit prefetched pages so accounting stays
-            // coherent, drop everything else.
+            // Every completion is a stray now.
             for e in &events {
-                if let Event::IoBlock {
-                    start,
-                    len,
-                    status: IoStatus::Ok,
-                    ..
-                } = e
-                {
-                    for p in *start..*start + *len as u64 {
-                        let _ = self.pool.admit_prefetched(p);
-                    }
-                }
-                if let Event::IoPage {
-                    device_page,
-                    status: IoStatus::Ok,
-                    ..
-                } = e
-                {
-                    let _ = self.pool.admit_prefetched(*device_page);
-                }
+                self.admit_stray(e);
             }
+        }
+    }
+
+    /// Whether any logical I/O, physical request or CPU task is in flight.
+    pub(crate) fn holds_work(&self) -> bool {
+        !self.ios.is_empty() || !self.req_owner.is_empty() || self.cpu.next_event().is_some()
+    }
+
+    /// The stray rule: a successful read no running query owns lands its
+    /// pages in the pool, non-fatally (a full pool just leaves them out).
+    pub(crate) fn admit_stray(&mut self, ev: &Event) {
+        let (start, len) = match *ev {
+            Event::IoPage {
+                device_page,
+                status: IoStatus::Ok,
+                ..
+            } => (device_page, 1),
+            Event::IoBlock {
+                start,
+                len,
+                status: IoStatus::Ok,
+                ..
+            } => (start, len),
+            _ => return,
+        };
+        for p in start..start + len as u64 {
+            let _ = self.pool.admit_prefetched(p);
         }
     }
 

@@ -10,12 +10,13 @@
 //! now just one point in the query space.
 
 use crate::driver::QueryDriver;
-use crate::engine::{Event, ExecError, RetryPolicy, SimContext};
+use crate::engine::{ExecError, RetryPolicy, SimContext};
 use crate::fts::{FtsConfig, FtsDriver};
 use crate::is::{IsConfig, IsDriver};
 use crate::join::{HashJoinConfig, HashJoinDriver, InlConfig, InlDriver};
 use crate::metrics::ScanMetrics;
 use crate::query::QuerySpec;
+use crate::run::Run;
 use crate::sorted_is::{SortedIsConfig, SortedIsDriver};
 use serde::{Deserialize, Serialize};
 
@@ -142,35 +143,18 @@ pub fn make_driver<'q>(q: &QuerySpec<'q>) -> Result<Box<dyn QueryDriver + 'q>, E
 /// trace sink up front. The plan's retry policy is installed on the
 /// context; each query's metrics cover only its own window (runtime is
 /// measured from the context time at entry, pool stats are diffed).
+///
+/// This is a run of one session with one query: `make_driver`, `start`,
+/// then `step` / `on_event` until the driver is done, then `quiesce`.
 pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput, ExecError> {
-    ctx.set_retry_policy(q.plan.retry().clone());
-    let start = ctx.now();
     let pool_before = ctx.pool.stats().clone();
-    let mut driver = make_driver(q)?;
-    driver.start(ctx)?;
-    let mut events: Vec<Event> = Vec::new();
-    while !driver.done() {
-        if ctx.device_crashed() {
-            return Err(ExecError::Crashed);
-        }
-        events.clear();
-        if !ctx.step(&mut events) {
-            if ctx.device_crashed() {
-                return Err(ExecError::Crashed);
-            }
-            return Err(ExecError::Internal {
-                detail: "query stalled with work pending",
-            });
-        }
-        for e in &events {
-            driver.on_event(ctx, e)?;
-        }
-    }
-    let answer = driver.answer();
-    let runtime = ctx.now() - start;
-    let io = ctx.io_profile();
-    let resilience = ctx.resilience();
-    ctx.quiesce();
+    let mut run = Run::new(ctx, 1, None, None);
+    run.begin(ctx, 0, 0, q, None)?;
+    run.settle(ctx, &mut (), 0, None);
+    let (io, resilience) = run.drive(ctx, &mut ())?;
+    let (answer, runtime) = run.last.ok_or(ExecError::Internal {
+        detail: "a query run ended without an answer",
+    })?;
     let hists = ctx.take_histograms();
     let pool = ctx.pool.stats().diff(&pool_before);
     Ok(ScanMetrics {

@@ -39,6 +39,7 @@ pub mod join;
 pub mod metrics;
 pub mod query;
 pub mod recovery;
+mod run;
 pub mod session;
 pub mod shared;
 pub mod sorted_is;

@@ -6,24 +6,15 @@
 //! range-MAX queries separated by seeded think time — on **one**
 //! [`SimContext`]: one device, one buffer pool, one CPU scheduler.
 //!
-//! Event delivery is routed, so an event costs the same whether 8 or 100K
-//! sessions are open. Sessions live in a dense slab keyed by their index.
-//! Think-time wakeups ride tagged virtual timers (`tag = 1 + session`), and
-//! I/O and compute carry the same tag: the engine wraps every
-//! [`QueryDriver::start`] / [`QueryDriver::on_event`] in
-//! [`SimContext::with_owner`], and each completion comes back with the tags
-//! of the sessions that declared it ([`SimContext::event_owners`]) —
-//! several for a page read two queries deduplicated onto. It is delivered
-//! to those sessions only, in the order they sit on the dense list of
-//! queries running solo; a completion whose owner has since finished
-//! (stray prefetch) reaches no driver and only warms the pool. Queries
-//! attached to the shared-scan hub ([`crate::shared::ScanHub`], enabled by
-//! [`WorkloadSpec::shared_scans`]) are not on that list: one untagged
-//! circular cursor serves every attached consumer. A session's next query
-//! can still be handed a completion its predecessor left behind, so drivers
-//! ignore handles they did not issue (see [`crate::driver`]); the
-//! interleaving is exact and byte-deterministic for a given
-//! [`WorkloadSpec`] seed.
+//! The engine is session policy — think timers, admission, records — on
+//! top of the crate's one run loop, which owns stepping and routes each
+//! completion to the running queries whose owner tag it carries
+//! ([`SimContext::event_owners`]), so an event costs the same whether 8 or
+//! 100K sessions are open. A finished query's stray prefetch reaches no
+//! driver and only warms the pool. Queries attached to the shared-scan hub
+//! ([`crate::shared::ScanHub`], enabled by [`WorkloadSpec::shared_scans`])
+//! ride one untagged circular cursor. The interleaving is exact and
+//! byte-deterministic for a given [`WorkloadSpec`] seed.
 //!
 //! Plan choice is delegated to an [`AdmissionPlanner`]: the engine tells it
 //! how many queries are already running when a new one arrives, and the
@@ -37,18 +28,18 @@
 //!
 //! Determinism invariants: per-session randomness comes from
 //! `SimRng::derive(spec.seed, session)`, think time advances on virtual
-//! [`Event::Timer`]s, and all engine state lives in ordered or dense
+//! [`crate::Event::Timer`]s, and all engine state lives in ordered or dense
 //! collections.
 
-use crate::driver::{QueryAnswer, QueryDriver};
-use crate::engine::{Event, ExecError, IoProfile, ResilienceStats, SimContext};
-use crate::execute::{make_driver, PlanSpec};
+use crate::driver::QueryAnswer;
+use crate::engine::{ExecError, IoProfile, ResilienceStats, SimContext};
+use crate::execute::PlanSpec;
 use crate::fts::FtsConfig;
-use crate::query::{Predicate, QuerySpec};
+use crate::query::{Aggregate, Col, Predicate, QuerySpec};
+use crate::run::{tag, Policy, Run};
 use crate::shared::{ScanHub, SharedScanStats};
 use crate::write::{WriteConfig, WriteStats, WriteSystem};
 use pioqo_bufpool::{BufferPool, PoolStats};
-use pioqo_device::IoStatus;
 use pioqo_obs::{HistSet, Histogram};
 use pioqo_simkit::{SimDuration, SimRng, SimTime};
 use pioqo_storage::range_for_selectivity;
@@ -402,84 +393,15 @@ impl WorkloadReport {
     }
 }
 
-/// A query running solo (its own driver) on one session.
-struct ActiveQuery<'q> {
-    driver: Box<dyn QueryDriver + 'q>,
-    submitted: SimTime,
-    query_index: u32,
-    selectivity: f64,
-    /// Empty when the record cap was already reached at admission (the
-    /// label would never be recorded, so it is never materialized).
-    plan_label: String,
-    degree: u32,
-    active_at_admit: u32,
-}
-
-/// A query riding the shared-scan hub on one session.
-struct AttachedQuery {
-    submitted: SimTime,
-    query_index: u32,
-    selectivity: f64,
-    active_at_admit: u32,
-}
-
-enum SessState<'q> {
-    /// Waiting on a tagged think timer.
-    Thinking,
-    /// Running a dedicated driver (on the dense running-solo list).
-    Running(ActiveQuery<'q>),
-    /// Attached to the shared-scan hub (off the running-solo list).
-    Attached(AttachedQuery),
-    Finished,
-}
-
-struct Sess<'q> {
+struct Sess {
     rng: SimRng,
     track: u32,
     issued: u32,
     completed: u32,
     latency_sum_us: f64,
-    /// Index into the dense running-solo list while `Running`, else
-    /// `u32::MAX`.
-    run_idx: u32,
-    state: SessState<'q>,
-}
-
-/// Metadata shared by both completion paths.
-struct FinishedMeta {
-    submitted: SimTime,
-    query_index: u32,
-    selectivity: f64,
-    /// `None` means the shared-scan label.
-    plan: Option<String>,
-    degree: u32,
-    active_at_admit: u32,
-}
-
-/// The mutable run-loop state outside the session slab.
-struct RunState {
-    records: Vec<QueryRecord>,
-    plan_counts: BTreeMap<String, u64>,
-    query_latency: Histogram,
-    last_complete: SimTime,
-    /// Dense list of sessions whose query is running solo. A session's
-    /// position on it (`Sess::run_idx`) orders same-event deliveries.
-    running_solo: Vec<u32>,
-    /// Hub consumer slot -> owning session.
-    attached_owner: Vec<u32>,
-    /// Sessions not yet `Finished` (the loop condition, maintained
-    /// incrementally instead of scanning the slab).
-    unfinished: u32,
-    /// Queries currently in flight (solo + attached).
-    active_queries: u32,
-    /// Whether the engine believes the shared cursor holds a lease.
-    cursor_active: bool,
-    /// Reusable plan-label scratch (no per-query allocation).
-    label_buf: String,
-    /// Reusable shared-completion drain buffer.
-    completions_buf: Vec<(u32, QueryAnswer)>,
-    /// Reusable copy of one event's owner tags still to be served.
-    owners_buf: Vec<u64>,
+    /// The query in flight, completed when it ends; its plan label stays
+    /// empty if the record cap was reached at admission.
+    flight: Option<QueryRecord>,
 }
 
 /// The concurrent multi-query engine. See the module docs.
@@ -516,6 +438,18 @@ pub struct MultiEngine<'q, P: AdmissionPlanner> {
     spec: WorkloadSpec,
     base: QuerySpec<'q>,
     planner: P,
+    /// The base predicate is `True` or a pure `C2` range (replaced by each
+    /// query's window, not ANDed with it).
+    pure_range: bool,
+    sess: Vec<Sess>,
+    records: Vec<QueryRecord>,
+    plan_counts: BTreeMap<String, u64>,
+    query_latency: Histogram,
+    last_complete: SimTime,
+    /// Sessions still to retire (kept, not counted by a scan).
+    unfinished: u32,
+    /// Reusable plan-label scratch (no per-query allocation).
+    label_buf: String,
 }
 
 impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
@@ -532,17 +466,27 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             "a workload needs at least one selectivity"
         );
         MultiEngine {
+            pure_range: matches!(base.predicate, Predicate::True)
+                || base.predicate.is_pure_c2_range(),
+            unfinished: spec.sessions,
             spec,
             base,
             planner,
+            sess: Vec::new(),
+            records: Vec::new(),
+            plan_counts: BTreeMap::new(),
+            query_latency: Histogram::new(),
+            last_complete: SimTime::ZERO,
+            label_buf: String::new(),
         }
     }
 
     /// Run the workload to completion on `ctx` and report.
     ///
     /// Returns `ExecError::Internal` if the event loop stalls with sessions
-    /// outstanding (an engine bug, not a caller error), or the underlying
-    /// error if any query's own I/O fails.
+    /// outstanding or the run leaks work or an admission share (an engine
+    /// bug, not a caller error), or the underlying error if any query's own
+    /// I/O fails. On any error every admission share is released first.
     pub fn run(self, ctx: &mut SimContext<'_>) -> Result<WorkloadReport, ExecError> {
         self.run_inner(ctx, None)
     }
@@ -569,12 +513,11 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
     fn run_inner(
         mut self,
         ctx: &mut SimContext<'_>,
-        mut ws: Option<&mut WriteSystem>,
+        ws: Option<&mut WriteSystem>,
     ) -> Result<WorkloadReport, ExecError> {
         let start = ctx.now();
         let pool_before = ctx.pool.stats().clone();
         let tracing = ctx.trace_enabled();
-        let mut sessions: Vec<Sess<'q>> = Vec::with_capacity(self.spec.sessions as usize);
         for s in 0..self.spec.sessions {
             let track = if tracing {
                 ctx.trace_track(&format!("session{s}"))
@@ -585,473 +528,189 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             // Initial stagger: sessions do not all arrive at t=0. The tag
             // routes the wakeup straight back to this session.
             let delay = self.spec.think.sample(&mut rng);
-            ctx.schedule_timer_tagged(delay, 1 + s as u64);
-            sessions.push(Sess {
+            ctx.schedule_timer_tagged(delay, tag(s, 0));
+            self.sess.push(Sess {
                 rng,
                 track,
                 issued: 0,
                 completed: 0,
                 latency_sum_us: 0.0,
-                run_idx: u32::MAX,
-                state: SessState::Thinking,
+                flight: None,
             });
         }
-        let mut hub: Option<ScanHub<'q>> = self
-            .spec
-            .shared_scans
-            .then(|| ScanHub::new(self.base.table, FtsConfig::default().block_pages));
-
-        if let Some(w) = ws.as_deref_mut() {
-            w.start(ctx);
-        }
-
-        let mut st = RunState {
-            records: Vec::new(),
-            plan_counts: BTreeMap::new(),
-            query_latency: Histogram::new(),
-            last_complete: start,
-            running_solo: Vec::new(),
-            attached_owner: Vec::new(),
-            unfinished: self.spec.sessions,
-            active_queries: 0,
-            cursor_active: false,
-            label_buf: String::new(),
-            completions_buf: Vec::new(),
-            owners_buf: Vec::new(),
-        };
-        let mut events: Vec<Event> = Vec::new();
-        let mut background_active = false;
-
-        while st.unfinished > 0 || ws.as_deref().is_some_and(|w| !w.finished()) {
-            if ctx.device_crashed() {
-                return Err(ExecError::Crashed);
-            }
-            events.clear();
-            if !ctx.step(&mut events) {
-                if ctx.device_crashed() {
-                    return Err(ExecError::Crashed);
-                }
-                return Err(ExecError::Internal {
-                    detail: "multi-query engine stalled with sessions outstanding",
-                });
-            }
-            for (ev_idx, &ev) in events.iter().enumerate() {
-                // The write system sees every event first; a `true` return
-                // means the event was one of its own timers, which sessions
-                // must never interpret as theirs.
-                if let Some(w) = ws.as_deref_mut() {
-                    let consumed = w.on_event(ctx, &ev)?;
-                    let active = w.checkpoint_active();
-                    if active != background_active {
-                        background_active = active;
-                        if active {
-                            self.planner.background_acquire();
-                        } else {
-                            self.planner.background_release();
-                        }
-                    }
-                    if consumed {
-                        continue;
-                    }
-                }
-                // Land every successful read in the pool up front. Drivers
-                // admit their own pages anyway (admission is idempotent);
-                // this covers completions whose owning query already
-                // finished — and the shared cursor's block reads — so a
-                // stray prefetch still warms the pool exactly as
-                // `SimContext::quiesce` would have in single-query mode.
-                match ev {
-                    Event::IoPage {
-                        device_page,
-                        status: IoStatus::Ok,
-                        ..
-                    } => {
-                        let _ = ctx.pool.admit_prefetched(device_page);
-                    }
-                    Event::IoBlock {
-                        start,
-                        len,
-                        status: IoStatus::Ok,
-                        ..
-                    } => {
-                        for p in start..start + len as u64 {
-                            let _ = ctx.pool.admit_prefetched(p);
-                        }
-                    }
-                    _ => {}
-                }
-                if let Event::Timer { tag, .. } = ev {
-                    // Tag 0 timers belong to the write system (handled
-                    // above); tags >= 1 route to session `tag - 1`.
-                    if tag >= 1 {
-                        let s = (tag - 1) as usize;
-                        self.start_query(ctx, &mut sessions, hub.as_mut(), &mut st, s)?;
-                        if matches!(&sessions[s].state, SessState::Running(q) if q.driver.done()) {
-                            // Degenerate (empty-range) query: finished at
-                            // admission time.
-                            let i = sessions[s].run_idx as usize;
-                            self.complete_solo(ctx, &mut sessions, &mut st, i);
-                        }
-                    }
-                    continue;
-                }
-                // The shared cursor's own I/O and evaluation completions
-                // never reach a solo driver.
-                if let Some(h) = hub.as_mut() {
-                    if h.on_event(ctx, &ev)? {
-                        let mut comps = std::mem::take(&mut st.completions_buf);
-                        comps.clear();
-                        h.take_completions(&mut comps);
-                        for &(slot, answer) in &comps {
-                            self.complete_attached(ctx, &mut sessions, &mut st, slot, answer);
-                        }
-                        st.completions_buf = comps;
-                        if st.cursor_active && !h.is_active() {
-                            self.planner.cursor_stop();
-                            st.cursor_active = false;
-                        }
-                        continue;
-                    }
-                }
-                // Deliver to the sessions that declared this I/O or compute
-                // (tag = 1 + session; a deduplicated page read can carry
-                // several), in dense-list order re-read after each
-                // delivery: a completing query is swap-removed and the
-                // entry swapped into its place comes next, as in a sweep of
-                // the whole list. Same-instant resubmissions, and so every
-                // simulated result, depend on that order. An owner no
-                // longer running solo has no driver to wake: dropped.
-                let mut owners = std::mem::take(&mut st.owners_buf);
-                owners.clear();
-                owners.extend_from_slice(ctx.event_owners(ev_idx));
-                while let Some((i, k)) = owners
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(k, &tag)| {
-                        let sess = sessions.get((tag as usize).checked_sub(1)?)?;
-                        (sess.run_idx != u32::MAX).then_some((sess.run_idx as usize, k))
-                    })
-                    .min()
-                {
-                    owners.swap_remove(k);
-                    let s = st.running_solo[i] as usize;
-                    let SessState::Running(q) = &mut sessions[s].state else {
-                        continue;
-                    };
-                    ctx.with_owner(1 + s as u64, |ctx| q.driver.on_event(ctx, &ev))?;
-                    if q.driver.done() {
-                        self.complete_solo(ctx, &mut sessions, &mut st, i);
-                    }
-                }
-                st.owners_buf = owners;
-            }
-        }
-
-        let write_stats = ws.as_deref().map(|w| w.stats());
-        let io = ctx.io_profile();
-        let resilience = ctx.resilience();
-        ctx.quiesce();
+        // The hub's cursor computes the pure range-MAX answer over a C2
+        // window; a base query with a join, a residual predicate or another
+        // aggregate cannot ride it and always runs solo.
+        let shareable = self.spec.shared_scans
+            && self.pure_range
+            && self.base.join.is_none()
+            && self.base.aggregate == Aggregate::Max(Col::C1);
+        let hub =
+            shareable.then(|| ScanHub::new(self.base.table, FtsConfig::default().block_pages));
+        let mut run = Run::new(ctx, self.spec.sessions, hub, ws);
+        let (io, resilience) = run.drive(ctx, &mut self)?;
         let hists = ctx.take_histograms();
         let pool = ctx.pool.stats().diff(&pool_before);
-        let per_session = sessions
+        let writes = run.ws.as_deref().map(WriteSystem::stats);
+        let shared = run.hub.map(|h| h.stats().clone()).unwrap_or_default();
+        let per_session = self
+            .sess
             .iter()
             .enumerate()
             .map(|(s, sess)| SessionSummary {
                 session: s as u32,
                 completed: sess.completed,
-                mean_latency_us: if sess.completed == 0 {
-                    0.0
-                } else {
-                    sess.latency_sum_us / sess.completed as f64
-                },
+                // A session that completed nothing has a zero sum.
+                mean_latency_us: sess.latency_sum_us / f64::from(sess.completed.max(1)),
             })
             .collect();
-        let shared = hub.map(|h| h.stats().clone()).unwrap_or_default();
         Ok(WorkloadReport {
             spec: self.spec,
-            records: st.records,
+            records: self.records,
             per_session,
-            plan_counts: st.plan_counts,
-            p95_latency_us: st.query_latency.quantile_lo(95, 100),
-            p99_latency_us: st.query_latency.quantile_lo(99, 100),
-            query_latency_us: st.query_latency,
-            makespan: st.last_complete.since(start),
+            plan_counts: self.plan_counts,
+            p95_latency_us: self.query_latency.quantile_lo(95, 100),
+            p99_latency_us: self.query_latency.quantile_lo(99, 100),
+            query_latency_us: self.query_latency,
+            makespan: self.last_complete.since(start),
             io,
             pool,
             resilience,
             hists,
             shared,
-            writes: write_stats,
+            writes,
         })
+    }
+}
+
+/// Count one admission of plan `label` (allocating only for a new label).
+fn count_plan(counts: &mut BTreeMap<String, u64>, label: &str) {
+    match counts.get_mut(label) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(label.to_string(), 1);
+        }
+    }
+}
+
+/// The session policy on the run loop: think timers, admission, records.
+impl<'q, P: AdmissionPlanner> Policy<'q> for MultiEngine<'q, P> {
+    fn pending(&self) -> bool {
+        self.unfinished > 0
     }
 
     /// A session's think timer fired: admit its next query, or retire the
     /// session if its count is done or the horizon has passed.
-    fn start_query(
+    fn wake(
         &mut self,
+        run: &mut Run<'q, '_>,
         ctx: &mut SimContext<'_>,
-        sessions: &mut [Sess<'q>],
-        hub: Option<&mut ScanHub<'q>>,
-        st: &mut RunState,
         s: usize,
     ) -> Result<(), ExecError> {
         let now = ctx.now();
-        let horizon_passed = self
-            .spec
-            .horizon
-            .is_some_and(|h| now.since(SimTime::ZERO) >= h);
-        if sessions[s].issued >= self.spec.queries_per_session || horizon_passed {
-            sessions[s].state = SessState::Finished;
-            st.unfinished -= 1;
+        let horizon_passed = self.spec.horizon.is_some_and(|h| now - SimTime::ZERO >= h);
+        let sess = &mut self.sess[s];
+        if sess.issued >= self.spec.queries_per_session || horizon_passed {
+            self.unfinished -= 1;
             return Ok(());
         }
-        let active = st.active_queries;
-        let query_index = sessions[s].issued;
-        sessions[s].issued += 1;
+        let (query_index, track) = (sess.issued, Some(sess.track));
+        sess.issued += 1;
         let selectivity =
             self.spec.selectivities[query_index as usize % self.spec.selectivities.len()];
         let (low, high) = range_for_selectivity(selectivity, self.base.table.spec().c2_max);
         let admission = QueryAdmission {
             session: s as u32,
             query_index,
-            active,
+            active: run.in_flight,
             selectivity,
             low,
             high,
         };
-        // The hub's cursor computes the pure range-MAX answer over
-        // `(low, high)`; a base query with a join, a residual predicate or
-        // a non-default aggregate cannot ride it and always runs solo.
-        let hub_eligible = self.base.join.is_none()
-            && matches!(
-                self.base.aggregate,
-                crate::query::Aggregate::Max(crate::query::Col::C1)
-            )
-            && (matches!(self.base.predicate, Predicate::True)
-                || self.base.predicate.is_pure_c2_range());
-        let choice = match hub {
-            Some(_) if self.spec.shared_scans && hub_eligible => {
-                let cursor_active = st.cursor_active;
-                self.planner
-                    .admit_shared(&admission, ctx.pool, cursor_active)
-            }
-            _ => SharedChoice::Solo(self.planner.admit(&admission, ctx.pool)),
+        let choice = match run.hub.as_ref().map(ScanHub::is_active) {
+            Some(active) => self.planner.admit_shared(&admission, ctx.pool, active),
+            None => SharedChoice::Solo(self.planner.admit(&admission, ctx.pool)),
         };
         ctx.metric_counter("admission_total", 1);
-        // Admission is synchronous today: a query never queues for a lease,
-        // it is granted a (possibly clipped) depth immediately. The wait
-        // histogram exists so the contract is visible the day batched
-        // admission introduces a real queue.
-        ctx.metric_hist("admission_lease_wait_us", 0);
         let (leased, limit) = self.planner.depth_gauges();
         ctx.metric_sample("admission_active_leases", u64::from(leased));
         ctx.metric_sample("admission_depth_limit", u64::from(limit));
-        let cap = self.spec.record_limit.unwrap_or(u64::MAX);
-        let plan = match (choice, hub) {
-            (SharedChoice::Attach, Some(h)) => {
-                if !h.is_active() {
-                    let depth = self.planner.cursor_start(ctx.pool);
-                    h.set_window(depth);
-                    st.cursor_active = true;
-                }
-                let slot = h.attach(ctx, low, high);
-                if st.attached_owner.len() <= slot as usize {
-                    st.attached_owner.resize(slot as usize + 1, 0);
-                }
-                st.attached_owner[slot as usize] = s as u32;
-                match st.plan_counts.get_mut(SHARED_LABEL) {
-                    Some(n) => *n += 1,
-                    None => {
-                        st.plan_counts.insert(SHARED_LABEL.to_string(), 1);
-                    }
-                }
-                ctx.trace_span_begin(sessions[s].track, "query");
-                sessions[s].state = SessState::Attached(AttachedQuery {
-                    submitted: now,
-                    query_index,
-                    selectivity,
-                    active_at_admit: active,
-                });
-                st.active_queries += 1;
-                return Ok(());
-            }
-            (SharedChoice::Solo(plan), _) => plan,
-            // An Attach verdict with no hub (a planner ignoring its
-            // `cursor_active` argument on an unshared workload) must not
-            // strand the query: fall back to the solo admission path.
-            (SharedChoice::Attach, None) => self.planner.admit(&admission, ctx.pool),
+        // A label is materialized only if the record can still be kept.
+        let recorded = (self.records.len() as u64) < self.spec.record_limit.unwrap_or(u64::MAX);
+        let label = |l: &str| String::from(if recorded { l } else { "" });
+        let mut flight = QueryRecord {
+            session: s as u32,
+            query_index,
+            selectivity,
+            plan: String::new(),
+            degree: 1,
+            active_at_admit: admission.active,
+            submitted: now,
+            latency: SimDuration::ZERO,
+            max_c1: None,
+            rows_matched: 0,
         };
-        st.label_buf.clear();
-        plan.label_into(&mut st.label_buf);
-        match st.plan_counts.get_mut(st.label_buf.as_str()) {
-            Some(n) => *n += 1,
-            None => {
-                st.plan_counts.insert(st.label_buf.clone(), 1);
+        // Only a run with a hub asks for (and so gets) an attach verdict.
+        let SharedChoice::Solo(plan) = choice else {
+            if let Some(h) = run.hub.as_mut().filter(|h| !h.is_active()) {
+                h.set_window(self.planner.cursor_start(ctx.pool));
             }
-        }
-        ctx.set_retry_policy(plan.retry().clone());
+            count_plan(&mut self.plan_counts, SHARED_LABEL);
+            flight.plan = label(SHARED_LABEL);
+            self.sess[s].flight = Some(flight);
+            run.begin_attached(ctx, s, query_index, (low, high), track);
+            return Ok(());
+        };
+        self.label_buf.clear();
+        plan.label_into(&mut self.label_buf);
+        count_plan(&mut self.plan_counts, &self.label_buf);
+        flight.plan = label(&self.label_buf);
+        flight.degree = plan.degree();
+        self.sess[s].flight = Some(flight);
         let window = Predicate::c2_between(low, high);
         let mut q = self.base.clone();
         q.plan = plan;
-        q.predicate = if matches!(self.base.predicate, Predicate::True)
-            || self.base.predicate.is_pure_c2_range()
-        {
+        q.predicate = if self.pure_range {
             window
         } else {
             Predicate::And(vec![self.base.predicate.clone(), window])
         };
-        let mut driver = make_driver(&q)?;
-        let plan = q.plan;
-        ctx.trace_span_begin(sessions[s].track, "query");
-        ctx.with_owner(1 + s as u64, |ctx| driver.start(ctx))?;
-        let plan_label = if (st.records.len() as u64) < cap {
-            st.label_buf.clone()
-        } else {
-            String::new()
-        };
-        sessions[s].run_idx = st.running_solo.len() as u32;
-        st.running_solo.push(s as u32);
-        st.active_queries += 1;
-        sessions[s].state = SessState::Running(ActiveQuery {
-            driver,
-            submitted: now,
-            query_index,
-            selectivity,
-            plan_label,
-            degree: plan.degree(),
-            active_at_admit: active,
-        });
-        Ok(())
+        run.begin(ctx, s, query_index, &q, track)
     }
 
-    /// The solo query at dense index `i` produced its answer.
-    fn complete_solo(
+    /// Record the query, then arm the next think pause (or retire the
+    /// session).
+    fn ended(
         &mut self,
         ctx: &mut SimContext<'_>,
-        sessions: &mut [Sess<'q>],
-        st: &mut RunState,
-        i: usize,
-    ) {
-        let Some(&s32) = st.running_solo.get(i) else {
-            return;
-        };
-        let s = s32 as usize;
-        let q = match std::mem::replace(&mut sessions[s].state, SessState::Thinking) {
-            SessState::Running(q) => q,
-            other => {
-                // A completion for a session that isn't running solo would
-                // be an event-loop bug; library code may not panic, so put
-                // the state back and drop the spurious completion.
-                sessions[s].state = other;
-                return;
-            }
-        };
-        st.running_solo.swap_remove(i);
-        sessions[s].run_idx = u32::MAX;
-        if let Some(&moved) = st.running_solo.get(i) {
-            sessions[moved as usize].run_idx = i as u32;
-        }
-        st.active_queries -= 1;
-        let answer = q.driver.answer();
-        self.finish_query(
-            ctx,
-            sessions,
-            st,
-            s,
-            FinishedMeta {
-                submitted: q.submitted,
-                query_index: q.query_index,
-                selectivity: q.selectivity,
-                plan: Some(q.plan_label),
-                degree: q.degree,
-                active_at_admit: q.active_at_admit,
-            },
-            answer,
-        );
-    }
-
-    /// The hub delivered the answer for attached consumer `slot`.
-    fn complete_attached(
-        &mut self,
-        ctx: &mut SimContext<'_>,
-        sessions: &mut [Sess<'q>],
-        st: &mut RunState,
-        slot: u32,
-        answer: QueryAnswer,
-    ) {
-        let Some(&s32) = st.attached_owner.get(slot as usize) else {
-            return;
-        };
-        let s = s32 as usize;
-        let q = match std::mem::replace(&mut sessions[s].state, SessState::Thinking) {
-            SessState::Attached(q) => q,
-            other => {
-                sessions[s].state = other;
-                return;
-            }
-        };
-        st.active_queries -= 1;
-        self.finish_query(
-            ctx,
-            sessions,
-            st,
-            s,
-            FinishedMeta {
-                submitted: q.submitted,
-                query_index: q.query_index,
-                selectivity: q.selectivity,
-                plan: None,
-                degree: 1,
-                active_at_admit: q.active_at_admit,
-            },
-            answer,
-        );
-    }
-
-    /// Shared completion tail: record, return the lease, arm the next
-    /// think pause (or retire the session).
-    fn finish_query(
-        &mut self,
-        ctx: &mut SimContext<'_>,
-        sessions: &mut [Sess<'q>],
-        st: &mut RunState,
         s: usize,
-        meta: FinishedMeta,
         answer: QueryAnswer,
+        latency: SimDuration,
     ) {
-        let sess = &mut sessions[s];
-        let latency = ctx.now().since(meta.submitted);
-        ctx.trace_span_end(sess.track, "query");
-        let latency_us = latency.as_nanos() / 1000;
-        st.query_latency.record(latency_us);
+        let sess = &mut self.sess[s];
+        let Some(mut record) = sess.flight.take() else {
+            return;
+        };
+        self.query_latency.record(latency.as_nanos() / 1000);
         sess.latency_sum_us += latency.as_micros_f64();
         sess.completed += 1;
-        st.last_complete = st.last_complete.max(ctx.now());
-        let cap = self.spec.record_limit.unwrap_or(u64::MAX);
-        if (st.records.len() as u64) < cap {
-            st.records.push(QueryRecord {
-                session: s as u32,
-                query_index: meta.query_index,
-                selectivity: meta.selectivity,
-                plan: meta.plan.unwrap_or_else(|| SHARED_LABEL.to_string()),
-                degree: meta.degree,
-                active_at_admit: meta.active_at_admit,
-                submitted: meta.submitted,
-                latency,
-                max_c1: answer.max_c1,
-                rows_matched: answer.rows_matched,
-            });
+        self.last_complete = self.last_complete.max(ctx.now());
+        if (self.records.len() as u64) < self.spec.record_limit.unwrap_or(u64::MAX) {
+            record.latency = latency;
+            record.max_c1 = answer.max_c1;
+            record.rows_matched = answer.rows_matched;
+            self.records.push(record);
         }
-        self.planner.complete(s as u32);
-        let sess = &mut sessions[s];
         if sess.issued >= self.spec.queries_per_session {
-            sess.state = SessState::Finished;
-            st.unfinished -= 1;
+            self.unfinished -= 1;
         } else {
             let delay = self.spec.think.sample(&mut sess.rng);
-            ctx.schedule_timer_tagged(delay, 1 + s as u64);
-            sess.state = SessState::Thinking;
+            ctx.schedule_timer_tagged(delay, tag(s as u32, sess.issued));
         }
+    }
+
+    fn planner(&mut self) -> Option<&mut dyn AdmissionPlanner> {
+        Some(&mut self.planner)
     }
 }
 

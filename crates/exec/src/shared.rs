@@ -223,8 +223,8 @@ impl<'q> ScanHub<'q> {
             return Ok(false);
         };
         match landed {
-            // The engine's global admit already moved the block's pages
-            // into the pool; the run is now evaluable.
+            // The run loop admitted the block's pages as strays (the
+            // cursor's reads are untagged); the run is now evaluable.
             Landed::Read { len, credit, .. } => {
                 for tick in credit {
                     self.runs.insert(tick, len);
@@ -296,7 +296,7 @@ impl<'q> ScanHub<'q> {
                 self.stats.resident_pages += len as u64;
                 self.runs.insert(self.fetched, len);
             } else {
-                // Not admitted here: the engine lands every read.
+                // Not admitted here: the run loop lands untagged reads.
                 let tick = Some(self.fetched);
                 self.win.prefetch_block(ctx, first_dp, len, false, tick);
                 self.stats.blocks_fetched += 1;

@@ -14,12 +14,11 @@
 //! * [`IoWindow::pin`]: pool hit, or join the in-flight read covering the
 //!   page, or issue the read — and park the party;
 //! * [`IoWindow::landed`]: the completion side. A handle the window does
-//!   not hold is *not mine* (another query's, or — under the session tag a
-//!   query inherits — a predecessor's stray prefetch) and yields `None`; a
-//!   read out of retries is the operator's `ExecError`; anything else is
-//!   admitted to the pool and its parties handed back. A woken party
-//!   simply [`pin`](IoWindow::pin)s again, so a page evicted between its
-//!   admission and the wake is just one more miss.
+//!   not hold is *not mine* and yields `None`; a read out of retries is the
+//!   operator's `ExecError`; a pool read is admitted (the window alone
+//!   decides for its query's reads) and its parties handed back. A woken
+//!   party simply [`pin`](IoWindow::pin)s again, so a page evicted between
+//!   its admission and the wake is just one more miss.
 //!
 //! On top sit the two shapes several operators share: [`Descent`], the
 //! root→leaf index walk, and [`BlockStream`], a sequential block reader
@@ -39,7 +38,7 @@ struct Read<P> {
     start: u64,
     len: u32,
     /// Whether landing admits those pages to the pool (hash-join scratch
-    /// does not; the shared cursor's blocks are admitted by the engine).
+    /// does not; the shared cursor's untagged blocks land as strays).
     admit: bool,
     /// Parties that issued it as a prefetch, in issue order.
     credit: Vec<P>,

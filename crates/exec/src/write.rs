@@ -25,6 +25,7 @@
 //! stores and stats.
 
 use crate::engine::{Event, ExecError, SimContext};
+use crate::run::Run;
 use pioqo_bufpool::wal::{Lsn, SealedSegment, Wal, WalOp};
 use pioqo_device::{CrashReport, IoStatus, MediaStore};
 use pioqo_obs::EventKind;
@@ -319,14 +320,13 @@ impl WriteSystem {
         self.cfg.think * (-(1.0 - u).ln())
     }
 
-    /// Handle one engine event. Returns `true` when the event was a timer
-    /// owned by this system (sessions must not see it); any other event the
-    /// caller goes on to route to its owners.
-    pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<bool, ExecError> {
+    /// Handle one engine event; events that are not this system's are
+    /// ignored (its timers are untagged, so no session routes them).
+    pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<(), ExecError> {
         match *ev {
             Event::Timer { id, .. } => {
                 let Some(kind) = self.timers.remove(&id) else {
-                    return Ok(false);
+                    return Ok(());
                 };
                 match kind {
                     TimerKind::Think(w) => self.begin_commit(ctx, w)?,
@@ -345,7 +345,7 @@ impl WriteSystem {
                         }
                     }
                 }
-                Ok(true)
+                Ok(())
             }
             Event::IoPage {
                 io,
@@ -354,7 +354,7 @@ impl WriteSystem {
                 attempts,
             } => {
                 let Some(waiters) = self.read_waiters.remove(&io) else {
-                    return Ok(false);
+                    return Ok(());
                 };
                 if status == IoStatus::Error {
                     return Err(crate::engine::io_failure("write", device_page, attempts));
@@ -372,7 +372,7 @@ impl WriteSystem {
                         self.apply_commit(ctx, w)?;
                     }
                 }
-                Ok(false)
+                Ok(())
             }
             Event::IoWrite {
                 start,
@@ -415,9 +415,9 @@ impl WriteSystem {
                         self.dirty_since.insert(start, lsn + 1);
                     }
                 }
-                Ok(false)
+                Ok(())
             }
-            _ => Ok(false),
+            _ => Ok(()),
         }
     }
 
@@ -703,29 +703,12 @@ impl WriteSystem {
     }
 }
 
-/// Drive a standalone write workload (no concurrent scans) to completion.
+/// Drive a standalone write workload (no concurrent scans) to completion:
+/// a run whose only party is the write system.
 /// Returns [`ExecError::Crashed`] as soon as the device halts, leaving the
 /// system's WAL/media state exactly as the crash left it.
 pub fn drive_writes(ctx: &mut SimContext<'_>, ws: &mut WriteSystem) -> Result<(), ExecError> {
-    ws.start(ctx);
-    let mut events: Vec<Event> = Vec::new();
-    while !ws.finished() {
-        if ctx.device_crashed() {
-            return Err(ExecError::Crashed);
-        }
-        events.clear();
-        if !ctx.step(&mut events) {
-            if ctx.device_crashed() {
-                return Err(ExecError::Crashed);
-            }
-            return Err(ExecError::Internal {
-                detail: "write workload stalled before finishing",
-            });
-        }
-        for ev in &events {
-            ws.on_event(ctx, ev)?;
-        }
-    }
+    Run::new(ctx, 0, None, Some(ws)).drive(ctx, &mut ())?;
     Ok(())
 }
 

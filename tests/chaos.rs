@@ -580,8 +580,8 @@ fn crash_sweep_recovers_to_oracle_at_every_point() {
 /// damaged image never decodes, for any seed.
 /// A halt must surface as `Crashed` wherever `Crashable` sits in a wrapper
 /// stack: `Faulty` and `WithBackgroundLoad` forward `crashed()`, so the
-/// fault × crash and load × crash products report the crash rather than
-/// "query stalled with work pending". Both orders, all three run surfaces.
+/// fault × crash and load × crash products report the crash rather than a
+/// stalled event loop. Both orders, all three run surfaces.
 #[test]
 fn crash_behind_another_wrapper_is_reported_as_crashed() {
     use pioqo::device::WithBackgroundLoad;

@@ -9,10 +9,10 @@
 //! `shared_scans` must change no answer, the admission journal must
 //! charge exactly one queue-depth lease per shared cursor, every session,
 //! cursor and writeback share must be back in the budget when a run ends,
-//! and the [`ScanHub`] itself must survive property-tested late joins
-//! (wrap around the table end).
+//! cleanly or on a crash, and the [`ScanHub`] itself must survive
+//! property-tested late joins (wrap around the table end).
 //!
-//! The routing tests sit in between: completions go to the sessions that
+//! The routing tests sit in between: completions go to the queries that
 //! declared the I/O, so a page read two sessions deduplicated onto must
 //! wake both (hedged or not), and a prefetch that outlives its query must
 //! not disturb the session's next one.
@@ -245,6 +245,51 @@ fn every_budget_share_is_released_when_a_run_ends() {
         planner.budget().active(),
         0,
         "a session, cursor or writeback share outlived the run"
+    );
+}
+
+#[test]
+fn a_failed_run_releases_every_admission_share() {
+    // A crash 20 ms in strands queries mid-flight; the engine returns the
+    // error, but every share those queries were admitted with must be
+    // back in the budget, exactly as after a clean run.
+    let spec = TableSpec::paper_table(33, 8_000, 7);
+    let mut ts = Tablespace::new(4 * spec.n_pages() + 2_000);
+    let table = HeapTable::create(spec, &mut ts).expect("fits");
+    let index = BTreeIndex::build("c2", table.data().c2_entries(), 4096, &mut ts).expect("fits");
+    let model = {
+        let cal = Calibrator::new(CalibrationConfig::for_device(ts.capacity(), 7));
+        cal.calibrate_qdtt(&mut presets::consumer_pcie_ssd(ts.capacity(), 7))
+            .0
+    };
+    let mut dev = Crashable::new(
+        presets::consumer_pcie_ssd(ts.capacity(), 7),
+        CrashPlan::at(SimTime::from_micros(20_000), 7),
+    );
+    let mut pool = BufferPool::new(64);
+    let mut planner = QdttAdmission::new(&table, &index, model, OptimizerConfig::fine_grained());
+    let mut ctx = Experiment::context(&mut dev, &mut pool);
+    let r = MultiEngine::new(
+        WorkloadSpec {
+            sessions: 8,
+            queries_per_session: 50,
+            ..WorkloadSpec::default()
+        },
+        QuerySpec::range_max(&table, Some(&index), 0, 0),
+        &mut planner,
+    )
+    .run(&mut ctx)
+    .map(|report| report.total_completed());
+    drop(ctx);
+    assert_eq!(r, Err(ExecError::Crashed));
+    assert!(
+        planner.decisions().len() > 8,
+        "the crash must land after queries were admitted"
+    );
+    assert_eq!(
+        planner.budget().active(),
+        0,
+        "a share admitted before the crash outlived the failed run"
     );
 }
 
@@ -532,8 +577,8 @@ fn prefetch_outliving_its_query_does_not_disturb_the_next_one() {
     // Witness from the trace. The table scan issues 16-page blocks only, so
     // every single-page read of a *table* page is the index scan's. Find
     // one submitted during query i of session 1 that lands inside a later
-    // query of the same session: stray, and delivered to a running driver
-    // that never asked for it.
+    // query of the same session: a stray of a finished query, landing while
+    // its session runs a new one under a new tag.
     let probe_track = sink
         .track_names()
         .iter()

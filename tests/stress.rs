@@ -7,7 +7,7 @@
 //!
 //! Ignored in the default (debug) test run, where it takes minutes; CI
 //! runs it with `cargo test --release --test stress -- --ignored` (about
-//! two seconds).
+//! two seconds). One fixed hash-join case beside it runs in every build.
 
 use pioqo::bufpool::BufferPool;
 use pioqo::prelude::*;
@@ -54,6 +54,68 @@ fn fixture(rpp: u32, rows: u64, c2_max: u32) -> Fixture {
         c2_max,
         capacity: ts.capacity(),
     }
+}
+
+#[test]
+fn hash_spill_rereads_stay_out_of_the_pool_on_both_run_paths() {
+    // Spill re-reads are scratch traffic the hash join's window does not
+    // admit. A session run and a single query run must agree on that: the
+    // loop admits only reads no running query owns.
+    let fx = fixture(33, 60_000, 20_000);
+    let (lo, hi) = range_for_selectivity(0.05, fx.c2_max);
+    let q = QuerySpec::range_max(&fx.table, Some(&fx.index), lo, hi).join(JoinClause {
+        right: &fx.inner,
+        right_index: Some(&fx.inner_index),
+        spill: Some(fx.spill),
+    });
+    let want = oracle(&q);
+    let plan = PlanSpec::Hash(HashJoinConfig {
+        partitions: 4,
+        ..HashJoinConfig::default()
+    });
+    let spill_resident = |pool: &BufferPool| {
+        (0..fx.spill.pages)
+            .filter(|&p| pool.contains(fx.spill.base + p))
+            .count()
+    };
+
+    let mut dev = presets::consumer_pcie_ssd(fx.capacity, 5);
+    let mut pool = BufferPool::new(16_384);
+    let mut ctx = SimContext::new(
+        &mut dev,
+        &mut pool,
+        CpuConfig::paper_xeon(),
+        CpuCosts::default(),
+    );
+    let m = execute(&mut ctx, &q.clone().with_plan(plan.clone())).expect("query runs");
+    drop(ctx);
+    assert_eq!(
+        (m.max_c1, m.rows_matched, m.fingerprint),
+        (want.agg, want.matched, want.fingerprint)
+    );
+    assert_eq!(spill_resident(&pool), 0, "execute admitted spill pages");
+
+    let mut dev = presets::consumer_pcie_ssd(fx.capacity, 5);
+    let mut pool = BufferPool::new(16_384);
+    let spec = WorkloadSpec {
+        sessions: 1,
+        queries_per_session: 1,
+        selectivities: vec![0.05],
+        ..WorkloadSpec::default()
+    };
+    let mut ctx = SimContext::new(
+        &mut dev,
+        &mut pool,
+        CpuConfig::paper_xeon(),
+        CpuCosts::default(),
+    );
+    let report = MultiEngine::new(spec, q, pioqo::exec::FixedPlanner { plan })
+        .run(&mut ctx)
+        .expect("session runs");
+    drop(ctx);
+    let r = &report.records[0];
+    assert_eq!((r.max_c1, r.rows_matched), (want.agg, want.matched));
+    assert_eq!(spill_resident(&pool), 0, "a session admitted spill pages");
 }
 
 #[test]
