@@ -56,6 +56,8 @@ struct InService {
 pub struct Hdd {
     cfg: HddConfig,
     rng: SimRng,
+    /// Half a revolution, µs: the mean rotational wait at queue depth 1.
+    half_rev_us: f64,
     /// Current head position (page).
     head: u64,
     /// Offset that would continue the current sequential stream.
@@ -69,6 +71,7 @@ impl Hdd {
     pub fn new(cfg: HddConfig) -> Self {
         let seed = cfg.seed;
         Hdd {
+            half_rev_us: 60.0 * 1_000_000.0 / cfg.rpm / 2.0,
             cfg,
             rng: SimRng::seeded(seed),
             head: 0,
@@ -81,10 +84,6 @@ impl Hdd {
     /// The configuration this drive was built with.
     pub fn config(&self) -> &HddConfig {
         &self.cfg
-    }
-
-    fn full_rotation_us(&self) -> f64 {
-        60.0 * 1_000_000.0 / self.cfg.rpm
     }
 
     fn transfer_us(&self, pages: u32) -> f64 {
@@ -111,11 +110,10 @@ impl Hdd {
             self.cfg.seq_overhead_us + self.transfer_us(req.len)
         } else {
             let dist = self.head.abs_diff(req.offset);
-            let half_rev = self.full_rotation_us() / 2.0;
             let rot_scale = 1.0 + self.cfg.rpo_factor * queue_len as f64;
             // Uniform rotational phase, shrunk by rotational-position
             // ordering when the queue is deep.
-            let rot = self.rng.unit() * 2.0 * half_rev / rot_scale;
+            let rot = self.rng.unit() * 2.0 * self.half_rev_us / rot_scale;
             self.cfg.random_overhead_us + self.seek_us(dist) + rot + self.transfer_us(req.len)
         };
         base * self.rng.jitter(self.cfg.jitter)

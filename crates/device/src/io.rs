@@ -148,9 +148,10 @@ impl IoCompletion {
 /// completion sequences (models use their own seeded RNG for jitter).
 ///
 /// Quiescence contract: only `submit` and `advance` move `next_event()`,
-/// and an `advance` short of it is a no-op (see
-/// [`advance`](DeviceModel::advance)). Event loops rely on this to cache
-/// `next_event()` and skip the device until it is due.
+/// an `advance` short of it is a no-op, and so is a second advance of a
+/// device that stayed idle (see [`advance`](DeviceModel::advance)). Event
+/// loops rely on this to cache `next_event()` and skip the device until it
+/// is due.
 pub trait DeviceModel {
     /// Page size in bytes (uniform across the device).
     fn page_size(&self) -> u32;
@@ -173,8 +174,11 @@ pub trait DeviceModel {
     /// With `now` earlier than a pending [`next_event`](DeviceModel::next_event),
     /// `advance(now)` appends nothing and leaves `next_event()` and
     /// [`outstanding`](DeviceModel::outstanding) unchanged. An idle device
-    /// (`next_event() == None`) may still act on an advance — the
-    /// background-load wrapper starts its streams on the first one.
+    /// (`next_event() == None`) may act on its first advance since the
+    /// last [`submit`](DeviceModel::submit) (or ever) — the background-load
+    /// wrapper starts its streams there — but a further advance while it
+    /// stays idle is a no-op. Event loops therefore advance an idle device
+    /// once per idle spell.
     fn advance(&mut self, now: SimTime, out: &mut Vec<IoCompletion>);
 
     /// Number of requests submitted but not yet completed.

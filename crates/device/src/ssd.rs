@@ -61,6 +61,13 @@ pub struct SsdConfig {
 pub struct Ssd {
     cfg: SsdConfig,
     rng: SimRng,
+    /// Per-request submission overhead.
+    overhead: SimDuration,
+    /// One page across the host bus.
+    transfer: SimDuration,
+    /// Minimum spacing of completions at the host interface (`None`
+    /// without an IOPS cap).
+    iface_gap: Option<SimDuration>,
     /// Per-channel time at which the channel is next free.
     channel_free: Vec<SimTime>,
     /// Time at which the shared host bus is next free.
@@ -85,7 +92,12 @@ impl Ssd {
         let seed = cfg.seed;
         let nch = cfg.n_channels as usize;
         let cache = cfg.map_cache_regions;
+        let iface_gap =
+            (cfg.max_iops > 0.0).then(|| SimDuration::from_micros_f64(1_000_000.0 / cfg.max_iops));
         Ssd {
+            overhead: SimDuration::from_micros_f64(cfg.per_io_overhead_us),
+            transfer: SimDuration::from_micros_f64(cfg.page_size as f64 / cfg.bus_bandwidth_mb_s),
+            iface_gap,
             cfg,
             rng: SimRng::seeded(seed),
             channel_free: vec![SimTime::ZERO; nch],
@@ -106,10 +118,6 @@ impl Ssd {
 
     fn channel_of(&self, page: u64) -> usize {
         ((page / self.cfg.stripe_pages as u64) % self.cfg.n_channels as u64) as usize
-    }
-
-    fn page_transfer(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.cfg.page_size as f64 / self.cfg.bus_bandwidth_mb_s)
     }
 
     /// Touch the FTL mapping cache for `page`; returns the added latency.
@@ -149,8 +157,8 @@ impl DeviceModel for Ssd {
             req,
             self.cfg.capacity_pages
         );
-        let arrive = now + SimDuration::from_micros_f64(self.cfg.per_io_overhead_us);
-        let transfer = self.page_transfer();
+        let arrive = now + self.overhead;
+        let transfer = self.transfer;
         // Sequential-stream detection: firmware readahead has already pulled
         // a continuing stream's pages into the device cache, so they skip
         // the flash-array latency and stream at bus rate (this is why "band
@@ -176,8 +184,7 @@ impl DeviceModel for Ssd {
             req_done = req_done.max(bus_done);
         }
         // Host-interface completion pacing (advertised IOPS cap).
-        if self.cfg.max_iops > 0.0 {
-            let gap = SimDuration::from_micros_f64(1_000_000.0 / self.cfg.max_iops);
+        if let Some(gap) = self.iface_gap {
             req_done = req_done.max(self.iface_next);
             self.iface_next = req_done + gap;
         }

@@ -10,7 +10,7 @@ use crate::cpu::{CpuConfig, CpuScheduler, TaskId};
 use pioqo_bufpool::{BufferPool, PoolEvent};
 use pioqo_device::{DeviceModel, IoCompletion, IoRequest, IoStatus};
 use pioqo_obs::{EventKind, HistSet, MetricsRegistry, SeriesHandle, TraceEvent, TraceSink};
-use pioqo_simkit::{EventQueue, IdSlab, SimDuration, SimTime, TimeWeighted};
+use pioqo_simkit::{EventQueue, IdSlab, SimDuration, SimTime, TimeWeighted, U64Map};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -340,7 +340,11 @@ pub struct SimContext<'a> {
     /// them happened since.
     dev_next: Option<SimTime>,
     dev_stale: bool,
-    inflight_page: BTreeMap<u64, u64>, // device page -> io id
+    /// The device has been advanced since its last submit, so an idle
+    /// device needs no further advance until the next one.
+    dev_settled: bool,
+    /// Device page -> handle of the page read in flight.
+    inflight_page: U64Map,
     /// Logical reads and writes, by io handle.
     ios: IdSlab<LogicalIo>,
     /// Physical request id -> io handle.
@@ -400,7 +404,8 @@ impl<'a> SimContext<'a> {
             now: SimTime::ZERO,
             dev_next: None,
             dev_stale: true,
-            inflight_page: BTreeMap::new(),
+            dev_settled: false,
+            inflight_page: U64Map::new(),
             ios: IdSlab::new(),
             req_owner: IdSlab::new(),
             retry_queue: BTreeMap::new(),
@@ -727,7 +732,7 @@ impl<'a> SimContext<'a> {
     /// existing handle is returned, so concurrent workers (or a prefetcher
     /// and a demand read) share one physical I/O.
     pub fn read_page(&mut self, device_page: u64) -> u64 {
-        if let Some(&io) = self.inflight_page.get(&device_page) {
+        if let Some(io) = self.inflight_page.get(device_page) {
             if self.owner != 0 {
                 if let Some(st) = self.ios.get_mut(io) {
                     st.join(self.owner);
@@ -813,6 +818,7 @@ impl<'a> SimContext<'a> {
         self.emit(EventKind::IoSubmit, self.io_track, rid, first_page, len);
         self.device.submit(self.now, req);
         self.dev_stale = true;
+        self.dev_settled = false;
     }
 
     /// Sim-time exponential backoff before retry number `retry_no` (1-based):
@@ -900,13 +906,20 @@ impl<'a> SimContext<'a> {
 
         // A device with nothing due by `t` is not asked: an advance short
         // of its next event delivers nothing and changes nothing. An idle
-        // device (`None`) is still advanced, so a wrapper that starts
-        // lazily on its first advance starts at the same instant.
-        if self.dev_next.is_none_or(|due| due <= t) {
+        // device (`None`) is advanced once per idle spell, on the first
+        // step after a submit (or ever), so a wrapper that starts lazily
+        // on its first advance starts at the same instant; a second idle
+        // advance is a no-op (`DeviceModel::advance`'s contract).
+        let due = match self.dev_next {
+            Some(due) => due <= t,
+            None => !self.dev_settled,
+        };
+        if due {
             let mut io_buf = std::mem::take(&mut self.io_buf);
             io_buf.clear();
             self.device.advance(t, &mut io_buf);
             self.dev_stale = true;
+            self.dev_settled = true;
             for c in &io_buf {
                 self.deliver(c, events);
             }
@@ -1070,7 +1083,7 @@ impl<'a> SimContext<'a> {
         let attempts = st.attempts;
         let ev = match st.meta {
             IoMeta::Page { device_page } => {
-                self.inflight_page.remove(&device_page);
+                self.inflight_page.remove(device_page);
                 Event::IoPage {
                     io,
                     device_page,

@@ -88,14 +88,16 @@ enum Phase {
 /// The party the traversal runs as; the scan's workers do not exist yet.
 const TRAVERSER: usize = 0;
 
-/// A qualifying index entry with its row: `(rid, C1, C2)`.
+/// A qualifying index entry with its row: `(device page, C1, C2)`, the
+/// device page being the table page that holds the row.
 pub(crate) type IndexRow = (u64, u32, u32);
 
 /// Replace `out` with the rows of C2-index entries `entries`, gathered
-/// when their leaf is decoded: C2 is the entry's key and C1 is read here,
-/// in one loop whose column loads overlap, so the per-row completion
-/// later touches no column memory. Heap columns never change, so reading
-/// them early is invisible to the simulation.
+/// when their leaf is decoded: C2 is the entry's key, C1 and the row's
+/// device page are worked out here, in one loop whose column loads
+/// overlap, so the per-row steps later touch no column memory and divide
+/// nothing. Heap columns never change, so reading them early is invisible
+/// to the simulation.
 pub(crate) fn gather_rows(
     index: &BTreeIndex,
     table: &HeapTable,
@@ -106,7 +108,8 @@ pub(crate) fn gather_rows(
     out.extend(entries.map(|i| {
         let (key, rid) = index.entry(i);
         debug_assert_eq!(key, table.data().c2(rid), "index key is the row's C2");
-        (rid, table.data().c1(rid), key)
+        let dp = table.device_page(table.spec().page_of_row(rid));
+        (dp, table.data().c1(rid), key)
     }));
 }
 
@@ -165,11 +168,6 @@ impl<'q> IsDriver<'q> {
         }
     }
 
-    /// Device page of the table page holding `rid`.
-    fn dp_of_rid(&self, rid: u64) -> u64 {
-        self.table.device_page(self.table.spec().page_of_row(rid))
-    }
-
     /// Push the traversal as far as it can go without waiting; past the
     /// leaf, switch to the scan phase.
     fn advance_traverse(&mut self, ctx: &mut SimContext<'_>) {
@@ -222,23 +220,21 @@ impl<'q> IsDriver<'q> {
     /// Keep worker `w`'s prefetch credit spent on the non-resident table
     /// pages of its current leaf.
     fn top_up_prefetch(&mut self, ctx: &mut SimContext<'_>, w: usize) {
-        if self.cfg.prefetch_depth == 0 {
+        let depth = self.cfg.prefetch_depth;
+        if depth == 0 {
             return;
         }
-        if self.workers[w].pf_pos < self.workers[w].pos {
-            self.workers[w].pf_pos = self.workers[w].pos;
-        }
-        while self.workers[w].outstanding_pf < self.cfg.prefetch_depth
-            && self.workers[w].pf_pos < self.workers[w].rows.len()
-        {
-            let (rid, ..) = self.workers[w].rows[self.workers[w].pf_pos];
-            self.workers[w].pf_pos += 1;
-            let dp = self.dp_of_rid(rid);
-            if ctx.pool.contains(dp) {
-                continue;
+        let worker = &mut self.workers[w];
+        worker.pf_pos = worker.pf_pos.max(worker.pos);
+        while worker.outstanding_pf < depth {
+            let Some(&(dp, ..)) = worker.rows.get(worker.pf_pos) else {
+                break;
+            };
+            worker.pf_pos += 1;
+            if !ctx.pool.contains(dp) {
+                self.win.prefetch_page(ctx, dp, w);
+                worker.outstanding_pf += 1;
             }
-            self.win.prefetch_page(ctx, dp, w);
-            self.workers[w].outstanding_pf += 1;
         }
     }
 
@@ -285,8 +281,8 @@ impl<'q> IsDriver<'q> {
     /// Pin the table page of worker `w`'s current entry and start the row
     /// lookup, or park on its read.
     fn fetch_row(&mut self, ctx: &mut SimContext<'_>, w: usize) {
-        let (rid, ..) = self.workers[w].rows[self.workers[w].pos];
-        if !self.win.pin(ctx, self.dp_of_rid(rid), w) {
+        let (dp, ..) = self.workers[w].rows[self.workers[w].pos];
+        if !self.win.pin(ctx, dp, w) {
             self.workers[w].state = WState::WaitRow;
             return;
         }
@@ -321,12 +317,12 @@ impl<'q> IsDriver<'q> {
                 self.next_entry(ctx, w);
             }
             WState::ComputeRow => {
-                let (rid, c1, c2) = self.workers[w].rows[self.workers[w].pos];
+                let (dp, c1, c2) = self.workers[w].rows[self.workers[w].pos];
                 debug_assert!(c2 >= self.low && c2 <= self.high);
                 // Residual check: the sarg cover guarantees the C2 window,
                 // the full tree may reject on other terms.
                 self.eval.row(c1, c2, &mut self.acc);
-                ctx.pool.unpin(self.dp_of_rid(rid))?;
+                ctx.pool.unpin(dp)?;
                 self.workers[w].pos += 1;
                 self.next_entry(ctx, w);
             }

@@ -287,15 +287,12 @@ impl<'q> InlDriver<'q> {
                     )
                 }
                 PStage::Row => {
-                    let Some(&(rid, ..)) = p.rows.get(p.row_idx) else {
+                    let Some(&(dp, ..)) = p.rows.get(p.row_idx) else {
                         p.leaf_idx += 1;
                         p.stage = PStage::Leaf;
                         continue;
                     };
-                    (
-                        self.right.device_page(self.right.spec().page_of_row(rid)),
-                        ctx.costs().row_lookup_us,
-                    )
+                    (dp, ctx.costs().row_lookup_us)
                 }
             };
             if self.win.pin(ctx, dp, who) {
@@ -321,12 +318,11 @@ impl<'q> InlDriver<'q> {
                 ctx.pool.unpin(self.right_index.device_page_of_leaf(leaf))?;
             }
             PStage::Row => {
-                let (rid, rc1, rc2) = p.rows[p.row_idx];
+                let (dp, rc1, rc2) = p.rows[p.row_idx];
                 debug_assert_eq!(rc2, p.lc2, "index probe returned a foreign key");
                 self.eval.join_pair(p.lc1, p.lc2, rc1, &mut self.acc);
                 p.row_idx += 1;
-                ctx.pool
-                    .unpin(self.right.device_page(self.right.spec().page_of_row(rid)))?;
+                ctx.pool.unpin(dp)?;
             }
         }
         self.step_probe(ctx, id);

@@ -449,6 +449,142 @@ mod tests {
         }
     }
 
+    /// Records every answer, by session.
+    #[derive(Default)]
+    struct Answers(Vec<(usize, QueryAnswer)>);
+
+    impl Policy<'_> for Answers {
+        fn ended(&mut self, _: &mut SimContext<'_>, s: usize, answer: QueryAnswer, _: SimDuration) {
+            self.0.push((s, answer));
+        }
+    }
+
+    /// Begin `sessions` copies of `q` at the same instant (on the hub's
+    /// cursor when `hub` is set) and drive them to the end: each answer,
+    /// in session order, and the I/O operations the device completed.
+    fn side_by_side<'q>(
+        q: &QuerySpec<'q>,
+        hub: Option<ScanHub<'q>>,
+        sessions: u32,
+        cap: u64,
+    ) -> (Vec<QueryAnswer>, u64) {
+        let mut dev = consumer_pcie_ssd(cap, 5);
+        let mut pool = BufferPool::new(512);
+        let mut ctx = context(&mut dev, &mut pool);
+        let attached = hub.is_some();
+        let mut run = Run::new(&mut ctx, sessions, hub, None);
+        for s in 0..sessions as usize {
+            if attached {
+                run.begin_attached(&mut ctx, s, 0, q.predicate.sarg(), None);
+            } else {
+                run.begin(&mut ctx, s, 0, q, None).expect("query starts");
+            }
+        }
+        let mut answers = Answers::default();
+        run.drive(&mut ctx, &mut answers).expect("run completes");
+        answers.0.sort_by_key(|&(s, _)| s);
+        let ios = ctx.io_profile().io_ops;
+        (answers.0.into_iter().map(|(_, a)| a).collect(), ios)
+    }
+
+    #[test]
+    fn every_reader_wakes_each_query_that_joined_its_read() {
+        use crate::is::IsConfig;
+        use crate::join::{HashJoinConfig, InlConfig};
+        use crate::query::{oracle, JoinClause, Predicate};
+        use crate::sorted_is::SortedIsConfig;
+        use pioqo_storage::BTreeIndex;
+
+        let spec = TableSpec::paper_table(33, 3_300, 3);
+        let inner_spec = TableSpec {
+            name: "T_inner".to_string(),
+            ..TableSpec::paper_table(33, 1_650, 4)
+        };
+        let mut ts = Tablespace::new(8 * (spec.n_pages() + inner_spec.n_pages()) + 1_000);
+        let table = HeapTable::create(spec, &mut ts).expect("fits");
+        let inner = HeapTable::create(inner_spec, &mut ts).expect("fits");
+        let build = |t: &HeapTable, ts: &mut Tablespace| {
+            BTreeIndex::build("c2", t.data().c2_entries(), t.spec().page_size, ts).expect("fits")
+        };
+        let index = build(&table, &mut ts);
+        let inner_index = build(&inner, &mut ts);
+        let spill = ts.alloc("spill", 2 * 150 + 64).expect("fits");
+        let cap = ts.capacity();
+        let window = QuerySpec::range_max(&table, Some(&index), 0, u32::MAX / 4);
+        let join = |plan| {
+            QuerySpec::scan(&table)
+                .filter(Predicate::c2_between(0, u32::MAX / 8))
+                .with_plan(plan)
+                .join(JoinClause {
+                    right: &inner,
+                    right_index: Some(&inner_index),
+                    spill: Some(spill),
+                })
+        };
+        // (query, its reads are page reads a second query can join)
+        let cases = [
+            // Several workers parked on one prefetch block.
+            (
+                window.clone().with_plan(PlanSpec::Fts(FtsConfig {
+                    workers: 4,
+                    ..FtsConfig::default()
+                })),
+                false,
+            ),
+            // Every page a demand read.
+            (
+                window.clone().with_plan(PlanSpec::Fts(FtsConfig {
+                    workers: 4,
+                    prefetch_blocks: 0,
+                    ..FtsConfig::default()
+                })),
+                true,
+            ),
+            // Chunked leaves: many workers parked on one leaf read.
+            (
+                window.clone().with_plan(PlanSpec::Is(IsConfig {
+                    workers: 16,
+                    prefetch_depth: 2,
+                    ..IsConfig::default()
+                })),
+                true,
+            ),
+            (
+                window
+                    .clone()
+                    .with_plan(PlanSpec::SortedIs(SortedIsConfig::default())),
+                true,
+            ),
+            // Probes parked on the inner root.
+            (join(PlanSpec::Inl(InlConfig::default())), true),
+            (join(PlanSpec::Hash(HashJoinConfig::default())), false),
+        ];
+        for (q, joinable) in &cases {
+            let want = oracle(q);
+            let (one, solo_ios) = side_by_side(q, None, 1, cap);
+            let (three, ios) = side_by_side(q, None, 3, cap);
+            for a in one.iter().chain(&three) {
+                assert_eq!(
+                    (a.max_c1, a.rows_matched, a.fingerprint),
+                    (want.agg, want.matched, want.fingerprint),
+                    "{}",
+                    q.plan.label()
+                );
+            }
+            assert_eq!(three.len(), 3, "{}: every query answers", q.plan.label());
+            if *joinable {
+                assert!(ios < 3 * solo_ios, "{}: no read was joined", q.plan.label());
+            }
+        }
+        // The shared cursor: one credit holder per block, three consumers.
+        let want = oracle(&window);
+        let (answers, _) = side_by_side(&window, Some(ScanHub::new(&table, 8)), 3, cap);
+        assert_eq!(answers.len(), 3);
+        for a in &answers {
+            assert_eq!((a.max_c1, a.fingerprint), (want.agg, want.fingerprint));
+        }
+    }
+
     #[test]
     fn a_tag_decodes_to_its_session() {
         let mut dev = consumer_pcie_ssd(64, 1);

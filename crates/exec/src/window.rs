@@ -31,6 +31,53 @@ use pioqo_bufpool::Access;
 use pioqo_device::IoStatus;
 use std::collections::{BTreeMap, VecDeque};
 
+/// Who hears about one read, in issue or arrival order. The first party
+/// sits inline, so a read with one party allocates nothing; a second one
+/// moves them all to the heap.
+pub(crate) enum Parties<P> {
+    None,
+    One(P),
+    Many(Vec<P>),
+}
+
+impl<P> Parties<P> {
+    fn push(&mut self, who: P) {
+        *self = match std::mem::replace(self, Parties::None) {
+            Parties::None => Parties::One(who),
+            // Room for four: a crowd of workers parked on one block then
+            // grows the list by doubling from four, not from two.
+            Parties::One(first) => {
+                let mut all = Vec::with_capacity(4);
+                all.extend([first, who]);
+                Parties::Many(all)
+            }
+            Parties::Many(mut all) => {
+                all.push(who);
+                Parties::Many(all)
+            }
+        };
+    }
+
+    /// Whether nobody is listed.
+    pub(crate) fn is_empty(&self) -> bool {
+        matches!(self, Parties::None)
+    }
+}
+
+impl<P> IntoIterator for Parties<P> {
+    type Item = P;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<P>, std::vec::IntoIter<P>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (first, rest) = match self {
+            Parties::None => (None, Vec::new()),
+            Parties::One(who) => (Some(who), Vec::new()),
+            Parties::Many(all) => (None, all),
+        };
+        first.into_iter().chain(rest)
+    }
+}
+
 /// One in-flight read and who hears about it.
 struct Read<P> {
     io: u64,
@@ -41,9 +88,9 @@ struct Read<P> {
     /// does not; the shared cursor's untagged blocks land as strays).
     admit: bool,
     /// Parties that issued it as a prefetch, in issue order.
-    credit: Vec<P>,
+    credit: Parties<P>,
     /// Parties blocked on it, in arrival order.
-    parked: Vec<P>,
+    parked: Parties<P>,
 }
 
 /// A completion that belonged to the window.
@@ -56,9 +103,9 @@ pub(crate) enum Landed<P> {
         /// Pages read.
         len: u32,
         /// Who prefetched it.
-        credit: Vec<P>,
+        credit: Parties<P>,
         /// Who was blocked on it; each must [`IoWindow::pin`] again.
-        parked: Vec<P>,
+        parked: Parties<P>,
     },
     /// The party's compute task finished.
     Cpu(P),
@@ -87,14 +134,29 @@ impl<P> Read<P> {
             start,
             len,
             admit,
-            credit: Vec::new(),
-            parked: Vec::new(),
+            credit: Parties::None,
+            parked: Parties::None,
         }
     }
 }
 
+/// Where `id` sits in an id-sorted deque, as `binary_search` answers.
+/// Both ends are tried first: a fresh handle sorts last and the oldest
+/// one usually settles first, so most lookups never search.
+fn locate<T, K: Ord>(table: &VecDeque<T>, id: K, key: impl Fn(&T) -> K) -> Result<usize, usize> {
+    match table.front() {
+        None => return Err(0),
+        Some(first) if key(first) == id => return Ok(0),
+        Some(_) => {}
+    }
+    if table.back().is_some_and(|last| key(last) < id) {
+        return Err(table.len());
+    }
+    table.binary_search_by_key(&id, key)
+}
+
 fn take<P>(table: &mut VecDeque<Read<P>>, io: u64) -> Option<Read<P>> {
-    let i = table.binary_search_by_key(&io, |r| r.io).ok()?;
+    let i = locate(table, io, |r| r.io).ok()?;
     table.remove(i)
 }
 
@@ -132,7 +194,7 @@ impl<P: Copy> IoWindow<P> {
     /// The (deduplicated) read of `dp`, entered in id order if new here.
     fn page_read(&mut self, ctx: &mut SimContext<'_>, dp: u64) -> &mut Read<P> {
         let io = ctx.read_page(dp);
-        let i = match self.pages.binary_search_by_key(&io, |r| r.io) {
+        let i = match locate(&self.pages, io, |r| r.io) {
             Ok(i) => i,
             Err(i) => {
                 self.pages.insert(i, Read::new(io, dp, 1, true));
@@ -159,7 +221,9 @@ impl<P: Copy> IoWindow<P> {
         credit: Option<P>,
     ) {
         let mut read = Read::new(ctx.read_block(start, len), start, len, admit);
-        read.credit.extend(credit);
+        if let Some(who) = credit {
+            read.credit.push(who);
+        }
         self.blocks.push_back(read);
     }
 
@@ -212,7 +276,7 @@ impl<P: Copy> IoWindow<P> {
                 attempts,
                 ..
             } => {
-                let Ok(i) = self.writes.binary_search(&io) else {
+                let Ok(i) = locate(&self.writes, io, |&w| w) else {
                     return Ok(None);
                 };
                 self.writes.remove(i);
@@ -222,7 +286,7 @@ impl<P: Copy> IoWindow<P> {
                 return Ok(Some(Landed::Write));
             }
             Event::Cpu(task) => {
-                let found = self.tasks.binary_search_by_key(&task, |&(t, _)| t).ok();
+                let found = locate(&self.tasks, task, |&(t, _)| t).ok();
                 let who = found.and_then(|i| self.tasks.remove(i));
                 return Ok(who.map(|(_, who)| Landed::Cpu(who)));
             }
@@ -409,12 +473,101 @@ mod tests {
         all
     }
 
-    /// The `(credit, parked)` parties of a landed read.
+    /// The `(credit, parked)` parties of a landed read, in delivery order.
     fn parties<P>(landed: Option<Landed<P>>) -> (Vec<P>, Vec<P>) {
         match landed {
-            Some(Landed::Read { credit, parked, .. }) => (credit, parked),
+            Some(Landed::Read { credit, parked, .. }) => {
+                (credit.into_iter().collect(), parked.into_iter().collect())
+            }
             _ => panic!("expected a landed read"),
         }
+    }
+
+    #[test]
+    fn locate_answers_as_a_binary_search() {
+        for n in 0..8u64 {
+            // Ids 10, 20, ... with gaps, the deque wrapped around its buffer.
+            let mut table: VecDeque<u64> = VecDeque::with_capacity(8);
+            table.extend(0..3);
+            table.drain(..3);
+            table.extend((1..=n).map(|i| i * 10));
+            for id in 0..=(n + 1) * 10 {
+                assert_eq!(
+                    locate(&table, id, |&v| v),
+                    table.binary_search(&id),
+                    "n={n} id={id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parties_keep_their_order_across_the_switch_to_the_heap() {
+        for n in 1..=3u8 {
+            let mut dev = consumer_pcie_ssd(1 << 16, 1);
+            let mut pool = BufferPool::new(16);
+            let mut ctx = context(&mut dev, &mut pool);
+            let mut win: IoWindow<u8> = IoWindow::new("test");
+            let credit: Vec<u8> = (0..n).collect();
+            let parked: Vec<u8> = (10..10 + n).collect();
+            // A page read: credit holders and parked parties interleaved.
+            for (&c, &p) in credit.iter().zip(&parked) {
+                win.prefetch_page(&mut ctx, 7, c);
+                assert!(!win.pin(&mut ctx, 7, p));
+            }
+            // A block read: one credit holder, then parties parked on
+            // pages it covers.
+            win.prefetch_block(&mut ctx, 100, 4, true, Some(99));
+            for &p in &parked {
+                assert!(!win.pin(&mut ctx, 100 + u64::from(p % 4), p));
+            }
+            assert_eq!(win.pages.len(), 1, "n={n}: one deduplicated page read");
+            assert_eq!(win.blocks.len(), 1, "n={n}: the block covers every pin");
+            for ev in drain(&mut ctx) {
+                let got = parties(win.landed(&mut ctx, &ev).unwrap());
+                match ev {
+                    Event::IoPage { .. } => assert_eq!(got, (credit.clone(), parked.clone())),
+                    Event::IoBlock { .. } => assert_eq!(got, (vec![99], parked.clone())),
+                    _ => panic!("only reads were issued"),
+                }
+            }
+            assert!(win.pages.is_empty() && win.blocks.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_second_query_joining_an_in_flight_read_wakes_both() {
+        let mut dev = consumer_pcie_ssd(1 << 16, 1);
+        let mut pool = BufferPool::new(8);
+        let mut ctx = context(&mut dev, &mut pool);
+        let mut first: IoWindow<char> = IoWindow::new("first");
+        let mut second: IoWindow<char> = IoWindow::new("second");
+        // Query 1 reads page 5; query 2 joins the read with two parties,
+        // the second of which moves its list to the heap.
+        assert!(!ctx.with_owner(1, |ctx| first.pin(ctx, 5, 'a')));
+        ctx.with_owner(2, |ctx| {
+            second.prefetch_page(ctx, 5, 'c');
+            assert!(!second.pin(ctx, 5, 'b'));
+            assert!(!second.pin(ctx, 5, 'd'));
+        });
+        let mut events = Vec::new();
+        let mut woken = Vec::new();
+        while ctx.step(&mut events) {
+            for (i, ev) in events.iter().enumerate() {
+                assert_eq!(ctx.event_owners(i), [1, 2], "both queries own the read");
+                // Each owner's window hands back only its own parties.
+                woken.push(parties(first.landed(&mut ctx, ev).unwrap()));
+                woken.push(parties(second.landed(&mut ctx, ev).unwrap()));
+            }
+            events.clear();
+        }
+        assert_eq!(
+            woken,
+            [(vec![], vec!['a']), (vec!['c'], vec!['b', 'd'])],
+            "one physical read wakes both queries"
+        );
+        assert_eq!(ctx.io_profile().io_ops, 1);
+        assert!(ctx.pool.contains(5));
     }
 
     #[test]
