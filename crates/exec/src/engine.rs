@@ -606,9 +606,6 @@ impl<'a> SimContext<'a> {
         let pstats = self.pool.stats();
         let io = self.io_profile();
         let res = self.res;
-        // Histograms fold in `take_histograms` (the run paths all drain
-        // them there); a leftover non-empty set still folds here.
-        let hists = self.hists.clone();
         let m = self
             .metrics
             .as_mut()
@@ -633,11 +630,9 @@ impl<'a> SimContext<'a> {
         m.counter_add("io_retries_total", res.retries);
         m.counter_add("io_timeout_hedges_total", res.timeouts);
         m.counter_add("io_degraded_reads_total", res.degraded_reads);
-        m.hist_merge("io_latency_us", &hists.io_latency_us);
-        m.hist_merge("queue_depth", &hists.queue_depth);
-        m.hist_merge("page_wait_us", &hists.page_wait_us);
-        m.hist_merge("io_retries_per_read", &hists.retries);
-        m.hist_merge("commit_ack_us", &hists.commit_ack_us);
+        // The run paths drain the histograms in `take_histograms`; a
+        // leftover non-empty set is drained here.
+        self.drain_histograms();
     }
 
     /// Intern a track name on the installed sink (0 when untraced).
@@ -671,6 +666,13 @@ impl<'a> SimContext<'a> {
     /// empty-histogram guard in `hist_merge` makes a second take a no-op).
     pub fn take_histograms(&mut self) -> HistSet {
         self.pump_pool_events();
+        self.drain_histograms()
+    }
+
+    /// Move the histograms out, folding them into an installed registry:
+    /// whichever of `fold_metrics` and `take_histograms` drains them first,
+    /// each sample reaches the registry once.
+    fn drain_histograms(&mut self) -> HistSet {
         let hists = std::mem::take(&mut self.hists);
         if let Some(m) = self.metrics.as_mut() {
             m.hist_merge("io_latency_us", &hists.io_latency_us);
@@ -1651,6 +1653,32 @@ mod tests {
         while ctx.step(&mut events) {}
         assert_eq!(ctx.histograms().io_latency_us.count, 1);
         assert_eq!(ctx.histograms().queue_depth.mode_lo(), 1);
+    }
+
+    #[test]
+    fn folding_then_taking_counts_each_sample_once() {
+        let mut dev = consumer_pcie_ssd(1 << 16, 1);
+        let mut pool = BufferPool::new(64);
+        let mut registry = pioqo_obs::MetricsRegistry::enabled(SimDuration::from_millis(1));
+        {
+            let mut ctx = SimContext::new(
+                &mut dev,
+                &mut pool,
+                CpuConfig::paper_xeon(),
+                CpuCosts::default(),
+            );
+            ctx.set_metrics(&mut registry);
+            ctx.read_page(7);
+            ctx.read_page(1000);
+            let mut events = Vec::new();
+            while ctx.step(&mut events) {}
+            ctx.fold_metrics();
+            assert_eq!(ctx.take_histograms().io_latency_us.count, 0);
+        }
+        for name in ["io_latency_us", "queue_depth", "page_wait_us"] {
+            let h = registry.hist(name).expect("folded");
+            assert_eq!(h.count, 2, "{name}");
+        }
     }
 
     #[test]

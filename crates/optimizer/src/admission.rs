@@ -21,7 +21,7 @@
 
 use crate::concurrency::{Holder, QdBudget};
 use crate::cost::QdttCost;
-use crate::join::{choose_join, join_plan_to_spec, JoinMethod, JoinStats};
+use crate::join::{join_plan_to_spec, JoinMethod, JoinStats};
 use crate::optimizer::{AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
 use crate::stats::TableStats;
 use pioqo_bufpool::BufferPool;
@@ -122,8 +122,8 @@ pub struct QdttAdmission<'a> {
     table: &'a HeapTable,
     index: &'a BTreeIndex,
     /// When set, every admission is a join against this inner table and
-    /// plan choice runs through [`choose_join`] instead of the scan
-    /// optimizer.
+    /// plan choice runs through [`Optimizer::choose_join`] instead of the
+    /// scan plans.
     join: Option<(&'a HeapTable, &'a BTreeIndex)>,
     join_decisions: Vec<JoinDecision>,
     model: QdttCost,
@@ -252,17 +252,18 @@ impl<'a> QdttAdmission<'a> {
 
 impl AdmissionPlanner for QdttAdmission<'_> {
     fn admit(&mut self, q: &QueryAdmission, pool: &BufferPool) -> PlanSpec {
+        let lease_depth = self.budget.grant(Holder::Session(q.session));
+        let stats = TableStats::gather(self.table, self.index, pool);
         if let Some((right, right_index)) = self.join {
-            let lease_depth = self.budget.grant(Holder::Session(q.session));
-            let left = TableStats::gather(self.table, self.index, pool);
             let right_stats = TableStats::gather(right, right_index, pool);
             let js = JoinStats {
-                left: &left,
+                left: &stats,
                 right: &right_stats,
                 key_cardinality: (right.spec().c2_max as u64 + 1).min(right.spec().rows),
             };
-            let max_qd = self.cfg.max_queue_depth.min(lease_depth);
-            let plan = choose_join(&self.model, &self.cfg.est, &js, q.selectivity, max_qd);
+            self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(lease_depth);
+            let plan =
+                Optimizer::with_cfg(&self.model, &self.run_cfg).choose_join(&js, q.selectivity);
             let spec = join_plan_to_spec(&plan);
             self.join_decisions.push(JoinDecision {
                 session: q.session,
@@ -276,8 +277,6 @@ impl AdmissionPlanner for QdttAdmission<'_> {
             });
             return spec;
         }
-        let lease_depth = self.budget.grant(Holder::Session(q.session));
-        let stats = TableStats::gather(self.table, self.index, pool);
         let plan = self.best_solo(&stats, q.selectivity, lease_depth);
         self.journal(q, lease_depth, &plan)
     }
@@ -289,11 +288,11 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         cursor_active: bool,
     ) -> SharedChoice {
         let stats = TableStats::gather(self.table, self.index, pool);
-        // Marginal cost of riding the shared cursor: pure CPU (one pass
-        // over every page and row). Its device stream is already paid for
-        // by the cursor's own lease, so no I/O term and no new lease.
-        let attached_cpu = stats.pages as f64 * self.cfg.est.page_us
-            + stats.rows as f64 * self.cfg.est.row_scan_us;
+        // Marginal cost of riding the shared cursor: the table scan's CPU
+        // alone. Its device stream is already paid for by the cursor's own
+        // lease, so no I/O term and no new lease.
+        let opt = Optimizer::with_cfg(&self.model, &self.cfg);
+        let attached_cpu = opt.fts(&stats, 1).cpu_us;
         // Cost the best solo plan under the lease this query WOULD get if
         // it were admitted on its own (hypothetical: no lease is taken).
         let depth = self.budget.share_at(self.budget.active() as u32 + 1);

@@ -14,13 +14,14 @@
 //! So the winner flips with the device *and* with the queue-depth lease:
 //! on a spindle, hash wins almost always; on flash at depth 32, INL wins
 //! until admission pressure shrinks the lease and drags its random reads
-//! back toward serial latency. [`choose_join`] enumerates
-//! `{INL} × depths ∪ {HHJ} × partitions` under a depth cap and picks the
-//! cheapest — the concurrency experiments sweep that cap to show the
-//! crossover moving.
+//! back toward serial latency. [`Optimizer::choose_join`] enumerates
+//! `{INL} × depths ∪ {HHJ} × partitions` under the optimizer's depth cap
+//! and picks the cheapest — the concurrency experiments sweep that cap to
+//! show the crossover moving. Both operators are stream builders priced by
+//! the one [`Optimizer`] pricing, as degree-1 plans.
 
-use crate::card::{mackert_lohman_fetches, yao_pages};
-use crate::cost::{EstCpuCosts, IoCostModel};
+use crate::card::yao_pages;
+use crate::optimizer::{cheapest, Access, CardTerms, Optimizer, Stream};
 use crate::stats::TableStats;
 use pioqo_exec::{HashJoinConfig, InlConfig, PlanSpec};
 use serde::{Deserialize, Serialize};
@@ -59,7 +60,8 @@ pub struct JoinPlan {
     pub est_io_us: f64,
     /// Estimated CPU time, µs.
     pub est_cpu_us: f64,
-    /// Estimated total runtime, µs — what [`choose_join`] minimizes.
+    /// Estimated total runtime, µs — what [`Optimizer::choose_join`]
+    /// minimizes.
     pub est_total_us: f64,
 }
 
@@ -87,103 +89,6 @@ pub struct JoinStats<'a> {
     pub key_cardinality: u64,
 }
 
-impl JoinStats<'_> {
-    fn avg_matches(&self) -> f64 {
-        self.right.rows as f64 / self.key_cardinality.max(1) as f64
-    }
-}
-
-/// Cost an index-nested-loop join at probe queue depth `qd`, with the
-/// outer predicate retaining fraction `sel` of outer rows.
-pub fn cost_inl(
-    model: &dyn IoCostModel,
-    est: &EstCpuCosts,
-    js: &JoinStats<'_>,
-    sel: f64,
-    qd: u32,
-) -> JoinPlan {
-    let sel = sel.clamp(0.0, 1.0);
-    let probes = (sel * js.left.rows as f64).ceil();
-    let matched = probes * js.avg_matches();
-
-    // Outer stream: sequential over the left extent, cached pages skipped.
-    let outer_fetches = (js.left.pages - js.left.cached_pages) as f64;
-    let outer_io = outer_fetches * model.page_cost_us(1, qd.max(1));
-
-    // Index I/O per probe: upper levels stay hot after the first descent,
-    // so steady-state each probe fetches ~one leaf from the index band.
-    let idx = &js.right.index;
-    let leaf_fetches = probes
-        .min(idx.leaves as f64)
-        .max(if probes > 0.0 { 1.0 } else { 0.0 })
-        + idx.height.saturating_sub(1) as f64;
-    let idx_io = leaf_fetches * model.page_cost_us(idx.extent.pages.max(1), qd.max(1));
-
-    // Inner heap I/O: `matched` row lookups over the inner band — Yao
-    // distinct pages, Mackert–Lohman refetch through the shared pool,
-    // discounted by what is already cached.
-    let k = matched.ceil() as u64;
-    let distinct = yao_pages(js.right.pages, js.right.rows, k.min(js.right.rows));
-    let ml = mackert_lohman_fetches(js.right.pages, k, js.right.buffer_frames);
-    let heap_fetches = distinct.max(ml) * (1.0 - js.right.cached_fraction());
-    let heap_io = heap_fetches * model.page_cost_us(js.right.extent.pages.max(1), qd.max(1));
-
-    let io = outer_io + idx_io + heap_io;
-    let cpu = js.left.pages as f64 * est.page_us
-        + js.left.rows as f64 * est.row_scan_us
-        + probes * est.leaf_us
-        + matched * est.row_lookup_us;
-    JoinPlan {
-        method: JoinMethod::IndexNestedLoop,
-        queue_depth: qd.max(1),
-        partitions: 1,
-        est_page_fetches: outer_fetches + leaf_fetches + heap_fetches,
-        est_io_us: io,
-        est_cpu_us: cpu,
-        est_total_us: io.max(cpu),
-    }
-}
-
-/// Cost a hybrid hash join with `partitions` partitions at sequential
-/// ring depth `qd`, with the outer predicate retaining fraction `sel`.
-pub fn cost_hash(
-    model: &dyn IoCostModel,
-    est: &EstCpuCosts,
-    js: &JoinStats<'_>,
-    sel: f64,
-    partitions: u32,
-    qd: u32,
-) -> JoinPlan {
-    let sel = sel.clamp(0.0, 1.0);
-    let p = partitions.max(1) as f64;
-    let seq = |pages: f64| pages * model.page_cost_us(1, qd.max(1));
-
-    // Both inputs stream once, sequentially.
-    let base_fetches = (js.right.pages - js.right.cached_pages) as f64
-        + (js.left.pages - js.left.cached_pages) as f64;
-    // The spilled fraction of both sides is written out and read back, all
-    // sequential. Only predicate-surviving outer rows spill.
-    let spill_frac = (p - 1.0) / p;
-    let spill_pages = spill_frac * (js.right.pages as f64 + sel * js.left.pages as f64);
-    let io = seq(base_fetches) + 2.0 * seq(spill_pages);
-
-    let probes = sel * js.left.rows as f64;
-    let cpu = (js.right.pages as f64 + js.left.pages as f64) * est.page_us
-        + (js.right.rows as f64 + js.left.rows as f64) * est.row_scan_us
-        + probes * est.row_lookup_us
-        // Spilled rows are hashed twice (once out, once back in).
-        + spill_frac * (js.right.rows as f64 * est.row_scan_us + probes * est.row_lookup_us);
-    JoinPlan {
-        method: JoinMethod::HybridHash,
-        queue_depth: qd.max(1),
-        partitions: partitions.max(1),
-        est_page_fetches: base_fetches + 2.0 * spill_pages,
-        est_io_us: io,
-        est_cpu_us: cpu,
-        est_total_us: io.max(cpu),
-    }
-}
-
 /// The smallest partition count whose in-memory partition 0 of the inner
 /// table fits in a quarter of the buffer pool (so the "hybrid" part is
 /// honest about memory).
@@ -196,52 +101,96 @@ pub fn min_feasible_partitions(js: &JoinStats<'_>) -> u32 {
     p
 }
 
-/// Enumerate every join candidate under a queue-depth cap: INL at each
-/// power-of-two probe depth up to `max_qd`, hash at each feasible
-/// power-of-two partition count up to 16× the minimum.
-pub fn enumerate_joins(
-    model: &dyn IoCostModel,
-    est: &EstCpuCosts,
-    js: &JoinStats<'_>,
-    sel: f64,
-    max_qd: u32,
-) -> Vec<JoinPlan> {
-    let max_qd = max_qd.max(1);
-    let mut plans = Vec::new();
-    let mut qd = 1u32;
-    loop {
-        plans.push(cost_inl(model, est, js, sel, qd));
-        if qd >= max_qd {
-            break;
+impl Optimizer<'_> {
+    /// Enumerate every join candidate under the queue-depth cap
+    /// (`max_queue_depth`, at least 1): INL at each power-of-two probe
+    /// depth up to the cap, hash at each feasible power-of-two partition
+    /// count up to 16× the minimum, its ring at the cap but at most 8. The
+    /// outer predicate keeps fraction `sel` of the outer rows.
+    pub fn enumerate_joins(&self, js: &JoinStats<'_>, sel: f64) -> Vec<JoinPlan> {
+        let sel = sel.clamp(0.0, 1.0);
+        let max_qd = self.config().max_queue_depth.max(1);
+        let mut plans = Vec::new();
+        let mut qd = 1u32;
+        loop {
+            plans.push(self.join(JoinMethod::IndexNestedLoop, 1, self.inl(js, sel, qd)));
+            if qd >= max_qd {
+                break;
+            }
+            qd = (qd * 2).min(max_qd);
         }
-        qd = (qd * 2).min(max_qd);
+        let p0 = min_feasible_partitions(js);
+        let mut p = p0;
+        while p <= p0 * 16 && p <= 64 {
+            let hash = self.hash(js, sel, p, max_qd.min(8));
+            plans.push(self.join(JoinMethod::HybridHash, p, hash));
+            p *= 2;
+        }
+        plans
     }
-    let p0 = min_feasible_partitions(js);
-    let mut p = p0;
-    while p <= p0 * 16 && p <= 64 {
-        plans.push(cost_hash(model, est, js, sel, p, max_qd.min(8)));
-        p *= 2;
-    }
-    plans
-}
 
-/// Pick the cheapest join plan under the queue-depth cap (the admission
-/// lease, under concurrency).
-pub fn choose_join(
-    model: &dyn IoCostModel,
-    est: &EstCpuCosts,
-    js: &JoinStats<'_>,
-    sel: f64,
-    max_qd: u32,
-) -> JoinPlan {
-    enumerate_joins(model, est, js, sel, max_qd)
-        .into_iter()
-        .min_by(|a, b| {
-            a.est_total_us
-                .partial_cmp(&b.est_total_us)
-                .expect("finite costs")
-        })
-        .expect("at least one join plan")
+    /// Pick the cheapest join plan under the queue-depth cap (the
+    /// admission lease, under concurrency).
+    pub fn choose_join(&self, js: &JoinStats<'_>, sel: f64) -> JoinPlan {
+        cheapest(self.enumerate_joins(js, sel), |p| p.est_total_us).expect("at least one join plan")
+    }
+
+    fn join<const N: usize>(&self, method: JoinMethod, partitions: u32, a: Access<N>) -> JoinPlan {
+        let (fetches, io, total) = self.price(&a);
+        JoinPlan {
+            method,
+            queue_depth: a.streams[0].depth,
+            partitions,
+            est_page_fetches: fetches,
+            est_io_us: io,
+            est_cpu_us: a.cpu_us,
+            est_total_us: total,
+        }
+    }
+
+    /// Index-nested-loop join at probe depth `qd`: the outer table streams
+    /// sequentially; each probe fetches about one leaf from the index band
+    /// (the upper levels stay hot after the first descent); the matched
+    /// inner rows are heap lookups over the inner band, through the shared
+    /// pool.
+    fn inl(&self, js: &JoinStats<'_>, sel: f64, qd: u32) -> Access<3> {
+        let probes = (sel * js.left.rows as f64).ceil();
+        let matched = probes * (js.right.rows as f64 / js.key_cardinality.max(1) as f64);
+        let idx = &js.right.index;
+        let outer = Stream::new(js.left.uncached_pages(), 1, qd);
+        let leaf_pages = probes
+            .min(idx.leaves as f64)
+            .max(if probes > 0.0 { 1.0 } else { 0.0 })
+            + idx.height.saturating_sub(1) as f64;
+        let leaves = Stream::new(leaf_pages, idx.extent.pages.max(1), qd);
+        let terms = CardTerms::at_k(js.right, matched.ceil() as u64, yao_pages);
+        let heap_pages = terms.heap_fetches(js.right);
+        let heap = Stream::new(heap_pages, js.right.extent.pages.max(1), qd);
+        let est = &self.config().est;
+        let cpu = self.fts(js.left, 1).cpu_us + probes * est.leaf_us + matched * est.row_lookup_us;
+        Access::new([outer, leaves, heap], cpu, 1)
+    }
+
+    /// Hybrid hash join with `partitions` partitions at sequential ring
+    /// depth `qd`: both inputs stream once, and the spilled `(P-1)/P` of
+    /// both sides (of the outer, only the rows the predicate keeps) is
+    /// written out and read back, all sequential.
+    fn hash(&self, js: &JoinStats<'_>, sel: f64, partitions: u32, qd: u32) -> Access<2> {
+        let p = partitions as f64;
+        let spill_frac = (p - 1.0) / p;
+        let inputs = Stream::new(js.right.uncached_pages() + js.left.uncached_pages(), 1, qd);
+        let spilled = spill_frac * (js.right.pages as f64 + sel * js.left.pages as f64);
+        // The round trip: every spilled page once out and once back in.
+        let spill = Stream::new(2.0 * spilled, 1, qd);
+        let est = &self.config().est;
+        let probes = sel * js.left.rows as f64;
+        let cpu = (js.right.pages as f64 + js.left.pages as f64) * est.page_us
+            + (js.right.rows as f64 + js.left.rows as f64) * est.row_scan_us
+            + probes * est.row_lookup_us
+            // Spilled rows are hashed twice (once out, once back in).
+            + spill_frac * (js.right.rows as f64 * est.row_scan_us + probes * est.row_lookup_us);
+        Access::new([inputs, spill], cpu, 1)
+    }
 }
 
 /// Lower a costed [`JoinPlan`] to the executor's [`PlanSpec`].
@@ -263,6 +212,7 @@ pub fn join_plan_to_spec(plan: &JoinPlan) -> PlanSpec {
 mod tests {
     use super::*;
     use crate::cost::QdttCost;
+    use crate::optimizer::OptimizerConfig;
     use crate::stats::IndexStats;
     use pioqo_core::Qdtt;
     use pioqo_storage::Extent;
@@ -321,13 +271,26 @@ mod tests {
         ))
     }
 
+    /// The join planner under queue-depth cap `max_qd`.
+    fn capped(max_qd: u32) -> OptimizerConfig {
+        OptimizerConfig {
+            max_queue_depth: max_qd,
+            ..OptimizerConfig::default()
+        }
+    }
+
+    fn pick(model: &QdttCost, js: &JoinStats<'_>, sel: f64, max_qd: u32) -> JoinPlan {
+        Optimizer::new(model, capped(max_qd)).choose_join(js, sel)
+    }
+
     #[test]
     fn choose_matches_brute_force_sweep() {
-        // The oracle: cost every (method, qd, partitions) point directly
-        // and take the argmin; `choose_join` must agree.
+        // The oracle: the sweep lists every (method, qd, partitions) point
+        // — INL at depths 1, 2, 4, ... up to the cap, hash at p0, 2·p0, ...
+        // up to 16·p0 (at most 64) on a ring of min(cap, 8) — and its first
+        // strict minimum is what `choose_join` must pick.
         let left = stats(30_000, 33, 0, 16_384);
         let right = stats(10_000, 33, 40_000, 16_384);
-        let est = EstCpuCosts::default();
         for model in [ssd_model(), hdd_model()] {
             for sel in [0.001, 0.05, 0.5] {
                 for max_qd in [1u32, 4, 32] {
@@ -336,16 +299,10 @@ mod tests {
                         right: &right,
                         key_cardinality: 50_000,
                     };
-                    let mut best: Option<JoinPlan> = None;
+                    let mut points = Vec::new();
                     let mut qd = 1;
                     loop {
-                        let p = cost_inl(&model, &est, &js, sel, qd);
-                        if best
-                            .as_ref()
-                            .is_none_or(|b| p.est_total_us < b.est_total_us)
-                        {
-                            best = Some(p);
-                        }
+                        points.push((JoinMethod::IndexNestedLoop, qd, 1));
                         if qd >= max_qd {
                             break;
                         }
@@ -354,17 +311,24 @@ mod tests {
                     let p0 = min_feasible_partitions(&js);
                     let mut parts = p0;
                     while parts <= p0 * 16 && parts <= 64 {
-                        let p = cost_hash(&model, &est, &js, sel, parts, max_qd.min(8));
-                        if best
-                            .as_ref()
-                            .is_none_or(|b| p.est_total_us < b.est_total_us)
-                        {
-                            best = Some(p);
-                        }
+                        points.push((JoinMethod::HybridHash, max_qd.min(8), parts));
                         parts *= 2;
                     }
+                    let opt = Optimizer::new(&model, capped(max_qd));
+                    let plans = opt.enumerate_joins(&js, sel);
+                    let swept: Vec<_> = plans
+                        .iter()
+                        .map(|p| (p.method, p.queue_depth, p.partitions))
+                        .collect();
+                    assert_eq!(swept, points);
+                    let mut best: Option<&JoinPlan> = None;
+                    for p in &plans {
+                        if best.is_none_or(|b| p.est_total_us < b.est_total_us) {
+                            best = Some(p);
+                        }
+                    }
                     let want = best.expect("non-empty sweep");
-                    let got = choose_join(&model, &est, &js, sel, max_qd);
+                    let got = opt.choose_join(&js, sel);
                     assert_eq!(got.label(), want.label(), "sel={sel} max_qd={max_qd}");
                     assert_eq!(got.est_total_us, want.est_total_us);
                 }
@@ -373,10 +337,49 @@ mod tests {
     }
 
     #[test]
+    fn over_cached_stats_cost_like_fully_cached_ones() {
+        // `TableStats` fields are public: a hand-built claim of more cached
+        // pages than the table holds must clamp, not underflow.
+        let left = stats(30_000, 33, 0, 16_384);
+        let right = stats(10_000, 33, 40_000, 16_384);
+        let over = |st: &TableStats| TableStats {
+            cached_pages: st.pages + 7,
+            ..st.clone()
+        };
+        let full = |st: &TableStats| TableStats {
+            cached_pages: st.pages,
+            ..st.clone()
+        };
+        let (left_over, right_over) = (over(&left), over(&right));
+        let (left_full, right_full) = (full(&left), full(&right));
+        let model = ssd_model();
+        let opt = Optimizer::new(&model, capped(32));
+        for sel in [0.001, 0.05, 0.5] {
+            let got = opt.enumerate_joins(
+                &JoinStats {
+                    left: &left_over,
+                    right: &right_over,
+                    key_cardinality: 50_000,
+                },
+                sel,
+            );
+            let want = opt.enumerate_joins(
+                &JoinStats {
+                    left: &left_full,
+                    right: &right_full,
+                    key_cardinality: 50_000,
+                },
+                sel,
+            );
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert!(got.iter().all(|p| p.est_page_fetches >= 0.0));
+        }
+    }
+
+    #[test]
     fn hash_wins_on_spindles_inl_wins_on_deep_flash() {
         let left = stats(30_000, 33, 0, 16_384);
         let right = stats(10_000, 33, 40_000, 16_384);
-        let est = EstCpuCosts::default();
         // Low-selectivity probe workload: few probes, INL's natural home.
         let js = JoinStats {
             left: &left,
@@ -386,12 +389,12 @@ mod tests {
         let hdd = hdd_model();
         let ssd = ssd_model();
         assert_eq!(
-            choose_join(&hdd, &est, &js, 0.01, 32).method,
+            pick(&hdd, &js, 0.01, 32).method,
             JoinMethod::HybridHash,
             "random probes on a spindle must lose"
         );
         assert_eq!(
-            choose_join(&ssd, &est, &js, 0.01, 32).method,
+            pick(&ssd, &js, 0.01, 32).method,
             JoinMethod::IndexNestedLoop,
             "deep-queue flash probes must win at low selectivity"
         );
@@ -404,7 +407,6 @@ mod tests {
         // and the sequential hash join takes over.
         let left = stats(30_000, 33, 0, 16_384);
         let right = stats(10_000, 33, 40_000, 16_384);
-        let est = EstCpuCosts::default();
         let js = JoinStats {
             left: &left,
             right: &right,
@@ -412,8 +414,8 @@ mod tests {
         };
         let ssd = ssd_model();
         let sel = 0.02;
-        let deep = choose_join(&ssd, &est, &js, sel, 32);
-        let shallow = choose_join(&ssd, &est, &js, sel, 1);
+        let deep = pick(&ssd, &js, sel, 32);
+        let shallow = pick(&ssd, &js, sel, 1);
         assert_eq!(deep.method, JoinMethod::IndexNestedLoop, "{deep:?}");
         assert_eq!(shallow.method, JoinMethod::HybridHash, "{shallow:?}");
     }
@@ -422,15 +424,14 @@ mod tests {
     fn selectivity_sweep_crosses_over_on_flash() {
         let left = stats(30_000, 33, 0, 16_384);
         let right = stats(10_000, 33, 40_000, 16_384);
-        let est = EstCpuCosts::default();
         let js = JoinStats {
             left: &left,
             right: &right,
             key_cardinality: 300_000,
         };
         let ssd = ssd_model();
-        let lo = choose_join(&ssd, &est, &js, 0.001, 32);
-        let hi = choose_join(&ssd, &est, &js, 0.9, 32);
+        let lo = pick(&ssd, &js, 0.001, 32);
+        let hi = pick(&ssd, &js, 0.9, 32);
         assert_eq!(lo.method, JoinMethod::IndexNestedLoop);
         assert_eq!(
             hi.method,
@@ -462,13 +463,12 @@ mod tests {
     fn lowering_preserves_depth_and_partitions() {
         let left = stats(1_000, 33, 0, 4_096);
         let right = stats(1_000, 33, 2_000, 4_096);
-        let est = EstCpuCosts::default();
         let js = JoinStats {
             left: &left,
             right: &right,
             key_cardinality: 10_000,
         };
-        let plan = choose_join(&ssd_model(), &est, &js, 0.01, 16);
+        let plan = pick(&ssd_model(), &js, 0.01, 16);
         match (&plan.method, join_plan_to_spec(&plan)) {
             (JoinMethod::IndexNestedLoop, PlanSpec::Inl(c)) => {
                 assert_eq!(c.probe_depth, plan.queue_depth)

@@ -10,7 +10,9 @@
 //! * [`IoCostModel`] — the pluggable I/O model: [`DttCost`] gives the
 //!   paper's *old* (queue-depth-blind) optimizer, [`QdttCost`] the *new*
 //!   one; nothing else differs;
-//! * [`Optimizer`] — plan enumeration over `{FTS, IS} × degree`;
+//! * [`Optimizer`] — plan enumeration over `{FTS, IS} × degree` and the
+//!   join candidates, every plan priced by one function from the page
+//!   streams it reads;
 //! * [`QdBudget`] — the future-work extension budgeting queue depth across
 //!   concurrent queries;
 //! * [`QdttAdmission`] — the admission planner plugging that budget into
@@ -34,9 +36,6 @@ pub mod stats;
 pub use admission::{plan_to_spec, AdmissionDecision, JoinDecision, QdttAdmission};
 pub use concurrency::{Holder, QdBudget};
 pub use cost::{DttCost, EstCpuCosts, IoCostModel, QdttCost};
-pub use join::{
-    choose_join, cost_hash, cost_inl, enumerate_joins, join_plan_to_spec, JoinMethod, JoinPlan,
-    JoinStats,
-};
-pub use optimizer::{AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
+pub use join::{join_plan_to_spec, JoinMethod, JoinPlan, JoinStats};
+pub use optimizer::{cheapest, AccessMethod, ChooseScratch, Optimizer, OptimizerConfig, Plan};
 pub use stats::{IndexStats, TableStats};

@@ -7,10 +7,12 @@
 //! [`QdttCost`](crate::cost::QdttCost) is the entire difference between
 //! the paper's old and new optimizers (§4.3).
 //!
-//! Estimated runtime of a plan: `max(est_io, est_cpu / capacity(degree))
-//! plus degree × startup` for parallel plans — scans overlap CPU with I/O,
-//! so the slower resource bounds the runtime, and parallelism pays a
-//! per-worker coordination overhead.
+//! Every plan family — the three scans here and the two joins in
+//! [`crate::join`] — is a builder that describes its plan as a short list
+//! of page-read streams (`pages` within a `band` at a queue `depth`), a
+//! CPU term and a parallel degree. One `price` turns any such description
+//! into the plan's estimates, and [`cheapest`] is the one argmin over the
+//! candidates.
 
 use crate::card::{leaf_pages_touched, mackert_lohman_fetches, yao_pages, YaoMemo};
 use crate::cost::{EstCpuCosts, IoCostModel};
@@ -125,12 +127,12 @@ impl OptimizerConfig {
     }
 }
 
-/// The cardinality terms of one `(stats, sel)` costing. None of them
+/// The cardinality terms of `k` row lookups in one table. None of them
 /// depends on the candidate's degree or queue depth, so they are worked out
 /// once per costing call and shared by every candidate; what does move
 /// between calls on one table — `cached_pages`, the queue-depth cap — is
 /// applied by the per-candidate costing on top.
-struct CardTerms {
+pub(crate) struct CardTerms {
     /// Qualifying rows.
     k: u64,
     /// Distinct data pages touched (Yao).
@@ -142,16 +144,78 @@ struct CardTerms {
 }
 
 impl CardTerms {
-    /// `yao` is [`yao_pages`] or a memo of it.
+    /// The terms of a scan keeping fraction `sel` of the rows. `yao` is
+    /// [`yao_pages`] or a memo of it.
     fn new(stats: &TableStats, sel: f64, yao: impl FnOnce(u64, u64, u64) -> f64) -> CardTerms {
         let k = (sel.clamp(0.0, 1.0) * stats.rows as f64).ceil() as u64;
+        CardTerms::at_k(stats, k, yao)
+    }
+
+    /// The terms of `k` lookups. Yao sees `k` clamped to the table's rows,
+    /// where its value is the same (every page) anyway.
+    pub(crate) fn at_k(
+        stats: &TableStats,
+        k: u64,
+        yao: impl FnOnce(u64, u64, u64) -> f64,
+    ) -> CardTerms {
         CardTerms {
             k,
-            distinct: yao(stats.pages, stats.rows, k),
+            distinct: yao(stats.pages, stats.rows, k.min(stats.rows)),
             fetches_lru: mackert_lohman_fetches(stats.pages, k, stats.buffer_frames),
             leaves: leaf_pages_touched(k, stats.index.leaf_fanout) as f64,
         }
     }
+
+    /// Heap-page fetches of the lookups: distinct pages by Yao, inflated
+    /// by LRU refetches when the pool is smaller than the touched set,
+    /// less the already-cached fraction.
+    pub(crate) fn heap_fetches(&self, stats: &TableStats) -> f64 {
+        self.distinct.max(self.fetches_lru) * (1.0 - stats.cached_fraction())
+    }
+}
+
+/// One run of page reads a plan issues: `pages` reads within a
+/// `band`-page extent at device queue depth `depth`.
+#[derive(Clone, Copy)]
+pub(crate) struct Stream {
+    pub(crate) pages: f64,
+    pub(crate) band: u64,
+    pub(crate) depth: u32,
+}
+
+impl Stream {
+    pub(crate) fn new(pages: f64, band: u64, depth: u32) -> Stream {
+        Stream { pages, band, depth }
+    }
+}
+
+/// A plan as its family's builder describes it: the `N` streams it reads
+/// in pricing order, its CPU work and the degree that shares that work.
+/// The first stream leads: its band and depth are the plan's. The streams
+/// are a plain array, so costing never allocates.
+pub(crate) struct Access<const N: usize> {
+    pub(crate) streams: [Stream; N],
+    pub(crate) cpu_us: f64,
+    degree: u32,
+}
+
+impl<const N: usize> Access<N> {
+    pub(crate) fn new(streams: [Stream; N], cpu_us: f64, degree: u32) -> Access<N> {
+        Access {
+            streams,
+            cpu_us,
+            degree,
+        }
+    }
+}
+
+/// The one argmin of plan choice: the first of `plans` with the lowest
+/// `total_us`, so enumeration order breaks ties (toward the lower degree,
+/// the shallower probe depth, the fewer partitions).
+pub fn cheapest<P>(plans: impl IntoIterator<Item = P>, total_us: impl Fn(&P) -> f64) -> Option<P> {
+    plans
+        .into_iter()
+        .min_by(|a, b| total_us(a).partial_cmp(&total_us(b)).expect("finite costs"))
 }
 
 /// Caller-owned state [`Optimizer::choose_into`] reuses across calls: the
@@ -214,11 +278,11 @@ impl<'m> Optimizer<'m> {
     fn enumerate_into(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) {
         plans.clear();
         for &d in &self.cfg.degrees {
-            plans.push(self.cost_fts(stats, d));
-            plans.push(self.cost_is(stats, terms, d));
+            plans.push(self.scan(stats, terms, AccessMethod::TableScan, d));
+            plans.push(self.scan(stats, terms, AccessMethod::IndexScan, d));
         }
         if self.cfg.consider_sorted_is {
-            plans.push(self.cost_sorted_is(stats, terms));
+            plans.push(self.scan(stats, terms, AccessMethod::SortedIndexScan, 1));
         }
     }
 
@@ -226,7 +290,7 @@ impl<'m> Optimizer<'m> {
     /// enumeration order guarantees).
     pub fn choose(&self, stats: &TableStats, sel: f64) -> Plan {
         let mut plans = Vec::new();
-        self.cheapest(stats, &CardTerms::new(stats, sel, yao_pages), &mut plans)
+        self.pick(stats, &CardTerms::new(stats, sel, yao_pages), &mut plans)
     }
 
     /// [`choose`](Self::choose) for a caller that re-costs many times (the
@@ -235,18 +299,12 @@ impl<'m> Optimizer<'m> {
     pub fn choose_into(&self, stats: &TableStats, sel: f64, scratch: &mut ChooseScratch) -> Plan {
         let yao = &mut scratch.yao;
         let terms = CardTerms::new(stats, sel, |m, n, k| yao.pages(m, n, k));
-        self.cheapest(stats, &terms, &mut scratch.plans)
+        self.pick(stats, &terms, &mut scratch.plans)
     }
 
-    fn cheapest(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) -> Plan {
+    fn pick(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) -> Plan {
         self.enumerate_into(stats, terms, plans);
-        plans
-            .iter()
-            .min_by(|a, b| {
-                a.est_total_us
-                    .partial_cmp(&b.est_total_us)
-                    .expect("finite costs")
-            })
+        cheapest(plans.iter(), |p| p.est_total_us)
             .expect("at least one plan")
             .clone()
     }
@@ -261,107 +319,94 @@ impl<'m> Optimizer<'m> {
         method: AccessMethod,
         degree: u32,
     ) -> Plan {
-        match method {
-            AccessMethod::TableScan => self.cost_fts(stats, degree),
-            AccessMethod::IndexScan => {
-                self.cost_is(stats, &CardTerms::new(stats, sel, yao_pages), degree)
-            }
-            AccessMethod::SortedIndexScan => {
-                self.cost_sorted_is(stats, &CardTerms::new(stats, sel, yao_pages))
-            }
-        }
+        let terms = CardTerms::new(stats, sel, yao_pages);
+        self.scan(stats, &terms, method, degree)
     }
 
-    fn parallel_overhead(&self, degree: u32) -> f64 {
-        if degree > 1 {
-            degree as f64 * self.cfg.est.startup_us
+    /// Price `a`: `Σ pages` fetches and `Σ pages · D(band, depth)` µs of
+    /// I/O over its streams in order, and the one combine rule for the
+    /// total, `max(io, cpu / capacity(degree))` plus `degree × startup`
+    /// when parallel: a plan overlaps CPU with I/O, and each parallel
+    /// worker pays a coordination overhead. Returns `(fetches, io, total)`.
+    pub(crate) fn price<const N: usize>(&self, a: &Access<N>) -> (f64, f64, f64) {
+        // -0.0 is the exact additive identity: a one-stream plan's sums are
+        // that stream's own terms, bit for bit.
+        let (mut fetches, mut io) = (-0.0, -0.0);
+        for s in &a.streams {
+            fetches += s.pages;
+            io += s.pages * self.model.page_cost_us(s.band, s.depth);
+        }
+        let overhead = if a.degree > 1 {
+            a.degree as f64 * self.cfg.est.startup_us
         } else {
             0.0
+        };
+        let total = io.max(a.cpu_us / self.cfg.cpu.capacity(a.degree as usize)) + overhead;
+        (fetches, io, total)
+    }
+
+    /// Build and price one scan candidate.
+    fn scan(
+        &self,
+        stats: &TableStats,
+        terms: &CardTerms,
+        method: AccessMethod,
+        degree: u32,
+    ) -> Plan {
+        match method {
+            AccessMethod::TableScan => self.plan(method, self.fts(stats, degree)),
+            AccessMethod::IndexScan => self.plan(method, self.is(stats, terms, degree)),
+            AccessMethod::SortedIndexScan => self.plan(method, self.sorted_is(stats, terms)),
         }
     }
 
-    fn combine(&self, io_us: f64, cpu_us: f64, degree: u32) -> f64 {
-        let cap = self.cfg.cpu.capacity(degree as usize);
-        io_us.max(cpu_us / cap) + self.parallel_overhead(degree)
-    }
-
-    /// Full table scan with `degree` workers: sequential I/O over the
-    /// table extent; pages already cached are skipped.
-    fn cost_fts(&self, stats: &TableStats, degree: u32) -> Plan {
-        let qd = degree.min(self.cfg.max_queue_depth);
-        let fetches = (stats.pages - stats.cached_pages) as f64;
-        let io = fetches * self.model.page_cost_us(1, qd);
-        let cpu = stats.pages as f64 * self.cfg.est.page_us
-            + stats.rows as f64 * self.cfg.est.row_scan_us;
+    fn plan<const N: usize>(&self, method: AccessMethod, a: Access<N>) -> Plan {
+        let (fetches, io, total) = self.price(&a);
         Plan {
-            method: AccessMethod::TableScan,
-            degree,
-            queue_depth: qd,
-            band: 1,
+            method,
+            degree: a.degree,
+            queue_depth: a.streams[0].depth,
+            band: a.streams[0].band,
             est_page_fetches: fetches,
             est_io_us: io,
-            est_cpu_us: cpu,
-            est_total_us: self.combine(io, cpu, degree),
+            est_cpu_us: a.cpu_us,
+            est_total_us: total,
         }
     }
 
-    /// Index scan with `degree` workers: random I/O over the table extent,
-    /// Yao distinct pages, Mackert–Lohman refetch through the buffer pool.
-    fn cost_is(&self, stats: &TableStats, terms: &CardTerms, degree: u32) -> Plan {
-        let &CardTerms {
-            k,
-            distinct,
-            fetches_lru,
-            leaves,
-        } = terms;
-        let qd = (degree * self.cfg.is_prefetch_depth.max(1)).min(self.cfg.max_queue_depth);
-        let band = stats.extent.pages;
-
-        // Data-page fetches: distinct pages by Yao, inflated by LRU
-        // refetches when the buffer is smaller than the touched set,
-        // discounted by the already-cached fraction.
-        let data_fetches = distinct.max(fetches_lru) * (1.0 - stats.cached_fraction());
-
-        // Index I/O: root path + qualifying leaves.
-        let index_fetches = (leaves + stats.index.height.saturating_sub(1) as f64).max(1.0);
-
-        let io = data_fetches * self.model.page_cost_us(band, qd)
-            + index_fetches * self.model.page_cost_us(stats.index.extent.pages.max(1), qd);
-        let cpu = k as f64 * self.cfg.est.row_lookup_us + leaves * self.cfg.est.leaf_us;
-        Plan {
-            method: AccessMethod::IndexScan,
-            degree,
-            queue_depth: qd,
-            band,
-            est_page_fetches: data_fetches + index_fetches,
-            est_io_us: io,
-            est_cpu_us: cpu,
-            est_total_us: self.combine(io, cpu, degree),
-        }
+    /// Full table scan with `degree` workers: one sequential stream over
+    /// the pages not already cached, CPU for every page and every row.
+    pub(crate) fn fts(&self, stats: &TableStats, degree: u32) -> Access<1> {
+        let depth = degree.min(self.cfg.max_queue_depth);
+        let table = Stream::new(stats.uncached_pages(), 1, depth);
+        let cpu = stats.pages as f64 * self.cfg.est.page_us
+            + stats.rows as f64 * self.cfg.est.row_scan_us;
+        Access::new([table], cpu, degree)
     }
 
-    /// Sorted index scan (extension): each distinct page fetched once, deep
-    /// prefetch ring, plus the rid sort.
-    fn cost_sorted_is(&self, stats: &TableStats, terms: &CardTerms) -> Plan {
-        let &CardTerms { k, leaves, .. } = terms;
-        let qd = self.cfg.max_queue_depth;
-        let band = stats.extent.pages;
+    /// Index scan with `degree` workers: the heap fetches at random over
+    /// the table's extent, then the root path and qualifying leaves over
+    /// the index's extent.
+    fn is(&self, stats: &TableStats, terms: &CardTerms, degree: u32) -> Access<2> {
+        let depth = (degree * self.cfg.is_prefetch_depth.max(1)).min(self.cfg.max_queue_depth);
+        let heap = Stream::new(terms.heap_fetches(stats), stats.extent.pages, depth);
+        let index_pages = (terms.leaves + stats.index.height.saturating_sub(1) as f64).max(1.0);
+        let index = Stream::new(index_pages, stats.index.extent.pages.max(1), depth);
+        let cpu = terms.k as f64 * self.cfg.est.row_lookup_us + terms.leaves * self.cfg.est.leaf_us;
+        Access::new([heap, index], cpu, degree)
+    }
+
+    /// Sorted index scan (extension): each distinct page fetched once on a
+    /// ring as deep as the cap, plus the rid sort.
+    fn sorted_is(&self, stats: &TableStats, terms: &CardTerms) -> Access<2> {
+        let depth = self.cfg.max_queue_depth;
         let distinct = terms.distinct * (1.0 - stats.cached_fraction());
-        let io = distinct * self.model.page_cost_us(band, qd)
-            + leaves * self.model.page_cost_us(stats.index.extent.pages.max(1), qd);
-        let k_f = k as f64;
-        let sort_cpu = if k > 1 { k_f * k_f.log2() * 0.02 } else { 0.0 };
-        let cpu = k_f * self.cfg.est.row_lookup_us + leaves * self.cfg.est.leaf_us + sort_cpu;
-        Plan {
-            method: AccessMethod::SortedIndexScan,
-            degree: 1,
-            queue_depth: qd,
-            band,
-            est_page_fetches: distinct + leaves,
-            est_io_us: io,
-            est_cpu_us: cpu,
-            est_total_us: self.combine(io, cpu, 1),
-        }
+        let heap = Stream::new(distinct, stats.extent.pages, depth);
+        let leaves = Stream::new(terms.leaves, stats.index.extent.pages.max(1), depth);
+        let k = terms.k as f64;
+        let sort_cpu = if k > 1.0 { k * k.log2() * 0.02 } else { 0.0 };
+        let cpu = k * self.cfg.est.row_lookup_us + terms.leaves * self.cfg.est.leaf_us + sort_cpu;
+        Access::new([heap, leaves], cpu, 1)
     }
 }
 
@@ -626,6 +671,35 @@ mod tests {
             }
         }
         assert_eq!(cells, 3 * 2 * 3 * 3 * 8);
+    }
+
+    #[test]
+    fn over_cached_stats_cost_like_fully_cached_ones() {
+        // `TableStats` fields are public: a hand-built claim of more cached
+        // pages than the table holds must clamp, not underflow.
+        let model = QdttCost(pioqo_core::Qdtt::new(
+            vec![1, 1 << 20],
+            vec![1, 32],
+            vec![100.0, 9000.0, 3.0, 400.0],
+        ));
+        let opt = Optimizer::new(&model, OptimizerConfig::fine_grained());
+        let full = TableStats {
+            cached_pages: 1_000,
+            ..stats(1_000, 33, 100)
+        };
+        let over = TableStats {
+            cached_pages: 1_500,
+            ..full.clone()
+        };
+        assert_eq!(over.cached_fraction(), 1.0);
+        for sel in [0.0, 0.01, 0.5, 1.0] {
+            let got = opt.enumerate(&over, sel);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", opt.enumerate(&full, sel))
+            );
+            assert!(got.iter().all(|p| p.est_page_fetches >= 0.0));
+        }
     }
 
     #[test]

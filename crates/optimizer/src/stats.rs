@@ -67,13 +67,24 @@ impl TableStats {
         }
     }
 
-    /// Fraction of table pages resident in the buffer pool.
+    /// Fraction of table pages resident in the buffer pool, at most 1.
     pub fn cached_fraction(&self) -> f64 {
         if self.pages == 0 {
             0.0
         } else {
-            self.cached_pages as f64 / self.pages as f64
+            self.resident_pages() as f64 / self.pages as f64
         }
+    }
+
+    /// Table pages a full pass must fetch: those not resident.
+    pub(crate) fn uncached_pages(&self) -> f64 {
+        (self.pages - self.resident_pages()) as f64
+    }
+
+    /// `cached_pages`, clamped to the table: the fields are public, so
+    /// hand-built stats can claim more pages cached than the table holds.
+    fn resident_pages(&self) -> u64 {
+        self.cached_pages.min(self.pages)
     }
 }
 

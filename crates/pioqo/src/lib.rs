@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use pioqo_obs::{HistSet, Histogram, NullSink, RingSink, TraceSink};
     pub use pioqo_optimizer::{
-        choose_join, plan_to_spec, AccessMethod, DttCost, JoinDecision, JoinMethod, JoinPlan,
-        JoinStats, Optimizer, OptimizerConfig, Plan, QdBudget, QdttAdmission, QdttCost, TableStats,
+        plan_to_spec, AccessMethod, DttCost, JoinDecision, JoinMethod, JoinPlan, JoinStats,
+        Optimizer, OptimizerConfig, Plan, QdBudget, QdttAdmission, QdttCost, TableStats,
     };
     pub use pioqo_simkit::{SimDuration, SimRng, SimTime};
     pub use pioqo_storage::{BTreeIndex, HeapTable, TableSpec, Tablespace};

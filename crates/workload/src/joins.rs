@@ -17,7 +17,7 @@ use pioqo_bufpool::BufferPool;
 use pioqo_core::{CalibrationConfig, Calibrator, Qdtt};
 use pioqo_exec::{execute, ExecError, JoinClause, Predicate, QuerySpec, ScanMetrics};
 use pioqo_optimizer::{
-    choose_join, enumerate_joins, join_plan_to_spec, EstCpuCosts, JoinMethod, JoinPlan, JoinStats,
+    cheapest, join_plan_to_spec, JoinMethod, JoinPlan, JoinStats, Optimizer, OptimizerConfig,
     QdBudget, QdttCost, TableStats,
 };
 use pioqo_simkit::par::par_map_threads;
@@ -196,18 +196,6 @@ fn run_join(
     execute(&mut ctx, &q)
 }
 
-fn best_of(plans: &[JoinPlan], method: JoinMethod) -> Option<JoinPlan> {
-    plans
-        .iter()
-        .filter(|p| p.method == method)
-        .min_by(|a, b| {
-            a.est_total_us
-                .partial_cmp(&b.est_total_us)
-                .expect("cost estimates are finite")
-        })
-        .cloned()
-}
-
 /// Sweep devices × session counts. Per device: calibrate once, then for
 /// each session count cost both joins under the [`QdBudget::share_at`]
 /// lease, pick, and run both plans cold. Byte-identical output at any
@@ -263,19 +251,27 @@ fn run_grid_cell(
         key_cardinality: u64::from(cfg.key_max) + 1,
     };
     let cost_model = QdttCost(model.clone());
-    let est = EstCpuCosts::default();
-    let plans = enumerate_joins(&cost_model, &est, &js, cfg.selectivity, lease_depth);
-    let chosen = choose_join(&cost_model, &est, &js, cfg.selectivity, lease_depth);
-    let inl = best_of(&plans, JoinMethod::IndexNestedLoop).ok_or(ExecError::Internal {
-        detail: "join enumeration produced no INL plan",
-    })?;
-    let hash = best_of(&plans, JoinMethod::HybridHash).ok_or(ExecError::Internal {
-        detail: "join enumeration produced no hash plan",
-    })?;
+    let opt_cfg = OptimizerConfig {
+        max_queue_depth: lease_depth,
+        ..OptimizerConfig::default()
+    };
+    // One enumeration: the pick and both per-method bests come out of it.
+    let plans = Optimizer::new(&cost_model, opt_cfg).enumerate_joins(&js, cfg.selectivity);
+    let total = |p: &&JoinPlan| p.est_total_us;
+    let best = |method| cheapest(plans.iter().filter(|p| p.method == method), total);
+    let (Some(inl), Some(hash)) = (
+        best(JoinMethod::IndexNestedLoop),
+        best(JoinMethod::HybridHash),
+    ) else {
+        return Err(ExecError::Internal {
+            detail: "join enumeration produced no INL or no hash plan",
+        });
+    };
+    let chosen = cheapest(&plans, total).expect("the list holds an INL plan");
 
     let (low, high) = range_for_selectivity(cfg.selectivity, cfg.key_max);
-    let inl_run = run_join(fx, kind, cfg, join_plan_to_spec(&inl), low, high)?;
-    let hash_run = run_join(fx, kind, cfg, join_plan_to_spec(&hash), low, high)?;
+    let inl_run = run_join(fx, kind, cfg, join_plan_to_spec(inl), low, high)?;
+    let hash_run = run_join(fx, kind, cfg, join_plan_to_spec(hash), low, high)?;
 
     let est_winner = chosen.method;
     let measured_winner = if inl_run.runtime <= hash_run.runtime {
