@@ -366,9 +366,8 @@ pub(crate) fn point_offsets(m: u64, file_pages: u64, band: u64, rng: &mut SimRng
         } else {
             0
         };
-        for off in rng.distinct_below(band, per_block as usize) {
-            offsets.push(start + off);
-        }
+        rng.distinct_below_into(band, per_block as usize, &mut offsets);
+        offsets.iter_mut().for_each(|off| *off += start);
     } else {
         // The file is tiled into band-sized blocks; visit `n_blocks`
         // *consecutive* blocks one at a time (random placement of the
@@ -382,10 +381,11 @@ pub(crate) fn point_offsets(m: u64, file_pages: u64, band: u64, rng: &mut SimRng
             0
         };
         for tile in first_tile..first_tile + n_blocks {
-            let start = tile * band;
-            for off in rng.distinct_below(band, per_block as usize) {
-                offsets.push(start + off);
-            }
+            let base = offsets.len();
+            rng.distinct_below_into(band, per_block as usize, &mut offsets);
+            offsets[base..]
+                .iter_mut()
+                .for_each(|off| *off += tile * band);
         }
     }
     offsets

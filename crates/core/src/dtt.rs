@@ -58,27 +58,29 @@ impl Dtt {
     }
 }
 
+/// Where `x` sits among strictly ascending `knots`, answered as
+/// `binary_search` answers: `Ok(i)` on knot `i`, else `Err(i)` with `i`
+/// the number of knots below `x`.
+///
+/// It counts the knots below `x` rather than bisecting, so no branch
+/// depends on the data: the optimizer prices each candidate at a
+/// different band (FTS at band 1, IS and sorted IS at the table and index
+/// extents), and a bisection would take a different path every time.
+#[inline]
+pub(crate) fn knot_search<T: Copy + Ord>(knots: &[T], x: T) -> Result<usize, usize> {
+    let below: usize = knots.iter().map(|&k| usize::from(k < x)).sum();
+    if knots.get(below) == Some(&x) {
+        Ok(below)
+    } else {
+        Err(below)
+    }
+}
+
 /// Shared linear interpolation over an ascending knot vector; clamps
 /// outside the range. Also used for the QDTT's band axis.
 pub(crate) fn interp_band(xs: &[u64], ys: &[f64], x: u64) -> f64 {
     debug_assert_eq!(xs.len(), ys.len());
-    match xs.binary_search(&x) {
-        Ok(i) => ys[i],
-        Err(0) => ys[0],
-        Err(i) if i == xs.len() => ys[xs.len() - 1],
-        Err(i) => {
-            let (x0, x1) = (xs[i - 1] as f64, xs[i] as f64);
-            let t = (x as f64 - x0) / (x1 - x0);
-            ys[i - 1] + t * (ys[i] - ys[i - 1])
-        }
-    }
-}
-
-/// Linear interpolation over an ascending `u32` knot vector (queue-depth
-/// axis), clamped outside the range.
-pub(crate) fn interp_qd(xs: &[u32], ys: &[f64], x: u32) -> f64 {
-    debug_assert_eq!(xs.len(), ys.len());
-    match xs.binary_search(&x) {
+    match knot_search(xs, x) {
         Ok(i) => ys[i],
         Err(0) => ys[0],
         Err(i) if i == xs.len() => ys[xs.len() - 1],
@@ -148,6 +150,75 @@ mod tests {
     #[should_panic(expected = "at least one knot")]
     fn rejects_empty() {
         Dtt::new(vec![]);
+    }
+
+    /// `knot_search` against `binary_search` at every knot, one either
+    /// side of it, and below and above the range.
+    fn check_knot_search<T: Copy + Ord + std::fmt::Debug>(
+        knots: &[T],
+        probes: impl IntoIterator<Item = T>,
+    ) {
+        for x in probes {
+            assert_eq!(
+                knot_search(knots, x),
+                knots.binary_search(&x),
+                "x={x:?} knots={knots:?}"
+            );
+        }
+    }
+
+    /// `n` strictly ascending knots in `[0, top]`: the first at 0 or a
+    /// little above, gaps of 1 to `gap`, the last now and then at `top`.
+    fn ascending(rng: &mut pioqo_simkit::SimRng, n: usize, gap: u64, top: u64) -> Vec<u64> {
+        let mut k = if rng.below(4) == 0 {
+            0
+        } else {
+            rng.below(1 << 20)
+        };
+        let mut knots = Vec::with_capacity(n);
+        for _ in 0..n {
+            knots.push(k);
+            k += 1 + rng.below(gap);
+        }
+        if rng.below(6) == 0 {
+            *knots.last_mut().expect("n >= 1") = top;
+        }
+        knots
+    }
+
+    /// 0, 1, `top - 1`, `top`, and every knot with its two neighbours.
+    fn around(knots: &[u64], top: u64) -> Vec<u64> {
+        let mut p = vec![0, 1, top - 1, top];
+        for &k in knots {
+            p.extend(
+                [k.checked_sub(1), Some(k), k.checked_add(1)]
+                    .into_iter()
+                    .flatten(),
+            );
+        }
+        p.retain(|&x| x <= top);
+        p
+    }
+
+    #[test]
+    fn knot_search_answers_as_binary_search() {
+        let mut rng = pioqo_simkit::SimRng::seeded(0x4B07);
+        for n in 1..=20usize {
+            for round in 0..40 {
+                // Dense (gaps of 1 and 2: neighbours are knots too) to
+                // sparse.
+                let gap = [2u64, 3, 1 << 10, 1 << 20][round % 4];
+                let wide = ascending(&mut rng, n, gap << (round % 3 * 19), u64::MAX);
+                check_knot_search(&wide, around(&wide, u64::MAX));
+                let top = u32::MAX as u64;
+                let narrow = ascending(&mut rng, n, gap, top);
+                let as_u32 = |xs: Vec<u64>| xs.into_iter().map(|x| x as u32).collect::<Vec<_>>();
+                check_knot_search(&as_u32(narrow.clone()), as_u32(around(&narrow, top)));
+            }
+        }
+        // The calibrated queue-depth axis, and no knots at all.
+        check_knot_search(&[1u32, 2, 4, 8, 16, 32], 0..=40);
+        check_knot_search::<u64>(&[], [0, 7, u64::MAX]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `QDTT(·, 1)` *is* the DTT model, which is why the paper calls QDTT a
 //! generalization of DTT (§4.2): [`Qdtt::to_dtt`] extracts it.
 
-use crate::dtt::{interp_band, interp_qd, Dtt};
+use crate::dtt::{interp_band, knot_search, Dtt};
 use serde::{Deserialize, Serialize};
 
 /// A calibrated QDTT model.
@@ -62,18 +62,15 @@ impl Qdtt {
             let row = &self.grid[qi * nb..(qi + 1) * nb];
             interp_band(&self.band_sizes, row, band)
         };
-        match self.queue_depths.binary_search(&qd) {
+        match knot_search(&self.queue_depths, qd) {
             Ok(qi) => row_cost(qi),
             Err(0) => row_cost(0),
             Err(i) if i == self.queue_depths.len() => row_cost(self.queue_depths.len() - 1),
             Err(i) => {
+                let (q0, q1) = (self.queue_depths[i - 1] as f64, self.queue_depths[i] as f64);
+                let t = (qd as f64 - q0) / (q1 - q0);
                 let y0 = row_cost(i - 1);
-                let y1 = row_cost(i);
-                interp_qd(
-                    &[self.queue_depths[i - 1], self.queue_depths[i]],
-                    &[y0, y1],
-                    qd,
-                )
+                y0 + t * (row_cost(i) - y0)
             }
         }
     }
@@ -278,6 +275,95 @@ mod tests {
         let grid = vec![40.0, 8000.0, 39.0, 7800.0, 39.0, 7700.0];
         let m = Qdtt::new(bands, qds, grid);
         assert_eq!(m.beneficial_queue_depth(4096, 0.05), 1);
+    }
+
+    /// The band-axis interpolation as it was before `knot_search`.
+    fn interp_band_reference(xs: &[u64], ys: &[f64], x: u64) -> f64 {
+        match xs.binary_search(&x) {
+            Ok(i) => ys[i],
+            Err(0) => ys[0],
+            Err(i) if i == xs.len() => ys[xs.len() - 1],
+            Err(i) => {
+                let (x0, x1) = (xs[i - 1] as f64, xs[i] as f64);
+                let t = (x as f64 - x0) / (x1 - x0);
+                ys[i - 1] + t * (ys[i] - ys[i - 1])
+            }
+        }
+    }
+
+    /// The queue-depth-axis interpolation as it was before `knot_search`.
+    fn interp_qd_reference(xs: &[u32], ys: &[f64], x: u32) -> f64 {
+        match xs.binary_search(&x) {
+            Ok(i) => ys[i],
+            Err(0) => ys[0],
+            Err(i) if i == xs.len() => ys[xs.len() - 1],
+            Err(i) => {
+                let (x0, x1) = (xs[i - 1] as f64, xs[i] as f64);
+                let t = (x as f64 - x0) / (x1 - x0);
+                ys[i - 1] + t * (ys[i] - ys[i - 1])
+            }
+        }
+    }
+
+    /// `Qdtt::cost` as it was before `knot_search`.
+    fn cost_reference(m: &Qdtt, band: u64, qd: u32) -> f64 {
+        let nb = m.band_sizes.len();
+        let row_cost = |qi: usize| {
+            let row = &m.grid[qi * nb..(qi + 1) * nb];
+            interp_band_reference(&m.band_sizes, row, band)
+        };
+        match m.queue_depths.binary_search(&qd) {
+            Ok(qi) => row_cost(qi),
+            Err(0) => row_cost(0),
+            Err(i) if i == m.queue_depths.len() => row_cost(m.queue_depths.len() - 1),
+            Err(i) => interp_qd_reference(
+                &[m.queue_depths[i - 1], m.queue_depths[i]],
+                &[row_cost(i - 1), row_cost(i)],
+                qd,
+            ),
+        }
+    }
+
+    #[test]
+    fn cost_matches_the_binary_search_interpolation_bit_for_bit() {
+        let mut rng = pioqo_simkit::SimRng::seeded(0xC057);
+        let surfaces = [
+            (
+                (0..25).map(|e| 1u64 << e).collect::<Vec<_>>(),
+                vec![1u32, 2, 4, 8, 16, 32],
+            ),
+            (vec![1, 3, 1000, 1001, 1 << 30], vec![1, 5, 6, 64]),
+            (vec![7], vec![2]),
+        ];
+        for (bands, qds) in surfaces {
+            let grid = (0..bands.len() * qds.len())
+                .map(|_| 10.0 + rng.unit() * 9000.0)
+                .collect();
+            let m = Qdtt::new(bands.clone(), qds.clone(), grid);
+            let dtt = m.to_dtt();
+            let ys: Vec<f64> = dtt.points().map(|(_, c)| c).collect();
+            let mut probe_bands = vec![0, u64::MAX >> 11];
+            for &b in &bands {
+                probe_bands.extend([b - 1, b, b + 1, b + b / 3, b * 2 - 1]);
+            }
+            probe_bands.extend((0..200).map(|_| rng.below(1 << 31)));
+            let mut probe_qds: Vec<u32> = (0..=70).collect();
+            probe_qds.push(u32::MAX);
+            for &band in &probe_bands {
+                for &qd in &probe_qds {
+                    assert_eq!(
+                        m.cost(band, qd).to_bits(),
+                        cost_reference(&m, band, qd).to_bits(),
+                        "band={band} qd={qd}"
+                    );
+                }
+                assert_eq!(
+                    dtt.cost(band).to_bits(),
+                    interp_band_reference(&bands, &ys, band).to_bits(),
+                    "band={band}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //!   parallelism once throughput is interface-bound).
 //!
 //! Because channels and the bus are FIFO, every service time is computable
-//! at submit time; completions are queued on an internal calendar.
+//! at submit time, so completions wait in one FIFO queue — the per-channel
+//! server view of multi-queue SSD models — instead of on a calendar. Every
+//! page crosses the one FIFO bus after the pages submitted before it, so a
+//! request never completes before an earlier one: a new completion is
+//! always appended, with or without an IOPS cap.
 
 use crate::io::{DeviceModel, IoCompletion, IoRequest};
-use pioqo_simkit::{EventQueue, SimDuration, SimRng, SimTime};
+use pioqo_simkit::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Flash device parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,16 +84,31 @@ pub struct Ssd {
     /// Offset that would continue the current sequential stream (device
     /// readahead detection).
     seq_next: u64,
-    /// Internal completion calendar.
-    done: EventQueue<(IoRequest, SimTime)>,
-    /// Scratch buffer reused by `advance` to drain same-instant cohorts.
-    batch: Vec<(IoRequest, SimTime)>,
-    outstanding: usize,
+    /// Pending `(completes, request, submitted)` in submission order,
+    /// which is firing order (see the module docs).
+    done: VecDeque<(SimTime, IoRequest, SimTime)>,
+    /// Firing time of the last completion delivered.
+    delivered: SimTime,
 }
 
 impl Ssd {
     /// Build a drive from its configuration.
+    ///
+    /// # Panics
+    /// Panics on a geometry that would divide by zero on the first read:
+    /// no channels, a zero-page stripe unit, or a zero-page mapping region
+    /// behind a non-empty mapping cache.
     pub fn new(cfg: SsdConfig) -> Self {
+        assert!(cfg.n_channels > 0, "n_channels must be at least 1");
+        assert!(
+            cfg.stripe_pages > 0,
+            "stripe_pages must be at least 1: pages are striped over channels by it"
+        );
+        assert!(
+            cfg.map_cache_regions == 0 || cfg.map_region_pages > 0,
+            "map_region_pages must be at least 1 when map_cache_regions ({}) is non-zero",
+            cfg.map_cache_regions
+        );
         let seed = cfg.seed;
         let nch = cfg.n_channels as usize;
         let cache = cfg.map_cache_regions;
@@ -105,9 +125,8 @@ impl Ssd {
             iface_next: SimTime::ZERO,
             map_cache: Vec::with_capacity(cache),
             seq_next: u64::MAX,
-            done: EventQueue::new(),
-            batch: Vec::new(),
-            outstanding: 0,
+            done: VecDeque::new(),
+            delivered: SimTime::ZERO,
         }
     }
 
@@ -126,10 +145,11 @@ impl Ssd {
             return 0.0;
         }
         let region = page / self.cfg.map_region_pages;
-        if let Some(pos) = self.map_cache.iter().position(|&r| r == region) {
-            // Hit: move to MRU position.
-            self.map_cache.remove(pos);
-            self.map_cache.push(region);
+        // A region is cached at most once, so searching from the MRU end
+        // finds the same entry as searching from the LRU end.
+        if let Some(pos) = self.map_cache.iter().rposition(|&r| r == region) {
+            // Hit: move to MRU position (a hit on the MRU entry stays put).
+            self.map_cache[pos..].rotate_left(1);
             0.0
         } else {
             if self.map_cache.len() == self.cfg.map_cache_regions {
@@ -188,31 +208,32 @@ impl DeviceModel for Ssd {
             req_done = req_done.max(self.iface_next);
             self.iface_next = req_done + gap;
         }
-        self.done.schedule(req_done.max(now), (req, now));
-        self.outstanding += 1;
+        let at = req_done.max(now);
+        let last = self.done.back().map_or(self.delivered, |&(t, ..)| t);
+        debug_assert!(
+            at >= last,
+            "completion placed before an earlier one: at={at}, last={last}"
+        );
+        self.done.push_back((at, req, now));
     }
 
     fn next_event(&self) -> Option<SimTime> {
-        self.done.peek_time()
+        self.done.front().map(|&(at, ..)| at)
     }
 
     fn advance(&mut self, now: SimTime, out: &mut Vec<IoCompletion>) {
-        // Completions pile up on shared instants (interface pacing rounds
-        // same-batch finish times together), so drain each cohort in one
-        // heap pass instead of a peek/pop pair per event.
-        while self.done.peek_time().is_some_and(|t| t <= now) {
-            self.batch.clear();
-            if let Some(t) = self.done.pop_batch(&mut self.batch) {
-                for (req, submitted) in self.batch.drain(..) {
-                    out.push(IoCompletion::ok(req, submitted, t));
-                    self.outstanding -= 1;
-                }
+        while let Some(&(at, req, submitted)) = self.done.front() {
+            if at > now {
+                break;
             }
+            self.done.pop_front();
+            self.delivered = at;
+            out.push(IoCompletion::ok(req, submitted, at));
         }
     }
 
     fn outstanding(&self) -> usize {
-        self.outstanding
+        self.done.len()
     }
 
     fn name(&self) -> &str {
@@ -220,7 +241,7 @@ impl DeviceModel for Ssd {
     }
 
     fn reset_state(&mut self) {
-        assert!(self.outstanding == 0, "reset_state with I/O outstanding");
+        assert!(self.done.is_empty(), "reset_state with I/O outstanding");
         self.map_cache.clear();
         self.seq_next = u64::MAX;
         // Let the pipeline clocks stay where they are: they are in the past
@@ -422,5 +443,281 @@ mod tests {
     fn rejects_out_of_range() {
         let mut d = Ssd::new(test_cfg());
         d.submit(SimTime::ZERO, IoRequest::block(0, (1 << 22) - 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "n_channels must be at least 1")]
+    fn rejects_zero_channels() {
+        Ssd::new(SsdConfig {
+            n_channels: 0,
+            ..test_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stripe_pages must be at least 1")]
+    fn rejects_zero_page_stripe_unit() {
+        Ssd::new(SsdConfig {
+            stripe_pages: 0,
+            ..test_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "map_region_pages must be at least 1")]
+    fn rejects_zero_page_mapping_region() {
+        Ssd::new(SsdConfig {
+            map_region_pages: 0,
+            ..test_cfg()
+        });
+    }
+
+    #[test]
+    fn a_zero_page_mapping_region_is_fine_without_a_mapping_cache() {
+        let mut d = Ssd::new(SsdConfig {
+            map_region_pages: 0,
+            map_cache_regions: 0,
+            ..test_cfg()
+        });
+        d.submit(SimTime::ZERO, IoRequest::page(0, 12345));
+        let mut out = Vec::new();
+        drain_all(&mut d, SimTime::ZERO, &mut out);
+        assert_eq!(out.len(), 1);
+    }
+
+    /// The drive as it was before its completions moved into a FIFO
+    /// queue: the same physics (MRU-last mapping cache searched from the
+    /// LRU end), completions on a calendar of per-instant FIFO buckets
+    /// drained a cohort at a time. The reference the queue must match.
+    struct CalendarSsd {
+        cfg: SsdConfig,
+        rng: SimRng,
+        overhead: SimDuration,
+        transfer: SimDuration,
+        iface_gap: Option<SimDuration>,
+        channel_free: Vec<SimTime>,
+        bus_free: SimTime,
+        iface_next: SimTime,
+        map_cache: Vec<u64>,
+        seq_next: u64,
+        buckets: std::collections::BTreeMap<u64, Vec<(IoRequest, SimTime)>>,
+        now: SimTime,
+    }
+
+    impl CalendarSsd {
+        fn new(cfg: SsdConfig) -> Self {
+            CalendarSsd {
+                rng: SimRng::seeded(cfg.seed),
+                overhead: SimDuration::from_micros_f64(cfg.per_io_overhead_us),
+                transfer: SimDuration::from_micros_f64(
+                    cfg.page_size as f64 / cfg.bus_bandwidth_mb_s,
+                ),
+                iface_gap: (cfg.max_iops > 0.0)
+                    .then(|| SimDuration::from_micros_f64(1_000_000.0 / cfg.max_iops)),
+                channel_free: vec![SimTime::ZERO; cfg.n_channels as usize],
+                bus_free: SimTime::ZERO,
+                iface_next: SimTime::ZERO,
+                map_cache: Vec::new(),
+                seq_next: u64::MAX,
+                buckets: Default::default(),
+                now: SimTime::ZERO,
+                cfg,
+            }
+        }
+
+        fn map_lookup_us(&mut self, page: u64) -> f64 {
+            if self.cfg.map_cache_regions == 0 {
+                return 0.0;
+            }
+            let region = page / self.cfg.map_region_pages;
+            if let Some(pos) = self.map_cache.iter().position(|&r| r == region) {
+                self.map_cache.remove(pos);
+                self.map_cache.push(region);
+                0.0
+            } else {
+                if self.map_cache.len() == self.cfg.map_cache_regions {
+                    self.map_cache.remove(0);
+                }
+                self.map_cache.push(region);
+                self.cfg.map_miss_us
+            }
+        }
+
+        fn submit(&mut self, now: SimTime, req: IoRequest) {
+            let arrive = now + self.overhead;
+            let sequential = req.offset == self.seq_next;
+            self.seq_next = req.end();
+            let mut req_done = arrive;
+            for p in req.offset..req.end() {
+                let ch = ((p / self.cfg.stripe_pages as u64) % self.cfg.n_channels as u64) as usize;
+                let miss_us = self.map_lookup_us(p);
+                let flash_us = if sequential {
+                    0.0
+                } else {
+                    (self.cfg.flash_read_us + miss_us) * self.rng.jitter(self.cfg.jitter)
+                };
+                let start = self.channel_free[ch].max(arrive);
+                let flash_done = start + SimDuration::from_micros_f64(flash_us);
+                self.channel_free[ch] = flash_done;
+                let bus_done = self.bus_free.max(flash_done) + self.transfer;
+                self.bus_free = bus_done;
+                req_done = req_done.max(bus_done);
+            }
+            if let Some(gap) = self.iface_gap {
+                req_done = req_done.max(self.iface_next);
+                self.iface_next = req_done + gap;
+            }
+            let at = req_done.max(now);
+            assert!(at >= self.now, "event scheduled in the past");
+            self.buckets
+                .entry(at.as_nanos())
+                .or_default()
+                .push((req, now));
+        }
+
+        fn next_event(&self) -> Option<SimTime> {
+            self.buckets.keys().next().map(|&n| SimTime::from_nanos(n))
+        }
+
+        fn advance(&mut self, now: SimTime, out: &mut Vec<IoCompletion>) {
+            while self.next_event().is_some_and(|t| t <= now) {
+                let (at, cohort) = self.buckets.pop_first().expect("non-empty");
+                self.now = SimTime::from_nanos(at);
+                for (req, submitted) in cohort {
+                    out.push(IoCompletion::ok(req, submitted, self.now));
+                }
+            }
+        }
+
+        fn outstanding(&self) -> usize {
+            self.buckets.values().map(Vec::len).sum()
+        }
+
+        fn reset_state(&mut self) {
+            assert!(self.buckets.is_empty());
+            self.map_cache.clear();
+            self.seq_next = u64::MAX;
+        }
+    }
+
+    /// Drive both drives through one seeded schedule of submits and
+    /// advances; every completion and every `next_event` must agree.
+    /// Returns how many completions arrived out of submission order.
+    fn compare_with_calendar(cfg: SsdConfig, seed: u64) -> usize {
+        let mut dev = Ssd::new(cfg.clone());
+        let mut reference = CalendarSsd::new(cfg);
+        let mut rng = SimRng::seeded(seed);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        let mut id = 0u64;
+        let mut seq = 0u64;
+        let mut delivered = Vec::new();
+        for _batch in 0..12 {
+            for _ in 0..400 {
+                match rng.below(8) {
+                    // Random page reads, mostly within a few mapping
+                    // regions so the cache both hits and misses.
+                    0..=2 => {
+                        let band = [1u64 << 15, 1 << 18, 1 << 22][rng.below(3) as usize];
+                        let req = IoRequest::page(id, rng.below(band));
+                        dev.submit(now, req);
+                        reference.submit(now, req);
+                        id += 1;
+                    }
+                    // A sequential stream, sometimes continued.
+                    3 => {
+                        if rng.below(2) == 0 {
+                            seq = rng.below((1 << 22) - 64);
+                        }
+                        let req = IoRequest::page(id, seq);
+                        seq += 1;
+                        dev.submit(now, req);
+                        reference.submit(now, req);
+                        id += 1;
+                    }
+                    // A multi-page block read.
+                    4 => {
+                        let len = 1 + rng.below(64) as u32;
+                        let req = IoRequest::block(id, rng.below((1 << 22) - 64), len);
+                        dev.submit(now, req);
+                        reference.submit(now, req);
+                        id += 1;
+                    }
+                    // Advance: before, onto or past the next event.
+                    _ => {
+                        if let Some(t) = dev.next_event() {
+                            let span = t.as_nanos().saturating_sub(now.as_nanos());
+                            now = match rng.below(3) {
+                                0 => now + SimDuration::from_nanos(rng.below(span + 1)),
+                                1 => t,
+                                _ => t + SimDuration::from_nanos(rng.below(200_000)),
+                            };
+                        }
+                        got.clear();
+                        want.clear();
+                        dev.advance(now, &mut got);
+                        reference.advance(now, &mut want);
+                        assert_eq!(got, want, "advance to {now}");
+                        delivered.extend_from_slice(&got);
+                    }
+                }
+                assert_eq!(dev.next_event(), reference.next_event());
+                assert_eq!(dev.outstanding(), reference.outstanding());
+            }
+            // Drain, then start the next batch from a clean drive state.
+            while let Some(t) = dev.next_event() {
+                now = now.max(t);
+                got.clear();
+                want.clear();
+                dev.advance(now, &mut got);
+                reference.advance(now, &mut want);
+                assert_eq!(got, want, "drain to {now}");
+                assert_eq!(dev.next_event(), reference.next_event());
+                delivered.extend_from_slice(&got);
+            }
+            assert_eq!(reference.outstanding(), 0);
+            if rng.below(2) == 0 {
+                dev.reset_state();
+                reference.reset_state();
+            }
+            now += SimDuration::from_nanos(rng.below(1_000_000));
+        }
+        assert_eq!(delivered.len() as u64, id, "every request completes once");
+        delivered
+            .windows(2)
+            .filter(|w| w[1].req.id < w[0].req.id)
+            .count()
+    }
+
+    #[test]
+    fn completion_queue_matches_the_calendar() {
+        for seed in 0..4 {
+            compare_with_calendar(test_cfg(), seed);
+            compare_with_calendar(
+                SsdConfig {
+                    jitter: 0.05,
+                    ..test_cfg()
+                },
+                seed,
+            );
+            compare_with_calendar(crate::presets::nvme_gen4_config(1 << 22, seed), seed);
+        }
+    }
+
+    #[test]
+    fn uncapped_completions_still_arrive_in_submission_order() {
+        // Without an IOPS cap, and with a jittered flash latency that lets
+        // a one-page read finish its flash step before a 64-page block
+        // submitted earlier, the shared FIFO bus still delivers every
+        // request after the ones before it — which is what lets `submit`
+        // append.
+        for seed in 0..4 {
+            let uncapped = SsdConfig {
+                max_iops: 0.0,
+                jitter: 0.3,
+                ..test_cfg()
+            };
+            assert_eq!(compare_with_calendar(uncapped, seed), 0);
+        }
     }
 }

@@ -612,8 +612,6 @@ impl<'a> SimContext<'a> {
             .expect("metrics presence checked above");
         m.counter_add("timer_events_scheduled_total", q.scheduled);
         m.counter_add("timer_events_popped_total", q.popped);
-        m.counter_add("timer_batch_pops_total", q.batch_pops);
-        m.gauge_set("timer_max_cohort", q.max_cohort);
         m.gauge_set("timer_peak_buckets", q.peak_buckets);
         m.gauge_set("timer_peak_len", q.peak_len);
         m.counter_add("timer_bucket_allocs_total", q.bucket_allocs);

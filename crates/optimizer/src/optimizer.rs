@@ -277,6 +277,8 @@ impl<'m> Optimizer<'m> {
 
     fn enumerate_into(&self, stats: &TableStats, terms: &CardTerms, plans: &mut Vec<Plan>) {
         plans.clear();
+        // Two scans per degree and sorted IS: sized once, not grown.
+        plans.reserve(2 * self.cfg.degrees.len() + 1);
         for &d in &self.cfg.degrees {
             plans.push(self.scan(stats, terms, AccessMethod::TableScan, d));
             plans.push(self.scan(stats, terms, AccessMethod::IndexScan, d));

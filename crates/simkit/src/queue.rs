@@ -7,16 +7,14 @@
 //! events sit in one queue in insertion order and no sequence counter
 //! is needed.
 //!
-//! The bucket layout is what makes [`EventQueue::pop_batch`] — the
-//! simulator's hot path — cheap: a device completing a queue-depth-32
-//! cohort stores all 32 completions in one bucket, and draining the
-//! cohort is a single ordered-map removal plus one `Vec::append`
-//! memcpy, instead of 32 root-replacement sifts through a binary heap.
-//! Single-event [`EventQueue::pop`] also profits: finding the earliest
-//! bucket walks
-//! the map's leftmost spine, which stays resident in cache across
-//! consecutive pops. Exhausted buckets are recycled through a small
-//! free list so steady-state scheduling does not allocate.
+//! The execution engine's timer queue (session think times, periodic
+//! samplers) is the calendar's user: timers are set for arbitrary
+//! future instants, so they need an ordered map. [`EventQueue::pop`]
+//! finds the earliest bucket by walking the map's leftmost spine, which
+//! stays resident in cache across consecutive pops. Exhausted buckets are
+//! recycled through a small free list so steady-state scheduling does not
+//! allocate. (Device models that know their completions in order keep a
+//! plain FIFO instead: the SSD's channels and bus are FIFO servers.)
 
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -32,12 +30,8 @@ const BUCKET_POOL_CAP: usize = 64;
 pub struct QueueStats {
     /// Events accepted by [`EventQueue::schedule`].
     pub scheduled: u64,
-    /// Events removed (single pops plus batch-drained events).
+    /// Events removed by [`EventQueue::pop`].
     pub popped: u64,
-    /// [`EventQueue::pop_batch`] calls that drained a cohort.
-    pub batch_pops: u64,
-    /// Largest cohort a single `pop_batch` drained.
-    pub max_cohort: u64,
     /// High-water mark of concurrent time buckets (calendar occupancy).
     pub peak_buckets: u64,
     /// High-water mark of pending events.
@@ -129,10 +123,9 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let mut entry = self.buckets.first_entry()?;
         let at = SimTime::from_nanos(*entry.key());
-        // Front removal shifts the remaining cohort down; cohorts are
-        // bounded by the device queue depth, so the shift is a few
-        // machine words — the price of keeping the batch path a plain
-        // `Vec::append`.
+        // Front removal shifts the remaining same-instant events down;
+        // few timers share an instant, so the shift is a few machine
+        // words.
         let event = entry.get_mut().remove(0);
         if entry.get().is_empty() {
             let drained = entry.remove();
@@ -143,32 +136,6 @@ impl<E> EventQueue<E> {
         debug_assert!(at >= self.now);
         self.now = at;
         Some((at, event))
-    }
-
-    /// Drain every event sharing the earliest firing time into `out` in
-    /// one pass, advancing the clock to that time.
-    ///
-    /// Device schedulers frequently complete several I/Os at the same
-    /// virtual instant (e.g. a striped read finishing across channels).
-    /// The cohort lives in a single bucket, so the whole batch costs one
-    /// ordered-map removal and one `Vec::append` memcpy — there is no
-    /// per-event heap sift at all. Events are appended in schedule
-    /// order (FIFO tie-break), identical to repeated [`EventQueue::pop`]
-    /// calls. Returns the shared firing time, or `None` when the calendar
-    /// is empty (`out` untouched).
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let entry = self.buckets.first_entry()?;
-        let at = SimTime::from_nanos(*entry.key());
-        let mut bucket = entry.remove();
-        self.len -= bucket.len();
-        self.stats.popped += bucket.len() as u64;
-        self.stats.batch_pops += 1;
-        self.stats.max_cohort = self.stats.max_cohort.max(bucket.len() as u64);
-        debug_assert!(at >= self.now);
-        self.now = at;
-        out.append(&mut bucket);
-        self.recycle(bucket);
-        Some(at)
     }
 
     /// Number of pending events.
@@ -237,47 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_cohort_in_schedule_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(5), "a");
-        q.schedule(SimTime::from_micros(9), "d");
-        q.schedule(SimTime::from_micros(5), "b");
-        q.schedule(SimTime::from_micros(5), "c");
-        let mut batch = Vec::new();
-        let t = q.pop_batch(&mut batch);
-        assert_eq!(t, Some(SimTime::from_micros(5)));
-        assert_eq!(batch, vec!["a", "b", "c"]);
-        assert_eq!(q.now(), SimTime::from_micros(5));
-        assert_eq!(q.len(), 1);
-        batch.clear();
-        assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_micros(9)));
-        assert_eq!(batch, vec!["d"]);
-        assert_eq!(q.pop_batch(&mut batch), None);
-        assert_eq!(batch, vec!["d"], "empty queue must leave out untouched");
-    }
-
-    #[test]
-    fn pop_batch_matches_repeated_pop() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        let times = [3u64, 1, 3, 2, 1, 1, 9, 2];
-        for (i, &t) in times.iter().enumerate() {
-            a.schedule(SimTime::from_micros(t), i);
-            b.schedule(SimTime::from_micros(t), i);
-        }
-        let mut via_pop = Vec::new();
-        while let Some((t, e)) = a.pop() {
-            via_pop.push((t, e));
-        }
-        let mut via_batch = Vec::new();
-        let mut scratch = Vec::new();
-        while let Some(t) = b.pop_batch(&mut scratch) {
-            via_batch.extend(scratch.drain(..).map(|e| (t, e)));
-        }
-        assert_eq!(via_pop, via_batch);
-    }
-
-    #[test]
     fn stats_track_occupancy_and_churn() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(5);
@@ -291,13 +217,10 @@ mod tests {
         assert_eq!(s.peak_buckets, 2);
         assert_eq!(s.bucket_allocs, 2, "both buckets were fresh allocations");
 
-        let mut batch = Vec::new();
-        q.pop_batch(&mut batch);
-        q.pop();
-        let s = q.stats();
-        assert_eq!(s.popped, 5);
-        assert_eq!(s.batch_pops, 1);
-        assert_eq!(s.max_cohort, 4);
+        for _ in 0..5 {
+            q.pop();
+        }
+        assert_eq!(q.stats().popped, 5);
 
         // A recycled bucket must not count as a fresh allocation.
         q.schedule(SimTime::from_micros(20), 7);
@@ -325,9 +248,11 @@ mod tests {
             let t = SimTime::from_micros(round * 10);
             q.schedule(t, round * 2);
             q.schedule(t, round * 2 + 1);
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_batch(&mut batch), Some(t));
-            fired.extend(batch);
+            for _ in 0..2 {
+                let (at, e) = q.pop().expect("two events pending");
+                assert_eq!(at, t);
+                fired.push(e);
+            }
         }
         assert_eq!(fired, (0..400).collect::<Vec<_>>());
         assert!(q.is_empty());

@@ -108,20 +108,24 @@ impl SimRng {
 
     /// Uniform integer in `[0, bound)`. `bound` must be > 0.
     ///
-    /// Uses rejection sampling (Lemire-style threshold) so the result is
-    /// exactly uniform for any bound, not just powers of two.
+    /// A modulo with a rejection zone, so the result is exactly uniform
+    /// for any bound, not just powers of two: a draw past the largest
+    /// multiple of `bound` that fits in `u64` would bias the modulus and
+    /// is redrawn. That zone never ends below `2^64 - bound`, so a draw at
+    /// or below that value is accepted without working the zone out — one
+    /// `u64` division per accepted draw instead of two.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
-        // Zone is the largest multiple of `bound` that fits in u64 range;
-        // values past it would bias the modulus and are rejected.
-        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
-        loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
-            }
+        let mut v = self.next_u64();
+        if v <= bound.wrapping_neg() {
+            return v % bound;
         }
+        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+        while v > zone {
+            v = self.next_u64();
+        }
+        v % bound
     }
 
     /// Uniform integer in `[lo, hi]` inclusive.
@@ -166,38 +170,59 @@ impl SimRng {
         v
     }
 
-    /// `count` distinct values sampled uniformly from `[0, n)`.
+    /// `count` distinct values sampled uniformly from `[0, n)`; the
+    /// allocating form of [`SimRng::distinct_below_into`].
+    pub fn distinct_below(&mut self, n: u64, count: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(count);
+        self.distinct_below_into(n, count, &mut out);
+        out
+    }
+
+    /// Append `count` distinct values sampled uniformly from `[0, n)` to
+    /// `out`, in a uniformly random order.
     ///
     /// Uses Floyd's algorithm so it stays O(count) even for huge `n` — the
     /// calibrator samples 3 200 offsets out of bands holding millions of
     /// pages. The working set is a [`U64Map`], only ever probed, never
     /// iterated, so the result is a function of the seed alone (lint rule
-    /// D3); the final shuffle is seed-deterministic too.
-    pub fn distinct_below(&mut self, n: u64, count: usize) -> Vec<u64> {
+    /// D3); the final shuffle, over the appended values only, is
+    /// seed-deterministic too. When `count == n` the pick at step `j` is
+    /// always `j` (every value below `j` is taken, and `j` is new), so the
+    /// table is skipped and only the draws are made.
+    pub fn distinct_below_into(&mut self, n: u64, count: usize, out: &mut Vec<u64>) {
         assert!(count as u64 <= n, "cannot sample {count} distinct from {n}");
-        // Every pick is below `n <= u64::MAX`, so none is the map's empty
-        // marker.
-        let mut chosen = U64Map::with_capacity(count);
-        let mut out = Vec::with_capacity(count);
-        for j in (n - count as u64)..n {
-            let t = self.below(j + 1);
-            // Every earlier pick is below `j`, so `j` itself is always new.
-            let v = if chosen.insert(t, 0).is_none() {
-                t
-            } else {
-                chosen.insert(j, 0);
-                j
-            };
-            out.push(v);
+        let base = out.len();
+        out.reserve(count);
+        if count as u64 == n {
+            for j in 0..n {
+                let _ = self.below(j + 1);
+                out.push(j);
+            }
+        } else {
+            // Every pick is below `n <= u64::MAX`, so none is the map's
+            // empty marker.
+            let mut chosen = U64Map::with_capacity(count);
+            for j in (n - count as u64)..n {
+                let t = self.below(j + 1);
+                // Every earlier pick is below `j`, so `j` itself is always
+                // new.
+                let v = if chosen.insert(t, 0).is_none() {
+                    t
+                } else {
+                    chosen.insert(j, 0);
+                    j
+                };
+                out.push(v);
+            }
         }
         // Floyd's algorithm yields a sorted-biased order; shuffle for a
         // uniformly random visit order, which the calibration I/O pattern
         // requires.
-        for i in (1..out.len()).rev() {
+        let picked = &mut out[base..];
+        for i in (1..picked.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
-            out.swap(i, j);
+            picked.swap(i, j);
         }
-        out
     }
 }
 
@@ -301,19 +326,66 @@ mod tests {
         assert_eq!(v, (0..16).collect::<Vec<u64>>());
     }
 
-    /// Floyd's sampler with its working set in a `BTreeSet`: the reference
-    /// the hashed table must reproduce draw for draw.
+    /// `below` as it was before the fast accept: the rejection zone
+    /// worked out on every call.
+    fn below_reference(r: &mut SimRng, bound: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+        loop {
+            let v = r.next_u64();
+            if v <= zone {
+                return v % bound;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_the_zone_on_every_call_body() {
+        // Bounds where the fast accept always fires (1), where it fires
+        // for under half of all draws (above 2^63, so rejections happen),
+        // and the widest, plus a seeded spread of ordinary bounds.
+        let mut bounds = vec![
+            1,
+            2,
+            3,
+            (1 << 63) + 1,
+            (1 << 63) + (1 << 62),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut grid = SimRng::seeded(0xB0);
+        for _ in 0..64 {
+            let bits = 1 + grid.below(63);
+            bounds.push(1 + grid.below(1 << bits));
+        }
+        for (case, &bound) in bounds.iter().enumerate() {
+            let mut fast = SimRng::seeded(0xBE10 ^ case as u64);
+            let mut reference = SimRng::seeded(0xBE10 ^ case as u64);
+            for _ in 0..2000 {
+                assert_eq!(
+                    fast.below(bound),
+                    below_reference(&mut reference, bound),
+                    "bound={bound}"
+                );
+            }
+            assert_eq!(fast.next_u64(), reference.next_u64(), "bound={bound}");
+        }
+    }
+
+    /// Floyd's sampler as it was before the hashed table and the
+    /// `count == n` shortcut: its working set in a `BTreeSet`, every draw
+    /// through the reference `below`. The reference the sampler must
+    /// reproduce draw for draw.
     fn distinct_below_btree(r: &mut SimRng, n: u64, count: usize) -> Vec<u64> {
         let mut chosen = std::collections::BTreeSet::new();
         let mut out = Vec::with_capacity(count);
         for j in (n - count as u64)..n {
-            let t = r.below(j + 1);
+            let t = below_reference(r, j + 1);
             let v = if chosen.contains(&t) { j } else { t };
             chosen.insert(v);
             out.push(v);
         }
         for i in (1..out.len()).rev() {
-            let j = r.below(i as u64 + 1) as usize;
+            let j = below_reference(r, i as u64 + 1) as usize;
             out.swap(i, j);
         }
         out
@@ -324,20 +396,29 @@ mod tests {
         let mut cases: Vec<(u64, usize)> = vec![
             (1, 0),
             (1, 1),
+            (2, 2),
             (16, 0),
+            (16, 15),
             (16, 16),
+            (3199, 3199),
+            (3200, 3199),
             (3200, 3200),
             (1_000_000_000, 0),
             (1_000_000_000, 1),
             (1_000_000_000, 3200),
             (u64::MAX, 64),
         ];
-        // A seeded grid, dense (count near n: many collisions) to sparse.
+        // A seeded grid, dense (count near n: many collisions) to sparse,
+        // with every tenth case drawing the whole range.
         let mut grid = SimRng::seeded(0xD15C);
-        for _ in 0..200 {
+        for i in 0..200 {
             let bits = 1 + grid.below(24);
             let n = 1 + grid.below(1 << bits);
-            let count = grid.below(n.min(5000) + 1) as usize;
+            let count = if i % 10 == 0 {
+                n.min(5000) as usize
+            } else {
+                grid.below(n.min(5000) + 1) as usize
+            };
             cases.push((n, count));
         }
         for (case, &(n, count)) in cases.iter().enumerate() {
@@ -351,6 +432,18 @@ mod tests {
             );
             // Same draws consumed: the streams stay in lockstep.
             assert_eq!(hashed.next_u64(), ordered.next_u64(), "n={n} count={count}");
+
+            // Appending after a non-empty prefix, twice into one buffer as
+            // the calibrator does per tile: the prefix is left alone and
+            // each call appends exactly the reference draw.
+            let mut buf = vec![u64::MAX, 7, 0];
+            let mut want = buf.clone();
+            for _ in 0..2 {
+                hashed.distinct_below_into(n, count, &mut buf);
+                want.extend(distinct_below_btree(&mut ordered, n, count));
+                assert_eq!(buf, want, "n={n} count={count}");
+                assert_eq!(hashed.next_u64(), ordered.next_u64(), "n={n} count={count}");
+            }
         }
     }
 
