@@ -1,4 +1,4 @@
-//! The event-driven query-driver abstraction behind [`crate::execute`] and
+//! The event-driven query-driver abstraction behind [`crate::execute()`] and
 //! [`crate::MultiEngine`].
 //!
 //! A `QueryDriver` is one query's state machine, decoupled from the event
@@ -7,7 +7,7 @@
 //! [`Event`] delivered by [`SimContext::step`].
 //!
 //! Many drivers share one context: the crate's run loop (behind
-//! [`crate::execute`] and [`crate::MultiEngine`] alike) runs each driver
+//! [`crate::execute()`] and [`crate::MultiEngine`] alike) runs each driver
 //! under its query's own tag ([`SimContext::with_owner`]) and hands it only
 //! completions carrying that tag. Drivers do no tagging themselves, and a
 //! done driver receives nothing.

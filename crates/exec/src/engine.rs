@@ -9,7 +9,7 @@
 use crate::cpu::{CpuConfig, CpuScheduler, TaskId};
 use pioqo_bufpool::{BufferPool, PoolEvent};
 use pioqo_device::{DeviceModel, IoCompletion, IoRequest, IoStatus};
-use pioqo_obs::{EventKind, HistSet, MetricsRegistry, SeriesHandle, TraceEvent, TraceSink};
+use pioqo_obs::{EventKind, HistSet, MetricsRegistry, RingSink, SeriesHandle, TraceEvent};
 use pioqo_simkit::{EventQueue, IdSlab, SimDuration, SimTime, TimeWeighted, U64Map};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -373,17 +373,17 @@ pub struct SimContext<'a> {
     /// Requests currently outstanding on the device (integer twin of
     /// `depth`, sampled into the queue-depth histogram at every submit).
     depth_now: u32,
-    trace: Option<&'a mut dyn TraceSink>,
+    trace: Option<&'a mut RingSink>,
     io_track: u32,
     pool_track: u32,
     pool_evbuf: Vec<PoolEvent>,
-    metrics: Option<&'a mut MetricsRegistry>,
+    /// The installed registry with the slots of the five engine series,
+    /// resolved once in `set_metrics` so the per-boundary sampler never
+    /// walks the name index.
+    metrics: Option<(&'a mut MetricsRegistry, [SeriesHandle; 5])>,
     /// Next sim-time cadence boundary at which `step` samples the engine
     /// series (queue depth, pool hit rate, device channel occupancy).
     next_metric_sample: SimTime,
-    /// Slots for the five engine series, resolved once in `set_metrics`
-    /// so the per-boundary sampler never walks the name index.
-    series_handles: [SeriesHandle; 5],
 }
 
 impl<'a> SimContext<'a> {
@@ -433,7 +433,6 @@ impl<'a> SimContext<'a> {
             pool_evbuf: Vec::new(),
             metrics: None,
             next_metric_sample: SimTime::ZERO,
-            series_handles: [SeriesHandle::INERT; 5],
         }
     }
 
@@ -491,51 +490,44 @@ impl<'a> SimContext<'a> {
         self.res
     }
 
-    /// Install a trace sink. Disabled sinks (the default
-    /// [`pioqo_obs::NullSink`]) are never installed, so the untraced hot
-    /// path stays a single `None` branch. An enabled sink also switches on
-    /// the buffer pool's event journal, which the context drains and
-    /// timestamps at every step.
-    pub fn set_trace_sink(&mut self, sink: &'a mut dyn TraceSink) {
-        if !sink.enabled() {
-            return;
-        }
+    /// Install a trace sink: the run is traced from here on, and an
+    /// untraced context's hot path stays a single `None` branch. The sink
+    /// also switches on the buffer pool's event journal, which the
+    /// context drains and timestamps at every step.
+    pub fn set_trace_sink(&mut self, sink: &'a mut RingSink) {
         self.io_track = sink.track("io");
         self.pool_track = sink.track("pool");
         self.pool.set_event_log(true);
         self.trace = Some(sink);
     }
 
-    /// Whether an enabled trace sink is installed.
+    /// Whether a trace sink is installed.
     pub fn trace_enabled(&self) -> bool {
         self.trace.is_some()
     }
 
-    /// Install a metrics registry. Disabled registries are never installed
-    /// (same contract as [`SimContext::set_trace_sink`]): the unmetered hot
-    /// path stays a single `None` branch and the registry allocates
-    /// nothing. An installed registry makes `step` sample the engine
-    /// series — queue depth, pool hit rate, dirty backlog, device channel
-    /// occupancy — on the registry's sim-time cadence.
+    /// Install a metrics registry: the run is metered from here on, and
+    /// an unmetered context's hot path stays a single `None` branch (as
+    /// for [`SimContext::set_trace_sink`]). An installed registry makes
+    /// `step` sample the engine series — queue depth, pool hit rate,
+    /// dirty backlog, device channel occupancy — on the registry's
+    /// sim-time cadence.
     pub fn set_metrics(&mut self, metrics: &'a mut MetricsRegistry) {
-        if !metrics.is_enabled() {
-            return;
-        }
         self.next_metric_sample = self.now;
-        self.series_handles = [
+        let handles = [
             metrics.series_handle("engine_queue_depth"),
             metrics.series_handle("pool_hit_rate_permille"),
             metrics.series_handle("pool_dirty_pages"),
             metrics.series_handle("device_busy_channels"),
             metrics.series_handle("device_util_permille"),
         ];
-        self.metrics = Some(metrics);
+        self.metrics = Some((metrics, handles));
     }
 
     /// Add to a named counter on the installed registry (no-op unmetered).
     #[inline]
     pub fn metric_counter(&mut self, name: &'static str, delta: u64) {
-        if let Some(m) = &mut self.metrics {
+        if let Some((m, _)) = &mut self.metrics {
             m.counter_add(name, delta);
         }
     }
@@ -544,7 +536,7 @@ impl<'a> SimContext<'a> {
     /// unmetered).
     #[inline]
     pub fn metric_hist(&mut self, name: &'static str, value: u64) {
-        if let Some(m) = &mut self.metrics {
+        if let Some((m, _)) = &mut self.metrics {
             m.hist_record(name, value);
         }
     }
@@ -555,7 +547,7 @@ impl<'a> SimContext<'a> {
     /// cadence reservoir bounds the stored points.
     #[inline]
     pub fn metric_sample(&mut self, name: &'static str, value: u64) {
-        if let Some(m) = &mut self.metrics {
+        if let Some((m, _)) = &mut self.metrics {
             m.series_sample(name, self.now, value);
         }
     }
@@ -568,7 +560,7 @@ impl<'a> SimContext<'a> {
     /// skipped boundaries would all have recorded the same values, and
     /// series consumers forward-fill between points.
     fn sample_metric_series(&mut self, t: SimTime) {
-        let Some(m) = &mut self.metrics else {
+        let Some((m, handles)) = &mut self.metrics else {
             return;
         };
         if t < self.next_metric_sample {
@@ -584,7 +576,7 @@ impl<'a> SimContext<'a> {
         let dirty = self.pool.dirty_count() as u64;
         let busy = self.device.channels_busy(at) as u64;
         let total = self.device.channels().max(1) as u64;
-        let [h_depth, h_hit, h_dirty, h_busy, h_util] = self.series_handles;
+        let [h_depth, h_hit, h_dirty, h_busy, h_util] = *handles;
         m.series_sample_at(h_depth, at, depth);
         m.series_sample_at(h_hit, at, hit_permille);
         m.series_sample_at(h_dirty, at, dirty);
@@ -606,7 +598,7 @@ impl<'a> SimContext<'a> {
         let pstats = self.pool.stats();
         let io = self.io_profile();
         let res = self.res;
-        let m = self
+        let (m, _) = self
             .metrics
             .as_mut()
             .expect("metrics presence checked above");
@@ -672,7 +664,7 @@ impl<'a> SimContext<'a> {
     /// each sample reaches the registry once.
     fn drain_histograms(&mut self) -> HistSet {
         let hists = std::mem::take(&mut self.hists);
-        if let Some(m) = self.metrics.as_mut() {
+        if let Some((m, _)) = self.metrics.as_mut() {
             m.hist_merge("io_latency_us", &hists.io_latency_us);
             m.hist_merge("queue_depth", &hists.queue_depth);
             m.hist_merge("page_wait_us", &hists.page_wait_us);
@@ -1677,21 +1669,6 @@ mod tests {
             let h = registry.hist(name).expect("folded");
             assert_eq!(h.count, 2, "{name}");
         }
-    }
-
-    #[test]
-    fn disabled_sink_is_never_installed() {
-        let mut dev = consumer_pcie_ssd(1 << 16, 1);
-        let mut pool = BufferPool::new(64);
-        let mut null = pioqo_obs::NullSink;
-        let mut ctx = SimContext::new(
-            &mut dev,
-            &mut pool,
-            CpuConfig::paper_xeon(),
-            CpuCosts::default(),
-        );
-        ctx.set_trace_sink(&mut null);
-        assert!(!ctx.trace_enabled());
     }
 
     #[test]

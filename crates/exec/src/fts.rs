@@ -16,7 +16,7 @@
 //! comparison-leaf count.
 //!
 //! The scan is a [`QueryDriver`]: it owns no event loop of its own and can
-//! therefore run alone (via [`crate::execute`]) or interleaved with other
+//! therefore run alone (via [`crate::execute()`]) or interleaved with other
 //! queries on a shared context (via [`crate::MultiEngine`]).
 
 use crate::driver::{QueryAnswer, QueryDriver};

@@ -25,7 +25,7 @@
 //! (`KeyTable`) — partition 0 when the build stream ends, a spilled
 //! partition when its outer slice has streamed back.
 //!
-//! Both are [`QueryDriver`]s: they run solo under [`crate::execute`] or
+//! Both are [`QueryDriver`]s: they run solo under [`crate::execute()`] or
 //! inside [`crate::MultiEngine`] sessions under admission leases, and
 //! ignore events they do not own.
 

@@ -20,7 +20,7 @@
 //! tree, a [`Projection`], an [`Aggregate`] and a physical [`PlanSpec`] —
 //! predicates and projections are evaluated *inside* the scan drivers
 //! (pushdown: each page is decoded once and filtered at scan rate, never
-//! materialized upward). [`execute`] runs a single query; [`MultiEngine`]
+//! materialized upward). [`execute()`] runs a single query; [`MultiEngine`]
 //! interleaves concurrent closed-loop sessions. Each query returns
 //! [`ScanMetrics`]: the answer (aggregate, row counts, an order-independent
 //! result fingerprint), the virtual runtime, and the observed I/O profile

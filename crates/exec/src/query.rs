@@ -1,5 +1,5 @@
 //! The typed query layer: predicate trees, projections, aggregates, joins,
-//! and the [`QuerySpec`] bundle that [`crate::execute`] consumes.
+//! and the [`QuerySpec`] bundle that [`crate::execute()`] consumes.
 //!
 //! Until this module existed every query the executor could run was the
 //! paper's hard-wired `SELECT MAX(C1) ... WHERE C2 BETWEEN low AND high`.
@@ -593,7 +593,7 @@ pub struct JoinClause<'a> {
 
 /// A fully described query: physical plan, operands, predicate tree,
 /// projection, aggregate, optional join. The single argument to
-/// [`crate::execute`].
+/// [`crate::execute()`].
 #[derive(Debug, Clone)]
 pub struct QuerySpec<'a> {
     /// The physical plan to run (access method / join operator + knobs).

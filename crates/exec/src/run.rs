@@ -1,4 +1,4 @@
-//! The one event loop behind [`crate::execute`], [`crate::drive_writes`]
+//! The one event loop behind [`crate::execute()`], [`crate::drive_writes`]
 //! and [`crate::MultiEngine`]: [`Run::drive`] owns the step, the crash
 //! check, the stall error and the fan-out of each event (the write system,
 //! the stray rule, a session timer, the shared-scan hub, the running

@@ -90,14 +90,14 @@ impl EventKind {
 
 /// One structured trace record, stamped with virtual time.
 ///
-/// Events are plain `Copy` data: 8 machine words, no allocation, so a
-/// disabled sink costs one predictable branch and an enabled ring sink
-/// costs one array store per event.
+/// Events are plain `Copy` data: 8 machine words, no allocation, so an
+/// untraced context costs one `None` branch per event site and an
+/// installed ring sink one array store per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual timestamp.
     pub t: SimTime,
-    /// Track the event belongs to (interned via [`crate::TraceSink::track`];
+    /// Track the event belongs to (interned via [`crate::RingSink::track`];
     /// rendered as one Perfetto thread per track).
     pub track: u32,
     /// Correlation id for span-like kinds (0 for instants).

@@ -1,7 +1,7 @@
 //! Deterministic, integer-only metrics registry with sim-time series.
 //!
 //! This is the "what is the system doing over time" layer that complements
-//! the event-level tracing in [`crate::sink`]: typed counters, gauges and
+//! the event-level tracing in [`crate::RingSink`]: typed counters, gauges and
 //! histograms registered by **static name**, plus time-series reservoirs
 //! sampled on a fixed **sim-time** cadence. Everything is integer `u64`
 //! arithmetic on the virtual clock, so the rendered exports are
@@ -13,10 +13,9 @@
 //! - **Names are `&'static str`** in `snake_case`. The registry stores them
 //!   in `BTreeMap`s, so every iteration (and therefore every exporter) is
 //!   sorted by name with no hashing nondeterminism.
-//! - **The disabled registry allocates nothing.** [`MetricsRegistry::disabled`]
-//!   starts with empty maps and every mutator early-returns before touching
-//!   them; hot paths pay one branch. This mirrors the `NullSink` contract of
-//!   the trace layer.
+//! - **A registry records exactly when it is installed.** There is no
+//!   disabled mode: an unmetered context holds no registry and pays one
+//!   `None` branch per site, as an untraced one does for the ring.
 //! - **Series sample on a cadence.** A [`Series`] holds `(tick, value)`
 //!   pairs where `tick = sim_nanos / cadence_nanos`; repeated samples inside
 //!   one cadence window collapse to the last value. Callers may sample from
@@ -81,11 +80,9 @@ impl Series {
 }
 
 /// Deterministic integer metrics registry. See the module docs for the
-/// contract; construct with [`MetricsRegistry::disabled`] (free) or
-/// [`MetricsRegistry::enabled`] (collecting).
+/// contract; construct with [`MetricsRegistry::enabled`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    on: bool,
     cadence: SimDuration,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
@@ -105,19 +102,16 @@ pub struct MetricsRegistry {
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesHandle(usize);
 
-impl SeriesHandle {
-    /// A handle that records nothing — what a disabled registry issues.
-    pub const INERT: SeriesHandle = SeriesHandle(usize::MAX);
-}
-
 impl MetricsRegistry {
-    /// A registry that records nothing and never allocates. Every mutator
-    /// early-returns; the maps stay at length **and capacity** zero, which
-    /// the determinism suite asserts as the zero-overhead contract.
-    pub fn disabled() -> Self {
+    /// A collecting registry whose series sample on `cadence` of sim time
+    /// (a zero cadence means [`DEFAULT_CADENCE`]).
+    pub fn enabled(cadence: SimDuration) -> Self {
         MetricsRegistry {
-            on: false,
-            cadence: DEFAULT_CADENCE,
+            cadence: if cadence.is_zero() {
+                DEFAULT_CADENCE
+            } else {
+                cadence
+            },
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
@@ -126,35 +120,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// A collecting registry whose series sample on `cadence` of sim time.
-    pub fn enabled(cadence: SimDuration) -> Self {
-        MetricsRegistry {
-            on: true,
-            ..MetricsRegistry::disabled()
-        }
-        .with_cadence(cadence)
-    }
-
-    fn with_cadence(mut self, cadence: SimDuration) -> Self {
-        self.cadence = if cadence.is_zero() {
-            DEFAULT_CADENCE
-        } else {
-            cadence
-        };
-        self
-    }
-
-    /// True when this registry records.
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Sim-time series sampling cadence.
     pub fn cadence(&self) -> SimDuration {
         self.cadence
     }
 
-    /// True when nothing has been recorded (always true while disabled).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
@@ -164,32 +135,23 @@ impl MetricsRegistry {
 
     /// Add `delta` to the named monotonic counter.
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        if !self.on {
-            return;
-        }
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Set the named gauge to `value` (last write wins).
     pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        if !self.on {
-            return;
-        }
         self.gauges.insert(name, value);
     }
 
     /// Record one observation into the named histogram.
     pub fn hist_record(&mut self, name: &'static str, value: u64) {
-        if !self.on {
-            return;
-        }
         self.hists.entry(name).or_default().record(value);
     }
 
     /// Merge a pre-built histogram into the named histogram (used when
     /// folding an existing `HistSet` into the registry at end of run).
     pub fn hist_merge(&mut self, name: &'static str, other: &Histogram) {
-        if !self.on || other.count == 0 {
+        if other.count == 0 {
             return;
         }
         self.hists.entry(name).or_default().merge(other);
@@ -197,33 +159,21 @@ impl MetricsRegistry {
 
     /// Sample the named time series at sim time `t`.
     pub fn series_sample(&mut self, name: &'static str, t: SimTime, value: u64) {
-        if !self.on {
-            return;
-        }
         let slot = self.series_slot(name);
         self.series[slot].1.sample(t, value);
     }
 
-    /// Resolve (creating if needed) the slot for a named series. Returns
-    /// [`SeriesHandle::INERT`] from a disabled registry, which
-    /// [`series_sample_at`](Self::series_sample_at) ignores — so callers
-    /// can resolve unconditionally without breaking the zero-allocation
-    /// contract of the disabled path.
+    /// Resolve (creating if needed) the slot for a named series.
     pub fn series_handle(&mut self, name: &'static str) -> SeriesHandle {
-        if !self.on {
-            return SeriesHandle::INERT;
-        }
         SeriesHandle(self.series_slot(name))
     }
 
-    /// Sample through a pre-resolved handle: one bounds check and an
-    /// indexed write, no name lookup. The per-cadence-boundary sampler in
-    /// the engine runs entirely on this path.
+    /// Sample through a pre-resolved handle: an indexed write, no name
+    /// lookup. The per-cadence-boundary sampler in the engine runs
+    /// entirely on this path.
     #[inline]
     pub fn series_sample_at(&mut self, handle: SeriesHandle, t: SimTime, value: u64) {
-        if let Some((_, s)) = self.series.get_mut(handle.0) {
-            s.sample(t, value);
-        }
+        self.series[handle.0].1.sample(t, value);
     }
 
     fn series_slot(&mut self, name: &'static str) -> usize {
@@ -509,20 +459,6 @@ pub enum SloCheck {
         /// Inclusive lower limit.
         limit: u64,
     },
-    /// The counter must be `<= limit`.
-    CounterAtMost {
-        /// Full counter name in the snapshot.
-        counter: String,
-        /// Inclusive upper limit.
-        limit: u64,
-    },
-    /// The gauge must be `<= limit`.
-    GaugeAtMost {
-        /// Full gauge name in the snapshot.
-        gauge: String,
-        /// Inclusive upper limit.
-        limit: u64,
-    },
     /// The series' final sampled value must be `<= limit`.
     SeriesLastAtMost {
         /// Full series name in the snapshot.
@@ -586,16 +522,6 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, specs: &[SloSpec]) -> Vec<SloVe
                         None => (false, 0, *limit, false),
                     }
                 }
-                SloCheck::CounterAtMost { counter, limit } => {
-                    match snapshot.counters.get(counter) {
-                        Some(&v) => (true, v, *limit, v <= *limit),
-                        None => (false, 0, *limit, false),
-                    }
-                }
-                SloCheck::GaugeAtMost { gauge, limit } => match snapshot.gauges.get(gauge) {
-                    Some(&v) => (true, v, *limit, v <= *limit),
-                    None => (false, 0, *limit, false),
-                },
                 SloCheck::SeriesLastAtMost { series, limit } => match snapshot.series.get(series) {
                     Some(s) if !s.points.is_empty() => {
                         let v = s.last_value();
@@ -642,21 +568,6 @@ pub fn slo_report_json(verdicts: &[SloVerdict]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_registry_records_and_allocates_nothing() {
-        let mut reg = MetricsRegistry::disabled();
-        reg.counter_add("a", 1);
-        reg.gauge_set("b", 2);
-        reg.hist_record("c", 3);
-        reg.series_sample("d", SimTime::from_micros(5), 4);
-        let mut h = Histogram::default();
-        h.record(9);
-        reg.hist_merge("e", &h);
-        assert!(reg.is_empty());
-        assert!(!reg.is_enabled());
-        assert!(reg.snapshot("").is_empty());
-    }
 
     #[test]
     fn series_collapse_within_cadence_window() {
@@ -761,6 +672,8 @@ mod tests {
         for v in [10u64, 20, 3000] {
             reg.hist_record("lat_us", v);
         }
+        reg.series_sample("depth", SimTime::from_micros(1), 8);
+        reg.series_sample("depth", SimTime::from_micros(5_000), 3);
         let snap = reg.snapshot("");
         let specs = vec![
             SloSpec {
@@ -779,9 +692,23 @@ mod tests {
                 },
             },
             SloSpec {
+                name: "enough_lookups".into(),
+                check: SloCheck::CounterAtLeast {
+                    counter: "lookups".into(),
+                    limit: 101,
+                },
+            },
+            SloSpec {
+                name: "depth_drains".into(),
+                check: SloCheck::SeriesLastAtMost {
+                    series: "depth".into(),
+                    limit: 4,
+                },
+            },
+            SloSpec {
                 name: "missing_metric".into(),
-                check: SloCheck::GaugeAtMost {
-                    gauge: "nope".into(),
+                check: SloCheck::SeriesLastAtMost {
+                    series: "nope".into(),
                     limit: 1,
                 },
             },
@@ -789,7 +716,9 @@ mod tests {
         let verdicts = evaluate_slos(&snap, &specs);
         assert!(verdicts[0].pass, "{verdicts:?}");
         assert!(verdicts[1].pass && verdicts[1].observed == 900);
-        assert!(!verdicts[2].pass && !verdicts[2].found);
+        assert!(!verdicts[2].pass && verdicts[2].found && verdicts[2].observed == 100);
+        assert!(verdicts[3].pass && verdicts[3].observed == 3);
+        assert!(!verdicts[4].pass && !verdicts[4].found);
         let json = slo_report_json(&verdicts);
         assert!(json.contains("\"pass\": false"));
         let parsed = serde_json::from_str_content(&json).expect("SLO report parses");

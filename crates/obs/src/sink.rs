@@ -1,54 +1,15 @@
-//! Trace sinks: the emission trait, the no-op default and the ring buffer.
+//! The trace sink: a bounded ring of [`TraceEvent`]s.
 
 use crate::event::TraceEvent;
 use std::collections::BTreeMap;
 
-/// Where instrumented code sends [`TraceEvent`]s.
-///
-/// Instrumentation sites are expected to guard event *construction* on
-/// [`TraceSink::enabled`]: the disabled path (the default [`NullSink`], or a
-/// context with no sink installed) must cost one predictable branch and
-/// nothing else. Implementations must be deterministic — no wall-clock, no
-/// ambient entropy, ordered collections only — so that recorded traces are
-/// byte-identical across runs and thread counts.
-pub trait TraceSink {
-    /// Whether events are being kept. Callers skip payload construction
-    /// when this is `false`.
-    fn enabled(&self) -> bool;
-
-    /// Intern a track name (one Perfetto thread per track), returning its
-    /// stable id. Interning the same name twice returns the same id; ids
-    /// are assigned in first-interning order, which is deterministic
-    /// because instrumented code runs in virtual-time order.
-    fn track(&mut self, name: &str) -> u32;
-
-    /// Record one event.
-    fn record(&mut self, ev: TraceEvent);
-}
-
-/// The default sink: drops everything, reports itself disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn track(&mut self, _name: &str) -> u32 {
-        0
-    }
-
-    #[inline]
-    fn record(&mut self, _ev: TraceEvent) {}
-}
-
-/// A bounded in-memory sink: keeps the most recent `capacity` events in a
-/// ring, counting (not keeping) everything older. No OS threads, no locks,
-/// no allocation after the ring fills — a plain `Vec` with a rotating
-/// start index.
+/// Where instrumented code sends [`TraceEvent`]s: a bounded in-memory
+/// ring that keeps the most recent `capacity` events, counting (not
+/// keeping) everything older. No OS threads, no locks, no allocation
+/// after the ring fills — a plain `Vec` with a rotating start index.
+/// Deterministic like everything it records: no wall clock, ordered
+/// collections only, so a recorded trace is byte-identical across runs
+/// and thread counts.
 #[derive(Debug)]
 pub struct RingSink {
     cap: usize,
@@ -109,15 +70,12 @@ impl RingSink {
     pub fn to_chrome_json(&self) -> String {
         crate::chrome::chrome_trace_json(&self.names, self.events())
     }
-}
 
-impl TraceSink for RingSink {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn track(&mut self, name: &str) -> u32 {
+    /// Intern a track name (one Perfetto thread per track), returning its
+    /// stable id. Interning the same name twice returns the same id; ids
+    /// are assigned in first-interning order, which is deterministic
+    /// because instrumented code runs in virtual-time order.
+    pub fn track(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
@@ -127,7 +85,8 @@ impl TraceSink for RingSink {
         id
     }
 
-    fn record(&mut self, ev: TraceEvent) {
+    /// Record one event, evicting the oldest when the ring is full.
+    pub fn record(&mut self, ev: TraceEvent) {
         if self.events.len() < self.cap {
             self.events.push(ev);
         } else {
@@ -180,13 +139,5 @@ mod tests {
         assert_eq!(s.track("pool"), b);
         assert_ne!(a, b);
         assert_eq!(s.track_names(), &["io".to_string(), "pool".to_string()]);
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(ev(1));
-        assert_eq!(s.track("anything"), 0);
     }
 }

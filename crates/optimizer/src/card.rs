@@ -71,7 +71,7 @@ const EXACT_K_LIMIT: u64 = 4096;
 /// [`yao_pages`] remembered per distinct `(m, n, k)`, for a caller that
 /// re-costs the same few queries many times (the admission planner: one
 /// table, a finite selectivity cycle). Only the exact O(k) branch is
-/// remembered — the closed form above [`EXACT_K_LIMIT`] is already O(1) —
+/// remembered — the closed form above `k` = 4096 is already O(1) —
 /// so the memo holds at most that many entries per table. The value is a
 /// pure function of the key: nothing that moves between admissions (pool
 /// residency, the queue-depth lease) enters it.

@@ -63,7 +63,7 @@ pub mod prelude {
         ScanMetrics, SimContext, SortedIsConfig, ThinkTime, WorkloadReport, WorkloadSpec,
         WriteConfig, WriteStats, WriteSystem,
     };
-    pub use pioqo_obs::{HistSet, Histogram, NullSink, RingSink, TraceSink};
+    pub use pioqo_obs::{HistSet, Histogram, MetricsRegistry, RingSink};
     pub use pioqo_optimizer::{
         plan_to_spec, AccessMethod, DttCost, JoinDecision, JoinMethod, JoinPlan, JoinStats,
         Optimizer, OptimizerConfig, Plan, QdBudget, QdttAdmission, QdttCost, TableStats,
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use pioqo_simkit::{SimDuration, SimRng, SimTime};
     pub use pioqo_storage::{BTreeIndex, HeapTable, TableSpec, Tablespace};
     pub use pioqo_workload::{
-        break_even, capture_trace, default_trace_cells, runtime_curve, DeviceKind, Experiment,
-        ExperimentConfig, MethodSpec, TraceBundle, TraceCell,
+        break_even, capture_trace, default_trace_cells, runtime_curve, CaptureCell, DeviceKind,
+        Experiment, ExperimentConfig, MethodSpec, TraceBundle,
     };
 }

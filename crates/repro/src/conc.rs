@@ -1,6 +1,6 @@
 //! The session-engine targets: `concurrency-grid`, `joins`,
-//! `interference`, `session-scale` (one golden CSV each) and the
-//! `session-export` bundle. All take `--seed` (default 42) and `--scale`.
+//! `interference` and `session-scale`, one golden CSV each. All take
+//! `--seed` (default 42) and `--scale`.
 
 use crate::figs::Opts;
 use crate::report::{f2, or_exit, results_dir, write_artifacts, TextTable};
@@ -8,7 +8,7 @@ use pioqo_exec::WriteConfig;
 use pioqo_optimizer::OptimizerConfig;
 use pioqo_simkit::SimDuration;
 use pioqo_workload::{
-    concurrency_grid, interference_sweep, join_grid, session_export, session_scale_sweep, to_csv,
+    concurrency_grid, interference_sweep, join_grid, session_scale_sweep, to_csv,
     ConcurrencyConfig, CsvRow, DeviceKind, JoinGridConfig, SessionScaleConfig,
 };
 
@@ -241,33 +241,4 @@ pub fn session_scale(opts: Opts) {
     }
     t.print();
     write_grid("session_scale", opts, &cells);
-}
-
-/// Run the canonical 8-session SSD workload with tracing and write
-/// `session_report.json` (engine report), `session_trace.json` (Chrome
-/// trace with one track per session) and `session_admissions.json` (the
-/// admission journal) into `results/session-export/`.
-pub fn export_sessions(opts: Opts) {
-    let cfg = grid_config(opts);
-    eprintln!(
-        "[session-export] 8 sessions on SSD, {} rows, seed {} ...",
-        cfg.rows, cfg.seed
-    );
-    let export = or_exit(session_export(&cfg), "session export");
-    let admissions_json =
-        serde_json::to_string_pretty(&export.admissions).unwrap_or_else(|_| String::from("[]"));
-    write_artifacts(
-        &results_dir().join("session-export"),
-        &[
-            ("session_report.json", &export.report_json),
-            ("session_trace.json", &export.chrome_json),
-            ("session_admissions.json", &admissions_json),
-        ],
-    );
-    println!(
-        "[session-export] {} queries, makespan {:.3} ms, fairness {:.2}",
-        export.report.total_completed(),
-        export.report.makespan.as_micros_f64() / 1_000.0,
-        export.report.fairness_ratio()
-    );
 }

@@ -36,17 +36,11 @@
 //! overlapping-scan sweep with the shared-scan cursor off vs on
 //! (`session_scale*.csv`).
 //!
-//! A bundle target writes several documents into `results/<target>/`
-//! (git-ignored; not part of `all`): `trace` the default observability
-//! scenario of `pioqo_workload::trace` — `trace.json` (Perfetto-loadable
-//! Chrome trace), `hists.csv`, `summary.json`; `metrics` the default
-//! scenario of `pioqo_workload::metrics` with the integer registry on —
-//! `metrics.prom`, `series.csv`, `metrics.json`, `slo.json`,
-//! `counters.json`, and a nonzero exit if an SLO fails; `session-export`
-//! the canonical 8-session run — `session_report.json`,
-//! `session_trace.json`, `session_admissions.json`. All are
-//! byte-identical at any thread count.
+//! A bundle target (`bundles.rs` lists the documents of each) writes
+//! several documents into `results/<target>/` (git-ignored; not part of
+//! `all`), byte-identical at any thread count.
 
+mod bundles;
 mod conc;
 mod devmeasure;
 mod figs;
@@ -54,7 +48,7 @@ mod grids;
 mod report;
 
 use figs::Opts;
-use report::{or_exit, results_dir, write_artifacts};
+use report::write_artifacts;
 
 /// A target name and the function it runs.
 type Target = (&'static str, fn(Opts));
@@ -84,9 +78,9 @@ const CSV_TARGETS: &[Target] = &[
 
 /// Targets that write a multi-file bundle into `results/<target>/`.
 const BUNDLE_TARGETS: &[Target] = &[
-    ("trace", run_trace),
-    ("metrics", run_metrics),
-    ("session-export", conc::export_sessions),
+    ("trace", bundles::trace),
+    ("metrics", bundles::metrics),
+    ("session-export", bundles::session),
 ];
 
 /// Flags earlier versions took, with what replaces each.
@@ -179,81 +173,6 @@ fn main() {
         eprint!("{}", report.phase_table());
     }
     eprintln!("[done] {:.1}s wall", started.elapsed().as_secs_f64());
-}
-
-/// Capture the default metrics scenario and write the five exports into
-/// `results/metrics/`. Deterministic in (`--scale`, `--seed`), independent
-/// of the thread count.
-fn run_metrics(opts: Opts) {
-    let mut cells = pioqo_workload::default_metrics_cells(opts.seed.unwrap_or(0));
-    for c in &mut cells {
-        c.scale_down = c.scale_down.saturating_mul(opts.scale);
-    }
-    let threads = pioqo_simkit::par::thread_count();
-    let cadence = pioqo_simkit::SimDuration::from_millis(1);
-    let slos = pioqo_workload::default_slos();
-    let bundle = or_exit(
-        pioqo_workload::capture_metrics(&cells, cadence, &slos, threads),
-        "metrics capture",
-    );
-    write_artifacts(
-        &results_dir().join("metrics"),
-        &[
-            ("metrics.prom", &bundle.prometheus),
-            ("series.csv", &bundle.series_csv),
-            ("metrics.json", &bundle.summary_json),
-            ("slo.json", &bundle.slo_json),
-            ("counters.json", &bundle.counters_json),
-        ],
-    );
-    for v in &bundle.verdicts {
-        println!(
-            "[metrics] slo {}: {} (observed {} vs limit {})",
-            v.name,
-            if v.pass { "pass" } else { "FAIL" },
-            v.observed,
-            v.limit
-        );
-    }
-    if !bundle.slo_pass() {
-        eprintln!("error: one or more SLOs failed");
-        std::process::exit(1);
-    }
-}
-
-/// Capture the default trace scenario and write the three exports into
-/// `results/trace/`. Deterministic in (`--scale`, `--seed`), independent
-/// of the thread count.
-fn run_trace(opts: Opts) {
-    let mut cells = pioqo_workload::default_trace_cells(opts.seed.unwrap_or(0));
-    for c in &mut cells {
-        // --scale shrinks the trace cells the same way it shrinks the
-        // figure/table experiments.
-        c.scale_down = c.scale_down.saturating_mul(opts.scale);
-    }
-    let threads = pioqo_simkit::par::thread_count();
-    let bundle = or_exit(
-        pioqo_workload::capture_trace(&cells, 1 << 16, threads),
-        "trace capture",
-    );
-    write_artifacts(
-        &results_dir().join("trace"),
-        &[
-            ("trace.json", &bundle.chrome_json),
-            ("hists.csv", &bundle.hist_csv),
-            ("summary.json", &bundle.summary_json),
-        ],
-    );
-    for cell in &bundle.cells {
-        println!(
-            "[trace] {}: runtime {:.3}s, {} ios, modal depth {}, p99 {} us",
-            cell.label,
-            cell.runtime_secs,
-            cell.io_ops,
-            cell.modal_queue_depth,
-            cell.p99_io_latency_us
-        );
-    }
 }
 
 /// Parse the next argument as a strictly positive integer, or exit with a

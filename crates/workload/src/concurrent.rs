@@ -6,15 +6,17 @@
 //! admitted through [`QdttAdmission`] so it is re-optimized under its
 //! queue-depth lease. [`concurrency_grid`] sweeps sessions ∈ {1, 2, 4, 8,
 //! 16} per device — the CSV it feeds shows plan choice and parallel degree
-//! shifting as concurrency rises. [`session_export`] produces the canonical
+//! shifting as concurrency rises. [`session_export`] renders the canonical
 //! 8-session observability bundle (report JSON + per-session Perfetto
-//! tracks) that CI schema-checks and the determinism tests byte-compare.
+//! tracks) that CI schema-checks and the determinism tests byte-compare,
+//! from one [`CaptureCell`].
 //!
 //! Every cell runs on its own fresh device and flushed pool with a model
 //! calibrated once per device, and the engine itself is a serial
 //! discrete-event loop, so all outputs are byte-identical across runs and
 //! across any worker-thread count.
 
+use crate::capture::{observe, CaptureCell, CaptureError, CellKind, Outcome};
 use crate::experiments::{DeviceKind, Experiment, ExperimentConfig};
 use crate::opteval::calibrate;
 use crate::CsvRow;
@@ -23,7 +25,6 @@ use pioqo_exec::{
     ExecError, MultiEngine, QuerySpec, SimContext, ThinkTime, WorkloadReport, WorkloadSpec,
     WriteSystem,
 };
-use pioqo_obs::RingSink;
 use pioqo_optimizer::{AdmissionDecision, OptimizerConfig, QdttAdmission};
 use pioqo_simkit::par::par_map_threads;
 use pioqo_simkit::SimDuration;
@@ -103,9 +104,8 @@ impl ConcurrencyConfig {
 /// through [`QdttAdmission`] over the calibrated `model`, with `ws` (when
 /// given) sharing the event loop. The caller builds `ctx` (a fresh device
 /// and flushed pool from [`Experiment::context`] for a cold cell) and
-/// installs whatever observes the run on it; an installed metrics
-/// registry is folded before returning. Returns the engine's report and
-/// the admission journal.
+/// installs whatever observes the run on it. Returns the engine's report
+/// and the admission journal.
 pub fn run_cell(
     exp: &Experiment,
     model: &Qdtt,
@@ -126,7 +126,6 @@ pub fn run_cell(
         Some(ws) => engine.run_with_writes(ctx, ws),
         None => engine.run(ctx),
     }?;
-    ctx.fold_metrics();
     Ok((report, planner.into_decisions()))
 }
 
@@ -285,31 +284,46 @@ pub struct SessionExport {
     pub admissions: Vec<AdmissionDecision>,
     /// `report` as pretty JSON.
     pub report_json: String,
+    /// `admissions` as pretty JSON.
+    pub admissions_json: String,
     /// Chrome trace-event JSON with one track per session plus the
     /// engine's `io`/`pool` tracks.
     pub chrome_json: String,
 }
 
-/// Run the canonical 8-session workload on `cfg`'s SSD fixture with
-/// tracing and export it: each session gets its own track (`session0`,
-/// `session1`, ...) next to the engine's `io`/`pool` tracks.
-pub fn session_export(cfg: &ConcurrencyConfig) -> Result<SessionExport, ExecError> {
-    let exp = Experiment::build(cfg.experiment(DeviceKind::Ssd));
-    let model = calibrate(&exp).qdtt;
-    let opt_cfg = OptimizerConfig::fine_grained();
-    let mut sink = RingSink::with_capacity(1 << 16);
-    let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
-    let mut ctx = Experiment::context(&mut *dev, &mut pool);
-    ctx.set_trace_sink(&mut sink);
-    let (report, admissions) = run_cell(&exp, &model, &opt_cfg, cfg.workload(8), None, &mut ctx)?;
-    drop(ctx);
-    let report_json = report.to_json();
-    let chrome_json = sink.to_chrome_json();
+/// The canonical 8-session cell: [`ConcurrencyConfig`]'s workload at
+/// `seed` on its SSD fixture, admitted by the fine-grained optimizer.
+pub fn session_export_cell(seed: u64) -> CaptureCell {
+    let cfg = ConcurrencyConfig {
+        seed,
+        ..ConcurrencyConfig::default()
+    };
+    CaptureCell {
+        fixture: cfg.experiment(DeviceKind::Ssd),
+        kind: CellKind::Sessions {
+            spec: Box::new(cfg.workload(8)),
+            optimizer: OptimizerConfig::fine_grained(),
+            writes: false,
+        },
+    }
+}
+
+/// Run a session `cell` traced and export it: each session gets its own
+/// track (`session0`, `session1`, ...) next to the engine's `io`/`pool`
+/// tracks.
+pub fn session_export(cell: &CaptureCell) -> Result<SessionExport, CaptureError> {
+    let observed = observe(cell, Some(1 << 16), None).map_err(CaptureError::Exec)?;
+    let Outcome::Sessions(report, admissions) = observed.outcome else {
+        return Err(CaptureError::NotSessions(cell.label()));
+    };
+    let ring = observed.ring.expect("the export runs traced");
     Ok(SessionExport {
-        report,
+        report_json: report.to_json(),
+        admissions_json: serde_json::to_string_pretty(&admissions)
+            .unwrap_or_else(|_| String::from("[]")),
+        chrome_json: ring.to_chrome_json(),
+        report: *report,
         admissions,
-        report_json,
-        chrome_json,
     })
 }
 
@@ -368,11 +382,7 @@ mod tests {
 
     #[test]
     fn session_export_has_one_track_per_session() {
-        let export = session_export(&ConcurrencyConfig {
-            seed: 7,
-            ..ConcurrencyConfig::default()
-        })
-        .expect("export runs");
+        let export = session_export(&session_export_cell(7)).expect("export runs");
         assert_eq!(export.report.per_session.len(), 8);
         for s in 0..8 {
             assert!(

@@ -11,6 +11,8 @@
 //! * [`sweep`] — runtime-vs-selectivity curves and break-even bisection
 //!   (Fig. 4, Table 2);
 //! * [`opteval`] — calibrate → optimize (DTT vs QDTT) → execute (Fig. 8);
+//! * [`mod@capture`] — one cell type and one runner for every observed run,
+//!   which the [`trace`], [`metrics`] and session-export bundles render;
 //! * [`concurrent`] — the §4.3 concurrency grid: N closed-loop sessions
 //!   under QDTT-aware admission control, per device;
 //! * [`interference`] — scan-vs-checkpoint interference: the same scan
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod capture;
 pub mod concurrent;
 pub mod dataset;
 pub mod experiments;
@@ -36,17 +39,16 @@ pub mod sessions;
 pub mod sweep;
 pub mod trace;
 
+pub use capture::{CaptureCell, CaptureError, CellKind};
 pub use concurrent::{
-    concurrency_grid, run_cell, session_export, ConcurrencyCell, ConcurrencyConfig, SessionExport,
+    concurrency_grid, run_cell, session_export, session_export_cell, ConcurrencyCell,
+    ConcurrencyConfig, SessionExport,
 };
 pub use dataset::Dataset;
 pub use experiments::{DeviceKind, Experiment, ExperimentConfig, MethodSpec};
 pub use interference::{interference_sweep, InterferenceCell};
 pub use joins::{join_grid, JoinCell, JoinGridConfig};
-pub use metrics::{
-    capture_metrics, default_metrics_cells, default_slos, small_metrics_cells, CellKind,
-    MetricsBundle, MetricsCell,
-};
+pub use metrics::{capture_metrics, default_metrics_cells, default_slos, MetricsBundle};
 pub use opteval::{
     calibrate, cold_stats, evaluate, plan_to_method, CalibratedModels, OptEvalPoint,
 };
@@ -55,7 +57,7 @@ pub use sessions::{
     SessionScaleConfig,
 };
 pub use sweep::{break_even, runtime_curve, SweepPoint};
-pub use trace::{capture_trace, default_trace_cells, TraceBundle, TraceCell, TraceError};
+pub use trace::{capture_trace, default_trace_cells, TraceBundle};
 
 /// One row of a grid CSV: the four cell types ([`ConcurrencyCell`],
 /// [`JoinCell`], [`InterferenceCell`], [`SessionScaleCell`]) serialise

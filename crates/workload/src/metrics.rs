@@ -1,124 +1,51 @@
-//! Metrics capture harness: run experiment cells with the always-on
-//! metrics registry enabled and export one merged, deterministic bundle.
+//! The metrics bundle: every cell metered through
+//! [`mod@crate::capture`], each on its own registry, and the snapshots
+//! merged in cell order under cell-label prefixes. Because the registry
+//! is integer-only and keyed off the virtual clock, all five exports —
+//! Prometheus text exposition, time-series CSV, summary JSON, SLO verdict
+//! JSON and Chrome counter tracks — are byte-identical across runs and
+//! across any worker-thread count (enforced by `tests/determinism.rs` and
+//! CI).
 //!
-//! The shape mirrors [`crate::trace`]: a *cell* is one workload point,
-//! every cell runs on its own simulated device, buffer pool and registry
-//! (in parallel via `par_map_threads`), and the per-cell snapshots merge
-//! in cell order under cell-label prefixes. Because the registry is
-//! integer-only and keyed off the virtual clock, all four exports —
-//! Prometheus text exposition, time-series CSV, summary JSON, and the
-//! SLO verdict JSON — are byte-identical across runs and across any
-//! worker-thread count (enforced by `tests/determinism.rs` and CI).
-//!
-//! Two cell kinds cover the instrumented subsystems end to end: a
-//! single-query scan (engine/pool/device series, I/O histograms) and a
+//! The default cells cover the instrumented subsystems end to end: two
+//! single-query scans (engine/pool/device series, I/O histograms) and a
 //! multi-session closed-loop workload under QDTT admission with shared
 //! scans and the write system running (admission gauges, `ScanHub`
 //! attach counters, WAL group-commit and flush-lag metrics).
 
-use crate::concurrent::{run_cell as run_session_cell, ConcurrencyConfig};
-use crate::experiments::{Experiment, ExperimentConfig, MethodSpec};
-use crate::interference::write_side;
-use crate::opteval::calibrate;
-use crate::trace::TraceError;
-use pioqo_exec::{execute, WorkloadSpec, WriteConfig};
-use pioqo_obs::{
-    evaluate_slos, slo_report_json, MetricsRegistry, MetricsSnapshot, SloCheck, SloSpec, SloVerdict,
-};
+use crate::capture::{capture, table1, CaptureCell, CaptureError, CellKind};
+use crate::concurrent::ConcurrencyConfig;
+use crate::experiments::MethodSpec;
+use pioqo_exec::WorkloadSpec;
+use pioqo_obs::{evaluate_slos, slo_report_json, MetricsSnapshot, SloCheck, SloSpec, SloVerdict};
 use pioqo_optimizer::OptimizerConfig;
-use pioqo_simkit::par::par_map_threads;
 use pioqo_simkit::SimDuration;
-
-/// What one metrics cell executes.
-#[derive(Debug, Clone)]
-pub enum CellKind {
-    /// One cold query Q: `method` at `selectivity`.
-    Scan {
-        /// Access method to execute.
-        method: MethodSpec,
-        /// Predicate selectivity.
-        selectivity: f64,
-    },
-    /// A closed-loop multi-session workload under QDTT admission.
-    Sessions {
-        /// Concurrent sessions.
-        sessions: u32,
-        /// Enable the shared-scan cursor.
-        shared: bool,
-        /// Run the write system (WAL + flusher) alongside the scans.
-        writes: bool,
-    },
-}
-
-/// One point of a metrics capture.
-#[derive(Debug, Clone)]
-pub struct MetricsCell {
-    /// Table 1 row name, e.g. `"E33-SSD"` (case-insensitive).
-    pub experiment: String,
-    /// Row-count divisor applied to the Table 1 config (1 = full scale).
-    pub scale_down: u64,
-    /// Master seed for the cell's dataset and device.
-    pub seed: u64,
-    /// The workload to run.
-    pub kind: CellKind,
-}
-
-impl MetricsCell {
-    /// The label whose sanitized form prefixes this cell's metric names.
-    pub fn label(&self) -> String {
-        match &self.kind {
-            CellKind::Scan {
-                method,
-                selectivity,
-            } => format!("{}/{}@{}", self.experiment, method, selectivity),
-            CellKind::Sessions {
-                sessions,
-                shared,
-                writes,
-            } => format!(
-                "{}/SES{}{}{}",
-                self.experiment,
-                sessions,
-                if *shared { "-shared" } else { "" },
-                if *writes { "-writes" } else { "" }
-            ),
-        }
-    }
-}
 
 /// The default capture scenario: the §2 queue-depth cell (PIS n = 8), an
 /// FTS contrast cell, and an 8-session shared-scan cell with the write
 /// system running, all on scaled-down Table 1 rows.
-pub fn default_metrics_cells(seed: u64) -> Vec<MetricsCell> {
+pub fn default_metrics_cells(seed: u64) -> Vec<CaptureCell> {
+    let ssd = table1("E33-SSD", 256, seed);
+    let is8 = MethodSpec::Is {
+        workers: 8,
+        prefetch: 0,
+    };
+    let spec = WorkloadSpec {
+        shared_scans: true,
+        ..ConcurrencyConfig {
+            seed,
+            ..ConcurrencyConfig::default()
+        }
+        .workload(8)
+    };
     vec![
-        MetricsCell {
-            experiment: "E33-SSD".to_string(),
-            scale_down: 256,
-            seed,
-            kind: CellKind::Scan {
-                method: MethodSpec::Is {
-                    workers: 8,
-                    prefetch: 0,
-                },
-                selectivity: 0.01,
-            },
-        },
-        MetricsCell {
-            experiment: "E33-SSD".to_string(),
-            scale_down: 256,
-            seed,
-            kind: CellKind::Scan {
-                method: MethodSpec::Fts { workers: 1 },
-                selectivity: 0.01,
-            },
-        },
-        MetricsCell {
-            experiment: "E33-SSD".to_string(),
-            scale_down: 256,
-            seed,
+        CaptureCell::scan(ssd.clone(), is8, 0.01),
+        CaptureCell::scan(ssd.clone(), MethodSpec::Fts { workers: 1 }, 0.01),
+        CaptureCell {
+            fixture: ssd,
             kind: CellKind::Sessions {
-                sessions: 8,
-                shared: true,
+                spec: Box::new(spec),
+                optimizer: OptimizerConfig::default(),
                 writes: true,
             },
         },
@@ -190,64 +117,19 @@ impl MetricsBundle {
     }
 }
 
-fn run_cell(cell: &MetricsCell, cadence: SimDuration) -> Result<MetricsSnapshot, TraceError> {
-    let mut cfg = ExperimentConfig::by_name(&cell.experiment)
-        .ok_or_else(|| TraceError::UnknownExperiment(cell.experiment.clone()))?
-        .scaled_down(cell.scale_down);
-    cfg.seed = cell.seed;
-    let exp = Experiment::build(cfg);
-    let mut registry = MetricsRegistry::enabled(cadence);
-    let (mut device, mut pool) = (exp.make_device(), exp.make_pool());
-    let mut ctx = Experiment::context(&mut *device, &mut pool);
-    ctx.set_metrics(&mut registry);
-    match &cell.kind {
-        CellKind::Scan {
-            method,
-            selectivity,
-        } => {
-            execute(&mut ctx, &exp.query(*method, *selectivity))?;
-            ctx.fold_metrics();
-        }
-        // QDTT admission over a model calibrated on the cell's own
-        // fixture; the write table and WAL live in the dataset's slack
-        // pages, as in `crate::interference`.
-        CellKind::Sessions {
-            sessions,
-            shared,
-            writes,
-        } => {
-            let seed = exp.cfg.seed;
-            let spec = WorkloadSpec {
-                shared_scans: *shared,
-                ..ConcurrencyConfig {
-                    seed,
-                    ..ConcurrencyConfig::default()
-                }
-                .workload(*sessions)
-            };
-            let mut ws = writes
-                .then(|| write_side(&exp, 2_000, seed ^ 0x57AB).system(WriteConfig::default()));
-            let (model, opt_cfg) = (calibrate(&exp).qdtt, OptimizerConfig::default());
-            run_session_cell(&exp, &model, &opt_cfg, spec, ws.as_mut(), &mut ctx)?;
-        }
-    }
-    drop(ctx);
-    Ok(registry.snapshot(&cell.label()))
-}
-
-/// Run every cell (its own device, pool and registry) and merge the
-/// snapshots in cell order. `threads` bounds the worker pool; the output
-/// is byte-identical for any value, including 1.
+/// Meter every cell (its own device, pool and registry sampling on
+/// `cadence`), merge the snapshots in cell order and evaluate `slos`
+/// against the merge. `threads` bounds the worker pool; the output is
+/// byte-identical for any value, including 1.
 pub fn capture_metrics(
-    cells: &[MetricsCell],
+    cells: &[CaptureCell],
     cadence: SimDuration,
     slos: &[SloSpec],
     threads: usize,
-) -> Result<MetricsBundle, TraceError> {
-    let results = par_map_threads(threads, 0x4D45, cells, |_rng, cell| run_cell(cell, cadence));
+) -> Result<MetricsBundle, CaptureError> {
     let mut snapshot = MetricsSnapshot::default();
-    for r in results {
-        snapshot.merge(&r?);
+    for o in capture(cells, None, Some(cadence), threads)? {
+        snapshot.merge(&o.snapshot.expect("every cell ran metered"));
     }
     let verdicts = evaluate_slos(&snapshot, slos);
     Ok(MetricsBundle {
@@ -261,19 +143,15 @@ pub fn capture_metrics(
     })
 }
 
-/// [`default_metrics_cells`] shrunk for tests and smoke runs.
-pub fn small_metrics_cells(seed: u64) -> Vec<MetricsCell> {
-    let mut cells = default_metrics_cells(seed);
-    for c in &mut cells {
-        c.scale_down = 1024;
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pioqo_simkit::SimTime;
+
+    /// [`default_metrics_cells`] shrunk for tests.
+    fn small_metrics_cells(seed: u64) -> Vec<CaptureCell> {
+        let cells = default_metrics_cells(seed);
+        cells.into_iter().map(|c| c.scaled_down(4)).collect()
+    }
 
     #[test]
     fn capture_is_thread_count_invariant_and_repeatable() {
@@ -321,7 +199,6 @@ mod tests {
         // Exports are well formed.
         assert!(bundle.prometheus.contains("# TYPE"));
         assert!(bundle.series_csv.starts_with("series,t_us,value"));
-        let _t = SimTime::ZERO; // keep the import honest under cfg(test)
     }
 
     #[test]
@@ -338,22 +215,5 @@ mod tests {
         }
         assert!(bundle.slo_pass());
         assert!(bundle.slo_json.contains("\"pass\": true"));
-    }
-
-    #[test]
-    fn unknown_experiment_is_reported() {
-        let cells = vec![MetricsCell {
-            experiment: "E7-TAPE".to_string(),
-            scale_down: 1,
-            seed: 0,
-            kind: CellKind::Scan {
-                method: MethodSpec::Fts { workers: 1 },
-                selectivity: 0.5,
-            },
-        }];
-        match capture_metrics(&cells, SimDuration::from_millis(1), &[], 1) {
-            Err(TraceError::UnknownExperiment(name)) => assert_eq!(name, "E7-TAPE"),
-            other => panic!("expected UnknownExperiment, got {other:?}"),
-        }
     }
 }

@@ -24,8 +24,8 @@ use pioqo::obs::EventKind;
 use pioqo::prelude::*;
 use pioqo::storage::range_for_selectivity;
 use pioqo::workload::{
-    calibrate, concurrency_grid, run_cell, session_export, session_scale_sweep, to_csv,
-    ConcurrencyConfig, SessionScaleConfig,
+    calibrate, concurrency_grid, run_cell, session_export, session_export_cell,
+    session_scale_sweep, to_csv, ConcurrencyConfig, SessionScaleConfig,
 };
 use proptest::prelude::*;
 
@@ -42,9 +42,9 @@ fn tiny() -> ConcurrencyConfig {
 
 #[test]
 fn eight_session_export_is_byte_identical_across_double_runs() {
-    let cfg = ConcurrencyConfig::default();
-    let a = session_export(&cfg).expect("first export runs");
-    let b = session_export(&cfg).expect("second export runs");
+    let cell = session_export_cell(ConcurrencyConfig::default().seed);
+    let a = session_export(&cell).expect("first export runs");
+    let b = session_export(&cell).expect("second export runs");
     assert_eq!(
         a.report_json, b.report_json,
         "workload report must survive a double run"
@@ -53,9 +53,10 @@ fn eight_session_export_is_byte_identical_across_double_runs() {
         a.chrome_json, b.chrome_json,
         "per-session Chrome trace must survive a double run"
     );
-    let aj = serde_json::to_string(&a.admissions).expect("admissions serialize");
-    let bj = serde_json::to_string(&b.admissions).expect("admissions serialize");
-    assert_eq!(aj, bj, "admission journal must survive a double run");
+    assert_eq!(
+        a.admissions_json, b.admissions_json,
+        "admission journal must survive a double run"
+    );
 }
 
 #[test]
