@@ -153,6 +153,8 @@ pub struct WriteSystem {
     /// Data-page writebacks in flight: device page -> (LSN the image
     /// carries, the staged image).
     pending_flush: BTreeMap<u64, (Lsn, Vec<u8>)>,
+    /// The flusher's list of dirty pages, reused from tick to tick.
+    flush_buf: Vec<u64>,
     /// Writer indexes waiting on a logical read handle.
     read_waiters: BTreeMap<u64, Vec<usize>>,
     /// Timer ids this system owns -> what they drive.
@@ -208,6 +210,7 @@ impl WriteSystem {
             dirty_since: BTreeMap::new(),
             pending_wal: BTreeMap::new(),
             pending_flush: BTreeMap::new(),
+            flush_buf: Vec::new(),
             read_waiters: BTreeMap::new(),
             timers: BTreeMap::new(),
             writers,
@@ -551,11 +554,12 @@ impl WriteSystem {
             "wal_flush_lag_lsn",
             self.wal.last_lsn().saturating_sub(self.wal.durable_lsn()),
         );
-        let mut dirty = Vec::new();
+        let mut dirty = std::mem::take(&mut self.flush_buf);
+        dirty.clear();
         ctx.pool.dirty_pages(&mut dirty);
         let durable = self.wal.durable_lsn();
         let mut submitted = 0u32;
-        for dp in dirty {
+        for &dp in &dirty {
             if submitted >= self.cfg.flush_batch {
                 break;
             }
@@ -576,6 +580,7 @@ impl WriteSystem {
             self.stats.data_page_flushes += 1;
             submitted += 1;
         }
+        self.flush_buf = dirty;
         let writers_done = self
             .writers
             .iter()

@@ -12,7 +12,7 @@
 //! Layout within the index extent: leaves first (level 0), then each
 //! internal level in order, root last.
 
-use crate::page::{PageCodecError, PageKind, PAGE_MAGIC};
+use crate::page::{fnv1a, PageCodecError, PageKind, PAGE_MAGIC};
 use crate::spec::PAGE_HEADER_BYTES;
 use crate::tablespace::{Extent, Tablespace, TablespaceError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -280,15 +280,6 @@ impl BTreeIndex {
         }
         Ok((leaf_no, entries))
     }
-}
-
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 #[cfg(test)]

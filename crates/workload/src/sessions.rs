@@ -55,7 +55,7 @@ pub struct SessionScaleConfig {
     /// Largest session count that still runs an *unshared* cell. Without
     /// sharing every session runs its own scan, so thousands of compute
     /// tasks are runnable at once and the processor-sharing
-    /// `CpuScheduler` touches each of them on every step: unshared
+    /// `CpuScheduler`'s settle touches each of them on every step: unshared
     /// wall-clock still grows faster than the session count (0.09 s at 1K,
     /// 2.8 s at 4K, ~16 s for the 10K baseline). The cap also pins the rows
     /// of `session_scale.csv`. `None` removes it.
