@@ -23,12 +23,12 @@
 //! previous depth is under `T` = 20%, defaulting the remaining points to
 //! slightly above the depth-1 costs.
 
-use crate::dtt::Dtt;
 use crate::qdtt::Qdtt;
 use pioqo_device::{DeviceModel, IoRequest, IoStatus};
 use pioqo_simkit::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// The queue-depth generator used while measuring a point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,7 +109,8 @@ pub struct CalibrationReport {
     pub stopped_at_qd: Option<u32>,
 }
 
-/// Calibrates [`Dtt`] / [`Qdtt`] models against a [`DeviceModel`].
+/// Calibrates a [`Qdtt`] against a [`DeviceModel`]; the DTT is its
+/// depth-1 row ([`Qdtt::to_dtt`]).
 pub struct Calibrator {
     cfg: CalibrationConfig,
 }
@@ -130,184 +131,24 @@ impl Calibrator {
     /// Calibrate the full QDTT grid (with early stopping if configured):
     /// one device, one rng and one clock threaded through every point.
     pub fn calibrate_qdtt(&self, dev: &mut dyn DeviceModel) -> (Qdtt, CalibrationReport) {
-        let mut clock = PointClock::default();
+        let mut now = SimTime::ZERO;
         let mut rng = SimRng::seeded(self.cfg.seed);
-        self.walk_grid(|_, qd, band_idx, report| {
-            band_idx
-                .iter()
-                .map(|&bi| {
-                    let band = self.cfg.band_sizes[bi];
-                    report.points_measured += 1;
-                    self.measure_avg(dev, band, qd, &mut rng, &mut clock, report)
-                })
-                .collect()
-        })
-    }
-
-    /// The §4.6 walk both calibrations share: depths ascending; within a
-    /// depth the largest band first; past depth one, stop when that band
-    /// improves on the previous depth by less than `early_stop_pct` and
-    /// fill every unmeasured point from the depth-1 row times
-    /// `stop_fill_factor`. `measure(qi, qd, band_idx, report)` returns one
-    /// cost per band index, in the order given, and accounts for its reads
-    /// in `report`; it is called once per depth with the largest band
-    /// alone and, if the walk goes on, once with the rest descending.
-    fn walk_grid(
-        &self,
-        mut measure: impl FnMut(usize, u32, &[usize], &mut CalibrationReport) -> Vec<f64>,
-    ) -> (Qdtt, CalibrationReport) {
-        let bands = &self.cfg.band_sizes;
-        let qds = &self.cfg.queue_depths;
-        let nb = bands.len();
-        let mut grid = vec![f64::NAN; nb * qds.len()];
-        let mut report = CalibrationReport::default();
-        let rest: Vec<usize> = (0..nb - 1).rev().collect();
-
-        for (qi, &qd) in qds.iter().enumerate() {
-            let cost = measure(qi, qd, &[nb - 1], &mut report)[0];
-            grid[qi * nb + (nb - 1)] = cost;
-            if let (true, Some(t_pct)) = (qi > 0, self.cfg.early_stop_pct) {
-                let prev = grid[(qi - 1) * nb + (nb - 1)];
-                let improvement = (prev - cost) / prev * 100.0;
-                if improvement < t_pct {
-                    report.stopped_at_qd = Some(qd);
-                    for qj in qi..qds.len() {
-                        for bj in 0..nb {
-                            let fill = grid[bj] * self.cfg.stop_fill_factor;
-                            let cell = &mut grid[qj * nb + bj];
-                            if cell.is_nan() {
-                                *cell = fill;
-                                report.points_defaulted += 1;
-                            }
-                        }
-                    }
-                    break;
-                }
-            }
-            let costs = measure(qi, qd, &rest, &mut report);
-            for (&bi, cost) in rest.iter().zip(costs) {
-                grid[qi * nb + bi] = cost;
-            }
-        }
-        debug_assert!(grid.iter().all(|c| !c.is_nan()));
-        (Qdtt::new(bands.clone(), qds.clone(), grid), report)
-    }
-
-    /// Calibrate the full QDTT grid in parallel, one fresh device per point.
-    ///
-    /// The parallel analogue of [`Calibrator::calibrate_qdtt`]:
-    /// `make_device` builds an identical cold device for every grid point,
-    /// each point draws its offsets from an rng derived purely from the
-    /// config seed and the point's grid coordinates
-    /// ([`SimRng::derive`]), and the per-point work fans out over
-    /// [`pioqo_simkit::par::par_map`]. The walk is the sequential one, so
-    /// the §4.6 early stop measures and skips exactly the same points.
-    ///
-    /// Because points no longer thread one rng/device/clock through the
-    /// grid, the measured values differ numerically from
-    /// [`Calibrator::calibrate_qdtt`] — but they are identical at every
-    /// thread count, which is the invariant the harness enforces.
-    pub fn calibrate_qdtt_with<D, F>(&self, make_device: F) -> (Qdtt, CalibrationReport)
-    where
-        D: DeviceModel,
-        F: Fn() -> D + Sync,
-    {
-        let bands = &self.cfg.band_sizes;
-        let nb = bands.len();
-        self.walk_grid(|qi, qd, band_idx, report| {
-            // One derivation base per row. Within it the largest band
-            // draws stream `nb - 1` and the rest, measured descending,
-            // streams 0, 1, ...: a unique (base, stream) per grid point.
-            let row_seed = self
-                .cfg
-                .seed
-                .wrapping_add((qi as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let stream = |bi: usize| (if bi == nb - 1 { bi } else { nb - 2 - bi }) as u64;
-            let results = pioqo_simkit::par::par_map(row_seed, band_idx, |_, &bi| {
-                let rng = SimRng::derive(row_seed, stream(bi));
-                self.measure_fresh(&make_device, bands[bi], qd, rng)
-            });
-            results
-                .iter()
-                .map(|(cost, local)| {
-                    merge_report(report, local);
-                    *cost
-                })
-                .collect()
-        })
-    }
-
-    /// Parallel analogue of [`Calibrator::calibrate_dtt`]: every band is
-    /// measured on a fresh device from `make_device` with a derived rng,
-    /// fanned out over [`pioqo_simkit::par::par_map`].
-    pub fn calibrate_dtt_with<D, F>(&self, make_device: F) -> (Dtt, CalibrationReport)
-    where
-        D: DeviceModel,
-        F: Fn() -> D + Sync,
-    {
-        let mut report = CalibrationReport::default();
-        let bands: Vec<u64> = self.cfg.band_sizes.iter().rev().copied().collect();
-        let results = pioqo_simkit::par::par_map(self.cfg.seed, &bands, |rng, &band| {
-            self.measure_fresh(&make_device, band, 1, rng)
+        let walked = walk_grid(&self.cfg, |band, qd, report| {
+            Ok::<_, Infallible>(self.measure_avg(dev, band, qd, &mut rng, &mut now, report))
         });
-        let points = bands
-            .iter()
-            .zip(&results)
-            .map(|(&band, (cost, local))| {
-                merge_report(&mut report, local);
-                (band, *cost)
-            })
-            .collect();
-        (Dtt::new(points), report)
-    }
-
-    /// Measure one point on a freshly built device with its own clock —
-    /// the unit of work `calibrate_*_with` hands to worker threads.
-    fn measure_fresh<D, F>(
-        &self,
-        make_device: &F,
-        band: u64,
-        qd: u32,
-        mut rng: SimRng,
-    ) -> (f64, CalibrationReport)
-    where
-        D: DeviceModel,
-        F: Fn() -> D + Sync,
-    {
-        let mut dev = make_device();
-        let mut clock = PointClock::default();
-        let mut local = CalibrationReport::default();
-        let cost = self.measure_avg(&mut dev, band, qd, &mut rng, &mut clock, &mut local);
-        local.points_measured = 1;
-        (cost, local)
-    }
-
-    /// Calibrate only the DTT (queue depth 1).
-    pub fn calibrate_dtt(&self, dev: &mut dyn DeviceModel) -> (Dtt, CalibrationReport) {
-        let mut report = CalibrationReport::default();
-        let mut clock = PointClock::default();
-        let mut rng = SimRng::seeded(self.cfg.seed);
-        let points = self
-            .cfg
-            .band_sizes
-            .iter()
-            .rev()
-            .map(|&b| {
-                let c = self.measure_avg(dev, b, 1, &mut rng, &mut clock, &mut report);
-                report.points_measured += 1;
-                (b, c)
-            })
-            .collect();
-        (Dtt::new(points), report)
+        match walked {
+            Ok(calibrated) => calibrated,
+            Err(never) => match never {},
+        }
     }
 
     /// Measure one `(band, qd)` point: amortized µs per page read, averaged
     /// over the configured repetitions.
     pub fn measure_point(&self, dev: &mut dyn DeviceModel, band: u64, qd: u32) -> f64 {
         let mut report = CalibrationReport::default();
-        let mut clock = PointClock::default();
+        let mut now = SimTime::ZERO;
         let mut rng = SimRng::seeded(self.cfg.seed ^ band.rotate_left(17) ^ qd as u64);
-        self.measure_avg(dev, band, qd, &mut rng, &mut clock, &mut report)
+        self.measure_avg(dev, band, qd, &mut rng, &mut now, &mut report)
     }
 
     fn measure_avg(
@@ -316,12 +157,12 @@ impl Calibrator {
         band: u64,
         qd: u32,
         rng: &mut SimRng,
-        clock: &mut PointClock,
+        now: &mut SimTime,
         report: &mut CalibrationReport,
     ) -> f64 {
         let mut total = 0.0;
         for _ in 0..self.cfg.repetitions.max(1) {
-            total += self.measure_once(dev, band, qd, rng, clock, report);
+            total += self.measure_once(dev, band, qd, rng, now, report);
         }
         total / self.cfg.repetitions.max(1) as f64
     }
@@ -333,12 +174,12 @@ impl Calibrator {
         band: u64,
         qd: u32,
         rng: &mut SimRng,
-        clock: &mut PointClock,
+        now: &mut SimTime,
         report: &mut CalibrationReport,
     ) -> f64 {
         dev.reset_state();
         let offsets = point_offsets(self.cfg.max_reads, dev.capacity_pages(), band, rng);
-        let elapsed = run_point_ios(dev, &offsets, qd, self.cfg.method, clock);
+        let elapsed = run_point_ios(dev, &offsets, qd, self.cfg.method, now);
         report.total_reads += offsets.len() as u64;
         report.virtual_duration += elapsed;
         elapsed.as_micros_f64() / offsets.len() as f64
@@ -391,20 +232,52 @@ pub(crate) fn point_offsets(m: u64, file_pages: u64, band: u64, rng: &mut SimRng
     offsets
 }
 
-/// Fold one per-point report into the aggregate (order-independent sums,
-/// so the merge order cannot leak thread scheduling into the result).
-fn merge_report(into: &mut CalibrationReport, from: &CalibrationReport) {
-    into.points_measured += from.points_measured;
-    into.points_defaulted += from.points_defaulted;
-    into.total_reads += from.total_reads;
-    into.virtual_duration += from.virtual_duration;
-}
+/// The §4.6 walk every calibration runs: depths ascending; within a
+/// depth the largest band first; past depth one, stop when that band
+/// improves on the previous depth by less than `early_stop_pct` and fill
+/// every unmeasured point from the depth-1 row times `stop_fill_factor`;
+/// otherwise measure the rest of the row, bands descending.
+/// `measure(band, qd, report)` returns one point's cost and accounts for
+/// its reads in `report`; the walk counts the points and stops at the
+/// first error. Shared with [`crate::real_calibrate`].
+pub(crate) fn walk_grid<E>(
+    cfg: &CalibrationConfig,
+    mut measure: impl FnMut(u64, u32, &mut CalibrationReport) -> Result<f64, E>,
+) -> Result<(Qdtt, CalibrationReport), E> {
+    let bands = &cfg.band_sizes;
+    let qds = &cfg.queue_depths;
+    let nb = bands.len();
+    let mut grid = vec![f64::NAN; nb * qds.len()];
+    let mut report = CalibrationReport::default();
 
-/// Monotonic clock shared across calibration points (device pipeline state
-/// never moves backwards).
-#[derive(Default)]
-struct PointClock {
-    now: SimTime,
+    for (qi, &qd) in qds.iter().enumerate() {
+        let row = qi * nb;
+        grid[row + nb - 1] = measure(bands[nb - 1], qd, &mut report)?;
+        report.points_measured += 1;
+        if let (true, Some(t_pct)) = (qi > 0, cfg.early_stop_pct) {
+            let (prev, cost) = (grid[row - 1], grid[row + nb - 1]);
+            if (prev - cost) / prev * 100.0 < t_pct {
+                report.stopped_at_qd = Some(qd);
+                for qj in qi..qds.len() {
+                    for bj in 0..nb {
+                        let fill = grid[bj] * cfg.stop_fill_factor;
+                        let cell = &mut grid[qj * nb + bj];
+                        if cell.is_nan() {
+                            *cell = fill;
+                            report.points_defaulted += 1;
+                        }
+                    }
+                }
+                break;
+            }
+        }
+        for bi in (0..nb - 1).rev() {
+            grid[row + bi] = measure(bands[bi], qd, &mut report)?;
+            report.points_measured += 1;
+        }
+    }
+    debug_assert!(grid.iter().all(|c| !c.is_nan()));
+    Ok((Qdtt::new(bands.clone(), qds.clone(), grid), report))
 }
 
 /// Drive `offsets` page reads through `dev` at queue depth `qd` with
@@ -414,10 +287,10 @@ fn run_point_ios(
     offsets: &[u64],
     qd: u32,
     method: Method,
-    clock: &mut PointClock,
+    clock: &mut SimTime,
 ) -> SimDuration {
     let qd = qd.max(1) as usize;
-    let start = clock.now;
+    let start = *clock;
     let mut now = start;
     let mut out = Vec::new();
     let mut next = 0usize;
@@ -498,7 +371,7 @@ fn run_point_ios(
         dev.advance(t, &mut out);
         now = t;
     }
-    clock.now = now;
+    *clock = now;
     now - start
 }
 
@@ -621,7 +494,7 @@ mod tests {
     fn hdd_band_size_dominates() {
         let mut dev = hdd_7200(1 << 20, 1);
         let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-        let (d, _) = cal.calibrate_dtt(&mut dev);
+        let d = cal.calibrate_qdtt(&mut dev).0.to_dtt();
         assert!(
             d.cost(1 << 18) > d.cost(64) * 1.5,
             "seek distance must matter on HDD: {} vs {}",
@@ -658,60 +531,6 @@ mod tests {
         let (m, report) = cal.calibrate_qdtt(&mut dev);
         assert!(report.total_reads > 0);
         assert!(m.cost(1, 1) > 0.0);
-    }
-
-    #[test]
-    fn parallel_grid_matches_sequential_physics() {
-        // The _with variant measures with per-point devices/rngs, so the
-        // numbers differ from the sequential grid — but the device physics
-        // conclusions must be the same.
-        let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-        let (m, report) = cal.calibrate_qdtt_with(|| consumer_pcie_ssd(1 << 18, 1));
-        assert_eq!(report.points_measured, 18);
-        assert_eq!(report.points_defaulted, 0);
-        let c1 = m.cost(1 << 18, 1);
-        let c32 = m.cost(1 << 18, 32);
-        assert!(c32 < c1 / 4.0, "SSD qd32 ≪ qd1: {c1} vs {c32}");
-    }
-
-    #[test]
-    fn parallel_early_stop_matches_sequential_protocol() {
-        let mut cfg = small_cfg(Method::ActiveWait);
-        cfg.early_stop_pct = Some(20.0);
-        let cal = Calibrator::new(cfg);
-        let (_, par_report) = cal.calibrate_qdtt_with(|| hdd_7200(1 << 18, 1));
-        let mut dev = hdd_7200(1 << 18, 1);
-        let (_, seq_report) = cal.calibrate_qdtt(&mut dev);
-        // Same stop depth and same measured/defaulted point counts: the
-        // parallel protocol probes and skips exactly the same cells.
-        assert_eq!(par_report.stopped_at_qd, seq_report.stopped_at_qd);
-        assert_eq!(par_report.points_measured, seq_report.points_measured);
-        assert_eq!(par_report.points_defaulted, seq_report.points_defaulted);
-    }
-
-    #[test]
-    fn parallel_calibration_is_deterministic() {
-        let run = || {
-            let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-            cal.calibrate_qdtt_with(|| consumer_pcie_ssd(1 << 18, 7)).0
-        };
-        assert_eq!(run(), run());
-        let run_dtt = || {
-            let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-            cal.calibrate_dtt_with(|| hdd_7200(1 << 18, 7)).0
-        };
-        assert_eq!(run_dtt(), run_dtt());
-    }
-
-    #[test]
-    fn boxed_device_factory_works() {
-        // Experiment::make_device returns Box<dyn DeviceModel>; the blanket
-        // impl lets the factory hand those straight to the calibrator.
-        let cal = Calibrator::new(small_cfg(Method::ActiveWait));
-        let make =
-            || -> Box<dyn pioqo_device::DeviceModel> { Box::new(consumer_pcie_ssd(1 << 18, 3)) };
-        let (m, _) = cal.calibrate_dtt_with(make);
-        assert!(m.cost(64) > 0.0);
     }
 
     #[test]

@@ -8,43 +8,40 @@
 
 #![cfg(unix)]
 
-use crate::calibrate::{point_offsets, CalibrationConfig, Method};
+use crate::calibrate::{point_offsets, walk_grid, CalibrationConfig, Method};
 use crate::qdtt::Qdtt;
 use pioqo_device::real::{run_calibration_ios, IoPool, RealFile, WaitMethod};
 use pioqo_simkit::SimRng;
 use std::io;
 use std::sync::Arc;
 
-/// Calibrate a QDTT model against a real file. The `Threads` method maps to
-/// active waiting (with a pool of synchronous readers they are the same
-/// discipline).
+/// Calibrate a QDTT model against a real file, through the same §4.6 walk
+/// (and so the same offsets, point by point) as the simulated
+/// calibrator. The `Threads` method maps to active waiting (with a pool
+/// of synchronous readers they are the same discipline).
 pub fn calibrate_real_qdtt(cfg: &CalibrationConfig, file: Arc<RealFile>) -> io::Result<Qdtt> {
-    let nb = cfg.band_sizes.len();
-    let mut grid = vec![0.0f64; nb * cfg.queue_depths.len()];
+    let method = match cfg.method {
+        Method::GroupWait => WaitMethod::GroupWait,
+        Method::ActiveWait | Method::Threads => WaitMethod::ActiveWait,
+    };
     let mut rng = SimRng::seeded(cfg.seed);
-    for (qi, &qd) in cfg.queue_depths.iter().enumerate() {
-        let pool = IoPool::new(Arc::clone(&file), qd as usize);
-        for (bi, &band) in cfg.band_sizes.iter().enumerate() {
-            let mut total_us = 0.0;
-            let mut total_reads = 0u64;
-            for _ in 0..cfg.repetitions.max(1) {
-                let offsets = point_offsets(cfg.max_reads, file.pages(), band, &mut rng);
-                let method = match cfg.method {
-                    Method::GroupWait => WaitMethod::GroupWait,
-                    Method::ActiveWait | Method::Threads => WaitMethod::ActiveWait,
-                };
-                let elapsed = run_calibration_ios(&pool, method, qd as usize, &offsets)?;
-                total_us += elapsed.as_secs_f64() * 1e6;
-                total_reads += offsets.len() as u64;
-            }
-            grid[qi * nb + bi] = total_us / total_reads as f64;
+    // One reader pool per depth: the walk visits depths in order.
+    let mut pool: Option<(u32, IoPool)> = None;
+    let (qdtt, _) = walk_grid(cfg, |band, qd, report| -> io::Result<f64> {
+        if pool.as_ref().map(|(depth, _)| *depth) != Some(qd) {
+            pool = Some((qd, IoPool::new(Arc::clone(&file), qd as usize)));
         }
-    }
-    Ok(Qdtt::new(
-        cfg.band_sizes.clone(),
-        cfg.queue_depths.clone(),
-        grid,
-    ))
+        let (_, readers) = pool.as_ref().expect("pool for this depth");
+        let mut total_us = 0.0;
+        for _ in 0..cfg.repetitions.max(1) {
+            let offsets = point_offsets(cfg.max_reads, file.pages(), band, &mut rng);
+            let elapsed = run_calibration_ios(readers, method, qd as usize, &offsets)?;
+            total_us += elapsed.as_secs_f64() * 1e6 / offsets.len() as f64;
+            report.total_reads += offsets.len() as u64;
+        }
+        Ok(total_us / cfg.repetitions.max(1) as f64)
+    })?;
+    Ok(qdtt)
 }
 
 #[cfg(test)]
@@ -111,16 +108,23 @@ mod tests {
 
     #[test]
     fn real_and_simulated_calibration_draw_identical_offsets() {
-        // Same (cfg, file_pages, band, seed): the simulated calibrator's
-        // first point must read exactly the pages the real one would.
+        // Same (cfg, file_pages, seed): every point of the simulated
+        // calibration reads exactly the pages the real one would, because
+        // both draw `point_offsets` from one rng through one walk.
         let file_pages = 1 << 14;
-        for (band, max_reads) in [(1u64, 64u64), (8, 100), (256, 64), (1 << 14, 200)] {
+        for (bands, max_reads) in [
+            (vec![1u64], 64u64),
+            (vec![8], 100),
+            (vec![256], 64),
+            (vec![1 << 14], 200),
+            (vec![1, 256, 1 << 14], 100),
+        ] {
             let cfg = CalibrationConfig {
-                band_sizes: vec![band],
-                queue_depths: vec![1],
+                band_sizes: bands.clone(),
+                queue_depths: vec![1, 4],
                 max_reads,
                 method: Method::ActiveWait,
-                repetitions: 1,
+                repetitions: 2,
                 early_stop_pct: None,
                 stop_fill_factor: 1.02,
                 seed: 11,
@@ -130,10 +134,17 @@ mod tests {
                 seen: Vec::new(),
             };
             crate::Calibrator::new(cfg.clone()).calibrate_qdtt(&mut dev);
-            // `calibrate_real_qdtt` seeds its rng the same way.
+            // `calibrate_real_qdtt`'s draws, without the reads.
             let mut rng = SimRng::seeded(cfg.seed);
-            let real = point_offsets(cfg.max_reads, file_pages, band, &mut rng);
-            assert_eq!(dev.seen, real, "band {band}");
+            let mut real = Vec::new();
+            walk_grid(&cfg, |band, _, _| {
+                for _ in 0..cfg.repetitions {
+                    real.extend(point_offsets(cfg.max_reads, file_pages, band, &mut rng));
+                }
+                Ok::<_, std::convert::Infallible>(1.0)
+            })
+            .expect("infallible");
+            assert_eq!(dev.seen, real, "bands {bands:?}");
         }
     }
 

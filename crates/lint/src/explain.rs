@@ -59,7 +59,7 @@ pub fn rationale(rule: &str) -> Option<&'static str> {
              Real threads introduce scheduling nondeterminism the seed cannot\n\
              reproduce. Concurrency inside the simulation is modeled in virtual\n\
              time (interleaved I/Os, overlapped seeks); the only sanctioned\n\
-             real-thread site is `simkit::par`, which derives one RNG per item and\n\
+             real-thread site is `simkit::par`, which runs independent items and\n\
              merges in submission order so outputs are identical at any thread\n\
              count."
         }

@@ -612,6 +612,22 @@ mod tests {
     }
 
     #[test]
+    fn calibrate_is_the_one_calibration_recipe() {
+        // `Db::calibrate` gives the surface every other path gives for its
+        // device and seed: the paper defaults, one walk, one fresh device.
+        for storage in [StorageKind::Hdd, StorageKind::Ssd] {
+            let build = || Db::builder().storage(storage).rows(20_000).seed(9).build();
+            let mut twin = build();
+            let cal = Calibrator::new(CalibrationConfig::for_device(
+                twin.device.capacity_pages(),
+                9 ^ 0xCA11,
+            ));
+            let (expected, _) = cal.calibrate_qdtt(&mut *twin.device);
+            assert_eq!(build().calibrate(), &expected);
+        }
+    }
+
+    #[test]
     fn hdd_db_stays_serial() {
         let mut db = Db::builder()
             .storage(StorageKind::Hdd)

@@ -1,19 +1,13 @@
 //! Deterministic scoped-thread fan-out for embarrassingly parallel grids.
 //!
 //! The experiment harness evaluates large grids of *independent*
-//! simulation points (figure curves, calibration cells, repetitions).
-//! [`par_map`] runs such a grid across OS threads while keeping the
-//! workspace's byte-determinism invariant:
-//!
-//! * every item gets its own [`SimRng`] derived as a pure function of
-//!   `(master_seed, item_index)` via [`SimRng::derive`] — no generator is
-//!   ever shared or advanced across items, so RNG streams are invariant
-//!   under scheduling order;
-//! * results are merged back **in submission order**, so the output `Vec`
-//!   is identical no matter how the items were interleaved across threads.
-//!
-//! Together these make `PIOQO_THREADS=1` and `PIOQO_THREADS=N` produce
-//! byte-identical CSVs (enforced by `crates/repro/tests/` and CI).
+//! simulation points (figure curves, grid cells, repetitions): each item
+//! builds its own device, pool and seeds from the item itself, so nothing
+//! random is shared between items. [`par_map`] runs such a grid across OS
+//! threads and merges the results back **in submission order**, so the
+//! output `Vec` is identical no matter how the items were interleaved
+//! across threads. That makes `PIOQO_THREADS=1` and `PIOQO_THREADS=N`
+//! produce byte-identical CSVs (enforced by `crates/repro/tests/` and CI).
 //!
 //! The pool is dependency-free: plain `std::thread::scope`, one atomic
 //! work index, no channels. Worker threads exist only inside `par_map`;
@@ -21,7 +15,6 @@
 //! the one allowlisted `std::thread` exception in a simulation crate
 //! (lint rule D7, see `lint.toml`).
 
-use crate::SimRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker threads currently parked inside a `par_*` fan-out anywhere in
@@ -50,9 +43,9 @@ impl Drop for CoreReservation {
 /// How many threads a fan-out starting *now* should use: the configured
 /// [`thread_count`] minus the cores already reserved by enclosing
 /// fan-outs, floored at 1. The budget only changes scheduling, never
-/// results (derived seeds and index-ordered merges are thread-count
-/// blind), so a nested [`par_map`] stays byte-identical while no longer
-/// multiplying the host's thread count.
+/// results (the index-ordered merge is thread-count blind), so a nested
+/// [`par_map`] stays byte-identical while no longer multiplying the
+/// host's thread count.
 pub fn free_thread_budget() -> usize {
     thread_count()
         .saturating_sub(CORES_IN_USE.load(Ordering::Relaxed))
@@ -78,40 +71,34 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Map `f` over `items` on [`thread_count`] threads, returning results in
-/// submission order.
-///
-/// Item `i` receives `SimRng::derive(master_seed, i)`, so its random
-/// stream depends only on its position in `items`, not on which thread
-/// ran it or when. With one thread (or one item) the items run inline on
-/// the caller's thread with the *same* derived seeds, which is what makes
-/// the single-threaded and multi-threaded outputs byte-identical.
-pub fn par_map<T, R, F>(master_seed: u64, items: &[T], f: F) -> Vec<R>
+/// Map `f` over `items` on [`free_thread_budget`] threads, returning
+/// results in submission order. With one thread (or one item) the items
+/// run inline on the caller's thread.
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(SimRng, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    par_map_threads(free_thread_budget(), master_seed, items, f)
+    par_map_threads(free_thread_budget(), items, f)
 }
 
 /// [`par_map`] with an explicit thread count (used by tests and the
 /// benchmark harness to pin both sides of a 1-vs-N comparison).
-pub fn par_map_threads<T, R, F>(threads: usize, master_seed: u64, items: &[T], f: F) -> Vec<R>
+pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(SimRng, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
     if threads <= 1 || n <= 1 {
         let _phase = pioqo_profiler::scope("par_inline");
         return items
             .iter()
-            .enumerate()
-            .map(|(i, item)| {
+            .map(|item| {
                 let _item = pioqo_profiler::scope("item");
-                f(SimRng::derive(master_seed, i as u64), item)
+                f(item)
             })
             .collect();
     }
@@ -119,8 +106,7 @@ where
     // One shared claim counter; each worker grabs the next unclaimed index
     // and keeps `(index, result)` pairs locally so no lock sits on the
     // result path. Which worker computes which item varies run to run —
-    // the derived seeds and the index-ordered merge below are what keep
-    // the output independent of that.
+    // the index-ordered merge below keeps the output independent of that.
     let next = AtomicUsize::new(0);
     let workers = threads.min(n);
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
@@ -142,8 +128,7 @@ where
                                     break;
                                 }
                                 let _item = pioqo_profiler::scope("item");
-                                local
-                                    .push((i, f(SimRng::derive(master_seed, i as u64), &items[i])));
+                                local.push((i, f(&items[i])));
                             }
                         }
                         pioqo_profiler::flush_thread();
@@ -173,10 +158,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
-    /// A little simulation-shaped job: consume the derived rng and fold it
-    /// with the item so both seed and payload show up in the result.
-    fn job(mut rng: SimRng, item: &u64) -> u64 {
+    /// A little simulation-shaped job: an rng seeded from the item alone,
+    /// folded with the item so the payload shows up in the result.
+    fn job(item: &u64) -> u64 {
+        let mut rng = SimRng::seeded(*item);
         let mut acc = *item;
         for _ in 0..16 {
             acc = acc.wrapping_add(rng.below(1 << 20));
@@ -187,41 +174,26 @@ mod tests {
     #[test]
     fn order_matches_input_and_thread_count_is_invisible() {
         let items: Vec<u64> = (0..97).collect();
-        let seq = par_map_threads(1, 0xC0FFEE, &items, job);
+        let seq = par_map_threads(1, &items, job);
         for threads in [2, 3, 4, 8, 64] {
-            let par = par_map_threads(threads, 0xC0FFEE, &items, job);
+            let par = par_map_threads(threads, &items, job);
             assert_eq!(seq, par, "threads={threads} diverged from threads=1");
         }
     }
 
     #[test]
-    fn each_item_gets_its_derived_stream() {
-        let items = [5u64, 5, 5];
-        let out = par_map_threads(2, 99, &items, |mut rng, _| rng.next_u64());
-        // Same payloads, different streams.
-        assert_ne!(out[0], out[1]);
-        assert_ne!(out[1], out[2]);
-        // And stream i is exactly SimRng::derive(seed, i).
-        assert_eq!(out[0], SimRng::derive(99, 0).next_u64());
-        assert_eq!(out[2], SimRng::derive(99, 2).next_u64());
-    }
-
-    #[test]
     fn empty_and_single_item_inputs() {
         let empty: Vec<u64> = Vec::new();
-        assert!(par_map_threads(4, 1, &empty, job).is_empty());
+        assert!(par_map_threads(4, &empty, job).is_empty());
         let one = [7u64];
-        assert_eq!(
-            par_map_threads(4, 1, &one, job),
-            par_map_threads(1, 1, &one, job)
-        );
+        assert_eq!(par_map_threads(4, &one, job), par_map_threads(1, &one, job));
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let items: Vec<u64> = (0..3).collect();
-        let a = par_map_threads(16, 2, &items, job);
-        let b = par_map_threads(1, 2, &items, job);
+        let a = par_map_threads(16, &items, job);
+        let b = par_map_threads(1, &items, job);
         assert_eq!(a, b);
     }
 
@@ -230,7 +202,7 @@ mod tests {
         // The outer fan-out reserves its workers; a nested par_map must see
         // a reduced budget (floored at 1) instead of thread_count().
         let items: Vec<u64> = (0..4).collect();
-        let budgets = par_map_threads(4, 7, &items, |_, _| free_thread_budget());
+        let budgets = par_map_threads(4, &items, |_| free_thread_budget());
         let total = thread_count();
         for b in budgets {
             if total > 4 {

@@ -216,9 +216,7 @@ pub(crate) fn capture(
     {
         return Err(CaptureError::DuplicateLabel(dup.label()));
     }
-    let observed = par_map_threads(threads, 0xB5, cells, |_rng, cell| {
-        observe(cell, ring, cadence)
-    });
+    let observed = par_map_threads(threads, cells, |cell| observe(cell, ring, cadence));
     observed
         .into_iter()
         .map(|r| r.map_err(CaptureError::Exec))

@@ -253,24 +253,19 @@ pub fn concurrency_grid(
     let cells: Vec<(usize, u32)> = (0..fixtures.len())
         .flat_map(|d| cfg.session_counts.iter().map(move |&s| (d, s)))
         .collect();
-    let results = par_map_threads(
-        threads,
-        cfg.seed ^ 0xC0C0,
-        &cells,
-        |_rng, &(d, sessions)| {
-            let (device, exp, model) = &fixtures[d];
-            let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
-            let mut ctx = Experiment::context(&mut *dev, &mut pool);
-            let (report, admissions) =
-                run_cell(exp, model, opt_cfg, cfg.workload(sessions), None, &mut ctx)?;
-            Ok(ConcurrencyCell::from_run(
-                *device,
-                sessions,
-                &report,
-                &admissions,
-            ))
-        },
-    );
+    let results = par_map_threads(threads, &cells, |&(d, sessions)| {
+        let (device, exp, model) = &fixtures[d];
+        let (mut dev, mut pool) = (exp.make_device(), exp.make_pool());
+        let mut ctx = Experiment::context(&mut *dev, &mut pool);
+        let (report, admissions) =
+            run_cell(exp, model, opt_cfg, cfg.workload(sessions), None, &mut ctx)?;
+        Ok(ConcurrencyCell::from_run(
+            *device,
+            sessions,
+            &report,
+            &admissions,
+        ))
+    });
     results.into_iter().collect()
 }
 

@@ -206,8 +206,7 @@ pub fn join_grid(
     threads: usize,
 ) -> Result<Vec<JoinCell>, ExecError> {
     let fx = build_fixture(cfg);
-    // Calibration fans out on its own; keep it serial per device so cell
-    // parallelism stays flat (same structure as `concurrency_grid`).
+    // One calibration per device, serially; the cells fan out below.
     let models: Vec<(DeviceKind, Qdtt)> = devices
         .iter()
         .map(|&kind| {
@@ -215,22 +214,17 @@ pub fn join_grid(
                 fx.capacity,
                 cfg.seed ^ 0xCA11,
             ));
-            let (qdtt, _) = cal.calibrate_qdtt_with(|| kind.make(fx.capacity, cfg.seed));
+            let (qdtt, _) = cal.calibrate_qdtt(&mut *kind.make(fx.capacity, cfg.seed));
             (kind, qdtt)
         })
         .collect();
     let cells: Vec<(usize, u32)> = (0..models.len())
         .flat_map(|d| cfg.session_counts.iter().map(move |&s| (d, s)))
         .collect();
-    let results = par_map_threads(
-        threads,
-        cfg.seed ^ 0x1013,
-        &cells,
-        |_rng, &(d, sessions)| {
-            let (kind, model) = &models[d];
-            run_grid_cell(&fx, *kind, model, cfg, sessions)
-        },
-    );
+    let results = par_map_threads(threads, &cells, |&(d, sessions)| {
+        let (kind, model) = &models[d];
+        run_grid_cell(&fx, *kind, model, cfg, sessions)
+    });
     results.into_iter().collect()
 }
 

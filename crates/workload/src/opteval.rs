@@ -38,16 +38,13 @@ pub struct CalibratedModels {
     pub qdtt: Qdtt,
 }
 
-/// Calibrate the experiment's device with the paper's defaults.
-///
-/// Grid points run in parallel on the harness pool, one fresh cold
-/// device per point (`calibrate_qdtt_with`), so the result is identical
-/// at any thread count.
+/// Calibrate the experiment's device with the paper's defaults, the way
+/// `Db::calibrate` does: one walk over one fresh device, so the same
+/// experiment always yields the same surface.
 pub fn calibrate(exp: &Experiment) -> CalibratedModels {
-    let dev = exp.make_device();
+    let mut dev = exp.make_device();
     let cfg = CalibrationConfig::for_device(dev.capacity_pages(), exp.cfg.seed ^ 0xCA11);
-    let cal = Calibrator::new(cfg);
-    let (qdtt, _) = cal.calibrate_qdtt_with(|| exp.make_device());
+    let (qdtt, _) = Calibrator::new(cfg).calibrate_qdtt(&mut *dev);
     CalibratedModels {
         dtt: qdtt.to_dtt(),
         qdtt,
@@ -91,7 +88,7 @@ pub fn evaluate(
     // cold device+pool — fan the points out across the harness pool.
     // (Optimizers are built per point: they are a couple of pointers, and
     // `Optimizer` borrows a `dyn IoCostModel` that carries no Sync bound.)
-    pioqo_simkit::par::par_map(exp.cfg.seed, selectivities, |_rng, &sel| {
+    pioqo_simkit::par::par_map(selectivities, |&sel| {
         let old = Optimizer::new(&old_model, opt_cfg.clone());
         let new = Optimizer::new(&new_model, opt_cfg.clone());
         let old_plan = old.choose(&stats, sel);

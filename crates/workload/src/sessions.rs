@@ -225,14 +225,9 @@ pub fn session_scale_sweep(
         }
         cells.push((s, true));
     }
-    let results = par_map_threads(
-        threads,
-        cfg.seed ^ 0x5E55,
-        &cells,
-        |_rng, &(sessions, shared)| {
-            session_scale_cell(&fixture.0, &fixture.1, cfg, sessions, shared)
-        },
-    );
+    let results = par_map_threads(threads, &cells, |&(sessions, shared)| {
+        session_scale_cell(&fixture.0, &fixture.1, cfg, sessions, shared)
+    });
     results.into_iter().collect()
 }
 

@@ -27,7 +27,7 @@ pub fn runtime_curve(
     method: MethodSpec,
     selectivities: &[f64],
 ) -> Vec<SweepPoint> {
-    pioqo_simkit::par::par_map(exp.cfg.seed, selectivities, |_rng, &sel| {
+    pioqo_simkit::par::par_map(selectivities, |&sel| {
         let m = exp
             .run_cold(method, sel)
             .expect("sweep experiment scan completes without pool exhaustion");
@@ -57,7 +57,7 @@ pub fn break_even(
     // the harness pool.
     let faster = |sel: f64| {
         let methods = [index_method, table_method];
-        let times = pioqo_simkit::par::par_map(exp.cfg.seed, &methods, |_rng, &m| {
+        let times = pioqo_simkit::par::par_map(&methods, |&m| {
             exp.run_cold(m, sel)
                 .expect("sweep break-even scan completes without pool exhaustion")
                 .runtime

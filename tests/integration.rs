@@ -112,6 +112,24 @@ fn calibrated_model_survives_persistence_and_drives_same_plans() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `repro`'s calibrated CSVs (through `workload::calibrate`) and the
+/// benchmark's `cold_grid` recipe judge one surface per (device, seed).
+#[test]
+fn one_device_and_seed_give_one_surface_on_every_path() {
+    for name in ["E33-SSD", "E1-HDD"] {
+        let exp = small_experiment(name, 200);
+        let mut dev = exp.make_device();
+        let cal = Calibrator::new(CalibrationConfig::for_device(
+            dev.capacity_pages(),
+            exp.cfg.seed ^ 0xCA11,
+        ));
+        let (direct, _) = cal.calibrate_qdtt(&mut *dev);
+        let models = calibrate(&exp);
+        assert_eq!(models.qdtt, direct, "{name}");
+        assert_eq!(models.dtt, direct.to_dtt(), "{name}");
+    }
+}
+
 #[test]
 fn early_stop_hdd_yes_ssd_no() {
     let cap = 1u64 << 18;
