@@ -137,14 +137,6 @@ pub fn encode_heap_page(spec: &TableSpec, page_no: u64, rows: &[(u32, u32)]) -> 
         "too many rows for page"
     );
     let row_bytes = spec.row_bytes() as usize;
-    let mut payload = BytesMut::with_capacity(spec.page_size as usize - 32);
-    for &(c1, c2) in rows {
-        payload.put_u32_le(c1);
-        payload.put_u32_le(c2);
-        payload.put_bytes(0, row_bytes - 8);
-    }
-    let checksum = fnv1a(&payload);
-
     let mut out = BytesMut::with_capacity(spec.page_size as usize);
     out.put_u32_le(PAGE_MAGIC);
     out.put_u8(PageKind::Heap as u8);
@@ -152,10 +144,17 @@ pub fn encode_heap_page(spec: &TableSpec, page_no: u64, rows: &[(u32, u32)]) -> 
     out.put_u64_le(page_no);
     out.put_u16_le(rows.len() as u16);
     out.put_u16_le(row_bytes as u16);
-    out.put_u32_le(checksum);
+    let checksum_at = out.len();
+    out.put_u32_le(0); // patched below, once the payload is in place
     out.put_bytes(0, 8);
     debug_assert_eq!(out.len(), PAGE_HEADER_BYTES as usize);
-    out.extend_from_slice(&payload);
+    for &(c1, c2) in rows {
+        out.put_u32_le(c1);
+        out.put_u32_le(c2);
+        out.put_bytes(0, row_bytes - 8);
+    }
+    let checksum = fnv1a(&out[PAGE_HEADER_BYTES as usize..]);
+    out[checksum_at..checksum_at + 4].copy_from_slice(&checksum.to_le_bytes());
     out.put_bytes(0, spec.page_size as usize - out.len());
     out.freeze()
 }
