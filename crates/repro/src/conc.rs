@@ -19,17 +19,14 @@ fn grid_config(opts: Opts) -> ConcurrencyConfig {
         seed: opts.seed.unwrap_or(42),
         ..ConcurrencyConfig::default()
     };
-    if opts.scale > 1 {
-        cfg.rows = (cfg.rows / opts.scale).max(1_000);
-    }
+    cfg.rows = (cfg.rows / opts.scale).max(1_000);
     cfg
 }
 
 /// Write a grid's full-fidelity CSV — the golden artifact; the text table
 /// each target prints is a digest of it.
-fn write_grid<C: CsvRow>(stem: &str, opts: Opts, cells: &[C]) {
-    let name = format!("{stem}{}.csv", opts.suffix());
-    write_artifacts(&results_dir(), &[(&name, &to_csv(cells))]);
+fn write_grid<C: CsvRow>(stem: &str, cells: &[C]) {
+    write_artifacts(&results_dir(), &[(&format!("{stem}.csv"), &to_csv(cells))]);
 }
 
 /// Run the sessions ∈ {1, 2, 4, 8, 16} × {HDD, SSD, RAID8} grid: every
@@ -74,7 +71,7 @@ pub fn concurrency(opts: Opts) {
         ]);
     }
     t.print();
-    write_grid("concurrency_grid", opts, &cells);
+    write_grid("concurrency_grid", &cells);
 }
 
 /// Run the join-crossover grid: devices ∈ {HDD, SSD, RAID8} × sessions ∈
@@ -87,10 +84,8 @@ pub fn joins(opts: Opts) {
         seed: opts.seed.unwrap_or(42),
         ..JoinGridConfig::default()
     };
-    if opts.scale > 1 {
-        cfg.left_rows = (cfg.left_rows / opts.scale).max(2_000);
-        cfg.right_rows = (cfg.right_rows / opts.scale).max(1_000);
-    }
+    cfg.left_rows = (cfg.left_rows / opts.scale).max(2_000);
+    cfg.right_rows = (cfg.right_rows / opts.scale).max(1_000);
     eprintln!(
         "[joins] {}x{} rows, sessions {:?}, sel {} ...",
         cfg.left_rows, cfg.right_rows, cfg.session_counts, cfg.selectivity
@@ -132,7 +127,7 @@ pub fn joins(opts: Opts) {
         }
     }
     t.print();
-    write_grid("join_crossover", opts, &cells);
+    write_grid("join_crossover", &cells);
 }
 
 /// Run the scan-vs-checkpoint interference sweep: sessions ∈ {1, 4, 16}
@@ -188,7 +183,7 @@ pub fn interference(opts: Opts) {
         ]);
     }
     t.print();
-    write_grid("interference", opts, &cells);
+    write_grid("interference", &cells);
 }
 
 /// Run the session-scale sweep: sessions ∈ {1K, 10K} on the SSD fixture,
@@ -199,13 +194,11 @@ pub fn session_scale(opts: Opts) {
         seed: opts.seed.unwrap_or(42),
         ..SessionScaleConfig::default()
     };
-    if opts.scale > 1 {
-        cfg.session_counts = cfg
-            .session_counts
-            .iter()
-            .map(|&s| (s / opts.scale as u32).max(64))
-            .collect();
-    }
+    cfg.session_counts = cfg
+        .session_counts
+        .iter()
+        .map(|&s| (s / opts.scale as u32).max(64))
+        .collect();
     eprintln!(
         "[session-scale] {} rows, sessions {:?}, shared off/on ...",
         cfg.rows, cfg.session_counts
@@ -240,5 +233,5 @@ pub fn session_scale(opts: Opts) {
         ]);
     }
     t.print();
-    write_grid("session_scale", opts, &cells);
+    write_grid("session_scale", &cells);
 }

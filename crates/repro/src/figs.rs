@@ -16,54 +16,39 @@ use pioqo_workload::{
 /// Harness-wide options.
 #[derive(Debug, Clone, Copy)]
 pub struct Opts {
-    /// Divide experiment row counts by this factor (1 = full scale).
+    /// Divide experiment row counts by this factor (1 = full scale, the
+    /// only scale whose output is committed).
     pub scale: u64,
-    /// Calibration repetitions for the AW/GW figures (paper uses 50).
-    pub reps: u32,
-    /// Buffer pool size in MB (the paper's small-memory setup is 64; the
-    /// §3.2 large-memory variant used a much bigger pool).
-    pub buffer_mb: u64,
     /// `--seed N`: dataset/device seed of the seeded targets (the grids,
     /// `trace`, `metrics`, `session-export`); `None` keeps each target's
     /// default.
     pub seed: Option<u64>,
 }
 
-impl Opts {
-    /// CSV-id suffix distinguishing non-default configurations.
-    pub fn suffix(&self) -> String {
-        let mut s = String::new();
-        if self.buffer_mb != 64 {
-            s.push_str(&format!("_{}mb", self.buffer_mb));
-        }
-        if self.scale > 1 {
-            s.push_str(&format!("_scale{}", self.scale));
-        }
-        s
-    }
-}
-
 impl Default for Opts {
     fn default() -> Self {
         Opts {
             scale: 1,
-            reps: 5,
-            buffer_mb: 64,
             seed: None,
         }
     }
 }
 
-fn build(name: &str, opts: Opts) -> Experiment {
-    let mut cfg = ExperimentConfig::by_name(name).expect("known experiment");
-    if opts.scale > 1 {
-        cfg = cfg.scaled_down(opts.scale);
-    }
-    cfg.buffer_frames = (opts.buffer_mb << 20) as usize / 4096;
-    eprintln!(
-        "[build] {name}: {} rows, {} MB pool ...",
-        cfg.rows, opts.buffer_mb
-    );
+/// Table 1's buffer pool: the paper's small-memory setup.
+const POOL_MB: u64 = 64;
+
+/// Calibration repetitions per point of the AW/GW figures (the paper
+/// uses 50).
+const REPS: u64 = 5;
+
+/// Build Table 1's experiment `name` with its rows divided by `scale` on
+/// a `pool_mb` buffer pool.
+fn build(name: &str, scale: u64, pool_mb: u64) -> Experiment {
+    let mut cfg = ExperimentConfig::by_name(name)
+        .expect("known experiment")
+        .scaled_down(scale);
+    cfg.buffer_frames = (pool_mb << 20) as usize / 4096;
+    eprintln!("[build] {name}: {} rows, {pool_mb} MB pool ...", cfg.rows);
     Experiment::build(cfg)
 }
 
@@ -128,11 +113,7 @@ pub fn table1(opts: Opts) {
         ],
     );
     for e in ExperimentConfig::table1() {
-        let e = if opts.scale > 1 {
-            e.scaled_down(opts.scale)
-        } else {
-            e
-        };
+        let e = e.scaled_down(opts.scale);
         t.row(vec![
             e.name.clone(),
             e.table.clone(),
@@ -142,14 +123,14 @@ pub fn table1(opts: Opts) {
             format!("{} MB", (e.buffer_frames * 4096) >> 20),
         ]);
     }
-    t.emit(&format!("table1{}", opts.suffix()));
+    t.emit("table1");
 }
 
 /// Fig. 4(a–f): runtime of query Q by access method over selectivity.
 pub fn fig4(opts: Opts) {
     for cfg in ExperimentConfig::table1() {
         let name = cfg.name.clone();
-        let exp = build(&name, opts);
+        let exp = build(&name, opts.scale, POOL_MB);
         let grid = grids::fig4_grid(&name);
         let methods = [
             MethodSpec::Is {
@@ -181,30 +162,24 @@ pub fn fig4(opts: Opts) {
                 secs(curves[3][i].runtime_s),
             ]);
         }
-        t.emit(&format!("fig4_{}{}", name.to_lowercase(), opts.suffix()));
+        t.emit(&format!("fig4_{}", name.to_lowercase()));
     }
 }
 
-/// Table 2: break-even shifts, non-parallel vs parallel, HDD vs SSD.
+/// Table 2: break-even shifts, non-parallel vs parallel, HDD vs SSD —
+/// on Table 1's 64 MB pool, and on the §3.2 large-memory variant's 1 GB.
 pub fn table2(opts: Opts) {
-    let mut t = TextTable::new(
-        "Table 2 — break-even selectivities (ours vs paper)",
-        &[
-            "experiment",
-            "NP (ours)",
-            "P (ours)",
-            "shift (ours)",
-            "NP (paper)",
-            "P (paper)",
-            "shift (paper)",
-        ],
-    );
+    let pools = [(POOL_MB, "table2"), (1024, "table2_1024mb")];
     // Each experiment's pair of bisections is independent of the others:
-    // fan the configurations out, keep row order by config.
+    // fan the (pool, configuration) cells out, keep row order.
     let cfgs = ExperimentConfig::table1();
-    let rows = pioqo_simkit::par::par_map(&cfgs, |cfg| {
+    let mut cells = Vec::new();
+    for &(pool_mb, _) in &pools {
+        cells.extend(cfgs.iter().map(|cfg| (pool_mb, cfg)));
+    }
+    let rows = pioqo_simkit::par::par_map(&cells, |&(pool_mb, cfg)| {
         let name = cfg.name.clone();
-        let exp = build(&name, opts);
+        let exp = build(&name, opts.scale, pool_mb);
         let (np_lo, np_hi) = grids::np_bracket(&name);
         let (p_lo, p_hi) = grids::p_bracket(&name);
         eprintln!("[table2] {name}: bisecting NP break-even ...");
@@ -242,10 +217,24 @@ pub fn table2(opts: Opts) {
             f2(pp / pnp),
         ]
     });
-    for r in rows {
-        t.row(r);
+    for (&(pool_mb, id), rows) in pools.iter().zip(rows.chunks(cfgs.len())) {
+        let mut t = TextTable::new(
+            &format!("Table 2 — break-even selectivities, {pool_mb} MB pool (ours vs paper)"),
+            &[
+                "experiment",
+                "NP (ours)",
+                "P (ours)",
+                "shift (ours)",
+                "NP (paper)",
+                "P (paper)",
+                "shift (paper)",
+            ],
+        );
+        for r in rows {
+            t.row(r.clone());
+        }
+        t.emit(id);
     }
-    t.emit(&format!("table2{}", opts.suffix()));
 }
 
 /// Table 3: PFTS32 vs FTS I/O throughput.
@@ -265,7 +254,7 @@ pub fn table3(opts: Opts) {
     let cfgs = ExperimentConfig::table1();
     let rows = pioqo_simkit::par::par_map(&cfgs, |cfg| {
         let name = cfg.name.clone();
-        let exp = build(&name, opts);
+        let exp = build(&name, opts.scale, POOL_MB);
         eprintln!("[table3] {name} ...");
         let sel = 0.5;
         let pfts = exp
@@ -288,12 +277,12 @@ pub fn table3(opts: Opts) {
     for r in rows {
         t.row(r);
     }
-    t.emit(&format!("table3{}", opts.suffix()));
+    t.emit("table3");
 }
 
 /// Fig. 5: PIS runtime vs per-worker prefetch depth, by parallel degree.
 pub fn fig5(opts: Opts) {
-    let exp = build("E33-SSD", opts);
+    let exp = build("E33-SSD", opts.scale, POOL_MB);
     let sel = 0.003;
     let prefetches = [0u32, 1, 2, 4, 8, 16, 32];
     let workers = [1u32, 2, 4, 8, 16, 32];
@@ -330,7 +319,7 @@ pub fn fig5(opts: Opts) {
         row.extend(grid[pi].iter().map(|&v| secs(v)));
         t.row(row);
     }
-    t.emit(&format!("fig5{}", opts.suffix()));
+    t.emit("fig5");
     // The paper's headline: 4 workers + prefetch 32 beats 32 workers + none.
     let w4p32 = grid[prefetches.iter().position(|&p| p == 32).expect("has 32")]
         [workers.iter().position(|&w| w == 4).expect("has 4")];
@@ -400,7 +389,7 @@ pub fn fig7(_opts: Opts) {
 /// Fig. 8(a–c): DTT-based vs QDTT-based optimizer on the SSD experiments.
 pub fn fig8(opts: Opts) {
     for name in ["E1-SSD", "E33-SSD", "E500-SSD"] {
-        let exp = build(name, opts);
+        let exp = build(name, opts.scale, POOL_MB);
         eprintln!("[fig8] {name}: calibrating ...");
         let models = calibrate(&exp);
         let grid = grids::fig4_grid(name);
@@ -427,7 +416,7 @@ pub fn fig8(opts: Opts) {
                 f2(p.speedup),
             ]);
         }
-        t.emit(&format!("fig8_{}{}", name.to_lowercase(), opts.suffix()));
+        t.emit(&format!("fig8_{}", name.to_lowercase()));
     }
     println!("[paper] max speedups: E1-SSD 19.7x, E33-SSD 16.9x, E500-SSD 13.7x.");
 }
@@ -437,7 +426,7 @@ pub fn fig8(opts: Opts) {
 /// E33-SSD.
 pub fn ablation(opts: Opts) {
     use pioqo_workload::{cold_stats, plan_to_method};
-    let exp = build("E33-SSD", opts);
+    let exp = build("E33-SSD", opts.scale, POOL_MB);
     eprintln!("[ablation] calibrating ...");
     let models = calibrate(&exp);
     let stats = cold_stats(&exp);
@@ -492,7 +481,7 @@ pub fn ablation(opts: Opts) {
     for r in rows {
         t.row(r);
     }
-    t.emit(&format!("ablation{}", opts.suffix()));
+    t.emit("ablation");
     println!(
         "[note] prefetch-aware costing reaches the same queue depth with an\n\
          eighth of the workers — the §3.3 observation, now visible to the\n\
@@ -505,7 +494,7 @@ pub fn ablation(opts: Opts) {
 /// the device, and what the queue-depth budget policy would choose.
 pub fn concurrency(opts: Opts) {
     use pioqo_optimizer::QdBudget;
-    let exp = build("E33-SSD", opts);
+    let exp = build("E33-SSD", opts.scale, POOL_MB);
     eprintln!("[concurrency] calibrating ...");
     let models = calibrate(&exp);
     let budget = QdBudget::from_model(&models.qdtt);
@@ -555,7 +544,7 @@ pub fn concurrency(opts: Opts) {
         row.push(format!("qd {}", budget.share_at(k + 1)));
         t.row(row);
     }
-    t.emit(&format!("concurrency{}", opts.suffix()));
+    t.emit("concurrency");
     println!(
         "[note] alone, degree 32 is ~an order of magnitude faster than serial;\n\
          with 31 competing streams the marginal gain of 32 vs the budget's\n\
@@ -566,18 +555,22 @@ pub fn concurrency(opts: Opts) {
 
 /// Extension — model accuracy: optimizer estimate vs simulated runtime for
 /// every access method across selectivities (is the QDTT-based estimate a
-/// usable predictor, not just a ranker?).
+/// usable predictor, not just a ranker?), on E33-SSD at full size and at
+/// a quarter of its rows.
 pub fn accuracy(opts: Opts) {
-    use pioqo_optimizer::AccessMethod;
+    use pioqo_optimizer::{AccessMethod, QdttCost};
     use pioqo_workload::{cold_stats, plan_to_method};
-    let exp = build("E33-SSD", opts);
-    eprintln!("[accuracy] calibrating ...");
-    let models = calibrate(&exp);
-    let stats = cold_stats(&exp);
-    let qdtt = pioqo_optimizer::QdttCost(models.qdtt.clone());
+    let fixtures = [opts.scale, opts.scale * 4].map(|scale| {
+        let exp = build("E33-SSD", scale, POOL_MB);
+        eprintln!("[accuracy] calibrating ...");
+        let qdtt = QdttCost(calibrate(&exp).qdtt);
+        let stats = cold_stats(&exp);
+        (exp, qdtt, stats)
+    });
     let mut t = TextTable::new(
         "Extension — QDTT-based estimate vs simulated runtime (E33-SSD)",
         &[
+            "rows",
             "selectivity",
             "plan",
             "est (s)",
@@ -591,23 +584,27 @@ pub fn accuracy(opts: Opts) {
         (AccessMethod::IndexScan, 1),
         (AccessMethod::IndexScan, 32),
     ];
-    // 16 independent (selectivity, candidate) cells; the optimizer is
-    // rebuilt per cell (it borrows a `dyn IoCostModel` with no Sync bound).
-    let mut cases: Vec<(f64, AccessMethod, u32)> = Vec::new();
-    for &sel in &[0.001, 0.01, 0.1, 0.5] {
-        for &(method, degree) in &candidates {
-            cases.push((sel, method, degree));
+    // 2 x 16 independent (table size, selectivity, candidate) cells; the
+    // optimizer is rebuilt per cell (it borrows a `dyn IoCostModel` with
+    // no Sync bound).
+    let mut cases = Vec::new();
+    for fixture in &fixtures {
+        for &sel in &[0.001, 0.01, 0.1, 0.5] {
+            for &(method, degree) in &candidates {
+                cases.push((fixture, sel, method, degree));
+            }
         }
     }
-    let rows = pioqo_simkit::par::par_map(&cases, |&(sel, method, degree)| {
-        let opt = Optimizer::new(&qdtt, OptimizerConfig::default());
-        let plan = opt.cost_access(&stats, sel, method, degree);
+    let rows = pioqo_simkit::par::par_map(&cases, |&((exp, qdtt, stats), sel, method, degree)| {
+        let opt = Optimizer::new(qdtt, OptimizerConfig::default());
+        let plan = opt.cost_access(stats, sel, method, degree);
         let spec = plan_to_method(&plan, 0);
         eprintln!("[accuracy] sel={sel} {spec} ...");
         let m = exp.run_cold(spec, sel).expect("runs");
         let est_s = plan.est_total_us / 1e6;
         let meas_s = m.runtime.as_secs_f64();
         vec![
+            exp.cfg.rows.to_string(),
             pct(sel),
             format!("{spec}"),
             secs(est_s),
@@ -618,7 +615,7 @@ pub fn accuracy(opts: Opts) {
     for r in rows {
         t.row(r);
     }
-    t.emit(&format!("accuracy{}", opts.suffix()));
+    t.emit("accuracy");
     println!(
         "[note] the estimate only needs to *rank* plans correctly; the table\n\
          shows how far absolute predictions drift (CPU estimates are\n\
@@ -627,7 +624,7 @@ pub fn accuracy(opts: Opts) {
 }
 
 /// Figs. 9/10/11: AW vs GW calibration on SSD and RAID.
-pub fn fig9_10_11(opts: Opts) {
+pub fn fig9_10_11(_opts: Opts) {
     let cap = 1u64 << 19;
     let bands = [1u64 << 12, 1 << 15, cap];
     let qds = [1u32, 2, 4, 8, 16, 32];
@@ -649,7 +646,7 @@ pub fn fig9_10_11(opts: Opts) {
         let stats = pioqo_simkit::par::par_map(&cells, |&(band, qd)| {
             let mut gw = Running::new();
             let mut aw = Running::new();
-            for rep in 0..opts.reps {
+            for rep in 0..REPS {
                 let cfg = CalibrationConfig {
                     band_sizes: vec![band],
                     queue_depths: vec![qd],
@@ -658,19 +655,19 @@ pub fn fig9_10_11(opts: Opts) {
                     repetitions: 1,
                     early_stop_pct: None,
                     stop_fill_factor: 1.02,
-                    seed: 100 + rep as u64,
+                    seed: 100 + rep,
                 };
                 let mut cfg_aw = cfg.clone();
                 cfg_aw.method = Method::ActiveWait;
                 if raid {
-                    let mut d = raid_15k(8, cap, 5 + rep as u64);
+                    let mut d = raid_15k(8, cap, 5 + rep);
                     gw.push(Calibrator::new(cfg).measure_point(&mut d, band, qd));
-                    let mut d = raid_15k(8, cap, 5 + rep as u64);
+                    let mut d = raid_15k(8, cap, 5 + rep);
                     aw.push(Calibrator::new(cfg_aw).measure_point(&mut d, band, qd));
                 } else {
-                    let mut d = consumer_pcie_ssd(cap, 5 + rep as u64);
+                    let mut d = consumer_pcie_ssd(cap, 5 + rep);
                     gw.push(Calibrator::new(cfg).measure_point(&mut d, band, qd));
-                    let mut d = consumer_pcie_ssd(cap, 5 + rep as u64);
+                    let mut d = consumer_pcie_ssd(cap, 5 + rep);
                     aw.push(Calibrator::new(cfg_aw).measure_point(&mut d, band, qd));
                 }
             }

@@ -1,8 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--scale N] [--reps N] [--buffer-mb N] [--threads N] [--seed N]
-//!       [--profile DIR] <target>...
+//! repro [--scale N] [--threads N] [--seed N] [--profile DIR] <target>...
 //!   CSV targets (all of them: `all`):
 //!     fig1 table1 fig4 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //!     fig12 ablation concurrency accuracy
@@ -10,8 +9,8 @@
 //!   bundle targets: trace metrics session-export
 //! ```
 //!
-//! `--scale N` divides experiment row counts by N (quick runs);
-//! `--reps N` sets calibration repetitions for the AW/GW figures;
+//! `--scale N` divides experiment row counts by N (smoke runs; only
+//! full-scale output is committed);
 //! `--threads N` sets the harness thread count (equivalent to the
 //! `PIOQO_THREADS` environment variable — results are byte-identical at
 //! any thread count, threads only change wall-clock time);
@@ -24,17 +23,18 @@
 //! DIR. Profile output is wall-clock and therefore NOT deterministic.
 //!
 //! A CSV target prints an aligned text table and writes its CSVs under
-//! `results/` (override with `PIOQO_RESULTS`); every one of those files is
-//! committed as a golden (full scale and `--scale 4`), and `all` runs
-//! every CSV target. Beyond the paper's figures: `concurrency-grid` is
-//! the sessions ∈ {1,2,4,8,16} × device grid under QDTT-aware admission
-//! (`concurrency_grid*.csv`); `joins` the join-crossover grid — both join
-//! methods costed under the cell's queue-depth lease, the pick validated
-//! by executing both (`join_crossover*.csv`); `interference` the
-//! scan-vs-checkpoint sweep, scan p99 with the background flusher off vs
-//! on (`interference*.csv`); `session-scale` the 1K/10K-session
-//! overlapping-scan sweep with the shared-scan cursor off vs on
-//! (`session_scale*.csv`).
+//! `results/` (override with `PIOQO_RESULTS`). A full-scale `all` runs
+//! every CSV target and writes exactly the committed goldens, one file
+//! per experiment; `table2` writes both the 64 MB table and the §3.2
+//! large-memory variant (`table2_1024mb.csv`). Beyond the paper's
+//! figures: `concurrency-grid` is the sessions ∈ {1,2,4,8,16} × device
+//! grid under QDTT-aware admission (`concurrency_grid.csv`); `joins` the
+//! join-crossover grid — both join methods costed under the cell's
+//! queue-depth lease, the pick validated by executing both
+//! (`join_crossover.csv`); `interference` the scan-vs-checkpoint sweep,
+//! scan p99 with the background flusher off vs on (`interference.csv`);
+//! `session-scale` the 1K/10K-session overlapping-scan sweep with the
+//! shared-scan cursor off vs on (`session_scale.csv`).
 //!
 //! A bundle target (`bundles.rs` lists the documents of each) writes
 //! several documents into `results/<target>/` (git-ignored; not part of
@@ -83,20 +83,6 @@ const BUNDLE_TARGETS: &[Target] = &[
     ("session-export", bundles::session),
 ];
 
-/// Flags earlier versions took, with what replaces each.
-const REMOVED_FLAGS: &[(&str, &str)] = &[
-    ("--trace", "the `trace` target"),
-    ("--metrics", "the `metrics` target"),
-    ("--concurrency", "the `concurrency-grid` target"),
-    ("--joins", "the `joins` target"),
-    ("--interference", "the `interference` target"),
-    ("--session-scale", "the `session-scale` target"),
-    ("--session-export", "the `session-export` target"),
-    ("--trace-seed", "`--seed N` with the `trace` target"),
-    ("--metrics-seed", "`--seed N` with the `metrics` target"),
-    ("--conc-seed", "`--seed N` with the grid targets"),
-];
-
 /// The table entries a target name runs, or `None` for an unknown name.
 fn expand(target: &str) -> Option<Vec<Target>> {
     let name = match target {
@@ -120,8 +106,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => opts.scale = parse_positive(&mut args, "--scale"),
-            "--reps" => opts.reps = parse_positive(&mut args, "--reps") as u32,
-            "--buffer-mb" => opts.buffer_mb = parse_positive(&mut args, "--buffer-mb"),
             "--threads" => {
                 let n = parse_positive(&mut args, "--threads");
                 // The harness pool reads this on every par_map call; the
@@ -137,12 +121,9 @@ fn main() {
                 None => usage("--profile needs an output directory"),
             },
             "--help" | "-h" => usage(""),
-            t => match (expand(t), REMOVED_FLAGS.iter().find(|&&(f, _)| f == t)) {
-                (Some(entries), _) => runs.extend(entries),
-                (None, Some((flag, instead))) => {
-                    usage(&format!("{flag} was removed: use {instead}"))
-                }
-                (None, None) => usage(&format!("unknown target '{t}'")),
+            t => match expand(t) {
+                Some(entries) => runs.extend(entries),
+                None => usage(&format!("unknown target '{t}'")),
             },
         }
     }
@@ -177,8 +158,7 @@ fn main() {
 
 /// Parse the next argument as a strictly positive integer, or exit with a
 /// usage error. `0` is rejected: a zero scale would divide row counts away
-/// entirely, zero reps would produce empty statistics, and zero threads or
-/// buffer pages are meaningless.
+/// entirely, and zero threads are meaningless.
 fn parse_positive(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
     match args.next().and_then(|v| v.parse::<u64>().ok()) {
         Some(n) if n >= 1 => n,
@@ -195,10 +175,10 @@ fn usage(err: &str) -> ! {
         names.join(" ")
     };
     eprintln!(
-        "usage: repro [--scale N] [--reps N] [--buffer-mb N] [--threads N] \
-         [--seed N] [--profile DIR] <target>...\n\
-         CSV targets, written to results/ and committed as goldens \
-         (`all` runs every one; fig10 and fig11 are drawn by fig9):\n  {}\n\
+        "usage: repro [--scale N] [--threads N] [--seed N] [--profile DIR] <target>...\n\
+         CSV targets, written to results/ (`all` runs every one and, at full \
+         scale, writes exactly the committed goldens; fig10 and fig11 are \
+         drawn by fig9):\n  {}\n\
          bundle targets, written to results/<target>/ (not in `all`):\n  {}",
         names(CSV_TARGETS),
         names(BUNDLE_TARGETS),
@@ -229,6 +209,7 @@ mod tests {
             assert!(!all.contains(&name), "{name} must not be in all");
         }
         assert_eq!(names(&expand("fig11").expect("alias")), ["fig9"]);
+        // A retired flag is an unknown target like any other word.
         assert!(expand("fig99").is_none() && expand("--concurrency").is_none());
     }
 }

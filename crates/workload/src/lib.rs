@@ -96,7 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn to_csv_headers_match_the_committed_scale4_goldens() {
+    fn to_csv_headers_match_the_committed_goldens() {
         fn header<C: CsvRow>() -> String {
             // No cells: the document is the header line alone.
             let doc = to_csv::<C>(&[]);
@@ -105,19 +105,16 @@ mod tests {
         }
         assert_eq!(
             header::<ConcurrencyCell>(),
-            golden_header!("concurrency_grid_scale4.csv")
+            golden_header!("concurrency_grid.csv")
         );
-        assert_eq!(
-            header::<JoinCell>(),
-            golden_header!("join_crossover_scale4.csv")
-        );
+        assert_eq!(header::<JoinCell>(), golden_header!("join_crossover.csv"));
         assert_eq!(
             header::<InterferenceCell>(),
-            golden_header!("interference_scale4.csv")
+            golden_header!("interference.csv")
         );
         assert_eq!(
             header::<SessionScaleCell>(),
-            golden_header!("session_scale_scale4.csv")
+            golden_header!("session_scale.csv")
         );
     }
 }
