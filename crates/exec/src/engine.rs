@@ -9,7 +9,7 @@
 use crate::cpu::{CpuConfig, CpuScheduler, TaskId};
 use pioqo_bufpool::{BufferPool, PoolEvent};
 use pioqo_device::{DeviceModel, IoCompletion, IoRequest, IoStatus};
-use pioqo_obs::{EventKind, HistSet, MetricsRegistry, RingSink, SeriesHandle, TraceEvent};
+use pioqo_obs::{EventKind, HistHandle, MetricsRegistry, RingSink, SeriesHandle, TraceEvent};
 use pioqo_simkit::{EventQueue, IdSlab, SimDuration, SimTime, TimeWeighted, U64Map};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -94,6 +94,32 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
+}
+
+/// The engine's distributions, recorded into an installed registry's
+/// histograms named by [`Dist::NAMES`] (in declaration order).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Dist {
+    /// Per-physical-I/O completion latency, µs.
+    IoLatencyUs,
+    /// Device queue depth sampled at every submission.
+    QueueDepth,
+    /// Per-logical-I/O time from issue to settle, µs.
+    PageWaitUs,
+    /// Attempts after the first, per settled logical I/O.
+    RetriesPerRead,
+    /// Group-commit ack latency, µs: last WAL append to durable ack.
+    CommitAckUs,
+}
+
+impl Dist {
+    const NAMES: [&'static str; 5] = [
+        "io_latency_us",
+        "queue_depth",
+        "page_wait_us",
+        "io_retries_per_read",
+        "commit_ack_us",
+    ];
 }
 
 /// Fault-handling counters accumulated by a context (and reported per scan).
@@ -369,7 +395,6 @@ pub struct SimContext<'a> {
     write_ops: u64,
     first_submit: Option<SimTime>,
     last_complete: SimTime,
-    hists: HistSet,
     /// Requests currently outstanding on the device (integer twin of
     /// `depth`, sampled into the queue-depth histogram at every submit).
     depth_now: u32,
@@ -377,10 +402,10 @@ pub struct SimContext<'a> {
     io_track: u32,
     pool_track: u32,
     pool_evbuf: Vec<PoolEvent>,
-    /// The installed registry with the slots of the five engine series,
-    /// resolved once in `set_metrics` so the per-boundary sampler never
-    /// walks the name index.
-    metrics: Option<(&'a mut MetricsRegistry, [SeriesHandle; 5])>,
+    /// The installed registry with the slots of the five engine series
+    /// and the five `Dist`s, resolved once in `set_metrics` so neither
+    /// the per-boundary sampler nor the per-read sites walk the name index.
+    metrics: Option<(&'a mut MetricsRegistry, [SeriesHandle; 5], [HistHandle; 5])>,
     /// Next sim-time cadence boundary at which `step` samples the engine
     /// series (queue depth, pool hit rate, device channel occupancy).
     next_metric_sample: SimTime,
@@ -425,7 +450,6 @@ impl<'a> SimContext<'a> {
             write_ops: 0,
             first_submit: None,
             last_complete: SimTime::ZERO,
-            hists: HistSet::new(),
             depth_now: 0,
             trace: None,
             io_track: 0,
@@ -511,23 +535,25 @@ impl<'a> SimContext<'a> {
     /// for [`SimContext::set_trace_sink`]). An installed registry makes
     /// `step` sample the engine series — queue depth, pool hit rate,
     /// dirty backlog, device channel occupancy — on the registry's
-    /// sim-time cadence.
+    /// sim-time cadence, and the I/O path and write system record every
+    /// `Dist` sample into its histograms; an unmetered run records none.
     pub fn set_metrics(&mut self, metrics: &'a mut MetricsRegistry) {
         self.next_metric_sample = self.now;
-        let handles = [
+        let series = [
             metrics.series_handle("engine_queue_depth"),
             metrics.series_handle("pool_hit_rate_permille"),
             metrics.series_handle("pool_dirty_pages"),
             metrics.series_handle("device_busy_channels"),
             metrics.series_handle("device_util_permille"),
         ];
-        self.metrics = Some((metrics, handles));
+        let hists = Dist::NAMES.map(|name| metrics.hist_handle(name));
+        self.metrics = Some((metrics, series, hists));
     }
 
     /// Add to a named counter on the installed registry (no-op unmetered).
     #[inline]
     pub fn metric_counter(&mut self, name: &'static str, delta: u64) {
-        if let Some((m, _)) = &mut self.metrics {
+        if let Some((m, ..)) = &mut self.metrics {
             m.counter_add(name, delta);
         }
     }
@@ -536,8 +562,17 @@ impl<'a> SimContext<'a> {
     /// unmetered).
     #[inline]
     pub fn metric_hist(&mut self, name: &'static str, value: u64) {
-        if let Some((m, _)) = &mut self.metrics {
+        if let Some((m, ..)) = &mut self.metrics {
             m.hist_record(name, value);
+        }
+    }
+
+    /// Record one sample of an engine distribution through its
+    /// pre-resolved slot (no-op unmetered).
+    #[inline]
+    pub(crate) fn record(&mut self, dist: Dist, value: u64) {
+        if let Some((m, _, hists)) = &mut self.metrics {
+            m.hist_record_at(hists[dist as usize], value);
         }
     }
 
@@ -547,7 +582,7 @@ impl<'a> SimContext<'a> {
     /// cadence reservoir bounds the stored points.
     #[inline]
     pub fn metric_sample(&mut self, name: &'static str, value: u64) {
-        if let Some((m, _)) = &mut self.metrics {
+        if let Some((m, ..)) = &mut self.metrics {
             m.series_sample(name, self.now, value);
         }
     }
@@ -560,7 +595,7 @@ impl<'a> SimContext<'a> {
     /// skipped boundaries would all have recorded the same values, and
     /// series consumers forward-fill between points.
     fn sample_metric_series(&mut self, t: SimTime) {
-        let Some((m, handles)) = &mut self.metrics else {
+        let Some((m, handles, _)) = &mut self.metrics else {
             return;
         };
         if t < self.next_metric_sample {
@@ -586,22 +621,15 @@ impl<'a> SimContext<'a> {
     }
 
     /// Fold the end-of-run subsystem counters into the installed registry:
-    /// the timer calendar's occupancy/churn stats, the pool counters, the
-    /// physical I/O profile and the engine histogram bundle. Harnesses
-    /// call this once, after the event loop quiesces and before
-    /// snapshotting the registry.
+    /// the timer calendar's occupancy/churn stats, the pool counters and
+    /// the physical I/O profile. Harnesses call this once, after the event
+    /// loop quiesces and before snapshotting the registry.
     pub fn fold_metrics(&mut self) {
-        if self.metrics.is_none() {
+        let (io, res) = (self.io_profile(), self.res);
+        let Some((m, ..)) = self.metrics.as_mut() else {
             return;
-        }
-        let q = self.timer_queue.stats();
-        let pstats = self.pool.stats();
-        let io = self.io_profile();
-        let res = self.res;
-        let (m, _) = self
-            .metrics
-            .as_mut()
-            .expect("metrics presence checked above");
+        };
+        let (q, pstats) = (self.timer_queue.stats(), self.pool.stats());
         m.counter_add("timer_events_scheduled_total", q.scheduled);
         m.counter_add("timer_events_popped_total", q.popped);
         m.gauge_set("timer_peak_buckets", q.peak_buckets);
@@ -620,9 +648,6 @@ impl<'a> SimContext<'a> {
         m.counter_add("io_retries_total", res.retries);
         m.counter_add("io_timeout_hedges_total", res.timeouts);
         m.counter_add("io_degraded_reads_total", res.degraded_reads);
-        // The run paths drain the histograms in `take_histograms`; a
-        // leftover non-empty set is drained here.
-        self.drain_histograms();
     }
 
     /// Intern a track name on the installed sink (0 when untraced).
@@ -643,37 +668,6 @@ impl<'a> SimContext<'a> {
         self.emit(EventKind::SpanEnd(name), track, 0, 0, 0);
     }
 
-    /// The histogram bundle collected so far. Histograms are always
-    /// collected (integer-only recording, no sink required).
-    pub fn histograms(&self) -> &HistSet {
-        &self.hists
-    }
-
-    /// Take the histogram bundle for attachment to a
-    /// [`crate::ScanMetrics`], flushing any journaled pool events to the
-    /// trace sink first. This is the moment the histograms leave the
-    /// context, so an installed metrics registry folds them here (the
-    /// empty-histogram guard in `hist_merge` makes a second take a no-op).
-    pub fn take_histograms(&mut self) -> HistSet {
-        self.pump_pool_events();
-        self.drain_histograms()
-    }
-
-    /// Move the histograms out, folding them into an installed registry:
-    /// whichever of `fold_metrics` and `take_histograms` drains them first,
-    /// each sample reaches the registry once.
-    fn drain_histograms(&mut self) -> HistSet {
-        let hists = std::mem::take(&mut self.hists);
-        if let Some((m, _)) = self.metrics.as_mut() {
-            m.hist_merge("io_latency_us", &hists.io_latency_us);
-            m.hist_merge("queue_depth", &hists.queue_depth);
-            m.hist_merge("page_wait_us", &hists.page_wait_us);
-            m.hist_merge("io_retries_per_read", &hists.retries);
-            m.hist_merge("commit_ack_us", &hists.commit_ack_us);
-        }
-        hists
-    }
-
     #[inline]
     pub(crate) fn emit(&mut self, kind: EventKind, track: u32, span: u64, a: u64, b: u64) {
         if let Some(sink) = &mut self.trace {
@@ -690,8 +684,9 @@ impl<'a> SimContext<'a> {
 
     /// Drain the pool's event journal into the sink, stamped at the
     /// current virtual time (pool activity happens synchronously between
-    /// steps, so `now` is exact).
-    fn pump_pool_events(&mut self) {
+    /// steps, so `now` is exact). `step` pumps before time moves on; the
+    /// run paths pump once more when a run ends.
+    pub(crate) fn pump_pool_events(&mut self) {
         let Some(sink) = &mut self.trace else {
             return;
         };
@@ -761,13 +756,6 @@ impl<'a> SimContext<'a> {
     /// [`ExecError::Crashed`] instead of spinning on timers forever.
     pub fn device_crashed(&self) -> bool {
         self.device.crashed()
-    }
-
-    /// Record one group-commit acknowledgement latency sample (µs) into
-    /// the context's histogram bundle. Called by the write system when a
-    /// WAL flush completion releases waiting commits.
-    pub fn record_commit_ack(&mut self, us: u64) {
-        self.hists.commit_ack_us.record(us);
     }
 
     /// Open a logical I/O, issue its first attempt and return its handle.
@@ -851,7 +839,7 @@ impl<'a> SimContext<'a> {
         self.first_submit.get_or_insert(self.now);
         self.depth.add(self.now, 1.0);
         self.depth_now += 1;
-        self.hists.queue_depth.record(self.depth_now as u64);
+        self.record(Dist::QueueDepth, self.depth_now as u64);
         if self.trace.is_some() {
             let depth = self.depth_now as u64;
             self.emit(EventKind::QueueDepth, self.io_track, 0, depth, 0);
@@ -995,9 +983,7 @@ impl<'a> SimContext<'a> {
         self.depth.add(c.completed, -1.0);
         self.depth_now = self.depth_now.saturating_sub(1);
         self.latency_sum_us += c.latency().as_micros_f64();
-        self.hists
-            .io_latency_us
-            .record(c.latency().as_nanos() / 1000);
+        self.record(Dist::IoLatencyUs, c.latency().as_nanos() / 1000);
         if c.req.is_write() {
             self.pages_written += c.req.len as u64;
             self.write_ops += 1;
@@ -1062,12 +1048,8 @@ impl<'a> SimContext<'a> {
     }
 
     fn finish(&mut self, io: u64, st: &LogicalIo, status: IoStatus, events: &mut Vec<Event>) {
-        self.hists
-            .page_wait_us
-            .record((self.now - st.started).as_nanos() / 1000);
-        self.hists
-            .retries
-            .record(st.attempts.saturating_sub(1) as u64);
+        self.record(Dist::PageWaitUs, (self.now - st.started).as_nanos() / 1000);
+        self.record(Dist::RetriesPerRead, st.attempts.saturating_sub(1) as u64);
         if st.owner != 0 {
             self.ev_owners.push(st.owner);
             self.ev_owners.extend_from_slice(&st.joined);
@@ -1585,6 +1567,7 @@ mod tests {
         let mut dev = consumer_pcie_ssd(1 << 16, 1);
         let mut pool = BufferPool::new(64);
         let mut sink = pioqo_obs::RingSink::with_capacity(1024);
+        let mut registry = MetricsRegistry::enabled(SimDuration::from_millis(1));
         {
             let mut ctx = SimContext::new(
                 &mut dev,
@@ -1593,19 +1576,21 @@ mod tests {
                 CpuCosts::default(),
             );
             ctx.set_trace_sink(&mut sink);
+            ctx.set_metrics(&mut registry);
             assert!(ctx.trace_enabled());
             ctx.read_block(0, 4);
             ctx.read_page(1000);
             ctx.pool.request(0); // miss journaled by the pool
             let mut events = Vec::new();
             while ctx.step(&mut events) {}
-            let h = ctx.take_histograms();
-            assert_eq!(h.io_latency_us.count, 2);
-            assert_eq!(h.queue_depth.count, 2);
-            assert_eq!(h.page_wait_us.count, 2);
-            assert_eq!(h.retries.count, 2);
-            assert_eq!(h.retries.max, 0, "clean device: no retries");
+            ctx.pump_pool_events();
         }
+        for name in Dist::NAMES.into_iter().take(4) {
+            let h = registry.hist(name).expect("recorded");
+            assert_eq!(h.count, 2, "{name}");
+        }
+        let retries = registry.hist("io_retries_per_read").expect("recorded");
+        assert_eq!(retries.max, 0, "clean device: no retries");
         let mut submits = 0;
         let mut completes = 0;
         let mut depth_samples = 0;
@@ -1628,47 +1613,51 @@ mod tests {
     }
 
     #[test]
-    fn histograms_collected_without_a_sink() {
-        let mut dev = consumer_pcie_ssd(1 << 16, 1);
+    fn every_sample_reaches_the_registry_once() {
+        // Every page's first read fails (backoff retries) and a deep queue
+        // on one spindle outlasts the timeout (hedges), so physical I/Os,
+        // attempts and settled reads all differ.
+        let inner = pioqo_device::presets::hdd_7200(1 << 20, 1);
+        let plan = pioqo_device::FaultPlan::Transient {
+            p: 1.0,
+            attempts: 1,
+            seed: 3,
+        };
+        let mut dev = pioqo_device::Faulty::new(inner, plan);
         let mut pool = BufferPool::new(64);
+        let mut registry = MetricsRegistry::enabled(SimDuration::from_millis(1));
         let mut ctx = SimContext::new(
             &mut dev,
             &mut pool,
             CpuConfig::paper_xeon(),
             CpuCosts::default(),
         );
-        assert!(!ctx.trace_enabled());
-        ctx.read_page(7);
-        let mut events = Vec::new();
-        while ctx.step(&mut events) {}
-        assert_eq!(ctx.histograms().io_latency_us.count, 1);
-        assert_eq!(ctx.histograms().queue_depth.mode_lo(), 1);
-    }
-
-    #[test]
-    fn folding_then_taking_counts_each_sample_once() {
-        let mut dev = consumer_pcie_ssd(1 << 16, 1);
-        let mut pool = BufferPool::new(64);
-        let mut registry = pioqo_obs::MetricsRegistry::enabled(SimDuration::from_millis(1));
-        {
-            let mut ctx = SimContext::new(
-                &mut dev,
-                &mut pool,
-                CpuConfig::paper_xeon(),
-                CpuCosts::default(),
-            );
-            ctx.set_metrics(&mut registry);
-            ctx.read_page(7);
-            ctx.read_page(1000);
-            let mut events = Vec::new();
-            while ctx.step(&mut events) {}
-            ctx.fold_metrics();
-            assert_eq!(ctx.take_histograms().io_latency_us.count, 0);
+        ctx.set_metrics(&mut registry);
+        ctx.set_retry_policy(RetryPolicy {
+            max_attempts: 4,
+            backoff: SimDuration::from_micros(100),
+            timeout: Some(SimDuration::from_millis(20)),
+        });
+        for i in 0..16u64 {
+            ctx.read_page(i * 50_000);
         }
-        for name in ["io_latency_us", "queue_depth", "page_wait_us"] {
-            let h = registry.hist(name).expect("folded");
-            assert_eq!(h.count, 2, "{name}");
-        }
+        ctx.quiesce();
+        let (io_ops, res) = (ctx.io_profile().io_ops, ctx.resilience());
+        ctx.fold_metrics();
+        drop(ctx);
+        assert!(res.retries > 0 && res.timeouts > 0, "{res:?}");
+        let count = |name| registry.hist(name).map_or(0, |h| h.count);
+        assert_eq!(count("io_latency_us"), io_ops);
+        assert_eq!(count("queue_depth"), io_ops);
+        assert_eq!(count("page_wait_us"), 16, "one settle per logical read");
+        assert_eq!(count("io_retries_per_read"), 16);
+        // Every attempt after a read's first is a backoff retry or a hedge.
+        let extra = registry.hist("io_retries_per_read").map(|h| h.sum);
+        assert_eq!(extra, Some(res.retries + res.timeouts));
+        assert!(registry.hist("commit_ack_us").is_none(), "no commit ran");
+        let snap = registry.snapshot("");
+        assert!(!snap.hists.contains_key("commit_ack_us"));
+        assert_eq!(snap.hists.len(), 4);
     }
 
     #[test]

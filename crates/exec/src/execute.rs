@@ -155,7 +155,7 @@ pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput
     let (answer, runtime) = run.last.ok_or(ExecError::Internal {
         detail: "a query run ended without an answer",
     })?;
-    let hists = ctx.take_histograms();
+    ctx.pump_pool_events();
     let pool = ctx.pool.stats().diff(&pool_before);
     Ok(ScanMetrics {
         runtime,
@@ -166,6 +166,5 @@ pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput
         io,
         pool,
         resilience,
-        hists,
     })
 }

@@ -2,7 +2,6 @@
 
 use crate::engine::{IoProfile, ResilienceStats};
 use pioqo_bufpool::PoolStats;
-use pioqo_obs::HistSet;
 use pioqo_simkit::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -26,8 +25,6 @@ pub struct ScanMetrics {
     pub pool: PoolStats,
     /// Fault-handling counters for the run (all zero on a clean device).
     pub resilience: ResilienceStats,
-    /// Latency / queue-depth / page-wait / retry histograms for the run.
-    pub hists: HistSet,
 }
 
 impl ScanMetrics {

@@ -40,7 +40,7 @@ use crate::run::{tag, Policy, Run};
 use crate::shared::{ScanHub, SharedScanStats};
 use crate::write::{WriteConfig, WriteStats, WriteSystem};
 use pioqo_bufpool::{BufferPool, PoolStats};
-use pioqo_obs::{HistSet, Histogram};
+use pioqo_obs::Histogram;
 use pioqo_simkit::{SimDuration, SimRng, SimTime};
 use pioqo_storage::range_for_selectivity;
 use serde::{Deserialize, Serialize};
@@ -107,8 +107,8 @@ pub struct WorkloadSpec {
     pub shared_scans: bool,
     /// Keep at most this many per-query [`QueryRecord`]s in the report
     /// (`None` = keep all). At 100K sessions the full record vector is the
-    /// dominant memory cost; aggregates and histograms always cover every
-    /// query regardless of the cap.
+    /// dominant memory cost; aggregates and the query-latency histogram
+    /// always cover every query regardless of the cap.
     pub record_limit: Option<u64>,
 }
 
@@ -348,8 +348,6 @@ pub struct WorkloadReport {
     pub pool: PoolStats,
     /// Fault-handling counters over the whole workload.
     pub resilience: ResilienceStats,
-    /// Machine-level histograms (I/O latency, queue depth, page waits).
-    pub hists: HistSet,
     /// Shared-scan hub counters (all zero when sharing is off).
     pub shared: SharedScanStats,
     /// Write-path counters, when a write workload ran beside the scans.
@@ -549,7 +547,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             shareable.then(|| ScanHub::new(self.base.table, FtsConfig::default().block_pages));
         let mut run = Run::new(ctx, self.spec.sessions, hub, ws);
         let (io, resilience) = run.drive(ctx, &mut self)?;
-        let hists = ctx.take_histograms();
+        ctx.pump_pool_events();
         let pool = ctx.pool.stats().diff(&pool_before);
         let writes = run.ws.as_deref().map(WriteSystem::stats);
         let shared = run.hub.map(|h| h.stats().clone()).unwrap_or_default();
@@ -576,7 +574,6 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             io,
             pool,
             resilience,
-            hists,
             shared,
             writes,
         })

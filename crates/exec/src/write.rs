@@ -24,7 +24,7 @@
 //! instant — identical configs produce byte-identical WAL extents, media
 //! stores and stats.
 
-use crate::engine::{Event, ExecError, SimContext};
+use crate::engine::{Dist, Event, ExecError, SimContext};
 use crate::run::Run;
 use pioqo_bufpool::wal::{Lsn, SealedSegment, Wal, WalOp};
 use pioqo_device::{CrashReport, IoStatus, MediaStore};
@@ -625,7 +625,7 @@ impl WriteSystem {
         for w in 0..self.writers.len() {
             let acked = match self.writers[w].state {
                 WriterState::WaitingCommit { lsn, appended } if lsn <= durable => {
-                    ctx.record_commit_ack(now.since(appended).as_nanos() / 1000);
+                    ctx.record(Dist::CommitAckUs, now.since(appended).as_nanos() / 1000);
                     self.acked.push(lsn);
                     true
                 }

@@ -170,72 +170,6 @@ impl Histogram {
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
     }
-
-    /// Append `name,bucket_lo,bucket_hi,count` CSV rows for every occupied
-    /// bucket.
-    pub fn csv_rows(&self, name: &str, out: &mut String) {
-        use std::fmt::Write as _;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                let _ = writeln!(out, "{name},{},{},{c}", bucket_lo(i), bucket_hi(i));
-            }
-        }
-    }
-}
-
-/// The per-scan histogram bundle attached to
-/// `pioqo_exec::ScanMetrics`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistSet {
-    /// Per-physical-I/O completion latency, µs.
-    pub io_latency_us: Histogram,
-    /// Device queue depth sampled at every submission.
-    pub queue_depth: Histogram,
-    /// Per-logical-read wall time from issue to settle, µs (the time an
-    /// operator phase spends waiting on a page).
-    pub page_wait_us: Histogram,
-    /// Retries per settled logical read (0 for clean reads).
-    pub retries: Histogram,
-    /// Group-commit acknowledgement latency, µs: from a commit's last WAL
-    /// append to the contiguous-durable ack that releases the writer.
-    pub commit_ack_us: Histogram,
-}
-
-impl HistSet {
-    /// An empty set.
-    pub fn new() -> HistSet {
-        HistSet::default()
-    }
-
-    /// True when every member histogram is empty.
-    pub fn is_empty(&self) -> bool {
-        self.io_latency_us.is_empty()
-            && self.queue_depth.is_empty()
-            && self.page_wait_us.is_empty()
-            && self.retries.is_empty()
-            && self.commit_ack_us.is_empty()
-    }
-
-    /// Fold another set into this one (par_map reduction / trace summary).
-    pub fn merge(&mut self, other: &HistSet) {
-        self.io_latency_us.merge(&other.io_latency_us);
-        self.queue_depth.merge(&other.queue_depth);
-        self.page_wait_us.merge(&other.page_wait_us);
-        self.retries.merge(&other.retries);
-        self.commit_ack_us.merge(&other.commit_ack_us);
-    }
-
-    /// Render every occupied bucket as CSV with a `hist,bucket_lo,
-    /// bucket_hi,count` header.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("hist,bucket_lo,bucket_hi,count\n");
-        self.io_latency_us.csv_rows("io_latency_us", &mut out);
-        self.queue_depth.csv_rows("queue_depth", &mut out);
-        self.page_wait_us.csv_rows("page_wait_us", &mut out);
-        self.retries.csv_rows("retries", &mut out);
-        self.commit_ack_us.csv_rows("commit_ack_us", &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -345,9 +279,10 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], (3, 3, 2));
         assert_eq!(rows[2].1, u64::MAX);
-        let mut csv = String::new();
-        h.csv_rows("x", &mut csv);
-        assert_eq!(csv.lines().count(), rows.len());
+        let mut snapshot = crate::MetricsSnapshot::default();
+        snapshot.hists.insert("x".to_string(), h);
+        let csv = snapshot.hists_csv();
+        assert_eq!(csv.lines().count(), rows.len() + 1, "header plus rows");
         for (lo, hi, c) in rows {
             assert!(csv.contains(&format!("x,{lo},{hi},{c}")));
         }
@@ -416,28 +351,13 @@ mod tests {
     }
 
     #[test]
-    fn histset_csv_has_header_and_rows() {
-        let mut hs = HistSet::new();
-        hs.queue_depth.record(8);
-        hs.queue_depth.record(8);
-        hs.io_latency_us.record(120);
-        let csv = hs.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("hist,bucket_lo,bucket_hi,count"));
-        assert!(csv.contains("queue_depth,8,8,2"));
-        assert!(csv.contains("io_latency_us,"));
-    }
-
-    #[test]
     fn serde_roundtrip_is_exact() {
-        let mut hs = HistSet::new();
-        for v in [1u64, 9, 1000, 1 << 33] {
-            hs.io_latency_us.record(v);
-            hs.page_wait_us.record(v * 2);
+        let mut h = Histogram::new();
+        for v in [0u64, 1, 9, 1000, 1 << 33] {
+            h.record(v);
         }
-        hs.retries.record(0);
-        let json = serde_json::to_string(&hs).expect("histogram set serializes");
-        let back: HistSet = serde_json::from_str(&json).expect("histogram set deserializes");
-        assert_eq!(hs, back);
+        let json = serde_json::to_string(&h).expect("histogram serializes");
+        let back: Histogram = serde_json::from_str(&json).expect("histogram deserializes");
+        assert_eq!(h, back);
     }
 }

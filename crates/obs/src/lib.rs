@@ -8,7 +8,7 @@
 //! — the same invariant the rest of the workspace enforces (lint rules
 //! D1–D7).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **Structured event trace** — [`TraceEvent`]s (span begin/end, I/O
 //!   submit/complete, buffer-pool hit/miss/evict, retry/backoff/timeout
@@ -18,19 +18,20 @@
 //!   run skips event construction at one `None` branch per site.
 //! * **Log-bucketed histograms** — [`Histogram`] uses HDR-style
 //!   octave/sub-bucket indexing with *no floating point in bucket
-//!   selection*; [`HistSet`] groups the four per-scan distributions
-//!   (I/O latency, queue depth, page-wait, retries).
+//!   selection*.
 //! * **Metrics registry** — [`MetricsRegistry`] holds integer counters,
 //!   gauges, histograms and sim-time [`Series`] reservoirs registered by
 //!   static `snake_case` name; like the ring, it records exactly when it
-//!   is installed. [`MetricsSnapshot`] is the mergeable form rendered by
-//!   the Prometheus / CSV / JSON exporters, and [`SloSpec`] /
-//!   [`evaluate_slos`] turn a snapshot into a machine-readable pass/fail
-//!   verdict.
+//!   is installed. It is the only home of the engine's five distributions
+//!   (I/O latency, queue depth, page wait, retries, commit ack), recorded
+//!   through pre-resolved [`HistHandle`]s. [`MetricsSnapshot`] is the
+//!   mergeable form rendered by the Prometheus / CSV / JSON exporters,
+//!   and [`SloSpec`] / [`evaluate_slos`] turn a snapshot into a
+//!   machine-readable pass/fail verdict.
 //! * **Exporters** — [`chrome_trace_json`] renders events as Chrome
 //!   trace-event JSON (loadable in Perfetto / `chrome://tracing`, one track
-//!   per device channel / worker / operator), and [`HistSet::to_csv`]
-//!   renders histogram buckets as CSV.
+//!   per device channel / worker / operator), and
+//!   [`MetricsSnapshot::hists_csv`] renders histogram buckets as CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +44,9 @@ mod sink;
 
 pub use chrome::chrome_trace_json;
 pub use event::{EventKind, TraceEvent};
-pub use hist::{HistSet, Histogram};
+pub use hist::Histogram;
 pub use metrics::{
-    evaluate_slos, slo_report_json, MetricsRegistry, MetricsSnapshot, Series, SeriesHandle,
-    SloCheck, SloSpec, SloVerdict,
+    evaluate_slos, slo_report_json, HistHandle, MetricsRegistry, MetricsSnapshot, Series,
+    SeriesHandle, SloCheck, SloSpec, SloVerdict,
 };
 pub use sink::RingSink;

@@ -86,12 +86,26 @@ pub struct MetricsRegistry {
     cadence: SimDuration,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
-    // Series live in a Vec so a pre-resolved `SeriesHandle` can index in
-    // O(1) on the per-cadence-boundary hot path; the BTreeMap only maps
-    // names to slots (and keeps snapshot order name-sorted).
+    // Histograms and series live in Vecs so a pre-resolved handle indexes
+    // in O(1) on a hot path; the BTreeMaps only map names to slots (and
+    // keep snapshot order name-sorted).
+    hist_index: BTreeMap<&'static str, usize>,
+    hists: Vec<Histogram>,
     series_index: BTreeMap<&'static str, usize>,
-    series: Vec<(&'static str, Series)>,
+    series: Vec<Series>,
+}
+
+/// The slot of `name` in a name-indexed table, pushing `make()` if absent.
+fn slot<T>(
+    index: &mut BTreeMap<&'static str, usize>,
+    items: &mut Vec<T>,
+    name: &'static str,
+    make: impl FnOnce() -> T,
+) -> usize {
+    *index.entry(name).or_insert_with(|| {
+        items.push(make());
+        items.len() - 1
+    })
 }
 
 /// A pre-resolved slot in one registry's series table. The engine samples
@@ -101,6 +115,12 @@ pub struct MetricsRegistry {
 /// meaningful on the registry that issued it.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesHandle(usize);
+
+/// A pre-resolved slot in one registry's histogram table, as
+/// [`SeriesHandle`] is for series. A slot that never records stays out of
+/// [`MetricsRegistry::hist`] and of every snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct HistHandle(usize);
 
 impl MetricsRegistry {
     /// A collecting registry whose series sample on `cadence` of sim time
@@ -114,7 +134,8 @@ impl MetricsRegistry {
             },
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
+            hist_index: BTreeMap::new(),
+            hists: Vec::new(),
             series_index: BTreeMap::new(),
             series: Vec::new(),
         }
@@ -129,7 +150,7 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.hists.is_empty()
+            && self.hists.iter().all(Histogram::is_empty)
             && self.series.is_empty()
     }
 
@@ -145,27 +166,34 @@ impl MetricsRegistry {
 
     /// Record one observation into the named histogram.
     pub fn hist_record(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
+        let handle = self.hist_handle(name);
+        self.hist_record_at(handle, value);
     }
 
-    /// Merge a pre-built histogram into the named histogram (used when
-    /// folding an existing `HistSet` into the registry at end of run).
-    pub fn hist_merge(&mut self, name: &'static str, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.hists.entry(name).or_default().merge(other);
+    /// Resolve (creating if needed) the slot for a named histogram.
+    pub fn hist_handle(&mut self, name: &'static str) -> HistHandle {
+        let i = slot(&mut self.hist_index, &mut self.hists, name, Histogram::new);
+        HistHandle(i)
+    }
+
+    /// Record through a pre-resolved handle: an indexed write, no name
+    /// lookup. The engine's per-read sites run entirely on this path.
+    #[inline]
+    pub fn hist_record_at(&mut self, handle: HistHandle, value: u64) {
+        self.hists[handle.0].record(value);
     }
 
     /// Sample the named time series at sim time `t`.
     pub fn series_sample(&mut self, name: &'static str, t: SimTime, value: u64) {
-        let slot = self.series_slot(name);
-        self.series[slot].1.sample(t, value);
+        let handle = self.series_handle(name);
+        self.series_sample_at(handle, t, value);
     }
 
     /// Resolve (creating if needed) the slot for a named series.
     pub fn series_handle(&mut self, name: &'static str) -> SeriesHandle {
-        SeriesHandle(self.series_slot(name))
+        let cadence = self.cadence;
+        let make = || Series::new(cadence);
+        SeriesHandle(slot(&mut self.series_index, &mut self.series, name, make))
     }
 
     /// Sample through a pre-resolved handle: an indexed write, no name
@@ -173,17 +201,7 @@ impl MetricsRegistry {
     /// entirely on this path.
     #[inline]
     pub fn series_sample_at(&mut self, handle: SeriesHandle, t: SimTime, value: u64) {
-        self.series[handle.0].1.sample(t, value);
-    }
-
-    fn series_slot(&mut self, name: &'static str) -> usize {
-        if let Some(&slot) = self.series_index.get(name) {
-            return slot;
-        }
-        let slot = self.series.len();
-        self.series.push((name, Series::new(self.cadence)));
-        self.series_index.insert(name, slot);
-        slot
+        self.series[handle.0].sample(t, value);
     }
 
     /// Counter value (0 when absent).
@@ -198,14 +216,13 @@ impl MetricsRegistry {
 
     /// Named histogram, if any observation was recorded.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
+        let slot = self.hist_index.get(name)?;
+        Some(&self.hists[*slot]).filter(|h| !h.is_empty())
     }
 
-    /// Named series, if any sample was recorded.
+    /// Named series, if its slot was resolved.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series_index
-            .get(name)
-            .map(|&slot| &self.series[slot].1)
+        self.series_index.get(name).map(|&slot| &self.series[slot])
     }
 
     /// Snapshot into the `String`-keyed mergeable form, prefixing every
@@ -224,14 +241,15 @@ impl MetricsRegistry {
             counters: self.counters.iter().map(|(n, v)| (key(n), *v)).collect(),
             gauges: self.gauges.iter().map(|(n, v)| (key(n), *v)).collect(),
             hists: self
-                .hists
+                .hist_index
                 .iter()
-                .map(|(n, h)| (key(n), h.clone()))
+                .filter(|&(_, &slot)| !self.hists[slot].is_empty())
+                .map(|(n, &slot)| (key(n), self.hists[slot].clone()))
                 .collect(),
             series: self
                 .series_index
                 .iter()
-                .map(|(n, &slot)| (key(n), self.series[slot].1.clone()))
+                .map(|(n, &slot)| (key(n), self.series[slot].clone()))
                 .collect(),
         }
     }
@@ -370,6 +388,19 @@ impl MetricsSnapshot {
             for &(tick, v) in &s.points {
                 let t_us = tick.saturating_mul(s.cadence_ns) / 1_000;
                 let _ = writeln!(out, "{name},{t_us},{v}");
+            }
+        }
+        out
+    }
+
+    /// Render every histogram's occupied buckets as CSV:
+    /// `hist,bucket_lo,bucket_hi,count`, sorted by histogram name and
+    /// bucket.
+    pub fn hists_csv(&self) -> String {
+        let mut out = String::from("hist,bucket_lo,bucket_hi,count\n");
+        for (name, h) in &self.hists {
+            for (lo, hi, count) in h.occupied_buckets() {
+                let _ = writeln!(out, "{name},{lo},{hi},{count}");
             }
         }
         out
@@ -614,6 +645,30 @@ mod tests {
         let mut twice = a.snapshot("");
         twice.merge(&a.snapshot(""));
         assert_eq!(twice.counters.get("ios"), Some(&6));
+    }
+
+    #[test]
+    fn a_resolved_histogram_slot_shows_only_once_it_records() {
+        let mut reg = MetricsRegistry::enabled(DEFAULT_CADENCE);
+        let depth = reg.hist_handle("queue_depth");
+        let idle = reg.hist_handle("commit_ack_us");
+        assert!(reg.is_empty() && reg.hist("queue_depth").is_none());
+        assert!(reg.snapshot("").hists.is_empty());
+        reg.hist_record_at(depth, 8);
+        reg.hist_record_at(depth, 8);
+        reg.hist_record("queue_depth", 1);
+        assert_eq!(reg.hist("queue_depth").map(|h| h.count), Some(3));
+        assert!(reg.hist("commit_ack_us").is_none());
+        let snap = reg.snapshot("cell");
+        assert_eq!(
+            snap.hists.keys().collect::<Vec<_>>(),
+            ["cell_queue_depth"],
+            "the idle slot {idle:?} stays out of the snapshot"
+        );
+        assert_eq!(
+            snap.hists_csv(),
+            "hist,bucket_lo,bucket_hi,count\ncell_queue_depth,1,1,1\ncell_queue_depth,8,8,2\n"
+        );
     }
 
     #[test]

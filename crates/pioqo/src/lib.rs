@@ -63,7 +63,7 @@ pub mod prelude {
         ScanMetrics, SimContext, SortedIsConfig, ThinkTime, WorkloadReport, WorkloadSpec,
         WriteConfig, WriteStats, WriteSystem,
     };
-    pub use pioqo_obs::{HistSet, Histogram, MetricsRegistry, RingSink};
+    pub use pioqo_obs::{Histogram, MetricsRegistry, RingSink};
     pub use pioqo_optimizer::{
         plan_to_spec, AccessMethod, DttCost, JoinDecision, JoinMethod, JoinPlan, JoinStats,
         Optimizer, OptimizerConfig, Plan, QdBudget, QdttAdmission, QdttCost, TableStats,

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! `--scale N` divides experiment row counts by N (smoke runs; only
-//! full-scale output is committed);
+//! full-scale output is committed, so a CSV target run with `--scale` or
+//! `--seed` exits 2 unless `PIOQO_RESULTS` names its output directory);
 //! `--threads N` sets the harness thread count (equivalent to the
 //! `PIOQO_THREADS` environment variable — results are byte-identical at
 //! any thread count, threads only change wall-clock time);
@@ -83,6 +84,12 @@ const BUNDLE_TARGETS: &[Target] = &[
     ("session-export", bundles::session),
 ];
 
+/// Whether `name` is a bundle target (written into a git-ignored
+/// `results/<target>/`).
+fn is_bundle(name: &str) -> bool {
+    BUNDLE_TARGETS.iter().any(|&(n, _)| n == name)
+}
+
 /// The table entries a target name runs, or `None` for an unknown name.
 fn expand(target: &str) -> Option<Vec<Target>> {
     let name = match target {
@@ -129,6 +136,16 @@ fn main() {
     }
     if runs.is_empty() {
         usage("no target given");
+    }
+    // Without PIOQO_RESULTS a CSV target writes over the committed
+    // goldens, which only a full-scale, default-seed run reproduces.
+    let rescaled = opts.scale != 1 || opts.seed.is_some();
+    let writes_csv = runs.iter().any(|&(n, _)| !is_bundle(n));
+    if rescaled && writes_csv && std::env::var_os("PIOQO_RESULTS").is_none() {
+        usage(
+            "--scale and --seed output would overwrite the goldens in results/; \
+             set PIOQO_RESULTS to another directory",
+        );
     }
 
     if profile_dir.is_some() {

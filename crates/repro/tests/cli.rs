@@ -80,6 +80,27 @@ fn retired_flags_are_rejected_as_unknown_targets() {
 }
 
 #[test]
+fn rescaled_or_reseeded_csv_runs_need_a_results_directory() {
+    let dir = scratch("goldens");
+    for args in [
+        &["--scale", "64", "table1"][..],
+        &["fig1", "--seed", "7"][..],
+    ] {
+        let out = repro()
+            .args(args)
+            .env_remove("PIOQO_RESULTS")
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro binary");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("PIOQO_RESULTS"), "{args:?}: {err}");
+        assert!(!dir.join("results").exists(), "{args:?} wrote results/");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_lists_csv_and_bundle_targets() {
     let out = repro().arg("--help").output().expect("spawn repro binary");
     let err = String::from_utf8_lossy(&out.stderr);

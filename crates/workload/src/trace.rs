@@ -1,16 +1,19 @@
-//! The trace bundle: every cell traced through [`mod@crate::capture`],
-//! each with its own event ring, and the rings merged in cell order into:
+//! The trace bundle: every cell traced and metered through
+//! [`mod@crate::capture`], each with its own event ring and metrics
+//! registry, and the results merged in cell order into:
 //!
 //! * a Chrome trace-event JSON document (Perfetto-loadable), with track
 //!   names prefixed by the cell label so the cells render side by side;
-//! * the combined histogram CSV (`hist,bucket_lo,bucket_hi,count`);
+//! * the histogram CSV (`hist,bucket_lo,bucket_hi,count`), one block per
+//!   cell distribution under its cell-prefixed registry name;
 //! * a summary JSON with per-cell and workload-total counters.
 
 use crate::capture::{capture, table1, CaptureCell, CaptureError, Outcome};
 use crate::experiments::MethodSpec;
 use pioqo_bufpool::PoolStats;
 use pioqo_exec::ResilienceStats;
-use pioqo_obs::{chrome_trace_json, HistSet, TraceEvent};
+use pioqo_obs::metrics::{sanitize_prefix, DEFAULT_CADENCE};
+use pioqo_obs::{chrome_trace_json, Histogram, MetricsSnapshot, TraceEvent};
 use serde::Serialize;
 
 /// The default capture scenario: the paper's §2 queue-depth observation
@@ -87,7 +90,7 @@ struct TraceSummary {
 pub struct TraceBundle {
     /// Chrome trace-event JSON (load in Perfetto or `chrome://tracing`).
     pub chrome_json: String,
-    /// Merged histogram CSV across all cells.
+    /// Histogram CSV of every cell's distributions.
     pub hist_csv: String,
     /// Per-cell + total summary JSON.
     pub summary_json: String,
@@ -95,22 +98,25 @@ pub struct TraceBundle {
     pub cells: Vec<CellSummary>,
 }
 
-/// Trace every cell (its own device, pool and `ring_capacity`-event
-/// ring) and merge the results in cell order. `threads` bounds the worker
-/// pool; the output is byte-identical for any value, including 1.
+/// Trace every cell (its own device, pool, `ring_capacity`-event ring and
+/// metrics registry) and merge the results in cell order. `threads`
+/// bounds the worker pool; the output is byte-identical for any value,
+/// including 1.
 pub fn capture_trace(
     cells: &[CaptureCell],
     ring_capacity: usize,
     threads: usize,
 ) -> Result<TraceBundle, CaptureError> {
-    let observed = capture(cells, Some(ring_capacity), None, threads)?;
+    let observed = capture(cells, Some(ring_capacity), Some(DEFAULT_CADENCE), threads)?;
     // One global track table: cell-local ids are remapped by a per-cell
     // offset, and names get the cell label as a prefix.
     let (mut tracks, mut events) = (Vec::new(), Vec::new());
-    let (mut hists, mut totals) = (HistSet::new(), TraceTotals::default());
+    let (mut metrics, mut totals) = (MetricsSnapshot::default(), TraceTotals::default());
+    let (mut queue_depth, mut io_latency) = (Histogram::new(), Histogram::new());
     let mut rows = Vec::with_capacity(cells.len());
     for (cell, o) in cells.iter().zip(observed) {
         let (label, ring) = (cell.label(), o.ring.expect("every cell ran traced"));
+        let snapshot = o.snapshot.expect("every cell ran metered");
         let base = tracks.len() as u32;
         tracks.extend(ring.track_names().iter().map(|n| format!("{label}/{n}")));
         events.extend(ring.events().map(|ev| TraceEvent {
@@ -119,21 +125,19 @@ pub fn capture_trace(
         }));
         // A session cell reports its makespan and the rows its recorded
         // queries matched.
-        let (runtime, rows_matched, io, pool, resilience, cell_hists) = match &o.outcome {
-            Outcome::Scan(m) => (
-                m.runtime,
-                m.rows_matched,
-                &m.io,
-                &m.pool,
-                m.resilience,
-                &m.hists,
-            ),
+        let (runtime, rows_matched, io, pool, resilience) = match &o.outcome {
+            Outcome::Scan(m) => (m.runtime, m.rows_matched, &m.io, &m.pool, m.resilience),
             Outcome::Sessions(r, _) => {
                 let rows = r.records.iter().map(|q| q.rows_matched).sum();
-                (r.makespan, rows, &r.io, &r.pool, r.resilience, &r.hists)
+                (r.makespan, rows, &r.io, &r.pool, r.resilience)
             }
         };
-        hists.merge(cell_hists);
+        let prefix = sanitize_prefix(&label);
+        let hist = |name| snapshot.hists.get(&format!("{prefix}_{name}")).cloned();
+        let cell_depth = hist("queue_depth").unwrap_or_default();
+        let cell_latency = hist("io_latency_us").unwrap_or_default();
+        queue_depth.merge(&cell_depth);
+        io_latency.merge(&cell_latency);
         totals.pool.merge(pool);
         totals.resilience.merge(&resilience);
         totals.events_recorded += ring.recorded();
@@ -144,24 +148,25 @@ pub fn capture_trace(
             rows_matched,
             pages_read: io.pages_read,
             io_ops: io.io_ops,
-            modal_queue_depth: cell_hists.queue_depth.mode_lo(),
-            p50_io_latency_us: cell_hists.io_latency_us.quantile_lo(50, 100),
-            p99_io_latency_us: cell_hists.io_latency_us.quantile_lo(99, 100),
+            modal_queue_depth: cell_depth.mode_lo(),
+            p50_io_latency_us: cell_latency.quantile_lo(50, 100),
+            p99_io_latency_us: cell_latency.quantile_lo(99, 100),
             pool: pool.clone(),
             resilience,
             events_recorded: ring.recorded(),
             events_dropped: ring.dropped(),
         });
+        metrics.merge(&snapshot);
     }
-    totals.modal_queue_depth = hists.queue_depth.mode_lo();
-    totals.p99_io_latency_us = hists.io_latency_us.quantile_lo(99, 100);
+    totals.modal_queue_depth = queue_depth.mode_lo();
+    totals.p99_io_latency_us = io_latency.quantile_lo(99, 100);
     let summary = TraceSummary {
         cells: rows,
         totals,
     };
     Ok(TraceBundle {
         chrome_json: chrome_trace_json(&tracks, events.iter()),
-        hist_csv: hists.to_csv(),
+        hist_csv: metrics.hists_csv(),
         summary_json: serde_json::to_string_pretty(&summary).unwrap_or_else(|_| String::from("{}")),
         cells: summary.cells,
     })

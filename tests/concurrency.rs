@@ -470,12 +470,14 @@ fn hedged_reads_shared_by_several_sessions_wake_every_owner() {
     let run = || {
         let mut dev = exp.make_device();
         let mut pool = exp.make_pool();
+        let mut registry = MetricsRegistry::enabled(SimDuration::from_millis(1));
         let mut ctx = SimContext::new(
             &mut *dev,
             &mut pool,
             CpuConfig::paper_xeon(),
             CpuCosts::default(),
         );
+        ctx.set_metrics(&mut registry);
         let plan = PlanSpec::Is(IsConfig {
             workers: 1,
             prefetch_depth: 0,
@@ -492,11 +494,14 @@ fn hedged_reads_shared_by_several_sessions_wake_every_owner() {
             ..WorkloadSpec::default()
         };
         let base = QuerySpec::range_max(exp.dataset.table(), Some(exp.dataset.index()), 0, 0);
-        MultiEngine::new(spec, base, FixedPlanner { plan })
+        let report = MultiEngine::new(spec, base, FixedPlanner { plan })
             .run(&mut ctx)
-            .expect("workload runs")
+            .expect("workload runs");
+        drop(ctx);
+        let settled_reads = registry.hist("page_wait_us").map_or(0, |h| h.count);
+        (report, settled_reads)
     };
-    let report = run();
+    let (report, logical_reads) = run();
     assert_eq!(report.total_completed(), 24);
     assert_answers_match_the_oracle(&exp, &report);
     assert!(report.resilience.timeouts > 0, "no read was hedged");
@@ -504,13 +509,12 @@ fn hedged_reads_shared_by_several_sessions_wake_every_owner() {
     // every pool miss into exactly one `read_page`. Fewer logical reads
     // than misses therefore means some read was joined by a *second
     // session* — and had both not been woken, the run would have stalled.
-    let logical_reads = report.hists.page_wait_us.count;
     assert!(
         report.pool.misses > logical_reads,
         "no read had two owners: {} misses, {logical_reads} reads",
         report.pool.misses
     );
-    assert_eq!(report.to_json(), run().to_json(), "double run must agree");
+    assert_eq!(report.to_json(), run().0.to_json(), "double run must agree");
 }
 
 /// Session 0 scans the table, session 1 walks the index with a deep
