@@ -54,12 +54,6 @@ impl<D: DeviceModel> WithBackgroundLoad<D> {
         self.bg_completed
     }
 
-    /// The foreground-visible queue depth the background leaves free, as a
-    /// naive budget heuristic: `max(1, beneficial / (streams + 1))`.
-    pub fn fair_share_of(&self, beneficial_qd: u32) -> u32 {
-        (beneficial_qd / (self.streams + 1)).max(1)
-    }
-
     fn submit_bg(&mut self, now: SimTime) {
         let page = self.rng.below(self.inner.capacity_pages());
         let id = self.next_bg;
@@ -197,13 +191,5 @@ mod tests {
         // but with zero streams it will.
         crate::io::drain_all(&mut wrapped, SimTime::ZERO, &mut out_b);
         assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn fair_share_heuristic() {
-        let d = WithBackgroundLoad::new(consumer_pcie_ssd(1 << 16, 1), 3, 1, 9);
-        assert_eq!(d.fair_share_of(32), 8);
-        let d = WithBackgroundLoad::new(consumer_pcie_ssd(1 << 16, 1), 63, 1, 9);
-        assert_eq!(d.fair_share_of(32), 1);
     }
 }

@@ -165,6 +165,12 @@ pub enum ExecError {
     /// The device halted on an injected crash; in-flight work is gone and
     /// the run must go through recovery, not completion.
     Crashed,
+    /// The plan's configuration cannot run (a count that must be at least
+    /// 1 is 0): the caller's error, found before anything ran.
+    InvalidPlan {
+        /// The offending field.
+        detail: &'static str,
+    },
     /// An executor state-machine invariant was violated (a bug in the
     /// engine, not in the caller's configuration).
     Internal {
@@ -206,6 +212,7 @@ impl std::fmt::Display for ExecError {
             ),
             ExecError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
             ExecError::Crashed => write!(f, "device crashed mid-run; recovery required"),
+            ExecError::InvalidPlan { detail } => write!(f, "invalid plan: {detail} is 0"),
             ExecError::Internal { detail } => {
                 write!(f, "executor invariant violated: {detail}")
             }
@@ -1608,7 +1615,7 @@ mod tests {
         assert_eq!(completes, 2);
         assert_eq!(depth_samples, 2);
         assert_eq!(pool_misses, 1);
-        let json = sink.to_chrome_json();
+        let json = pioqo_obs::chrome_trace_json(sink.track_names(), sink.events());
         assert!(json.contains("\"cat\":\"io\""));
     }
 

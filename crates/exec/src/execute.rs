@@ -116,6 +116,17 @@ pub fn make_driver<'q>(q: &QuerySpec<'q>) -> Result<Box<dyn QueryDriver + 'q>, E
             detail: "join plan without a join clause",
         })
     };
+    let zero = match &q.plan {
+        PlanSpec::Fts(cfg) if cfg.workers == 0 => Some("FtsConfig::workers"),
+        PlanSpec::Fts(cfg) if cfg.block_pages == 0 => Some("FtsConfig::block_pages"),
+        PlanSpec::Is(cfg) if cfg.workers == 0 => Some("IsConfig::workers"),
+        PlanSpec::Inl(cfg) if cfg.probe_depth == 0 => Some("InlConfig::probe_depth"),
+        PlanSpec::Hash(cfg) if cfg.partitions == 0 => Some("HashJoinConfig::partitions"),
+        _ => None,
+    };
+    if let Some(detail) = zero {
+        return Err(ExecError::InvalidPlan { detail });
+    }
     let eval = q.row_eval();
     Ok(match &q.plan {
         PlanSpec::Fts(cfg) => Box::new(FtsDriver::new(cfg.clone(), q.table, eval)),

@@ -86,8 +86,6 @@ impl<'q> FtsDriver<'q> {
     /// A driver evaluating `eval` over every row of `table` with a
     /// (parallel) full table scan.
     pub fn new(cfg: FtsConfig, table: &'q HeapTable, eval: RowEval) -> FtsDriver<'q> {
-        assert!(cfg.workers >= 1);
-        assert!(cfg.block_pages >= 1);
         let workers = (0..cfg.workers)
             .map(|_| Worker {
                 state: WState::Startup,

@@ -145,7 +145,6 @@ impl<'q> IsDriver<'q> {
         index: &'q BTreeIndex,
         eval: RowEval,
     ) -> IsDriver<'q> {
-        assert!(cfg.workers >= 1);
         let (low, high) = eval.sarg();
         IsDriver {
             cfg,

@@ -156,7 +156,6 @@ impl<'q> InlDriver<'q> {
         join: JoinClause<'q>,
         eval: RowEval,
     ) -> Result<InlDriver<'q>, ExecError> {
-        assert!(cfg.probe_depth >= 1);
         let right_index = join.right_index.ok_or(ExecError::Internal {
             detail: "index-nested-loop join without an inner index",
         })?;
@@ -558,7 +557,6 @@ impl<'q> HashJoinDriver<'q> {
         join: JoinClause<'q>,
         eval: RowEval,
     ) -> Result<HashJoinDriver<'q>, ExecError> {
-        assert!(cfg.partitions >= 1);
         let np = cfg.partitions as usize;
         let (slices_right, slices_left) = if np > 1 {
             let ext = join.spill.ok_or(ExecError::Internal {
@@ -938,6 +936,51 @@ mod tests {
                 CpuCosts::default(),
             );
             execute(&mut ctx, &q).expect("join runs")
+        }
+    }
+
+    #[test]
+    fn a_zero_count_in_a_plan_is_an_invalid_plan_error() {
+        use crate::fts::FtsConfig;
+        use crate::is::IsConfig;
+        let fx = fixture(200, 200, 1_000);
+        let plans = [
+            PlanSpec::Fts(FtsConfig {
+                workers: 0,
+                ..FtsConfig::default()
+            }),
+            PlanSpec::Fts(FtsConfig {
+                block_pages: 0,
+                ..FtsConfig::default()
+            }),
+            PlanSpec::Is(IsConfig {
+                workers: 0,
+                ..IsConfig::default()
+            }),
+            PlanSpec::Inl(InlConfig {
+                probe_depth: 0,
+                ..InlConfig::default()
+            }),
+            PlanSpec::Hash(HashJoinConfig {
+                partitions: 0,
+                ..HashJoinConfig::default()
+            }),
+        ];
+        for plan in plans {
+            let mut dev = consumer_pcie_ssd(fx.capacity, 17);
+            let mut pool = BufferPool::new(64);
+            let mut ctx = SimContext::new(
+                &mut dev,
+                &mut pool,
+                CpuConfig::paper_xeon(),
+                CpuCosts::default(),
+            );
+            let q = join_spec(&fx, plan.clone());
+            let err = execute(&mut ctx, &q).expect_err("a zero count cannot run");
+            assert!(
+                matches!(err, ExecError::InvalidPlan { .. }),
+                "{plan:?}: {err}"
+            );
         }
     }
 

@@ -30,7 +30,7 @@ use pioqo_bufpool::wal::{Lsn, SealedSegment, Wal, WalOp};
 use pioqo_device::{CrashReport, IoStatus, MediaStore};
 use pioqo_obs::EventKind;
 use pioqo_simkit::{SimDuration, SimRng, SimTime};
-use pioqo_storage::{encode_heap_page, Extent, HeapTable, TableSpec};
+use pioqo_storage::{encode_heap_page, Bytes, Extent, HeapTable, TableSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,7 +152,7 @@ pub struct WriteSystem {
     pending_wal: BTreeMap<u64, SealedSegment>,
     /// Data-page writebacks in flight: device page -> (LSN the image
     /// carries, the staged image).
-    pending_flush: BTreeMap<u64, (Lsn, Vec<u8>)>,
+    pending_flush: BTreeMap<u64, (Lsn, Bytes)>,
     /// The flusher's list of dirty pages, reused from tick to tick.
     flush_buf: Vec<u64>,
     /// Writer indexes waiting on a logical read handle.
@@ -576,7 +576,7 @@ impl WriteSystem {
             let image = encode_heap_page(&self.spec, local, rows);
             ctx.emit(EventKind::PageFlush, self.track, 0, dp, 0);
             ctx.write_page(dp);
-            self.pending_flush.insert(dp, (lsn, image.to_vec()));
+            self.pending_flush.insert(dp, (lsn, image));
             self.stats.data_page_flushes += 1;
             submitted += 1;
         }
@@ -658,7 +658,7 @@ impl WriteSystem {
             } else {
                 self.pending_flush
                     .get(&req.offset)
-                    .map(|(_, image)| image.clone())
+                    .map(|(_, image)| image.to_vec())
             };
             let Some(bytes) = staged else {
                 continue; // a write this system did not stage (foreign traffic)

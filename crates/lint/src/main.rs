@@ -10,7 +10,7 @@
 //! `check` runs the D1-D7 determinism scan; `explain` prints one rule's
 //! rationale; `trace-check` validates exported Chrome trace JSON files
 //! against the exporter's schema; `metrics-check` validates exported
-//! Prometheus text expositions (from `repro metrics`).
+//! Prometheus text expositions (from `repro observe`).
 //!
 //! Exit status: 0 when clean, 1 when any rule fired, an allowlist entry
 //! is stale, or an exported artifact is malformed, 2 on usage or I/O
@@ -36,11 +36,11 @@ Prints a human-readable table, or a JSON report with --json.
 `explain RULE` prints the invariant a rule guards and why it matters
 (e.g. `pioqo-lint explain D4`).
 
-`trace-check` validates exported Chrome trace JSON (from `repro trace`)
+`trace-check` validates exported Chrome trace JSON (from `repro observe`)
 against the exporter's event schema.
 
 `metrics-check` validates exported Prometheus text expositions (from
-`repro metrics`): TYPE-declared snake_case pioqo_* names, unique,
+`repro observe`): TYPE-declared snake_case pioqo_* names, unique,
 integer-valued samples only.
 
 Exits 0 when clean, 1 on violations/stale allows/malformed artifacts, 2

@@ -1,7 +1,7 @@
 //! Schema validation for the Prometheus text exposition the metrics
 //! registry exports.
 //!
-//! `repro metrics` writes `metrics.prom`; CI validates it with
+//! `repro observe` writes `metrics.prom`; CI validates it with
 //! `pioqo-lint metrics-check <file>`. The checks mirror what the
 //! exporter promises rather than the full Prometheus grammar:
 //!

@@ -1,6 +1,6 @@
 //! Minimal schema validation for exported Chrome trace-event JSON.
 //!
-//! `repro trace` and the workload capture harness emit Trace Event
+//! `repro observe` and the workload capture harness emit Trace Event
 //! Format documents that Perfetto consumes. CI validates those artifacts
 //! with `pioqo-lint trace-check <file>`: the document must be an object
 //! with a `traceEvents` array, and every event must carry `name`, `ph`,

@@ -28,10 +28,13 @@
 //!   mergeable form rendered by the Prometheus / CSV / JSON exporters,
 //!   and [`SloSpec`] / [`evaluate_slos`] turn a snapshot into a
 //!   machine-readable pass/fail verdict.
-//! * **Exporters** — [`chrome_trace_json`] renders events as Chrome
-//!   trace-event JSON (loadable in Perfetto / `chrome://tracing`, one track
-//!   per device channel / worker / operator), and
+//! * **Exporters** — [`chrome_trace_json`] renders a ring's tracks and
+//!   events (one ring, or several merged under per-cell track names) as
+//!   Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`,
+//!   one track per device channel / worker / operator / session), and
 //!   [`MetricsSnapshot::hists_csv`] renders histogram buckets as CSV.
+//!   `repro observe` writes every document these exporters render, for
+//!   each of its cells captured once, traced and metered.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

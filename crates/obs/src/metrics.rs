@@ -581,7 +581,7 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, specs: &[SloSpec]) -> Vec<SloVe
         .collect()
 }
 
-/// Render verdicts as the machine-readable report `repro metrics`
+/// Render verdicts as the machine-readable report `repro observe`
 /// writes: `{"pass": bool, "slos": [...]}`, sorted input order preserved.
 pub fn slo_report_json(verdicts: &[SloVerdict]) -> String {
     #[derive(Serialize)]

@@ -66,11 +66,6 @@ impl RingSink {
         head.iter().chain(tail.iter())
     }
 
-    /// Render the retained events as Chrome trace-event JSON.
-    pub fn to_chrome_json(&self) -> String {
-        crate::chrome::chrome_trace_json(&self.names, self.events())
-    }
-
     /// Intern a track name (one Perfetto thread per track), returning its
     /// stable id. Interning the same name twice returns the same id; ids
     /// are assigned in first-interning order, which is deterministic

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use pioqo_simkit::{SimDuration, SimRng, SimTime};
     pub use pioqo_storage::{BTreeIndex, HeapTable, TableSpec, Tablespace};
     pub use pioqo_workload::{
-        break_even, capture_trace, default_trace_cells, runtime_curve, CaptureCell, DeviceKind,
-        Experiment, ExperimentConfig, MethodSpec, TraceBundle,
+        break_even, default_observe_cells, observe_bundle, runtime_curve, CaptureCell, DeviceKind,
+        Experiment, ExperimentConfig, MethodSpec, ObserveBundle,
     };
 }

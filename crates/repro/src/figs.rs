@@ -19,9 +19,8 @@ pub struct Opts {
     /// Divide experiment row counts by this factor (1 = full scale, the
     /// only scale whose output is committed).
     pub scale: u64,
-    /// `--seed N`: dataset/device seed of the seeded targets (the grids,
-    /// `trace`, `metrics`, `session-export`); `None` keeps each target's
-    /// default.
+    /// `--seed N`: dataset/device seed of the seeded targets (the grids
+    /// and `observe`); `None` keeps each target's default.
     pub seed: Option<u64>,
 }
 

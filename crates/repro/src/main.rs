@@ -6,7 +6,7 @@
 //!     fig1 table1 fig4 table2 table3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //!     fig12 ablation concurrency accuracy
 //!     concurrency-grid joins interference session-scale
-//!   bundle targets: trace metrics session-export
+//!   bundle target: observe
 //! ```
 //!
 //! `--scale N` divides experiment row counts by N (smoke runs; only
@@ -16,8 +16,8 @@
 //! `PIOQO_THREADS` environment variable — results are byte-identical at
 //! any thread count, threads only change wall-clock time);
 //! `--seed N` varies the dataset/device seed of the seeded targets — the
-//! four grids and `session-export` (default 42), `trace` and `metrics`
-//! (default 0); the paper figures carry their Table 1 seeds and ignore it;
+//! four grids (default 42) and `observe` (default 0); the paper figures
+//! carry their Table 1 seeds and ignore it;
 //! `--profile DIR` turns on the wall-clock self-profiler for the whole
 //! run and writes `profile.folded` (collapsed stacks, inferno /
 //! speedscope-loadable) and `profile.txt` (per-thread phase table) into
@@ -37,9 +37,10 @@
 //! `session-scale` the 1K/10K-session overlapping-scan sweep with the
 //! shared-scan cursor off vs on (`session_scale.csv`).
 //!
-//! A bundle target (`bundles.rs` lists the documents of each) writes
-//! several documents into `results/<target>/` (git-ignored; not part of
-//! `all`), byte-identical at any thread count.
+//! The bundle target `observe` (`bundles.rs` lists its documents) captures
+//! each of its cells once, traced and metered, and writes nine documents
+//! into `results/observe/` (git-ignored; not part of `all`),
+//! byte-identical at any thread count. It exits 1 if an SLO fails.
 
 mod bundles;
 mod conc;
@@ -78,11 +79,7 @@ const CSV_TARGETS: &[Target] = &[
 ];
 
 /// Targets that write a multi-file bundle into `results/<target>/`.
-const BUNDLE_TARGETS: &[Target] = &[
-    ("trace", bundles::trace),
-    ("metrics", bundles::metrics),
-    ("session-export", bundles::session),
-];
+const BUNDLE_TARGETS: &[Target] = &[("observe", bundles::observe)];
 
 /// Whether `name` is a bundle target (written into a git-ignored
 /// `results/<target>/`).
@@ -196,7 +193,7 @@ fn usage(err: &str) -> ! {
          CSV targets, written to results/ (`all` runs every one and, at full \
          scale, writes exactly the committed goldens; fig10 and fig11 are \
          drawn by fig9):\n  {}\n\
-         bundle targets, written to results/<target>/ (not in `all`):\n  {}",
+         bundle target, written to results/observe/ (not in `all`):\n  {}",
         names(CSV_TARGETS),
         names(BUNDLE_TARGETS),
     );
@@ -226,7 +223,15 @@ mod tests {
             assert!(!all.contains(&name), "{name} must not be in all");
         }
         assert_eq!(names(&expand("fig11").expect("alias")), ["fig9"]);
-        // A retired flag is an unknown target like any other word.
-        assert!(expand("fig99").is_none() && expand("--concurrency").is_none());
+        // A retired flag or target is an unknown target like any other word.
+        for retired in [
+            "fig99",
+            "--concurrency",
+            "trace",
+            "metrics",
+            "session-export",
+        ] {
+            assert!(expand(retired).is_none(), "{retired}");
+        }
     }
 }

@@ -74,13 +74,14 @@ impl TextTable {
 /// Write each `(name, body)` into `dir`, creating it first, and print one
 /// `[wrote]` line per file. Exits with status 1 on an I/O error: a target
 /// whose output cannot be written has failed.
-pub fn write_artifacts(dir: &Path, files: &[(&str, &str)]) {
+pub fn write_artifacts<S: AsRef<str>>(dir: &Path, files: &[(&str, S)]) {
     or_exit(
         std::fs::create_dir_all(dir),
         &format!("creating {}", dir.display()),
     );
     for (name, body) in files {
         let path = dir.join(name);
+        let body = body.as_ref();
         or_exit(
             std::fs::write(&path, body),
             &format!("writing {}", path.display()),

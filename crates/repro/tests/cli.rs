@@ -46,8 +46,11 @@ fn rejects_non_numeric_and_missing_flag_values() {
 
 #[test]
 fn rejects_unknown_target() {
-    let out = repro().arg("fig99").output().expect("spawn repro binary");
-    assert_eq!(out.status.code(), Some(2));
+    // The retired bundle targets are unknown words like any other.
+    for target in ["fig99", "trace", "metrics", "session-export"] {
+        let out = repro().arg(target).output().expect("spawn repro binary");
+        assert_eq!(out.status.code(), Some(2), "{target}");
+    }
 }
 
 #[test]
@@ -104,7 +107,7 @@ fn rescaled_or_reseeded_csv_runs_need_a_results_directory() {
 fn help_lists_csv_and_bundle_targets() {
     let out = repro().arg("--help").output().expect("spawn repro binary");
     let err = String::from_utf8_lossy(&out.stderr);
-    for word in ["concurrency-grid", "session-export", "--seed", "`all`"] {
+    for word in ["concurrency-grid", "observe", "--seed", "`all`"] {
         assert!(err.contains(word), "--help should mention {word}: {err}");
     }
 }

@@ -70,15 +70,6 @@ impl SimRng {
         (self.next_u64() >> 32) as u32
     }
 
-    /// Fill `dest` with generated bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&bytes[..n]);
-        }
-    }
-
     /// Derive an independent child generator; used to give each component
     /// (table gen, calibrator, jitter) its own stream from one master seed.
     pub fn fork(&mut self, salt: u64) -> SimRng {
@@ -286,18 +277,6 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn fill_bytes_is_deterministic() {
-        let mut a = SimRng::seeded(5);
-        let mut b = SimRng::seeded(5);
-        let mut ba = [0u8; 31];
-        let mut bb = [0u8; 31];
-        a.fill_bytes(&mut ba);
-        b.fill_bytes(&mut bb);
-        assert_eq!(ba, bb);
-        assert_ne!(ba, [0u8; 31]);
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod spec;
 pub mod tablespace;
 
 pub use btree::{BTreeIndex, LeafRange};
+pub use bytes::Bytes;
 pub use gen::{range_for_selectivity, selectivity_of_range, ColumnData};
 pub use heap::HeapTable;
 pub use page::{decode_heap_page, encode_heap_page, HeapPage, PageCodecError, PageKind};

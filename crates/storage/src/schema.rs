@@ -18,15 +18,6 @@ pub enum ColumnType {
     U32,
 }
 
-impl ColumnType {
-    /// Width of one value of this type on a physical page, in bytes.
-    pub fn width(&self) -> u32 {
-        match self {
-            ColumnType::U32 => 4,
-        }
-    }
-}
-
 /// One column: its name and type. The ordinal position is the index of the
 /// definition inside its [`Schema`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,16 +71,6 @@ impl Schema {
         &self.columns[i]
     }
 
-    /// Ordinal of the column named `name`, if present.
-    pub fn ordinal_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Total fixed row width in bytes.
-    pub fn row_width(&self) -> u32 {
-        self.columns.iter().map(|c| c.ty.width()).sum()
-    }
-
     /// All columns, in ordinal order.
     pub fn columns(&self) -> &[ColumnDef] {
         &self.columns
@@ -105,10 +86,6 @@ mod tests {
         let s = Schema::paper();
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
-        assert_eq!(s.ordinal_of("C1"), Some(0));
-        assert_eq!(s.ordinal_of("C2"), Some(1));
-        assert_eq!(s.ordinal_of("C3"), None);
-        assert_eq!(s.row_width(), 8);
         assert_eq!(s.column(0).name, "C1");
         assert_eq!(s.columns()[1].ty, ColumnType::U32);
     }
@@ -125,7 +102,7 @@ mod tests {
                 ty: ColumnType::U32,
             },
         ]);
-        assert_eq!(s.ordinal_of("V"), Some(1));
-        assert_eq!(s.row_width(), 8);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.column(1).name, "V");
     }
 }

@@ -53,11 +53,6 @@ impl TableSpec {
         (self.page_size - PAGE_HEADER_BYTES) / self.rows_per_page
     }
 
-    /// Padding bytes per row beyond the two 4-byte integer columns.
-    pub fn pad_bytes(&self) -> u32 {
-        self.row_bytes().saturating_sub(8)
-    }
-
     /// Heap page holding `row`.
     #[inline]
     pub fn page_of_row(&self, row: u64) -> u64 {
@@ -107,11 +102,5 @@ mod tests {
             assert_eq!(p * 33 + s as u64, row);
             assert!(t.rows_in_page(p).contains(&row));
         }
-    }
-
-    #[test]
-    fn padding_accounts_for_columns() {
-        let t = TableSpec::paper_table(33, 100, 0);
-        assert_eq!(t.pad_bytes(), t.row_bytes() - 8);
     }
 }

@@ -4,10 +4,8 @@
 //! registry, both or neither); `capture` fans a cell list out over
 //! `par_map_threads` and returns the results in cell order, so every
 //! bundle rendered from them is byte-identical across runs and thread
-//! counts. The renderers — [`crate::trace::capture_trace`],
-//! [`crate::metrics::capture_metrics`] and
-//! [`crate::concurrent::session_export`] — each keep the byte layout of
-//! their own documents.
+//! counts. [`crate::observe::observe_bundle`] renders them into the one
+//! observation bundle.
 
 use crate::concurrent::run_cell;
 use crate::experiments::{Experiment, ExperimentConfig, MethodSpec};
@@ -125,8 +123,6 @@ pub enum CaptureError {
     /// Two cells' labels sanitize to this same name, so their metrics,
     /// tracks and summary rows would merge into one. Nothing ran.
     DuplicateLabel(String),
-    /// A session export was handed this scan cell.
-    NotSessions(String),
     /// A cell's run failed.
     Exec(ExecError),
 }
@@ -135,7 +131,6 @@ impl std::fmt::Display for CaptureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CaptureError::DuplicateLabel(label) => write!(f, "two cells are labelled {label}"),
-            CaptureError::NotSessions(label) => write!(f, "{label} is not a session cell"),
             CaptureError::Exec(e) => write!(f, "cell failed: {e}"),
         }
     }
@@ -226,25 +221,25 @@ pub(crate) fn capture(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{capture_metrics, default_metrics_cells};
-    use crate::trace::{capture_trace, default_trace_cells};
+    use crate::observe::{default_observe_cells, observe_bundle};
+    use pioqo_obs::chrome_trace_json;
 
     fn pis8() -> CaptureCell {
-        default_trace_cells(7).remove(0).scaled_down(4)
+        default_observe_cells(7).remove(0).scaled_down(4)
     }
 
     #[test]
     fn colliding_labels_are_rejected_before_anything_runs() {
         // Two seeds, one label: the seed is not part of it.
-        let mut cells = default_metrics_cells(0);
-        cells.extend(default_metrics_cells(7));
-        match capture_metrics(&cells, SimDuration::from_millis(1), &[], 1) {
+        let mut cells = default_observe_cells(0);
+        cells.extend(default_observe_cells(7));
+        match observe_bundle(&cells, 1) {
             Err(CaptureError::DuplicateLabel(label)) => assert_eq!(label, "E33-SSD/PIS8@0.01"),
             other => panic!("expected DuplicateLabel, got {other:?}"),
         }
         let twice = vec![pis8(), pis8()];
         assert!(matches!(
-            capture_trace(&twice, 64, 1),
+            observe_bundle(&twice, 1),
             Err(CaptureError::DuplicateLabel(_))
         ));
         // Labels that differ only in what sanitizing folds away collide too.
@@ -258,7 +253,7 @@ mod tests {
 
     #[test]
     fn a_ring_and_a_registry_together_observe_what_each_does_alone() {
-        for cell in [pis8(), default_metrics_cells(7).remove(2).scaled_down(4)] {
+        for cell in [pis8(), default_observe_cells(7).remove(3).scaled_down(4)] {
             let cadence = Some(SimDuration::from_millis(1));
             let both = observe(&cell, Some(1 << 14), cadence).expect("both");
             let traced = observe(&cell, Some(1 << 14), None).expect("traced");
@@ -267,7 +262,7 @@ mod tests {
             let ring = |o: &Observation| {
                 let r = o.ring.as_ref().expect("traced run keeps its ring");
                 assert!(r.recorded() > 0 && r.dropped() == 0);
-                (r.to_chrome_json(), r.recorded())
+                (chrome_trace_json(r.track_names(), r.events()), r.recorded())
             };
             assert_eq!(ring(&both), ring(&traced), "{}", cell.label());
             let snapshot = |o: &Observation| o.snapshot.clone().expect("metered run snapshots");
